@@ -328,22 +328,47 @@ def _validate_config(tensor: SampleTensor, config: EstimationConfig) -> None:
 @lru_cache(maxsize=8)
 def _grid_tables(
     grid_deg: tuple[float, float, float],
-    azimuths: tuple[float, ...],
+    antenna_azimuths: tuple[float, ...],
     pair_dl: tuple[int, ...],
 ):
-    """Precompute the (theta, phi) grids and per-term model phase factors."""
+    """Precompute the (theta, phi, gamma) grids and their f-independent tables.
+
+    Returns the three grid axes, the power-map geometry of every (theta, phi)
+    cell at the given antennas (see ``_power_geometry``), and the per-term
+    model phase factors exp(-2i dl delta) of shape (n_theta, n_phi, n_terms),
+    with terms ordered antenna-major over ``pair_dl`` as in
+    ``cross_modal_phase_set``.
+    """
     g_th, g_ph, g_ga = (np.deg2rad(g) for g in grid_deg)
     thetas = np.arange(0.0, np.pi / 2 - 1e-12, g_th)
     phis = -np.pi + g_ph * np.arange(1, int(round(2 * np.pi / g_ph)) + 1)
     gammas = -np.pi + g_ga * np.arange(1, int(round(2 * np.pi / g_ga)) + 1)
-    az = np.asarray(azimuths)
-    dl = np.asarray(pair_dl)
-    # delta grid: (n_theta, n_phi, n_terms)
-    d = delta(
-        thetas[:, None, None], phis[None, :, None], az[None, None, :]
+    th_mesh, ph_mesh = np.meshgrid(thetas, phis, indexing="ij")
+    geometry = _power_geometry(
+        th_mesh.ravel(), ph_mesh.ravel(), np.asarray(antenna_azimuths)
     )
-    model = np.exp(-2j * d * dl[None, None, :])
-    return thetas, phis, gammas, model
+    d = geometry[0].reshape(len(thetas), len(phis), -1)
+    model = np.exp(-2j * d[..., :, None] * np.asarray(pair_dl)).reshape(
+        len(thetas), len(phis), -1
+    )
+    return thetas, phis, gammas, geometry, model
+
+
+def _power_geometry(theta: np.ndarray, phi: np.ndarray, phi_m: np.ndarray):
+    """Frequency-independent geometry of the matched-power probe.
+
+    For candidate angles (theta, phi) of shape (n,) and element azimuths
+    ``phi_m`` of shape (Q,), returns delta_m and rho_m of shape (n, Q),
+    sin(theta) of shape (n, 1) and cos(phi - phi_m) of shape (n, Q).
+    """
+    th = theta[:, None]
+    ph = phi[:, None]
+    return (
+        delta(th, ph, phi_m[None, :]),
+        rho(th, ph, phi_m[None, :]),
+        np.sin(th),
+        np.cos(ph - phi_m),
+    )
 
 
 def _coarse_candidates(
@@ -364,13 +389,17 @@ def _coarse_candidates(
     along its own axis.  Returns (theta, phi, gamma, loss) tuples.
     """
     terms = [(m, pair, val) for (m, pair), val in phases.phases.items()]
-    azimuths = tuple(phases.azimuths[m] for m, _pair, _val in terms)
     pair_dl = tuple(li - lj for _m, (li, lj), _val in terms)
     lam = np.array([weights[m] for m, _pair, _val in terms])
     u = np.array([val for _m, _pair, val in terms])
 
-    thetas, phis, gammas, model = _grid_tables(
-        tuple(config.grid_deg), azimuths, pair_dl
+    antenna_azimuths = tuple(
+        2.0 * np.pi * np.asarray(config.antennas) / scenario.rx.n_elements
+    )
+    thetas, phis, gammas, geometry, model = _grid_tables(
+        tuple(config.grid_deg),
+        antenna_azimuths,
+        tuple(li - lj for li, lj in _mode_pairs(config.modes)),
     )
     # Group the gamma dependence: per distinct delta-l the model picks up
     # exp(-2i dl gamma), so the loss over the gamma axis is a short Fourier sum.
@@ -403,14 +432,12 @@ def _coarse_candidates(
                     break
         return kept
 
-    th_mesh, ph_mesh = np.meshgrid(thetas, phis, indexing="ij")
-    power_map = _matched_power_cells(
+    power_map = _matched_power(
         tensor,
         scenario,
         config,
-        th_mesh.ravel(),
-        ph_mesh.ravel(),
-        np.zeros(th_mesh.size),
+        geometry,
+        np.zeros(len(thetas) * len(phis)),
         antennas=config.antennas,
         max_subcarriers=_POWER_GRID_MAX_SUBCARRIERS,
     )
@@ -434,12 +461,11 @@ def _coarse_candidates(
     return out
 
 
-def _matched_power_cells(
+def _matched_power(
     tensor: SampleTensor,
     scenario: Scenario,
     config: EstimationConfig,
-    theta: np.ndarray,
-    phi: np.ndarray,
+    geometry,
     gamma: np.ndarray,
     antennas=None,
     max_subcarriers: int | None = None,
@@ -449,35 +475,34 @@ def _matched_power_cells(
 
     Models the power probe a receiver makes after applying a candidate
     correction mask and mode-matched combining over the ring (``antennas``
-    None means the full ring; pass a subset to restrict it).  With
-    ``normalized`` the matched energy |<g, y>|^2 / |g|^2 is returned, which
-    is the signal power the candidate model explains.
+    None means the full ring; pass a subset to restrict it).  ``geometry``
+    is ``_power_geometry`` of the candidates' (theta, phi) at those
+    antennas.  With ``normalized`` the matched energy |<g, y>|^2 / |g|^2 is
+    returned, which is the signal power the candidate model explains.
     """
     rx = scenario.rx
     ants = np.asarray(tensor.antennas if antennas is None else antennas)
-    phi_m = 2.0 * np.pi * ants / rx.n_elements
-    th = theta[:, None]
-    ph = phi[:, None]
-    d_m = delta(th, ph, phi_m[None, :])
-    rho_m = rho(th, ph, phi_m[None, :])
+    d_m, rho_m, sin_th, cos_u = geometry
     r = scenario.pose.distance_m
     mode_idx = [tensor.mode_index(l) for l in config.modes]
     subs = config.subcarriers_hz
     if max_subcarriers is not None and len(subs) > max_subcarriers:
         picks = np.linspace(0, len(subs) - 1, max_subcarriers).astype(int)
         subs = tuple(subs[i] for i in picks)
-    power = np.zeros(theta.shape[0])
+    power = np.zeros(gamma.shape[0])
     for f in subs:
         k = wavenumber(f)
         # Includes the candidate mask: conj of the tilt-induced spatial phase.
-        spatial = np.exp(1j * k * rx.radius_m * np.sin(th) * np.cos(ph - phi_m))
+        spatial = np.exp(1j * k * rx.radius_m * sin_th * cos_u)
+        arg = k * rx.radius_m * scenario.tx.radius_m * rho_m / r
         ki = tensor.subcarrier_index(f)
+        # J_{-l} = (-1)^l J_l, so one Bessel evaluation serves both signs.
+        bessel: dict[int, np.ndarray] = {}
         for l, li in zip(config.modes, mode_idx):
-            profile = (
-                spatial
-                * np.exp(1j * l * (d_m + gamma[:, None]))
-                * jv(l, k * rx.radius_m * scenario.tx.radius_m * rho_m / r)
-            )
+            if abs(l) not in bessel:
+                bessel[abs(l)] = jv(abs(l), arg)
+            j_l = -bessel[abs(l)] if l < 0 and l % 2 else bessel[abs(l)]
+            profile = spatial * np.exp(1j * l * (d_m + gamma[:, None])) * j_l
             combined = np.conj(profile) @ tensor.values[ants, li, ki]
             if normalized:
                 norm = np.sum(np.abs(profile) ** 2, axis=1)
@@ -614,12 +639,12 @@ def estimate(
         pool.append((np.asarray(x), f, n, idx))
         pool.append((twin, f, n, idx))
     pool_x = np.array([x for x, _f, _n, _i in pool])
-    powers = _matched_power_cells(
+    ring_azimuths = 2.0 * np.pi * tensor.antennas / scenario.rx.n_elements
+    powers = _matched_power(
         tensor,
         scenario,
         config,
-        pool_x[:, 0],
-        pool_x[:, 1],
+        _power_geometry(pool_x[:, 0], pool_x[:, 1], ring_azimuths),
         pool_x[:, 2],
         antennas=None,
         max_subcarriers=_POWER_GRID_MAX_SUBCARRIERS,
