@@ -198,7 +198,11 @@ class NoiseSpec:
 
 @dataclass
 class SampleTensor:
-    """Complex received samples indexed [antenna m][mode l][subcarrier k]."""
+    """Complex received samples indexed [antenna m][mode l][subcarrier k].
+
+    ``antennas`` holds the ring-element label of each row of ``values``; a
+    tensor may hold any subset of the ring, so labels are not positions.
+    """
 
     values: np.ndarray
     antennas: np.ndarray
@@ -219,6 +223,13 @@ class SampleTensor:
             )
         if not np.all(np.isfinite(self.values.view(float))):
             raise ValueError("sample tensor contains non-finite values")
+
+    def antenna_index(self, antenna: int) -> int:
+        """Row of ``values`` that holds ring element ``antenna`` (a label)."""
+        idx = np.flatnonzero(self.antennas == antenna)
+        if idx.size == 0:
+            raise KeyError(f"antenna {antenna} not present in tensor")
+        return int(idx[0])
 
     def mode_index(self, mode: int) -> int:
         try:

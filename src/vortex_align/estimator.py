@@ -140,15 +140,14 @@ def cross_modal_phase(
     Returns 0.5 * angle[ sum_k (y_{m,l_i,k} * conj(y_{m,l_j,k}))^2 ], in
     (-pi/2, pi/2]; the value estimates (l_i - l_j)(delta_m + gamma) mod pi.
     """
-    if m not in tensor.antennas:
-        raise MissingSamplesError(f"antenna {m} not in tensor")
     try:
+        row = tensor.antenna_index(m)
         li = tensor.mode_index(l_i)
         lj = tensor.mode_index(l_j)
         ks = [tensor.subcarrier_index(f) for f in np.atleast_1d(subcarriers_hz)]
     except KeyError as exc:
         raise MissingSamplesError(str(exc)) from None
-    prod = tensor.values[m, li, ks] * np.conj(tensor.values[m, lj, ks])
+    prod = tensor.values[row, li, ks] * np.conj(tensor.values[row, lj, ks])
     acc = np.sum(prod**2)
     if abs(acc) < _ACCUMULATOR_FLOOR:
         raise ZeroPowerError(
@@ -158,10 +157,16 @@ def cross_modal_phase(
 
 
 def cross_modal_phase_set(
-    tensor: SampleTensor, config: EstimationConfig
+    tensor: SampleTensor, config: EstimationConfig, n_elements: int | None = None
 ) -> CrossModalPhaseSet:
-    """All cross-modal phases and antenna amplitudes needed by the loss."""
-    n_rx = len(tensor.antennas)
+    """All cross-modal phases and antenna amplitudes needed by the loss.
+
+    ``n_elements`` is the size of the receive ring, which fixes the element
+    azimuths 2 pi m / n_elements; it defaults to the number of antennas in
+    the tensor, which is right only when the tensor holds the whole ring.
+    """
+    if n_elements is None:
+        n_elements = len(tensor.antennas)
     pairs = _mode_pairs(config.modes)
     mode_idx = [tensor.mode_index(l) for l in config.modes]
     k_idx = [tensor.subcarrier_index(f) for f in config.subcarriers_hz]
@@ -170,11 +175,12 @@ def cross_modal_phase_set(
     azimuths: dict[int, float] = {}
     mode_amplitudes: dict[tuple[int, int], float] = {}
     for m in config.antennas:
-        block = tensor.values[np.ix_([m], mode_idx, k_idx)][0]
+        row = tensor.antenna_index(m)
+        block = tensor.values[np.ix_([row], mode_idx, k_idx)][0]
         amplitudes[m] = float(np.mean(np.abs(block)))
-        azimuths[m] = 2.0 * np.pi * m / n_rx
-        for l, row in zip(config.modes, block):
-            mode_amplitudes[(m, l)] = float(np.mean(np.abs(row)))
+        azimuths[m] = 2.0 * np.pi * m / n_elements
+        for l, samples in zip(config.modes, block):
+            mode_amplitudes[(m, l)] = float(np.mean(np.abs(samples)))
         for li, lj in pairs:
             phases[(m, (li, lj))] = cross_modal_phase(
                 tensor, m, li, lj, config.subcarriers_hz
@@ -303,8 +309,7 @@ def select_modes(scenario: Scenario) -> tuple[int, int]:
     return (-best, best)
 
 
-def _validate_config(tensor: SampleTensor, config: EstimationConfig) -> None:
-    n_rx = len(tensor.antennas)
+def _validate_config(config: EstimationConfig, n_rx: int) -> None:
     if len(config.antennas) < 3:
         raise DegenerateGeometryError("at least 3 antennas are required")
     if len(config.modes) < 2:
@@ -481,7 +486,9 @@ def _matched_power(
     returned, which is the signal power the candidate model explains.
     """
     rx = scenario.rx
-    ants = np.asarray(tensor.antennas if antennas is None else antennas)
+    rows = np.arange(len(tensor.antennas)) if antennas is None else np.array(
+        [tensor.antenna_index(m) for m in antennas]
+    )
     d_m, rho_m, sin_th, cos_u = geometry
     r = scenario.pose.distance_m
     mode_idx = [tensor.mode_index(l) for l in config.modes]
@@ -503,7 +510,7 @@ def _matched_power(
                 bessel[abs(l)] = jv(abs(l), arg)
             j_l = -bessel[abs(l)] if l < 0 and l % 2 else bessel[abs(l)]
             profile = spatial * np.exp(1j * l * (d_m + gamma[:, None])) * j_l
-            combined = np.conj(profile) @ tensor.values[ants, li, ki]
+            combined = np.conj(profile) @ tensor.values[rows, li, ki]
             if normalized:
                 norm = np.sum(np.abs(profile) ** 2, axis=1)
                 power += np.abs(combined) ** 2 / np.maximum(norm, 1e-300)
@@ -591,16 +598,17 @@ def estimate(
     solutions and their half-turn azimuth twins that combines the phase
     misfit with the corrected received power.
     """
-    _validate_config(tensor, config)
+    _validate_config(config, scenario.rx.n_elements)
+    rows = [tensor.antenna_index(m) for m in config.antennas]
     mode_idx = [tensor.mode_index(l) for l in config.modes]
     k_idx = [tensor.subcarrier_index(f) for f in config.subcarriers_hz]
     amps = np.mean(
-        np.abs(tensor.values[np.ix_(list(config.antennas), mode_idx, k_idx)]),
+        np.abs(tensor.values[np.ix_(rows, mode_idx, k_idx)]),
         axis=(1, 2),
     )
     if np.all(amps < _POWER_FLOOR):
         raise NoPowerError("all selected antennas are below the power floor")
-    phases = cross_modal_phase_set(tensor, config)
+    phases = cross_modal_phase_set(tensor, config, scenario.rx.n_elements)
     lam = weight(amps, config.weighting)
     weights = dict(zip(config.antennas, lam))
 

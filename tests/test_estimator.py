@@ -3,6 +3,7 @@ import pytest
 
 from vortex_align.channel import (
     NoiseSpec,
+    SampleTensor,
     delta,
     bessel_j,
     simulate_measurement,
@@ -290,6 +291,18 @@ class TestEstimate:
     def test_near_field_exact_oracle(self):
         scen, pose, tensor, config = make_setup(30.0, -120.0, model="exact")
         est = estimate(tensor, scen, config)
+        theta, phi = misalignment_angles(pose)
+        assert abs(np.rad2deg(est.theta - theta)) < 0.1
+        assert np.rad2deg(circ_err(est.phi, phi)) < 0.1
+
+    def test_subset_tensor_uses_labels(self):
+        # A tensor holding only the selected elements: rows are positions,
+        # ``antennas`` are ring labels, and azimuths follow the ring size.
+        scen, pose, full, config = make_setup(30.0, -120.0)
+        ants = np.asarray(config.antennas)
+        subset = SampleTensor(full.values[ants], ants, full.modes,
+                              full.subcarriers_hz)
+        est = estimate(subset, scen, config)
         theta, phi = misalignment_angles(pose)
         assert abs(np.rad2deg(est.theta - theta)) < 0.1
         assert np.rad2deg(circ_err(est.phi, phi)) < 0.1
