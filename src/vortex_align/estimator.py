@@ -2,8 +2,9 @@
 
 Pipeline: extract the cross-modal phase at a handful of antennas, build a
 weighted circular-distance loss against the tilt model, search a coarse
-(theta, phi, gamma) grid, refine the most promising cells with a bounded
-simplex, and arbitrate the refined candidates (together with their
+(theta, phi, gamma) grid, refine the most promising cells together in one
+batched, box-constrained Levenberg-Marquardt solve on the closed-form
+Jacobian, and arbitrate the refined candidates (together with their
 half-turn azimuth twins) by a joint phase-misfit / corrected-power score.
 
 Two structural facts shape the design:
@@ -25,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import jv
 
 from .channel import SampleTensor, bessel_j, delta, rho, wavenumber
@@ -53,6 +54,15 @@ _POWER_CANDIDATES = 4
 _LOSS_CANDIDATES = 4
 _SHORTLIST_SPACING = 3
 
+# Levenberg-Marquardt refine: initial damping, its factors after an
+# accepted and a rejected step, the smallest step that continues, and the
+# floor of the Marquardt scale relative to the largest curvature (it keeps
+# a coordinate with no curvature, such as theta at exactly 0, damped).
+_LM_DAMPING = 1e-3
+_LM_SHRINK = 1.0 / 3.0
+_LM_GROW = 2.0
+_LM_MIN_MOVE = 1e-9
+_LM_SCALE_FLOOR = 1e-12
 
 
 class MissingSamplesError(KeyError):
@@ -80,7 +90,11 @@ class EstimationConfig:
     """Knobs of the estimation pipeline.
 
     ``antennas`` and ``modes`` are the subsets used in the fit; subcarriers
-    are given as frequencies present in the measurement tensor.
+    are given as frequencies present in the measurement tensor.  The
+    Levenberg-Marquardt refine stops a candidate cell once an accepted step
+    lowers its loss by no more than ``refine_tol`` relative (or its step
+    moves less than 1e-9 rad), and after at most ``refine_max_iter`` steps,
+    rejected steps included.
     """
 
     modes: tuple[int, ...]
@@ -377,8 +391,7 @@ def _power_geometry(theta: np.ndarray, phi: np.ndarray, phi_m: np.ndarray):
 
 
 def _coarse_candidates(
-    phases: CrossModalPhaseSet,
-    weights: dict[int, float],
+    terms: _PhaseTerms,
     config: EstimationConfig,
     tensor: SampleTensor,
     scenario: Scenario,
@@ -393,11 +406,6 @@ def _coarse_candidates(
     arbitrated jointly afterwards.  Gamma per cell is read off the loss
     along its own axis.  Returns (theta, phi, gamma, loss) tuples.
     """
-    terms = [(m, pair, val) for (m, pair), val in phases.phases.items()]
-    pair_dl = tuple(li - lj for _m, (li, lj), _val in terms)
-    lam = np.array([weights[m] for m, _pair, _val in terms])
-    u = np.array([val for _m, _pair, val in terms])
-
     antenna_azimuths = tuple(
         2.0 * np.pi * np.asarray(config.antennas) / scenario.rx.n_elements
     )
@@ -408,12 +416,11 @@ def _coarse_candidates(
     )
     # Group the gamma dependence: per distinct delta-l the model picks up
     # exp(-2i dl gamma), so the loss over the gamma axis is a short Fourier sum.
-    coef = lam * np.exp(2j * u)
-    dl_arr = np.asarray(pair_dl)
-    total = float(2.0 * lam.sum())
+    coef = terms.weight * terms.target
+    total = float(2.0 * terms.weight.sum())
     corr = np.zeros((len(thetas), len(phis), len(gammas)))
-    for dl in sorted(set(pair_dl)):
-        sel = dl_arr == dl
+    for dl in np.unique(terms.dl):
+        sel = terms.dl == dl
         c = np.einsum("xyt,t->xy", model[:, :, sel], coef[sel])
         corr += np.real(c[:, :, None] * np.exp(-2j * dl * gammas)[None, None, :])
     losses = total - 2.0 * corr
@@ -519,73 +526,146 @@ def _matched_power(
     return power
 
 
-def _phase_misfit_nll(
-    phases: CrossModalPhaseSet,
-    config: EstimationConfig,
-    theta: float,
-    phi: float,
-    gamma: float,
-) -> float:
-    """Cross-modal phase misfit in (scaled) log-likelihood units.
+class _PhaseTerms(NamedTuple):
+    """Per-term arrays of the cross-modal phase model, one entry per
+    (antenna, mode pair) in the order of ``cross_modal_phase_set``."""
 
-    Each term is weighted by the inverse of its phase variance, which the
-    measured per-mode amplitudes determine up to the common noise level;
-    the same common factor scales the matched-power deficit, so the two
-    can be summed into one candidate score.
+    azimuth: np.ndarray  # element azimuth phi_m
+    dl: np.ndarray  # l_i - l_j
+    target: np.ndarray  # measured doubled phase as e^{2iu}
+    weight: np.ndarray  # loss weight lambda_m
+    inv_var: np.ndarray  # inverse phase variance, up to the noise level
+
+
+def _phase_terms(
+    phases: CrossModalPhaseSet, weights: dict[int, float], config: EstimationConfig
+) -> _PhaseTerms:
+    """Flatten a phase set into the arrays that the grid, refine and misfit use.
+
+    The inverse variance of a term follows from the measured per-mode
+    amplitudes up to the common noise level; the same common factor scales
+    the matched-power deficit, so the misfit and the deficit can be summed.
     """
-    p_count = len(config.subcarriers_hz)
-    total = 0.0
-    for (m, (li, lj)), u in phases.phases.items():
-        a_i = max(phases.mode_amplitudes[(m, li)], _WEIGHT_FLOOR)
-        a_j = max(phases.mode_amplitudes[(m, lj)], _WEIGHT_FLOOR)
-        c_t = p_count * (a_i**2 * a_j**2) / (16.0 * (a_i**2 + a_j**2))
-        model = (li - lj) * (delta(theta, phi, phases.azimuths[m]) + gamma)
-        total += c_t * abs(np.exp(2j * u) - np.exp(2j * model)) ** 2
-    return float(total)
+    keys = list(phases.phases)
+    amp = {key: max(a, _WEIGHT_FLOOR) for key, a in phases.mode_amplitudes.items()}
+    a_i = np.array([amp[(m, li)] for m, (li, _lj) in keys])
+    a_j = np.array([amp[(m, lj)] for m, (_li, lj) in keys])
+    return _PhaseTerms(
+        azimuth=np.array([phases.azimuths[m] for m, _pair in keys]),
+        dl=np.array([li - lj for _m, (li, lj) in keys]),
+        target=np.exp(2j * np.array(list(phases.phases.values()))),
+        weight=np.array([weights[m] for m, _pair in keys]),
+        inv_var=len(config.subcarriers_hz)
+        * (a_i**2 * a_j**2)
+        / (16.0 * (a_i**2 + a_j**2)),
+    )
 
 
-def _refine_cell(
-    cell: tuple[float, float, float, float],
-    objective,
+def _model(x: np.ndarray, terms: _PhaseTerms) -> np.ndarray:
+    """Modeled e^{2i dl (delta_m + gamma)} for candidates ``x`` (n, 3): (n, T)."""
+    theta, phi, gamma = x[:, 0:1], x[:, 1:2], x[:, 2:3]
+    return np.exp(2j * terms.dl * (delta(theta, phi, terms.azimuth) + gamma))
+
+
+def _phase_misfit_nll(x: np.ndarray, terms: _PhaseTerms) -> np.ndarray:
+    """Cross-modal phase misfit in (scaled) log-likelihood units, per candidate.
+
+    Each term is weighted by the inverse of its phase variance.
+    """
+    return np.abs(terms.target - _model(x, terms)) ** 2 @ terms.inv_var
+
+
+def _residuals(x: np.ndarray, terms: _PhaseTerms) -> tuple[np.ndarray, np.ndarray]:
+    """Refine residuals and their closed-form Jacobian at candidates ``x`` (n, 3).
+
+    Term t contributes r_t = sqrt(lambda_t) (e^{2iu_t} - e^{2i dl_t (delta_t +
+    gamma)}), real and imaginary parts stacked: r is (n, 2T) and dr/dx is
+    (n, 2T, 3).  With u = phi - phi_m and D = sin^2 u + cos^2 theta cos^2 u,
+    d delta/d theta = sin theta cos u sin u / D and d delta/d phi = cos theta / D.
+    """
+    theta, phi = x[:, 0:1], x[:, 1:2]
+    u = phi - terms.azimuth
+    sin_u, cos_u = np.sin(u), np.cos(u)
+    den = sin_u**2 + (np.cos(theta) * cos_u) ** 2
+    d_delta = np.stack(
+        [
+            np.sin(theta) * cos_u * sin_u / den,
+            np.cos(theta) / den,
+            np.ones_like(den),
+        ],
+        axis=-1,
+    )
+    sqrt_w = np.sqrt(terms.weight)
+    model = _model(x, terms)
+    res = sqrt_w * (terms.target - model)
+    jac = (-2j * terms.dl * sqrt_w * model)[..., None] * d_delta
+    return (
+        np.concatenate([res.real, res.imag], axis=1),
+        np.concatenate([jac.real, jac.imag], axis=1),
+    )
+
+
+def _refine_cells(
+    cells: list[tuple[float, float, float, float]],
+    terms: _PhaseTerms,
     config: EstimationConfig,
-) -> tuple[np.ndarray, float, int]:
-    """Bounded simplex descent within one grid cell's trust region.
+) -> list[tuple[np.ndarray, float, int]]:
+    """Box-constrained Levenberg-Marquardt refinement of all cells at once.
 
     Refinement is local by design: the loss valley trades phi against gamma
-    almost freely at weakly-conditioned poses, so the simplex is confined to
-    a one-cell box around the coarse candidate.
+    almost freely at weakly-conditioned poses, so each cell is confined to
+    a box of one grid step in theta and phi and two in gamma around its
+    coarse candidate.  Each iteration solves the Marquardt-scaled damped
+    normal equations of every active cell; a gradient component pushing
+    out of the box at an active bound is dropped, and the trial point is
+    clipped into the box.  The damping shrinks after an accepted step and
+    grows after a rejected one.  A cell stops when its step moves less than
+    1e-9 rad, when an accepted step lowers its cost by no more than
+    ``config.refine_tol`` relative, or after ``config.refine_max_iter``
+    steps.  Returns (x, cost, iterations) per cell, in input order.
     """
-    theta0, phi0, gamma0, _ = cell
-    g_th, g_ph, g_ga = (np.deg2rad(g) for g in config.grid_deg)
-    x0 = np.array([theta0, phi0, gamma0])
-    lower = [max(0.0, theta0 - g_th), phi0 - g_ph, gamma0 - 2.0 * g_ga]
-    upper = [
-        min(np.pi / 2 - 1e-12, theta0 + g_th),
-        phi0 + g_ph,
-        gamma0 + 2.0 * g_ga,
-    ]
-    steps = [0.45 * g_th, 0.45 * g_ph, 0.45 * g_ga]
-    simplex = [x0]
-    for i in range(3):
-        vertex = x0.copy()
-        vertex[i] = vertex[i] + steps[i]
-        if vertex[i] > upper[i]:
-            vertex[i] = x0[i] - steps[i]
-        simplex.append(vertex)
-    result = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        bounds=list(zip(lower, upper)),
-        options={
-            "initial_simplex": np.vstack(simplex),
-            "fatol": config.refine_tol,
-            "xatol": 1e-9,
-            "maxiter": config.refine_max_iter,
-            "maxfev": 20 * config.refine_max_iter,
-        },
-    )
-    return np.asarray(result.x), float(result.fun), int(result.nit)
+    x = np.array([cell[:3] for cell in cells], dtype=float)
+    reach = np.deg2rad(config.grid_deg) * np.array([1.0, 1.0, 2.0])
+    lower = x - reach
+    upper = x + reach
+    lower[:, 0] = np.maximum(lower[:, 0], 0.0)
+    upper[:, 0] = np.minimum(upper[:, 0], np.pi / 2 - 1e-12)
+    res, jac = _residuals(x, terms)
+    cost = np.sum(res**2, axis=1)
+    damping = np.full(len(x), _LM_DAMPING)
+    iterations = np.zeros(len(x), dtype=int)
+    act = np.arange(len(x))
+    while act.size:
+        xa, ra, ja = x[act], res[act], jac[act]
+        grad = np.einsum("ntk,nt->nk", ja, ra)
+        curv = np.einsum("ntk,ntk->nk", ja, ja)
+        free = ~(
+            ((xa <= lower[act]) & (grad > 0)) | ((xa >= upper[act]) & (grad < 0))
+        )
+        jf = ja * free[:, None, :]
+        scale = np.maximum(curv, _LM_SCALE_FLOOR * curv.max(axis=1, keepdims=True))
+        lhs = np.einsum("ntj,ntk->njk", jf, jf) + (
+            damping[act][:, None, None] * scale[:, :, None] * np.eye(3)
+        )
+        step = np.linalg.solve(lhs, -(grad * free)[..., None])[..., 0]
+        trial = np.clip(xa + step, lower[act], upper[act])
+        res_t, jac_t = _residuals(trial, terms)
+        cost_t = np.sum(res_t**2, axis=1)
+        iterations[act] += 1
+        accept = cost_t < cost[act]
+        done = (
+            (np.abs(trial - xa).max(axis=1) < _LM_MIN_MOVE)
+            | (accept & (cost[act] - cost_t <= config.refine_tol * cost[act]))
+            | (iterations[act] >= config.refine_max_iter)
+        )
+        took = act[accept]
+        x[took] = trial[accept]
+        res[took] = res_t[accept]
+        jac[took] = jac_t[accept]
+        cost[took] = cost_t[accept]
+        damping[act] *= np.where(accept, _LM_SHRINK, _LM_GROW)
+        act = act[~done]
+    return [(x[i], float(cost[i]), int(iterations[i])) for i in range(len(x))]
 
 
 def estimate(
@@ -593,10 +673,11 @@ def estimate(
 ) -> MisalignmentEstimate:
     """Estimate (theta, phi, gamma) from a few-shot measurement tensor.
 
-    Coarse grid search over the enforced ranges, bounded simplex refinement
-    of the most promising cells, then one joint arbitration over the refined
-    solutions and their half-turn azimuth twins that combines the phase
-    misfit with the corrected received power.
+    Coarse grid search over the enforced ranges, batched box-constrained
+    Levenberg-Marquardt refinement of the most promising cells, then one
+    joint arbitration over the refined solutions and their half-turn
+    azimuth twins that combines the phase misfit with the corrected
+    received power.
     """
     _validate_config(config, scenario.rx.n_elements)
     rows = [tensor.antenna_index(m) for m in config.antennas]
@@ -610,22 +691,10 @@ def estimate(
         raise NoPowerError("all selected antennas are below the power floor")
     phases = cross_modal_phase_set(tensor, config, scenario.rx.n_elements)
     lam = weight(amps, config.weighting)
-    weights = dict(zip(config.antennas, lam))
 
-    cells = _coarse_candidates(phases, weights, config, tensor, scenario)
-
-    # Vectorized twin of loss() over the fixed term set, for the refiner.
-    terms = [(m, pair, val) for (m, pair), val in phases.phases.items()]
-    t_az = np.array([phases.azimuths[m] for m, _pair, _val in terms])
-    t_dl = np.array([li - lj for _m, (li, lj), _val in terms])
-    t_lam = np.array([weights[m] for m, _pair, _val in terms])
-    t_target = np.exp(2j * np.array([val for _m, _pair, val in terms]))
-
-    def objective(x: np.ndarray) -> float:
-        model = np.exp(2j * t_dl * (delta(x[0], x[1], t_az) + x[2]))
-        return float(np.sum(t_lam * np.abs(t_target - model) ** 2))
-
-    refined = [_refine_cell(cell, objective, config) for cell in cells]
+    terms = _phase_terms(phases, dict(zip(config.antennas, lam)), config)
+    cells = _coarse_candidates(terms, config, tensor, scenario)
+    refined = _refine_cells(cells, terms, config)
 
     # The loss cannot distinguish phi from phi + pi (with gamma shifted by
     # -pi), so every refined candidate enters the pool together with its
@@ -634,19 +703,11 @@ def estimate(
     # weighted, which the measured amplitudes supply) plus the corrected
     # matched-power deficit; both scale with 1/noise, so the noise level
     # cancels from the ranking and the twin comparison is exactly the
-    # higher-corrected-power rule.
-    pool: list[tuple[np.ndarray, float, int, int]] = []
-    for idx, (x, f, n) in enumerate(refined):
-        twin = np.array(
-            [
-                x[0],
-                float(np.angle(np.exp(1j * (x[1] + np.pi)))),
-                float(np.angle(np.exp(1j * (x[2] - np.pi)))),
-            ]
-        )
-        pool.append((np.asarray(x), f, n, idx))
-        pool.append((twin, f, n, idx))
-    pool_x = np.array([x for x, _f, _n, _i in pool])
+    # higher-corrected-power rule.  Even pool rows hold the refined
+    # candidates, odd rows their twins.
+    pool_x = np.repeat(np.array([x for x, _f, _n in refined]), 2, axis=0)
+    pool_x[1::2, 1] = np.angle(np.exp(1j * (pool_x[1::2, 1] + np.pi)))
+    pool_x[1::2, 2] = np.angle(np.exp(1j * (pool_x[1::2, 2] - np.pi)))
     ring_azimuths = 2.0 * np.pi * tensor.antennas / scenario.rx.n_elements
     powers = _matched_power(
         tensor,
@@ -658,12 +719,12 @@ def estimate(
         max_subcarriers=_POWER_GRID_MAX_SUBCARRIERS,
         normalized=True,
     )
-    misfits = np.array(
-        [_phase_misfit_nll(phases, config, x[0], x[1], x[2]) for x, _f, _n, _i in pool]
-    )
+    misfits = _phase_misfit_nll(pool_x, terms)
     scores = misfits + (powers.max() - powers)
     best = int(np.argmin(scores))
-    x_hat, residual, n_iter, cell_idx = pool[best]
+    x_hat = pool_x[best]
+    cell_idx = best // 2
+    _x, residual, n_iter = refined[cell_idx]
     theta_hat = float(np.clip(x_hat[0], 0.0, np.pi / 2 - 1e-12))
     phi_hat = float(np.angle(np.exp(1j * x_hat[1])))
     gamma_hat = float(np.angle(np.exp(1j * x_hat[2])))

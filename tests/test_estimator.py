@@ -25,6 +25,14 @@ from vortex_align.estimator import (
     select_modes,
     weight,
 )
+from vortex_align import estimator as estimator_module
+from vortex_align.estimator import (
+    _coarse_candidates,
+    _phase_terms,
+    _PhaseTerms,
+    _refine_cells,
+    _residuals,
+)
 from vortex_align.geometry import (
     RxPose,
     Scenario,
@@ -330,6 +338,89 @@ class TestEstimate:
                              (-1, 1), np.array([F_CARRIER]))
         with pytest.raises(NoPowerError):
             estimate(zeros, scen, config)
+
+
+def _terms_and_cells(theta_deg, phi_deg, snr_db):
+    scen, pose, tensor, config = make_setup(theta_deg, phi_deg, snr_db=snr_db,
+                                            seed=3)
+    phases = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
+    lam = weight([phases.amplitudes[m] for m in config.antennas])
+    terms = _phase_terms(phases, dict(zip(config.antennas, lam)), config)
+    cells = _coarse_candidates(terms, config, tensor, scen)
+    return pose, config, terms, cells
+
+
+class TestBatchedRefine:
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(5)
+        n_terms = 12
+        az = 2 * np.pi * rng.integers(0, 20, n_terms) / 20
+        terms = _PhaseTerms(
+            azimuth=az,
+            dl=rng.choice([-2, 2, 4], n_terms),
+            target=np.exp(2j * rng.uniform(-np.pi / 2, np.pi / 2, n_terms)),
+            weight=rng.uniform(0.2, 2.0, n_terms),
+            inv_var=np.ones(n_terms),
+        )
+        x = np.column_stack([
+            rng.uniform(0.0, 1.5, 40),
+            rng.uniform(-np.pi, np.pi, 40),
+            rng.uniform(-np.pi, np.pi, 40),
+        ])
+        x[:10, 0] = rng.uniform(1e-5, 1e-3, 10)  # theta near 0
+        # u = phi - phi_m near +-pi/2 for the first term
+        x[10:20, 1] = az[0] + np.pi / 2 * rng.choice([-1, 1], 10) + 1e-4
+        _res, jac = _residuals(x, terms)
+        h = 1e-6
+        for k in range(3):
+            dx = np.zeros(3)
+            dx[k] = h
+            numeric = (_residuals(x + dx, terms)[0]
+                       - _residuals(x - dx, terms)[0]) / (2 * h)
+            np.testing.assert_allclose(
+                jac[..., k], numeric, rtol=1e-6,
+                atol=1e-6 * np.abs(jac[..., k]).max())
+
+    def test_iterates_stay_in_box(self, monkeypatch):
+        _pose, config, terms, cells = _terms_and_cells(30.0, -120.0, 5.0)
+        g = np.deg2rad(config.grid_deg)
+        for cell in cells:
+            seen = []
+
+            def recording(x, t, _inner=_residuals):
+                seen.append(x.copy())
+                return _inner(x, t)
+
+            monkeypatch.setattr(estimator_module, "_residuals", recording)
+            _refine_cells([cell], terms, config)
+            monkeypatch.undo()
+            pts = np.vstack(seen)
+            x0 = np.asarray(cell[:3])
+            reach = g * np.array([1.0, 1.0, 2.0])
+            lower = np.maximum(x0 - reach, [0.0, -np.inf, -np.inf])
+            upper = np.minimum(x0 + reach, [np.pi / 2, np.inf, np.inf])
+            assert len(pts) > 2
+            assert np.all((pts >= lower) & (pts <= upper))
+
+    def test_batch_matches_single_cells(self):
+        _pose, config, terms, cells = _terms_and_cells(30.0, -120.0, 10.0)
+        batch = _refine_cells(cells, terms, config)
+        for cell, (x, cost, n_iter) in zip(cells, batch):
+            x1, cost1, n_iter1 = _refine_cells([cell], terms, config)[0]
+            np.testing.assert_allclose(x, x1, rtol=0, atol=1e-15)
+            assert cost == pytest.approx(cost1, rel=1e-12, abs=1e-300)
+            assert n_iter == n_iter1
+
+    def test_recovers_noiseless_from_neighbour_cell(self):
+        pose, config, terms, _cells = _terms_and_cells(33.0, -147.0, None)
+        theta, phi = misalignment_angles(pose)
+        truth = np.array([theta, phi, gamma(pose)])
+        g = np.deg2rad(config.grid_deg)
+        for sign in (-1.0, 1.0):
+            start = truth + sign * g
+            x, cost, _n = _refine_cells([(*start, 0.0)], terms, config)[0]
+            assert np.max(np.abs(np.angle(np.exp(1j * (x - truth))))) < 1e-6
+            assert cost < 1e-20
 
 
 class TestEstimationConfig:
