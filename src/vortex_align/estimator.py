@@ -630,6 +630,9 @@ def _refine_cells(
     upper = x + reach
     lower[:, 0] = np.maximum(lower[:, 0], 0.0)
     upper[:, 0] = np.minimum(upper[:, 0], np.pi / 2 - 1e-12)
+    # delta depends on theta through cos(theta), so every gradient vanishes
+    # in theta at theta = 0: a cell on that row starts half a step inside.
+    x[:, 0] = np.maximum(x[:, 0], 0.5 * reach[0])
     res, jac = _residuals(x, terms)
     cost = np.sum(res**2, axis=1)
     damping = np.full(len(x), _LM_DAMPING)

@@ -259,6 +259,16 @@ class TestEstimate:
         est = estimate(tensor, scen, config)
         assert np.rad2deg(est.theta) < 3.0
 
+    def test_near_aligned_recovery(self):
+        # The winning cell sits on the theta = 0 grid row, where the loss
+        # is stationary in theta; the refine must still leave that row.
+        for theta_deg in (0.5, 1.0):
+            scen, pose, tensor, config = make_setup(theta_deg, -60.0)
+            est = estimate(tensor, scen, config)
+            theta, _phi = misalignment_angles(pose)
+            assert est.diagnostics["grid_theta"] == 0.0
+            assert abs(np.rad2deg(est.theta - theta)) < 0.05
+
     def test_minimum_measurement_q3(self):
         scen, pose, tensor, _ = make_setup(35.0, -125.0)
         config = EstimationConfig(
