@@ -487,7 +487,8 @@ def _matched_power(
 
     Models the power probe a receiver makes after applying a candidate
     correction mask and mode-matched combining over the ring (``antennas``
-    None means the full ring; pass a subset to restrict it).  ``geometry``
+    None means every ring element the tensor holds; pass a subset of their
+    labels to restrict it).  ``geometry``
     is ``_power_geometry`` of the candidates' (theta, phi) at those
     antennas.  With ``normalized`` the matched energy |<g, y>|^2 / |g|^2 is
     returned, which is the signal power the candidate model explains.
