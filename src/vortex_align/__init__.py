@@ -20,6 +20,7 @@ from .correction import (
     PhaseMask,
     capacity,
     decode_modes,
+    imi_matrices,
     imi_matrix,
     phase_mask,
     sir,

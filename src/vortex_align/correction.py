@@ -135,6 +135,37 @@ def decode_modes(
     return {l: complex(np.mean(y * np.exp(1j * l * phi_m))) for l in modes}
 
 
+def imi_matrices(
+    scenario: Scenario,
+    pose: RxPose,
+    transmitted_modes,
+    decoded_modes,
+    masks,
+    model: str,
+    k: float,
+) -> list[ImiMatrix]:
+    """Decoded power for every (decoded, transmitted) mode pair, one matrix per mask.
+
+    Runs one noiseless channel simulation per transmitted mode and decodes
+    it under every mask in ``masks`` (``None`` decodes without a mask).
+    """
+    transmitted_modes = tuple(int(l) for l in transmitted_modes)
+    decoded_modes = tuple(int(l) for l in decoded_modes)
+    power = np.zeros((len(masks), len(decoded_modes), len(transmitted_modes)))
+    for col, l_tx in enumerate(transmitted_modes):
+        if model == "exact":
+            s = exact_received_signal(scenario, pose, l_tx, k)
+        elif model == "farfield":
+            s = farfield_antenna_vector(scenario, pose, l_tx, k)
+        else:
+            raise ValueError(f"unknown model {model!r}")
+        for m, mask in enumerate(masks):
+            decoded = decode_modes(s, mask, decoded_modes)
+            for row, l_dec in enumerate(decoded_modes):
+                power[m, row, col] = abs(decoded[l_dec]) ** 2
+    return [ImiMatrix(p, decoded_modes, transmitted_modes) for p in power]
+
+
 def imi_matrix(
     scenario: Scenario,
     pose: RxPose,
@@ -144,24 +175,10 @@ def imi_matrix(
     model: str,
     k: float,
 ) -> ImiMatrix:
-    """Decoded power for every (decoded, transmitted) mode pair.
-
-    Runs one noiseless channel simulation per transmitted mode.
-    """
-    transmitted_modes = tuple(int(l) for l in transmitted_modes)
-    decoded_modes = tuple(int(l) for l in decoded_modes)
-    power = np.zeros((len(decoded_modes), len(transmitted_modes)))
-    for col, l_tx in enumerate(transmitted_modes):
-        if model == "exact":
-            s = exact_received_signal(scenario, pose, l_tx, k)
-        elif model == "farfield":
-            s = farfield_antenna_vector(scenario, pose, l_tx, k)
-        else:
-            raise ValueError(f"unknown model {model!r}")
-        decoded = decode_modes(s, mask, decoded_modes)
-        for row, l_dec in enumerate(decoded_modes):
-            power[row, col] = abs(decoded[l_dec]) ** 2
-    return ImiMatrix(power, decoded_modes, transmitted_modes)
+    """Decoded power for every (decoded, transmitted) mode pair under one mask."""
+    return imi_matrices(
+        scenario, pose, transmitted_modes, decoded_modes, [mask], model, k
+    )[0]
 
 
 def _capped_db(ratio_num: float, ratio_den: float) -> float:

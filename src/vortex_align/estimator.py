@@ -142,7 +142,6 @@ class MisalignmentEstimate:
     phi: float
     gamma: float
     residual: float
-    ambiguity_resolved: bool
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -739,7 +738,6 @@ def estimate(
         phi=phi_hat,
         gamma=gamma_hat,
         residual=residual,
-        ambiguity_resolved=True,
         diagnostics={
             "grid_theta": cells[cell_idx][0],
             "grid_phi": cells[cell_idx][1],

@@ -18,7 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -200,6 +200,3 @@ class Scenario:
         sub = sub.copy()
         sub.flags.writeable = False
         object.__setattr__(self, "subcarriers_hz", sub)
-
-    def with_pose(self, pose: RxPose) -> "Scenario":
-        return replace(self, pose=pose)

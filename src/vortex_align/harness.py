@@ -11,7 +11,14 @@ Experiment kinds:
 
 All randomness is driven by a master seed; per-trial seeds derive from
 (master seed, point index, trial index), so identical specs produce
-byte-identical output files.
+byte-identical output files.  The two sweeps seed from (master seed, axis
+value, point index, trial index), so each count draws its own noise while
+``point_index`` stays the pose index.
+
+A trial that a noise draw can defeat (no usable power, or a zero decoded
+signal) is counted in ``failed_trials`` and left out of ``results.csv``;
+any other error ends the run, and so does a pose grid on which no trial
+succeeds.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +40,22 @@ from .channel import (
     simulate_measurement,
     wavenumber,
 )
-from .correction import ImiMatrix, capacity, imi_matrix, phase_mask, sir
-from .estimator import EstimationConfig, estimate, select_antennas
+from .correction import (
+    ImiMatrix,
+    ZeroSignalError,
+    capacity,
+    imi_matrices,
+    imi_matrix,
+    phase_mask,
+    sir,
+)
+from .estimator import (
+    EstimationConfig,
+    NoPowerError,
+    ZeroPowerError,
+    estimate,
+    select_antennas,
+)
 from .geometry import (
     RxPose,
     Scenario,
@@ -115,37 +136,22 @@ BASE_DEFAULTS: dict = {
     "validate_modes": [-2, -1, 0, 1, 2],
 }
 
+# Only what differs from BASE_DEFAULTS; nested dicts merge into it.
 KIND_DEFAULTS: dict = {
-    "angle-sweep": {},
-    "ccdf": {},
-    "subcarrier-sweep": {
-        "subcarrier_counts": [1, 2, 4, 8, 16, 32, 64],
-        "trials": 50,
-    },
-    "antenna-sweep": {
-        "antenna_counts": list(range(3, 13)),
-        "trials": 50,
-    },
     "imi-demo": {
         "scenario": {
-            "tx": {"n": 160, "radius_m": 0.03},
-            "rx": {"n": 20, "radius_m": 0.02},
+            "rx": {"radius_m": 0.02},
             "distance_m": 4.0,
-            "carrier_hz": 120e9,
-            "subcarriers": {"start_hz": 120e9, "step_hz": 10e6, "count": 1},
+            "subcarriers": {"start_hz": 120e9, "count": 1},
         },
-        "demo_tilt_deg": 10.0,
-        "demo_modes": [-2, -1, 0, 1, 2],
         "model": "exact",
         "trials": 1,
     },
     "validate-model": {
         "scenario": {
-            "tx": {"n": 160, "radius_m": 0.03},
             "rx": {"n": 160, "radius_m": 0.03},  # placeholder; rings below
             "distance_m": 100.0,
-            "carrier_hz": 120e9,
-            "subcarriers": {"start_hz": 120e9, "step_hz": 10e6, "count": 1},
+            "subcarriers": {"start_hz": 120e9, "count": 1},
         },
         "rings": [
             {"radius_m": 0.02, "n": 120},
@@ -181,13 +187,13 @@ class ExperimentSpec:
     grid_deg: tuple[float, float, float]
     refine_tol: float
     refine_max_iter: int
-    subcarrier_counts: tuple[int, ...] = ()
-    antenna_counts: tuple[int, ...] = ()
-    demo_tilt_deg: float = 10.0
-    demo_modes: tuple[int, ...] = (-2, -1, 0, 1, 2)
-    rings: tuple[tuple[float, int], ...] = ()
-    validate_modes: tuple[int, ...] = ()
-    config_hash: str = ""
+    subcarrier_counts: tuple[int, ...]
+    antenna_counts: tuple[int, ...]
+    demo_tilt_deg: float
+    demo_modes: tuple[int, ...]
+    rings: tuple[tuple[float, int], ...]
+    validate_modes: tuple[int, ...]
+    config_hash: str
 
 
 @dataclass
@@ -216,15 +222,11 @@ class ResultRow:
     capacity_after: float
     capacity_ratio: float
 
-    FIELDS = (
-        "kind point_index trial_index trial_seed p q u theta_true_deg "
-        "phi_true_deg theta_est_deg phi_est_deg theta_err_deg phi_err_deg "
-        "residual sir_before_db sir_after_db sir_gain_db sir_gain_true_db "
-        "capacity_before capacity_after capacity_ratio"
-    ).split()
-
     def as_list(self) -> list:
         return [getattr(self, name) for name in self.FIELDS]
+
+
+ResultRow.FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -241,7 +243,7 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 def _resolve_config(kind: str, user: dict | None, overrides: dict) -> dict:
     defaults = json.loads(json.dumps(BASE_DEFAULTS))
-    for key, value in KIND_DEFAULTS[kind].items():
+    for key, value in KIND_DEFAULTS.get(kind, {}).items():
         if isinstance(value, dict) and isinstance(defaults.get(key), dict):
             defaults[key] = _merge(defaults[key], value)
         else:
@@ -338,14 +340,14 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
             grid_deg=tuple(float(g) for g in est["grid_deg"]),
             refine_tol=float(est["tol"]),
             refine_max_iter=int(est["max_iter"]),
-            subcarrier_counts=tuple(int(x) for x in cfg.get("subcarrier_counts", [])),
-            antenna_counts=tuple(int(x) for x in cfg.get("antenna_counts", [])),
-            demo_tilt_deg=float(cfg.get("demo_tilt_deg", 10.0)),
-            demo_modes=tuple(int(l) for l in cfg.get("demo_modes", [-2, -1, 0, 1, 2])),
+            subcarrier_counts=tuple(int(x) for x in cfg["subcarrier_counts"]),
+            antenna_counts=tuple(int(x) for x in cfg["antenna_counts"]),
+            demo_tilt_deg=float(cfg["demo_tilt_deg"]),
+            demo_modes=tuple(int(l) for l in cfg["demo_modes"]),
             rings=tuple(
-                (float(r["radius_m"]), int(r["n"])) for r in cfg.get("rings", [])
+                (float(r["radius_m"]), int(r["n"])) for r in cfg["rings"]
             ),
-            validate_modes=tuple(int(l) for l in cfg.get("validate_modes", [])),
+            validate_modes=tuple(int(l) for l in cfg["validate_modes"]),
             config_hash=hashlib.sha256(
                 json.dumps(cfg, sort_keys=True).encode()
             ).hexdigest()[:16],
@@ -375,9 +377,13 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("estimation needs at least two modes")
 
 
-def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
-    """Deterministic, collision-free per-trial seed."""
-    seq = np.random.SeedSequence([int(master_seed), int(point_index), int(trial_index)])
+def trial_seed(master_seed: int, *indices: int) -> int:
+    """Deterministic per-trial seed over (master seed, *indices).
+
+    Distinct index tuples of one length give distinct seeds; ``SeedSequence``
+    pads with zeros, so ``(a, b)`` and ``(a, b, 0)`` give the same seed.
+    """
+    seq = np.random.SeedSequence([int(master_seed), *(int(i) for i in indices)])
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -392,11 +398,11 @@ def _run_trial(
     pose: RxPose,
     point_index: int,
     trial_index: int,
+    seed: int,
     p: int,
     q: int,
 ) -> ResultRow:
     scenario = spec.scenario
-    seed = trial_seed(spec.master_seed, point_index, trial_index)
     rng = np.random.default_rng(seed)
     pool = scenario.subcarriers_hz
     if p >= len(pool):
@@ -420,24 +426,13 @@ def _run_trial(
     theta_t, phi_t = misalignment_angles(pose)
 
     k_c = wavenumber(scenario.carrier_hz)
-    before = imi_matrix(scenario, pose, spec.modes, spec.modes, None, spec.model, k_c)
-    after = imi_matrix(
-        scenario,
-        pose,
-        spec.modes,
-        spec.modes,
+    masks = [
+        None,
         phase_mask(est.theta, est.phi, k_c, scenario.rx),
-        spec.model,
-        k_c,
-    )
-    after_true = imi_matrix(
-        scenario,
-        pose,
-        spec.modes,
-        spec.modes,
         phase_mask(theta_t, phi_t, k_c, scenario.rx),
-        spec.model,
-        k_c,
+    ]
+    before, after, after_true = imi_matrices(
+        scenario, pose, spec.modes, spec.modes, masks, spec.model, k_c
     )
     sir_before = sir(before)[1]
     sir_after = sir(after)[1]
@@ -510,22 +505,35 @@ def _write_summary(spec: ExperimentSpec, summary: dict) -> None:
         fh.write("\n")
 
 
-def _estimation_rows(spec: ExperimentSpec) -> tuple[list[ResultRow], int]:
+# The failures a noise draw can cause; any other error is a fault of the
+# setup or the code, and ends the run.
+NOISE_FAILURES = (ZeroPowerError, NoPowerError, ZeroSignalError)
+
+
+def _trial_rows(
+    spec: ExperimentSpec, p: int, q: int, value: int | None = None
+) -> tuple[list[ResultRow], int]:
+    """Every pose x trial at (p, q); a sweep's axis ``value`` joins the seed."""
+    axis_value = () if value is None else (value,)
     rows: list[ResultRow] = []
     failures = 0
     for point in range(len(spec.poses)):
         pose = _pose_from_grid(spec, point)
         for t in range(spec.trials):
+            seed = trial_seed(spec.master_seed, *axis_value, point, t)
             try:
-                rows.append(_run_trial(spec, pose, point, t, spec.p, spec.q))
-            except ValueError:
+                rows.append(_run_trial(spec, pose, point, t, seed, p, q))
+            except NOISE_FAILURES as exc:
                 failures += 1
+                last = exc
+    if not rows:
+        raise RuntimeError(f"all {failures} trials failed; last: {last!r}") from last
     return rows, failures
 
 
 def run_angle_sweep(spec: ExperimentSpec) -> dict:
     """Estimate every pose; report per-pose statistics and overall MAEs."""
-    rows, failures = _estimation_rows(spec)
+    rows, failures = _trial_rows(spec, spec.p, spec.q)
     per_pose = []
     for point in range(len(spec.poses)):
         sel = [r for r in rows if r.point_index == point]
@@ -577,7 +585,7 @@ def _ccdf_pairs(values: list[float]) -> list[list[float]]:
 
 def run_ccdf(spec: ExperimentSpec) -> dict:
     """Distributions of SIR gain and capacity gain using estimated angles."""
-    rows, failures = _estimation_rows(spec)
+    rows, failures = _trial_rows(spec, spec.p, spec.q)
     gains = [r.sir_gain_db for r in rows]
     ratios = [r.capacity_ratio for r in rows]
     _write_results(spec, rows)
@@ -606,26 +614,19 @@ def run_ccdf(spec: ExperimentSpec) -> dict:
     return summary
 
 
-def _sweep(spec: ExperimentSpec, axis: str, values) -> tuple[list[ResultRow], list[list]]:
+def _sweep(spec: ExperimentSpec, axis: str, counts, limit: int) -> dict:
+    """Run every count of axis ``p`` or ``q``; write rows, table and summary."""
+    if not counts or min(counts) < 1 or max(counts) > limit:
+        raise ConfigError(f"{spec.kind} counts must lie in 1..{limit}, got {counts}")
     rows: list[ResultRow] = []
     table = []
-    for value in values:
+    failed = 0
+    for value in counts:
         p = value if axis == "p" else spec.p
         q = value if axis == "q" else spec.q
-        sel: list[ResultRow] = []
-        for point in range(len(spec.poses)):
-            pose = _pose_from_grid(spec, point)
-            for t in range(spec.trials):
-                try:
-                    # The axis value participates in seeding through the
-                    # point index so sweeps do not reuse noise draws.
-                    row = _run_trial(
-                        spec, pose, point + 1000 * value, t, p, q
-                    )
-                except ValueError:
-                    continue
-                sel.append(row)
+        sel, failures = _trial_rows(spec, p, q, value)
         rows.extend(sel)
+        failed += failures
         n = len(sel)
         eth = [r.theta_err_deg for r in sel]
         eph = [r.phi_err_deg for r in sel]
@@ -640,68 +641,40 @@ def _sweep(spec: ExperimentSpec, axis: str, values) -> tuple[list[ResultRow], li
                 float(np.mean([r.sir_gain_db for r in sel])),
             ]
         )
-    return rows, table
+    _write_results(spec, rows)
+    header = [
+        axis,
+        "trials",
+        "mae_theta_deg",
+        "se_theta_deg",
+        "mae_phi_deg",
+        "se_phi_deg",
+        "mean_sir_gain_db",
+    ]
+    name = spec.kind.replace("-", "_") + ".csv"
+    _write_csv(spec.out_dir / name, header, table, spec.config_hash)
+    summary = {
+        "counts": list(counts),
+        "mae_theta_deg": [row[2] for row in table],
+        "se_theta_deg": [row[3] for row in table],
+        "mae_phi_deg": [row[4] for row in table],
+        "se_phi_deg": [row[5] for row in table],
+        "mean_sir_gain_db": [row[6] for row in table],
+        "trials_per_count": [row[1] for row in table],
+        "failed_trials": failed,
+    }
+    _write_summary(spec, summary)
+    return summary
 
 
 def run_subcarrier_sweep(spec: ExperimentSpec) -> dict:
     """Accuracy and SIR gain versus the number of subcarriers P."""
-    counts = spec.subcarrier_counts or (1, 2, 4, 8, 16, 32, 64)
-    max_p = max(counts)
-    if max_p > len(spec.scenario.subcarriers_hz):
-        raise ConfigError("subcarrier sweep exceeds the scenario grid")
-    rows, table = _sweep(spec, "p", counts)
-    _write_results(spec, rows)
-    header = [
-        "p",
-        "trials",
-        "mae_theta_deg",
-        "se_theta_deg",
-        "mae_phi_deg",
-        "se_phi_deg",
-        "mean_sir_gain_db",
-    ]
-    _write_csv(spec.out_dir / "subcarrier_sweep.csv", header, table, spec.config_hash)
-    summary = {
-        "counts": list(counts),
-        "mae_theta_deg": [row[2] for row in table],
-        "se_theta_deg": [row[3] for row in table],
-        "mae_phi_deg": [row[4] for row in table],
-        "se_phi_deg": [row[5] for row in table],
-        "mean_sir_gain_db": [row[6] for row in table],
-        "trials_per_count": [row[1] for row in table],
-    }
-    _write_summary(spec, summary)
-    return summary
+    return _sweep(spec, "p", spec.subcarrier_counts, len(spec.scenario.subcarriers_hz))
 
 
 def run_antenna_sweep(spec: ExperimentSpec) -> dict:
     """Accuracy and SIR gain versus the number of antennas Q."""
-    counts = spec.antenna_counts or tuple(range(3, 13))
-    if max(counts) > spec.scenario.rx.n_elements:
-        raise ConfigError("antenna sweep exceeds the receive ring size")
-    rows, table = _sweep(spec, "q", counts)
-    _write_results(spec, rows)
-    header = [
-        "q",
-        "trials",
-        "mae_theta_deg",
-        "se_theta_deg",
-        "mae_phi_deg",
-        "se_phi_deg",
-        "mean_sir_gain_db",
-    ]
-    _write_csv(spec.out_dir / "antenna_sweep.csv", header, table, spec.config_hash)
-    summary = {
-        "counts": list(counts),
-        "mae_theta_deg": [row[2] for row in table],
-        "se_theta_deg": [row[3] for row in table],
-        "mae_phi_deg": [row[4] for row in table],
-        "se_phi_deg": [row[5] for row in table],
-        "mean_sir_gain_db": [row[6] for row in table],
-        "trials_per_count": [row[1] for row in table],
-    }
-    _write_summary(spec, summary)
-    return summary
+    return _sweep(spec, "q", spec.antenna_counts, spec.scenario.rx.n_elements)
 
 
 def _diag_db(imi: ImiMatrix) -> dict[int, float]:
@@ -721,13 +694,12 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
     theta_t, phi_t = misalignment_angles(tilted_pose)
 
     aligned = imi_matrix(scenario, aligned_pose, modes, modes, None, spec.model, k)
-    tilted = imi_matrix(scenario, tilted_pose, modes, modes, None, spec.model, k)
-    corrected = imi_matrix(
+    tilted, corrected = imi_matrices(
         scenario,
         tilted_pose,
         modes,
         modes,
-        phase_mask(theta_t, phi_t, k, scenario.rx),
+        [None, phase_mask(theta_t, phi_t, k, scenario.rx)],
         spec.model,
         k,
     )
@@ -769,7 +741,9 @@ def validate_model(spec: ExperimentSpec) -> dict:
     scenario = spec.scenario
     k = wavenumber(scenario.carrier_hz)
     r = scenario.pose.distance_m
-    modes = spec.validate_modes or (-2, -1, 0, 1, 2)
+    modes = spec.validate_modes
+    if not modes:
+        raise ConfigError("validate_modes must be nonempty")
     rings = spec.rings or ((scenario.rx.radius_m, scenario.rx.n_elements),)
     corr_rows = []
     phase_rows = []

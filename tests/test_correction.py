@@ -15,6 +15,7 @@ from vortex_align.correction import (
     ZeroSignalError,
     capacity,
     decode_modes,
+    imi_matrices,
     imi_matrix,
     phase_mask,
     sir,
@@ -135,6 +136,32 @@ class TestImiMatrix:
             diag = imi.entry(l, l)
             col = [imi.entry(lp, l) for lp in modes if lp != l]
             assert max(col) <= diag * 1e-3
+
+    @pytest.mark.parametrize("model", ["exact", "farfield"])
+    def test_matrices_match_per_mask_calls(self, model):
+        # One simulation per transmitted mode, decoded under every mask,
+        # gives bitwise what one call per mask gives.
+        scen, pose = make_scenario(20.0, -140.0)
+        theta, phi = misalignment_angles(pose)
+        tx_modes = (-2, -1, 1)
+        dec_modes = (-1, 0, 1, 2)
+        masks = [
+            None,
+            phase_mask(theta, phi, K_CARRIER, scen.rx),
+            phase_mask(theta + 0.05, phi - 0.1, K_CARRIER, scen.rx),
+        ]
+        field = exact_received_signal if model == "exact" else farfield_antenna_vector
+        batch = imi_matrices(scen, pose, tx_modes, dec_modes, masks, model, K_CARRIER)
+        assert len(batch) == len(masks)
+        for imi, mask in zip(batch, masks):
+            one = imi_matrix(scen, pose, tx_modes, dec_modes, mask, model, K_CARRIER)
+            assert imi.decoded_modes == one.decoded_modes == dec_modes
+            assert imi.transmitted_modes == one.transmitted_modes == tx_modes
+            assert np.array_equal(imi.power, one.power)
+            for col, l_tx in enumerate(tx_modes):
+                dec = decode_modes(field(scen, pose, l_tx, K_CARRIER), mask, dec_modes)
+                expected = [abs(dec[l]) ** 2 for l in dec_modes]
+                assert np.array_equal(imi.power[:, col], expected)
 
     def test_true_mask_restores_diagonal(self):
         scen, pose = make_scenario(10.0, 180.0, rx=(20, 0.02), distance=4.0)

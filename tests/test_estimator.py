@@ -252,7 +252,6 @@ class TestEstimate:
         assert abs(np.rad2deg(est.theta - theta)) < 0.1
         assert np.rad2deg(circ_err(est.phi, phi)) < 0.1
         assert est.residual < 1e-15
-        assert est.ambiguity_resolved
 
     def test_aligned_returns_small_theta(self):
         scen, pose, tensor, config = make_setup(0.0, 0.0)

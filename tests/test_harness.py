@@ -1,8 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from vortex_align import harness
+from vortex_align.estimator import NoPowerError
 from vortex_align.harness import (
     ConfigError,
     EXIT_CONFIG,
@@ -13,7 +16,9 @@ from vortex_align.harness import (
     load_spec,
     main,
     run_angle_sweep,
+    run_ccdf,
     run_imi_demo,
+    run_subcarrier_sweep,
     trial_seed,
     validate_model,
 )
@@ -103,6 +108,24 @@ class TestSeeds:
         }
         assert len(seeds) == 40 * 60
 
+    def test_sweep_seeds_and_point_index(self, tmp_path):
+        poses = [{"rot_y_deg": 25.0, "rot_x_deg": 18.0},
+                 {"rot_y_deg": 10.0, "rot_x_deg": -30.0}]
+        path = tiny_config(tmp_path, poses=poses, trials=2, subcarrier_counts=[1, 2])
+        spec = load_spec("subcarrier-sweep", config_path=path,
+                         out_dir=str(tmp_path / "out"), seed=7)
+        run_subcarrier_sweep(spec)
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * len(poses) * 2
+        assert {int(r["point_index"]) for r in rows} <= set(range(len(poses)))
+        assert len({r["trial_seed"] for r in rows}) == len(rows)
+        for r in rows:
+            assert int(r["trial_seed"]) == trial_seed(
+                7, int(r["p"]), int(r["point_index"]), int(r["trial_index"])
+            )
+
 
 class TestCcdf:
     def test_step_function_on_identical_values(self):
@@ -190,6 +213,53 @@ class TestRunners:
         assert far_summary["farfield_marginal"] is False
         assert near_summary["farfield_marginal"] is True
         assert near_summary["min_correlation"] < far_summary["min_correlation"]
+
+
+class TestFailures:
+    def test_farfield_violation_exits_runtime(self, tmp_path, capsys):
+        # Every trial breaks the far-field bound: the run fails loudly
+        # instead of exiting 0 with NaN in its summary.
+        path = tiny_config(tmp_path, scenario={"distance_m": 0.2})
+        code = main(["angle-sweep", "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        assert "aperture" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_noise_failures_counted(self, tmp_path, monkeypatch):
+        calls = []
+        real_estimate = harness.estimate
+
+        def every_other(*args):
+            calls.append(None)
+            if len(calls) % 2 == 0:
+                raise NoPowerError("all selected antennas are below the power floor")
+            return real_estimate(*args)
+
+        monkeypatch.setattr(harness, "estimate", every_other)
+        path = tiny_config(tmp_path, trials=4)
+        spec = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "out"))
+        summary = run_ccdf(spec)
+        assert summary["trials"] == 2
+        assert summary["failed_trials"] == 2
+        results = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        assert len(results) == 2 + 2  # hash line, header, completed trials
+
+    def test_no_successful_trial_exits_runtime(self, tmp_path, monkeypatch, capsys):
+        def no_power(*args):
+            raise NoPowerError("all selected antennas are below the power floor")
+
+        monkeypatch.setattr(harness, "estimate", no_power)
+        path = tiny_config(tmp_path, trials=2)
+        code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        assert "NoPowerError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, key", [("subcarrier-sweep", "subcarrier_counts"),
+                                           ("antenna-sweep", "antenna_counts"),
+                                           ("validate-model", "validate_modes")])
+    def test_empty_kind_list_exit_config(self, tmp_path, kind, key):
+        path = tiny_config(tmp_path, **{key: []})
+        assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
 class TestCli:
