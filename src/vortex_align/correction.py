@@ -108,6 +108,16 @@ def phase_mask(theta: float, phi: float, k: float, rx: UcaGeometry) -> PhaseMask
     return PhaseMask(values=np.angle(np.exp(1j * raw)), theta=theta, phi=phi, k=k)
 
 
+def check_decodable(modes, n: int) -> None:
+    """Raise ``AliasedModeError`` for a mode beyond an n-element ring's limit."""
+    limit = n // 2 - 1
+    for l in modes:
+        if abs(l) > limit:
+            raise AliasedModeError(
+                f"decode mode {l} exceeds sampling limit |l| <= {limit} for {n} elements"
+            )
+
+
 def decode_modes(
     samples: np.ndarray,
     mask: PhaseMask | None,
@@ -120,13 +130,8 @@ def decode_modes(
     """
     y = np.asarray(samples, dtype=complex)
     n = y.shape[0]
-    limit = n // 2 - 1
     modes = [int(l) for l in modes]
-    for l in modes:
-        if abs(l) > limit:
-            raise AliasedModeError(
-                f"decode mode {l} exceeds sampling limit |l| <= {limit} for {n} elements"
-            )
+    check_decodable(modes, n)
     if mask is not None:
         if mask.values.shape[0] != n:
             raise ValueError("mask length does not match sample count")

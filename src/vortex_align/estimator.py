@@ -1,11 +1,11 @@
 """Few-shot estimation of receiver misalignment from cross-modal phases.
 
-Pipeline: extract the cross-modal phase at a handful of antennas, build a
-weighted circular-distance loss against the tilt model, search a coarse
-(theta, phi, gamma) grid, refine the most promising cells together in one
-batched, box-constrained Levenberg-Marquardt solve on the closed-form
-Jacobian, and arbitrate the refined candidates (together with their
-half-turn azimuth twins) by a joint phase-misfit / corrected-power score.
+Pipeline: extract the cross-modal phases at a handful of antennas into one
+per-term array record (``CrossModalPhaseSet``) that every later stage reads,
+search a coarse (theta, phi, gamma) grid of the weighted circular-distance
+loss, refine the best cells together in one batched, box-constrained
+Levenberg-Marquardt solve on the closed-form Jacobian, and arbitrate them and
+their half-turn azimuth twins by a joint phase-misfit / corrected-power score.
 
 Two structural facts shape the design:
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import jv
@@ -115,23 +114,24 @@ class EstimationConfig:
             raise ValueError("modes must be distinct")
         if self.weighting not in ("uniform", "amplitude", "amplitude-squared"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
-        if any(g <= 0 for g in self.grid_deg):
-            raise ValueError("grid resolutions must be > 0")
+        if len(self.grid_deg) != 3 or any(g <= 0 for g in self.grid_deg):
+            raise ValueError("grid_deg must be three resolutions > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossModalPhaseSet:
-    """Measured cross-modal phases keyed by (antenna, (l_i, l_j)).
+    """Measured cross-modal phases, one entry per (antenna, mode pair) term.
 
-    ``amplitudes`` holds the mean |y| per antenna for weighting,
-    ``mode_amplitudes`` the mean |y| per (antenna, mode) for variance
-    estimates, and ``azimuths`` the in-plane element azimuth per antenna.
+    Terms run antenna-major over ``_mode_pairs(config.modes)``.  The loss,
+    the grid, the refine and the arbitration misfit all read these arrays.
     """
 
-    phases: dict[tuple[int, tuple[int, int]], float]
-    amplitudes: dict[int, float]
-    azimuths: dict[int, float]
-    mode_amplitudes: dict[tuple[int, int], float] = field(default_factory=dict)
+    antenna: np.ndarray  # ring label m
+    azimuth: np.ndarray  # element azimuth phi_m
+    dl: np.ndarray  # l_i - l_j
+    target: np.ndarray  # measured doubled phase as e^{2iu}
+    weight: np.ndarray  # loss weight lambda_m of the term's antenna
+    inv_var: np.ndarray  # inverse phase variance, up to the noise level
 
 
 @dataclass(frozen=True)
@@ -153,57 +153,72 @@ def cross_modal_phase(
     Returns 0.5 * angle[ sum_k (y_{m,l_i,k} * conj(y_{m,l_j,k}))^2 ], in
     (-pi/2, pi/2]; the value estimates (l_i - l_j)(delta_m + gamma) mod pi.
     """
-    try:
-        row = tensor.antenna_index(m)
-        li = tensor.mode_index(l_i)
-        lj = tensor.mode_index(l_j)
-        ks = [tensor.subcarrier_index(f) for f in np.atleast_1d(subcarriers_hz)]
-    except KeyError as exc:
-        raise MissingSamplesError(str(exc)) from None
-    prod = tensor.values[row, li, ks] * np.conj(tensor.values[row, lj, ks])
-    acc = np.sum(prod**2)
-    if abs(acc) < _ACCUMULATOR_FLOOR:
-        raise ZeroPowerError(
-            f"cross-modal accumulator vanished at antenna {m}, pair ({l_i},{l_j})"
-        )
-    return float(0.5 * np.angle(acc))
+    block = _samples(tensor, (m,), (l_i, l_j), subcarriers_hz)
+    return float(_cross_modal_phases(block, [0], [1], (m,), [(l_i, l_j)])[0, 0])
 
 
 def cross_modal_phase_set(
-    tensor: SampleTensor, config: EstimationConfig, n_elements: int | None = None
+    tensor: SampleTensor, config: EstimationConfig, n_elements: int
 ) -> CrossModalPhaseSet:
-    """All cross-modal phases and antenna amplitudes needed by the loss.
+    """Every cross-modal phase term of ``config``, with its weight and variance.
 
     ``n_elements`` is the size of the receive ring, which fixes the element
-    azimuths 2 pi m / n_elements; it defaults to the number of antennas in
-    the tensor, which is right only when the tensor holds the whole ring.
+    azimuths 2 pi m / n_elements.  The inverse variance of a term follows
+    from the measured per-mode amplitudes up to the common noise level; the
+    same common factor scales the matched-power deficit, so the misfit and
+    the deficit can be summed.
     """
-    if n_elements is None:
-        n_elements = len(tensor.antennas)
+    block = _samples(tensor, config.antennas, config.modes, config.subcarriers_hz)
+    magnitude = np.abs(block)
+    amps = np.mean(magnitude, axis=(1, 2))
+    if np.all(amps < _POWER_FLOOR):
+        raise NoPowerError("all selected antennas are below the power floor")
     pairs = _mode_pairs(config.modes)
-    mode_idx = [tensor.mode_index(l) for l in config.modes]
-    k_idx = [tensor.subcarrier_index(f) for f in config.subcarriers_hz]
-    phases: dict[tuple[int, tuple[int, int]], float] = {}
-    amplitudes: dict[int, float] = {}
-    azimuths: dict[int, float] = {}
-    mode_amplitudes: dict[tuple[int, int], float] = {}
-    for m in config.antennas:
-        row = tensor.antenna_index(m)
-        block = tensor.values[np.ix_([row], mode_idx, k_idx)][0]
-        amplitudes[m] = float(np.mean(np.abs(block)))
-        azimuths[m] = 2.0 * np.pi * m / n_elements
-        for l, samples in zip(config.modes, block):
-            mode_amplitudes[(m, l)] = float(np.mean(np.abs(samples)))
-        for li, lj in pairs:
-            phases[(m, (li, lj))] = cross_modal_phase(
-                tensor, m, li, lj, config.subcarriers_hz
-            )
+    i = [config.modes.index(li) for li, _lj in pairs]
+    j = [config.modes.index(lj) for _li, lj in pairs]
+    u = _cross_modal_phases(block, i, j, config.antennas, pairs)
+    mode_amps = np.maximum(np.mean(magnitude, axis=2), _WEIGHT_FLOOR)
+    a_i, a_j = mode_amps[:, i].ravel(), mode_amps[:, j].ravel()
+    labels = np.asarray(config.antennas)
     return CrossModalPhaseSet(
-        phases=phases,
-        amplitudes=amplitudes,
-        azimuths=azimuths,
-        mode_amplitudes=mode_amplitudes,
+        antenna=np.repeat(labels, len(pairs)),
+        azimuth=np.repeat(2.0 * np.pi * labels / n_elements, len(pairs)),
+        dl=np.tile([li - lj for li, lj in pairs], len(labels)),
+        target=np.exp(2j * u.ravel()),
+        weight=np.repeat(weight(amps, config.weighting), len(pairs)),
+        inv_var=len(config.subcarriers_hz)
+        * (a_i**2 * a_j**2)
+        / (16.0 * (a_i**2 + a_j**2)),
     )
+
+
+def _samples(tensor: SampleTensor, antennas, modes, subcarriers_hz) -> np.ndarray:
+    """The (antenna, mode, subcarrier) sample block of ``tensor``, by label."""
+    try:
+        rows = [tensor.antenna_index(m) for m in antennas]
+        cols = [tensor.mode_index(l) for l in modes]
+        ks = [tensor.subcarrier_index(f) for f in np.atleast_1d(subcarriers_hz)]
+    except KeyError as exc:
+        raise MissingSamplesError(str(exc)) from None
+    return tensor.values[np.ix_(rows, cols, ks)]
+
+
+def _cross_modal_phases(block: np.ndarray, i, j, antennas, pairs) -> np.ndarray:
+    """0.5 * angle[ sum_k (y_i y_j*)^2 ] per antenna and mode pair.
+
+    ``block`` is a ``_samples`` block; mode pair p reads its columns i[p]
+    and j[p].  Raises ``ZeroPowerError`` at the first (antenna-major) term
+    whose accumulator vanishes.
+    """
+    acc = np.sum((block[:, i] * np.conj(block[:, j])) ** 2, axis=-1)
+    vanished = np.argwhere(np.abs(acc) < _ACCUMULATOR_FLOOR)
+    if vanished.size:
+        a, p = vanished[0]
+        raise ZeroPowerError(
+            f"cross-modal accumulator vanished at antenna {antennas[a]}, "
+            f"pair ({pairs[p][0]},{pairs[p][1]})"
+        )
+    return 0.5 * np.angle(acc)
 
 
 def _mode_pairs(modes) -> list[tuple[int, int]]:
@@ -238,24 +253,15 @@ def weight(amplitudes, scheme: str = "amplitude") -> np.ndarray:
     return np.maximum(out, _WEIGHT_FLOOR)
 
 
-def loss(
-    theta: float,
-    phi: float,
-    gamma: float,
-    phases: CrossModalPhaseSet,
-    weights,
-) -> float:
+def loss(theta: float, phi: float, gamma: float, phases: CrossModalPhaseSet) -> float:
     """Weighted circular distance between measured and modeled phases.
 
-    ``weights`` maps antenna index to its positive weight.  Comparison is on
-    the doubled phases (see module docstring), so per-term values range in
+    Each term is weighted by ``phases.weight``.  Comparison is on the doubled
+    phases (see module docstring), so per-term values range in
     [0, 4 * lambda_m].
     """
-    total = 0.0
-    for (m, (li, lj)), u in phases.phases.items():
-        model = (li - lj) * (delta(theta, phi, phases.azimuths[m]) + gamma)
-        total += weights[m] * abs(np.exp(2j * u) - np.exp(2j * model)) ** 2
-    return float(total)
+    x = np.array([[theta, phi, gamma]], dtype=float)
+    return float(np.abs(phases.target - _model(x, phases)[0]) ** 2 @ phases.weight)
 
 
 def select_antennas(n_rx: int, q: int) -> list[int]:
@@ -287,21 +293,12 @@ def select_antennas(n_rx: int, q: int) -> list[int]:
         extras = [half + (j * half) // (q - half) for j in range(q - half)]
         return list(range(half)) + extras
 
-    def first_diametric(sel):
-        for a in range(len(sel)):
-            for b in range(a + 1, len(sel)):
-                gap = abs(
-                    np.angle(np.exp(2j * np.pi * (sel[a] - sel[b]) / n_rx))
-                )
-                if abs(gap - np.pi) < _DIAMETRIC_TOL:
-                    return b
-        return None
-
     selected = list(base)
     for _ in range(n_rx * q):
-        pos = first_diametric(selected)
-        if pos is None:
+        pair = _diametric_pair(selected, n_rx)
+        if pair is None:
             return selected
+        pos = pair[1]
         nxt = (selected[pos] + 1) % n_rx
         while nxt in selected:
             nxt = (nxt + 1) % n_rx
@@ -322,6 +319,16 @@ def select_modes(scenario: Scenario) -> tuple[int, int]:
     return (-best, best)
 
 
+def _diametric_pair(labels, n_rx: int) -> tuple[int, int] | None:
+    """Positions (a, b), a < b, of the first two labels half a turn apart."""
+    for a in range(len(labels)):
+        for b in range(a + 1, len(labels)):
+            gap = abs(np.angle(np.exp(2j * np.pi * (labels[a] - labels[b]) / n_rx)))
+            if abs(gap - np.pi) < _DIAMETRIC_TOL:
+                return a, b
+    return None
+
+
 def _validate_config(config: EstimationConfig, n_rx: int) -> None:
     if len(config.antennas) < 3:
         raise DegenerateGeometryError("at least 3 antennas are required")
@@ -331,16 +338,10 @@ def _validate_config(config: EstimationConfig, n_rx: int) -> None:
         raise DegenerateGeometryError("at least 1 subcarrier is required")
     # A diametric pair collapses the minimal Q=3 system to dependent
     # equations; with more antennas the redundancy absorbs it.
-    if len(config.antennas) == 3:
-        for a in range(len(config.antennas)):
-            for b in range(a + 1, len(config.antennas)):
-                diff = config.antennas[a] - config.antennas[b]
-                gap = abs(np.angle(np.exp(2j * np.pi * diff / n_rx)))
-                if abs(gap - np.pi) < _DIAMETRIC_TOL:
-                    raise DegenerateGeometryError(
-                        f"antennas {config.antennas[a]} and {config.antennas[b]} "
-                        "are diametrically opposed"
-                    )
+    pair = _diametric_pair(config.antennas, n_rx) if len(config.antennas) == 3 else None
+    if pair is not None:
+        a, b = (config.antennas[p] for p in pair)
+        raise DegenerateGeometryError(f"antennas {a} and {b} are diametrically opposed")
 
 
 @lru_cache(maxsize=8)
@@ -390,7 +391,7 @@ def _power_geometry(theta: np.ndarray, phi: np.ndarray, phi_m: np.ndarray):
 
 
 def _coarse_candidates(
-    terms: _PhaseTerms,
+    terms: CrossModalPhaseSet,
     config: EstimationConfig,
     tensor: SampleTensor,
     scenario: Scenario,
@@ -405,12 +406,9 @@ def _coarse_candidates(
     arbitrated jointly afterwards.  Gamma per cell is read off the loss
     along its own axis.  Returns (theta, phi, gamma, loss) tuples.
     """
-    antenna_azimuths = tuple(
-        2.0 * np.pi * np.asarray(config.antennas) / scenario.rx.n_elements
-    )
     thetas, phis, gammas, geometry, model = _grid_tables(
         tuple(config.grid_deg),
-        antenna_azimuths,
+        tuple(scenario.rx.element_azimuths[list(config.antennas)]),
         tuple(li - lj for li, lj in _mode_pairs(config.modes)),
     )
     # Group the gamma dependence: per distinct delta-l the model picks up
@@ -450,7 +448,6 @@ def _coarse_candidates(
         geometry,
         np.zeros(len(thetas) * len(phis)),
         antennas=config.antennas,
-        max_subcarriers=_POWER_GRID_MAX_SUBCARRIERS,
     )
     cells = diverse_walk(np.argsort(-power_map, kind="stable"), _POWER_CANDIDATES)
     for cell in diverse_walk(
@@ -479,7 +476,6 @@ def _matched_power(
     geometry,
     gamma: np.ndarray,
     antennas=None,
-    max_subcarriers: int | None = None,
     normalized: bool = False,
 ) -> np.ndarray:
     """Corrected matched power for a batch of candidate angle triples.
@@ -500,8 +496,8 @@ def _matched_power(
     r = scenario.pose.distance_m
     mode_idx = [tensor.mode_index(l) for l in config.modes]
     subs = config.subcarriers_hz
-    if max_subcarriers is not None and len(subs) > max_subcarriers:
-        picks = np.linspace(0, len(subs) - 1, max_subcarriers).astype(int)
+    if len(subs) > _POWER_GRID_MAX_SUBCARRIERS:
+        picks = np.linspace(0, len(subs) - 1, _POWER_GRID_MAX_SUBCARRIERS).astype(int)
         subs = tuple(subs[i] for i in picks)
     power = np.zeros(gamma.shape[0])
     for f in subs:
@@ -526,48 +522,13 @@ def _matched_power(
     return power
 
 
-class _PhaseTerms(NamedTuple):
-    """Per-term arrays of the cross-modal phase model, one entry per
-    (antenna, mode pair) in the order of ``cross_modal_phase_set``."""
-
-    azimuth: np.ndarray  # element azimuth phi_m
-    dl: np.ndarray  # l_i - l_j
-    target: np.ndarray  # measured doubled phase as e^{2iu}
-    weight: np.ndarray  # loss weight lambda_m
-    inv_var: np.ndarray  # inverse phase variance, up to the noise level
-
-
-def _phase_terms(
-    phases: CrossModalPhaseSet, weights: dict[int, float], config: EstimationConfig
-) -> _PhaseTerms:
-    """Flatten a phase set into the arrays that the grid, refine and misfit use.
-
-    The inverse variance of a term follows from the measured per-mode
-    amplitudes up to the common noise level; the same common factor scales
-    the matched-power deficit, so the misfit and the deficit can be summed.
-    """
-    keys = list(phases.phases)
-    amp = {key: max(a, _WEIGHT_FLOOR) for key, a in phases.mode_amplitudes.items()}
-    a_i = np.array([amp[(m, li)] for m, (li, _lj) in keys])
-    a_j = np.array([amp[(m, lj)] for m, (_li, lj) in keys])
-    return _PhaseTerms(
-        azimuth=np.array([phases.azimuths[m] for m, _pair in keys]),
-        dl=np.array([li - lj for _m, (li, lj) in keys]),
-        target=np.exp(2j * np.array(list(phases.phases.values()))),
-        weight=np.array([weights[m] for m, _pair in keys]),
-        inv_var=len(config.subcarriers_hz)
-        * (a_i**2 * a_j**2)
-        / (16.0 * (a_i**2 + a_j**2)),
-    )
-
-
-def _model(x: np.ndarray, terms: _PhaseTerms) -> np.ndarray:
+def _model(x: np.ndarray, terms: CrossModalPhaseSet) -> np.ndarray:
     """Modeled e^{2i dl (delta_m + gamma)} for candidates ``x`` (n, 3): (n, T)."""
     theta, phi, gamma = x[:, 0:1], x[:, 1:2], x[:, 2:3]
     return np.exp(2j * terms.dl * (delta(theta, phi, terms.azimuth) + gamma))
 
 
-def _phase_misfit_nll(x: np.ndarray, terms: _PhaseTerms) -> np.ndarray:
+def _phase_misfit_nll(x: np.ndarray, terms: CrossModalPhaseSet) -> np.ndarray:
     """Cross-modal phase misfit in (scaled) log-likelihood units, per candidate.
 
     Each term is weighted by the inverse of its phase variance.
@@ -575,7 +536,9 @@ def _phase_misfit_nll(x: np.ndarray, terms: _PhaseTerms) -> np.ndarray:
     return np.abs(terms.target - _model(x, terms)) ** 2 @ terms.inv_var
 
 
-def _residuals(x: np.ndarray, terms: _PhaseTerms) -> tuple[np.ndarray, np.ndarray]:
+def _residuals(
+    x: np.ndarray, terms: CrossModalPhaseSet
+) -> tuple[np.ndarray, np.ndarray]:
     """Refine residuals and their closed-form Jacobian at candidates ``x`` (n, 3).
 
     Term t contributes r_t = sqrt(lambda_t) (e^{2iu_t} - e^{2i dl_t (delta_t +
@@ -607,7 +570,7 @@ def _residuals(x: np.ndarray, terms: _PhaseTerms) -> tuple[np.ndarray, np.ndarra
 
 def _refine_cells(
     cells: list[tuple[float, float, float, float]],
-    terms: _PhaseTerms,
+    terms: CrossModalPhaseSet,
     config: EstimationConfig,
 ) -> list[tuple[np.ndarray, float, int]]:
     """Box-constrained Levenberg-Marquardt refinement of all cells at once.
@@ -683,19 +646,7 @@ def estimate(
     received power.
     """
     _validate_config(config, scenario.rx.n_elements)
-    rows = [tensor.antenna_index(m) for m in config.antennas]
-    mode_idx = [tensor.mode_index(l) for l in config.modes]
-    k_idx = [tensor.subcarrier_index(f) for f in config.subcarriers_hz]
-    amps = np.mean(
-        np.abs(tensor.values[np.ix_(rows, mode_idx, k_idx)]),
-        axis=(1, 2),
-    )
-    if np.all(amps < _POWER_FLOOR):
-        raise NoPowerError("all selected antennas are below the power floor")
-    phases = cross_modal_phase_set(tensor, config, scenario.rx.n_elements)
-    lam = weight(amps, config.weighting)
-
-    terms = _phase_terms(phases, dict(zip(config.antennas, lam)), config)
+    terms = cross_modal_phase_set(tensor, config, scenario.rx.n_elements)
     cells = _coarse_candidates(terms, config, tensor, scenario)
     refined = _refine_cells(cells, terms, config)
 
@@ -711,7 +662,7 @@ def estimate(
     pool_x = np.repeat(np.array([x for x, _f, _n in refined]), 2, axis=0)
     pool_x[1::2, 1] = np.angle(np.exp(1j * (pool_x[1::2, 1] + np.pi)))
     pool_x[1::2, 2] = np.angle(np.exp(1j * (pool_x[1::2, 2] - np.pi)))
-    ring_azimuths = 2.0 * np.pi * tensor.antennas / scenario.rx.n_elements
+    ring_azimuths = scenario.rx.element_azimuths[tensor.antennas]
     powers = _matched_power(
         tensor,
         scenario,
@@ -719,7 +670,6 @@ def estimate(
         _power_geometry(pool_x[:, 0], pool_x[:, 1], ring_azimuths),
         pool_x[:, 2],
         antennas=None,
-        max_subcarriers=_POWER_GRID_MAX_SUBCARRIERS,
         normalized=True,
     )
     misfits = _phase_misfit_nll(pool_x, terms)

@@ -44,6 +44,7 @@ from .correction import (
     ImiMatrix,
     ZeroSignalError,
     capacity,
+    check_decodable,
     imi_matrices,
     imi_matrix,
     phase_mask,
@@ -375,6 +376,28 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("p exceeds the scenario subcarrier count")
     if len(spec.modes) < 2:
         raise ConfigError("estimation needs at least two modes")
+    try:
+        if spec.kind == "imi-demo":
+            check_decodable(spec.demo_modes, spec.scenario.rx.n_elements)
+        elif spec.kind != "validate-model":
+            qs = spec.antenna_counts if spec.kind == "antenna-sweep" else (spec.q,)
+            for q in qs:
+                _estimation_config(spec, q, spec.scenario.subcarriers_hz)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _estimation_config(spec: ExperimentSpec, q: int, subcarriers) -> EstimationConfig:
+    """The estimator settings of ``spec`` for ``q`` antennas and ``subcarriers``."""
+    return EstimationConfig(
+        modes=spec.modes,
+        antennas=tuple(select_antennas(spec.scenario.rx.n_elements, q)),
+        subcarriers_hz=tuple(subcarriers),
+        weighting=spec.weighting,
+        grid_deg=spec.grid_deg,
+        refine_tol=spec.refine_tol,
+        refine_max_iter=spec.refine_max_iter,
+    )
 
 
 def trial_seed(master_seed: int, *indices: int) -> int:
@@ -413,16 +436,7 @@ def _run_trial(
     tensor = simulate_measurement(
         scenario, pose, spec.modes, subcarriers, noise, spec.model
     )
-    config = EstimationConfig(
-        modes=spec.modes,
-        antennas=tuple(select_antennas(scenario.rx.n_elements, q)),
-        subcarriers_hz=tuple(subcarriers),
-        weighting=spec.weighting,
-        grid_deg=spec.grid_deg,
-        refine_tol=spec.refine_tol,
-        refine_max_iter=spec.refine_max_iter,
-    )
-    est = estimate(tensor, scenario, config)
+    est = estimate(tensor, scenario, _estimation_config(spec, q, subcarriers))
     theta_t, phi_t = misalignment_angles(pose)
 
     k_c = wavenumber(scenario.carrier_hz)

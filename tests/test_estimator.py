@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,6 @@ from vortex_align.estimator import (
 from vortex_align import estimator as estimator_module
 from vortex_align.estimator import (
     _coarse_candidates,
-    _phase_terms,
-    _PhaseTerms,
     _refine_cells,
     _residuals,
 )
@@ -99,6 +99,22 @@ class TestCrossModalPhase:
                               (-1, 1), np.array([F_CARRIER]))
         with pytest.raises(ZeroPowerError):
             cross_modal_phase(tensor, 0, 1, -1, [F_CARRIER])
+
+    def test_set_matches_scalar_phase(self):
+        # The vectorised record against the scalar reference, term by term.
+        subs = tuple(SUBS[:64])
+        scen, _pose, tensor, config = make_setup(
+            30.0, -120.0, subcarriers=subs, modes=(-1, 0, 1), snr_db=10.0,
+            seed=9, q=12)
+        phases = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
+        pairs = [(0, -1), (1, -1), (1, 0)]
+        expected = [np.exp(2j * cross_modal_phase(tensor, m, li, lj, subs))
+                    for m in config.antennas for li, lj in pairs]
+        np.testing.assert_array_equal(phases.target, expected)
+        np.testing.assert_array_equal(phases.antenna, np.repeat(config.antennas, 3))
+        np.testing.assert_array_equal(phases.dl, np.tile([1, 2, 1], 12))
+        np.testing.assert_array_equal(
+            phases.azimuth, scen.rx.element_azimuths[phases.antenna])
 
     def test_subcarrier_averaging_reduces_spread(self):
         # Monte Carlo: the circular spread of the doubled phase shrinks
@@ -209,27 +225,28 @@ class TestLoss:
         scen, pose, tensor, config = make_setup(33.0, -147.0)
         theta, phi = misalignment_angles(pose)
         g = gamma(pose)
-        phases = cross_modal_phase_set(tensor, config)
-        weights = {m: 1.0 for m in config.antennas}
-        assert loss(theta, phi, g, phases, weights) <= 1e-18
+        phases = cross_modal_phase_set(
+            tensor, replace(config, weighting="uniform"), scen.rx.n_elements)
+        assert loss(theta, phi, g, phases) <= 1e-18
 
     def test_half_turn_family_also_zero(self):
         scen, pose, tensor, config = make_setup(33.0, -147.0)
         theta, phi = misalignment_angles(pose)
         g = gamma(pose)
-        phases = cross_modal_phase_set(tensor, config)
-        weights = {m: 1.0 for m in config.antennas}
+        phases = cross_modal_phase_set(
+            tensor, replace(config, weighting="uniform"), scen.rx.n_elements)
         phi_alt = np.angle(np.exp(1j * (phi + np.pi)))
         g_alt = np.angle(np.exp(1j * (g - np.pi)))
-        assert loss(theta, phi_alt, g_alt, phases, weights) <= 1e-18
+        assert loss(theta, phi_alt, g_alt, phases) <= 1e-18
 
     def test_opposed_phase_contributes_four_lambda(self):
         # One term whose measured and modeled doubled phases differ by pi.
         phases = CrossModalPhaseSet(
-            phases={(0, (1, 0)): np.pi / 4}, amplitudes={0: 1.0},
-            azimuths={0: 0.0})
+            antenna=np.array([0]), azimuth=np.array([0.0]), dl=np.array([1]),
+            target=np.exp(2j * np.array([np.pi / 4])), weight=np.array([2.5]),
+            inv_var=np.array([1.0]))
         # model angle: dl*(delta+gamma) with delta(0, phi=0, az=0)=0
-        val = loss(0.0, 0.0, np.pi / 4 + np.pi / 2, phases, {0: 2.5})
+        val = loss(0.0, 0.0, np.pi / 4 + np.pi / 2, phases)
         assert val == pytest.approx(4 * 2.5, rel=1e-12)
 
     def test_weighting_schemes_share_minimizer_noiseless(self):
@@ -324,6 +341,18 @@ class TestEstimate:
         assert abs(np.rad2deg(est.theta - theta)) < 0.1
         assert np.rad2deg(circ_err(est.phi, phi)) < 0.1
 
+    def test_missing_labels_raise_missing_samples(self):
+        # A six-element subset tensor without configured antenna 17, and a
+        # subcarrier the tensor does not hold.
+        scen, _pose, full, config = make_setup(30.0, -120.0)
+        ants = np.array([*config.antennas[:5], 1])
+        subset = SampleTensor(full.values[ants], ants, full.modes,
+                              full.subcarriers_hz)
+        with pytest.raises(MissingSamplesError):
+            estimate(subset, scen, config)
+        with pytest.raises(MissingSamplesError):
+            estimate(full, scen, replace(config, subcarriers_hz=(SUBS[1],)))
+
     def test_rejects_diametric_triplet(self):
         scen, _pose, tensor, _ = make_setup(30.0, -120.0)
         config = EstimationConfig(
@@ -352,9 +381,7 @@ class TestEstimate:
 def _terms_and_cells(theta_deg, phi_deg, snr_db):
     scen, pose, tensor, config = make_setup(theta_deg, phi_deg, snr_db=snr_db,
                                             seed=3)
-    phases = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
-    lam = weight([phases.amplitudes[m] for m in config.antennas])
-    terms = _phase_terms(phases, dict(zip(config.antennas, lam)), config)
+    terms = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
     cells = _coarse_candidates(terms, config, tensor, scen)
     return pose, config, terms, cells
 
@@ -363,8 +390,10 @@ class TestBatchedRefine:
     def test_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(5)
         n_terms = 12
-        az = 2 * np.pi * rng.integers(0, 20, n_terms) / 20
-        terms = _PhaseTerms(
+        antenna = rng.integers(0, 20, n_terms)
+        az = 2 * np.pi * antenna / 20
+        terms = CrossModalPhaseSet(
+            antenna=antenna,
             azimuth=az,
             dl=rng.choice([-2, 2, 4], n_terms),
             target=np.exp(2j * rng.uniform(-np.pi / 2, np.pi / 2, n_terms)),

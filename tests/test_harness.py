@@ -261,6 +261,22 @@ class TestFailures:
         path = tiny_config(tmp_path, **{key: []})
         assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("kind, cfg", [
+        ("ccdf", {"estimation": {"q": 2}}),
+        ("ccdf", {"estimation": {"q": 30}}),
+        ("ccdf", {"estimation": {"weighting": "magic"}}),
+        ("ccdf", {"estimation": {"grid_deg": [3, 3]}}),
+        ("ccdf", {"estimation": {"modes": [1, 1]}}),
+        ("antenna-sweep", {"antenna_counts": [2, 6]}),
+        ("imi-demo", {"demo_modes": [-12, 12]}),
+    ])
+    def test_invalid_setup_exit_config(self, tmp_path, capsys, kind, cfg):
+        # Settings the estimator or the decoder would reject fail at load.
+        path = tiny_config(tmp_path, **cfg)
+        code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
 
 class TestCli:
     def test_ok_run(self, tmp_path, capsys):
@@ -276,12 +292,9 @@ class TestCli:
                      ]) == EXIT_CONFIG
 
     def test_runtime_error_exit(self, tmp_path):
-        # Decode modes beyond the sampling limit of a 4-element ring.
-        cfg = {
-            "scenario": {"rx": {"n": 4, "radius_m": 0.02}},
-            "demo_modes": [-2, -1, 0, 1, 2],
-        }
-        path = tmp_path / "alias.json"
+        # The far-field model refuses a 20 cm link: a simulation error.
+        cfg = {"scenario": {"distance_m": 0.2}, "model": "farfield"}
+        path = tmp_path / "farfield.json"
         path.write_text(json.dumps(cfg))
         code = main(["imi-demo", "--config", str(path),
                      "--out", str(tmp_path / "x")])
