@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv
+from scipy.special import j0, j1, jv
 
 from .channel import SampleTensor, bessel_j, delta, rho, wavenumber
 from .geometry import Scenario
@@ -53,11 +53,15 @@ _POWER_CANDIDATES = 4
 _LOSS_CANDIDATES = 4
 _SHORTLIST_SPACING = 3
 
-# Levenberg-Marquardt refine: initial damping, its factors after an
-# accepted and a rejected step, the smallest step that continues, and the
+# Levenberg-Marquardt refine: initial damping, its floor, its factors after
+# an accepted and a rejected step, the smallest step that continues, and the
 # floor of the Marquardt scale relative to the largest curvature (it keeps
-# a coordinate with no curvature, such as theta at exactly 0, damped).
+# a coordinate with no curvature, such as theta at exactly 0, damped).  The
+# damping floor keeps the damped normal matrix invertible where the
+# residuals leave it singular: on the theta = 0 bound no residual depends
+# on theta, and d delta/d phi equals d delta/d gamma.
 _LM_DAMPING = 1e-3
+_LM_MIN_DAMPING = 1e-12
 _LM_SHRINK = 1.0 / 3.0
 _LM_GROW = 2.0
 _LM_MIN_MOVE = 1e-9
@@ -348,15 +352,16 @@ def _validate_config(config: EstimationConfig, n_rx: int) -> None:
 def _grid_tables(
     grid_deg: tuple[float, float, float],
     antenna_azimuths: tuple[float, ...],
-    pair_dl: tuple[int, ...],
+    modes: tuple[int, ...],
 ):
     """Precompute the (theta, phi, gamma) grids and their f-independent tables.
 
-    Returns the three grid axes, the power-map geometry of every (theta, phi)
-    cell at the given antennas (see ``_power_geometry``), and the per-term
-    model phase factors exp(-2i dl delta) of shape (n_theta, n_phi, n_terms),
-    with terms ordered antenna-major over ``pair_dl`` as in
-    ``cross_modal_phase_set``.
+    Returns the three grid axes; the power-map geometry of every (theta, phi)
+    cell at the given antennas and gamma = 0 (see ``_power_geometry``); the
+    per-term model phase factors exp(-2i dl delta) of shape (n_theta, n_phi,
+    n_terms), with terms ordered antenna-major over ``_mode_pairs(modes)`` as
+    in ``cross_modal_phase_set``; and per distinct dl, ascending, the gamma
+    basis sin(2 dl gamma) over cos(2 dl gamma), (n_dl, 2, n_gamma).
     """
     g_th, g_ph, g_ga = (np.deg2rad(g) for g in grid_deg)
     thetas = np.arange(0.0, np.pi / 2 - 1e-12, g_th)
@@ -364,29 +369,38 @@ def _grid_tables(
     gammas = -np.pi + g_ga * np.arange(1, int(round(2 * np.pi / g_ga)) + 1)
     th_mesh, ph_mesh = np.meshgrid(thetas, phis, indexing="ij")
     geometry = _power_geometry(
-        th_mesh.ravel(), ph_mesh.ravel(), np.asarray(antenna_azimuths)
+        th_mesh.ravel(),
+        ph_mesh.ravel(),
+        np.asarray(antenna_azimuths),
+        np.zeros(th_mesh.size),
+        modes,
     )
+    pair_dl = np.array([li - lj for li, lj in _mode_pairs(modes)])
     d = geometry[0].reshape(len(thetas), len(phis), -1)
-    model = np.exp(-2j * d[..., :, None] * np.asarray(pair_dl)).reshape(
-        len(thetas), len(phis), -1
-    )
-    return thetas, phis, gammas, geometry, model
+    model = np.exp(-2j * d[..., :, None] * pair_dl).reshape(len(thetas), len(phis), -1)
+    waves = np.exp(-2j * np.unique(pair_dl)[:, None] * gammas)
+    return thetas, phis, gammas, geometry, model, np.stack([-waves.imag, waves.real], 1)
 
 
-def _power_geometry(theta: np.ndarray, phi: np.ndarray, phi_m: np.ndarray):
+def _power_geometry(
+    theta: np.ndarray, phi: np.ndarray, phi_m: np.ndarray, gamma: np.ndarray, modes
+):
     """Frequency-independent geometry of the matched-power probe.
 
-    For candidate angles (theta, phi) of shape (n,) and element azimuths
-    ``phi_m`` of shape (Q,), returns delta_m and rho_m of shape (n, Q),
-    sin(theta) of shape (n, 1) and cos(phi - phi_m) of shape (n, Q).
+    For candidate angles (theta, phi, gamma) of shape (n,) and element
+    azimuths ``phi_m`` of shape (Q,), returns delta_m and rho_m of shape
+    (n, Q), sin(theta) of shape (n, 1), cos(phi - phi_m) of shape (n, Q) and
+    the twist e^{il(delta_m + gamma)} of each of ``modes``, (n_modes, n, Q).
     """
     th = theta[:, None]
     ph = phi[:, None]
+    d_m = delta(th, ph, phi_m[None, :])
     return (
-        delta(th, ph, phi_m[None, :]),
+        d_m,
         rho(th, ph, phi_m[None, :]),
         np.sin(th),
         np.cos(ph - phi_m),
+        np.exp(1j * np.asarray(modes)[:, None, None] * (d_m + gamma[:, None])),
     )
 
 
@@ -406,23 +420,24 @@ def _coarse_candidates(
     arbitrated jointly afterwards.  Gamma per cell is read off the loss
     along its own axis.  Returns (theta, phi, gamma, loss) tuples.
     """
-    thetas, phis, gammas, geometry, model = _grid_tables(
+    thetas, phis, gammas, geometry, model, basis = _grid_tables(
         tuple(config.grid_deg),
         tuple(scenario.rx.element_azimuths[list(config.antennas)]),
-        tuple(li - lj for li, lj in _mode_pairs(config.modes)),
+        config.modes,
     )
     # Group the gamma dependence: per distinct delta-l the model picks up
-    # exp(-2i dl gamma), so the loss over the gamma axis is a short Fourier sum.
+    # exp(-2i dl gamma), so the correlation along the gamma axis is a real
+    # product of [Im c, Re c] with the cached [sin; cos](2 dl gamma).  In this
+    # order an FMA kernel rounds it as numpy's complex product does, so ties
+    # between the gamma-periodic copies of a minimum break as in that product.
     coef = terms.weight * terms.target
     total = float(2.0 * terms.weight.sum())
-    corr = np.zeros((len(thetas), len(phis), len(gammas)))
-    for dl in np.unique(terms.dl):
+    corr = 0.0
+    for dl, basis_dl in zip(np.unique(terms.dl), basis):
         sel = terms.dl == dl
-        c = np.einsum("xyt,t->xy", model[:, :, sel], coef[sel])
-        corr += np.real(c[:, :, None] * np.exp(-2j * dl * gammas)[None, None, :])
-    losses = total - 2.0 * corr
-
-    loss_by_cell = losses.min(axis=2)
+        c = np.einsum("xyt,t->xy", model[:, :, sel], coef[sel]).ravel()
+        corr = corr + np.column_stack([c.imag, c.real]) @ basis_dl
+    loss_by_cell = total - 2.0 * corr.max(axis=1)
     n_phi = len(phis)
 
     def diverse_walk(ranking: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -442,29 +457,18 @@ def _coarse_candidates(
         return kept
 
     power_map = _matched_power(
-        tensor,
-        scenario,
-        config,
-        geometry,
-        np.zeros(len(thetas) * len(phis)),
-        antennas=config.antennas,
+        tensor, scenario, config, geometry, antennas=config.antennas
     )
     cells = diverse_walk(np.argsort(-power_map, kind="stable"), _POWER_CANDIDATES)
-    for cell in diverse_walk(
-        np.argsort(loss_by_cell.ravel(), kind="stable"), _LOSS_CANDIDATES
-    ):
+    for cell in diverse_walk(np.argsort(loss_by_cell, kind="stable"), _LOSS_CANDIDATES):
         if cell not in cells:
             cells.append(cell)
     out = []
     for it, ip in cells:
-        ig = int(np.argmin(losses[it, ip, :]))
+        losses = total - 2.0 * corr[it * n_phi + ip]
+        ig = int(np.argmin(losses))
         out.append(
-            (
-                float(thetas[it]),
-                float(phis[ip]),
-                float(gammas[ig]),
-                float(losses[it, ip, ig]),
-            )
+            (float(thetas[it]), float(phis[ip]), float(gammas[ig]), float(losses[ig]))
         )
     return out
 
@@ -474,7 +478,6 @@ def _matched_power(
     scenario: Scenario,
     config: EstimationConfig,
     geometry,
-    gamma: np.ndarray,
     antennas=None,
     normalized: bool = False,
 ) -> np.ndarray:
@@ -483,36 +486,32 @@ def _matched_power(
     Models the power probe a receiver makes after applying a candidate
     correction mask and mode-matched combining over the ring (``antennas``
     None means every ring element the tensor holds; pass a subset of their
-    labels to restrict it).  ``geometry``
-    is ``_power_geometry`` of the candidates' (theta, phi) at those
-    antennas.  With ``normalized`` the matched energy |<g, y>|^2 / |g|^2 is
-    returned, which is the signal power the candidate model explains.
+    labels to restrict it).  ``geometry`` is ``_power_geometry`` of the
+    candidates at those antennas and ``config.modes``.  With ``normalized``
+    the matched energy |<g, y>|^2 / |g|^2 is returned, which is the signal
+    power the candidate model explains.
     """
     rx = scenario.rx
     rows = np.arange(len(tensor.antennas)) if antennas is None else np.array(
         [tensor.antenna_index(m) for m in antennas]
     )
-    d_m, rho_m, sin_th, cos_u = geometry
+    _d_m, rho_m, sin_th, cos_u, twist = geometry
     r = scenario.pose.distance_m
     mode_idx = [tensor.mode_index(l) for l in config.modes]
     subs = config.subcarriers_hz
     if len(subs) > _POWER_GRID_MAX_SUBCARRIERS:
         picks = np.linspace(0, len(subs) - 1, _POWER_GRID_MAX_SUBCARRIERS).astype(int)
         subs = tuple(subs[i] for i in picks)
-    power = np.zeros(gamma.shape[0])
+    power = np.zeros(rho_m.shape[0])
     for f in subs:
         k = wavenumber(f)
         # Includes the candidate mask: conj of the tilt-induced spatial phase.
         spatial = np.exp(1j * k * rx.radius_m * sin_th * cos_u)
         arg = k * rx.radius_m * scenario.tx.radius_m * rho_m / r
         ki = tensor.subcarrier_index(f)
-        # J_{-l} = (-1)^l J_l, so one Bessel evaluation serves both signs.
-        bessel: dict[int, np.ndarray] = {}
-        for l, li in zip(config.modes, mode_idx):
-            if abs(l) not in bessel:
-                bessel[abs(l)] = jv(abs(l), arg)
-            j_l = -bessel[abs(l)] if l < 0 and l % 2 else bessel[abs(l)]
-            profile = spatial * np.exp(1j * l * (d_m + gamma[:, None])) * j_l
+        bessel = _bessel_factors(config.modes, arg)
+        for li, tw, j_l in zip(mode_idx, twist, bessel):
+            profile = spatial * tw * j_l
             combined = np.conj(profile) @ tensor.values[rows, li, ki]
             if normalized:
                 norm = np.sum(np.abs(profile) ** 2, axis=1)
@@ -520,6 +519,17 @@ def _matched_power(
             else:
                 power += np.abs(combined) ** 2
     return power
+
+
+def _bessel_factors(modes, x: np.ndarray) -> list[np.ndarray]:
+    """J_l(x) for each of ``modes``, one evaluation per |l|.
+
+    Orders 0 and 1 use the Cephes j0 / j1, as accurate as jv and far faster
+    than its general-order path; negative orders follow J_{-l} = (-1)^l J_l.
+    """
+    orders = {abs(l) for l in modes}
+    by_order = {n: (j0, j1)[n](x) if n < 2 else jv(n, x) for n in orders}
+    return [-by_order[abs(l)] if l < 0 and l % 2 else by_order[abs(l)] for l in modes]
 
 
 def _model(x: np.ndarray, terms: CrossModalPhaseSet) -> np.ndarray:
@@ -581,8 +591,8 @@ def _refine_cells(
     coarse candidate.  Each iteration solves the Marquardt-scaled damped
     normal equations of every active cell; a gradient component pushing
     out of the box at an active bound is dropped, and the trial point is
-    clipped into the box.  The damping shrinks after an accepted step and
-    grows after a rejected one.  A cell stops when its step moves less than
+    clipped into the box.  The damping shrinks after an accepted step, down
+    to a floor, and grows after a rejected one.  A cell stops when its step moves less than
     1e-9 rad, when an accepted step lowers its cost by no more than
     ``config.refine_tol`` relative, or after ``config.refine_max_iter``
     steps.  Returns (x, cost, iterations) per cell, in input order.
@@ -629,7 +639,9 @@ def _refine_cells(
         res[took] = res_t[accept]
         jac[took] = jac_t[accept]
         cost[took] = cost_t[accept]
-        damping[act] *= np.where(accept, _LM_SHRINK, _LM_GROW)
+        damping[act] = np.maximum(
+            damping[act] * np.where(accept, _LM_SHRINK, _LM_GROW), _LM_MIN_DAMPING
+        )
         act = act[~done]
     return [(x[i], float(cost[i]), int(iterations[i])) for i in range(len(x))]
 
@@ -667,8 +679,9 @@ def estimate(
         tensor,
         scenario,
         config,
-        _power_geometry(pool_x[:, 0], pool_x[:, 1], ring_azimuths),
-        pool_x[:, 2],
+        _power_geometry(
+            pool_x[:, 0], pool_x[:, 1], ring_azimuths, pool_x[:, 2], config.modes
+        ),
         antennas=None,
         normalized=True,
     )

@@ -16,9 +16,9 @@ value, point index, trial index), so each count draws its own noise while
 ``point_index`` stays the pose index.
 
 A trial that a noise draw can defeat (no usable power, or a zero decoded
-signal) is counted in ``failed_trials`` and left out of ``results.csv``;
-any other error ends the run, and so does a pose grid on which no trial
-succeeds.
+signal) is counted in ``failed_trials``, and per exception class in
+``failed_by_error``, and left out of ``results.csv``; any other error ends
+the run, and so does a pose grid on which no trial succeeds.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import csv
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -526,11 +527,14 @@ NOISE_FAILURES = (ZeroPowerError, NoPowerError, ZeroSignalError)
 
 def _trial_rows(
     spec: ExperimentSpec, p: int, q: int, value: int | None = None
-) -> tuple[list[ResultRow], int]:
-    """Every pose x trial at (p, q); a sweep's axis ``value`` joins the seed."""
+) -> tuple[list[ResultRow], Counter]:
+    """Every pose x trial at (p, q); a sweep's axis ``value`` joins the seed.
+
+    Returns the completed rows and the failed trials per exception class.
+    """
     axis_value = () if value is None else (value,)
     rows: list[ResultRow] = []
-    failures = 0
+    failures: Counter = Counter()
     for point in range(len(spec.poses)):
         pose = _pose_from_grid(spec, point)
         for t in range(spec.trials):
@@ -538,10 +542,11 @@ def _trial_rows(
             try:
                 rows.append(_run_trial(spec, pose, point, t, seed, p, q))
             except NOISE_FAILURES as exc:
-                failures += 1
+                failures[type(exc).__name__] += 1
                 last = exc
     if not rows:
-        raise RuntimeError(f"all {failures} trials failed; last: {last!r}") from last
+        total = failures.total()
+        raise RuntimeError(f"all {total} trials failed; last: {last!r}") from last
     return rows, failures
 
 
@@ -585,7 +590,8 @@ def run_angle_sweep(spec: ExperimentSpec) -> dict:
         "mean_sir_gain_db": float(np.mean([r.sir_gain_db for r in rows])),
         "mean_sir_gain_true_db": float(np.mean([r.sir_gain_true_db for r in rows])),
         "trials": len(rows),
-        "failed_trials": failures,
+        "failed_trials": failures.total(),
+        "failed_by_error": dict(failures),
     }
     _write_summary(spec, summary)
     return summary
@@ -622,7 +628,8 @@ def run_ccdf(spec: ExperimentSpec) -> dict:
         "mae_theta_deg": float(np.mean([r.theta_err_deg for r in rows])),
         "mae_phi_deg": float(np.mean([r.phi_err_deg for r in rows])),
         "trials": len(rows),
-        "failed_trials": failures,
+        "failed_trials": failures.total(),
+        "failed_by_error": dict(failures),
     }
     _write_summary(spec, summary)
     return summary
@@ -634,7 +641,7 @@ def _sweep(spec: ExperimentSpec, axis: str, counts, limit: int) -> dict:
         raise ConfigError(f"{spec.kind} counts must lie in 1..{limit}, got {counts}")
     rows: list[ResultRow] = []
     table = []
-    failed = 0
+    failed: Counter = Counter()
     for value in counts:
         p = value if axis == "p" else spec.p
         q = value if axis == "q" else spec.q
@@ -675,7 +682,8 @@ def _sweep(spec: ExperimentSpec, axis: str, counts, limit: int) -> dict:
         "se_phi_deg": [row[5] for row in table],
         "mean_sir_gain_db": [row[6] for row in table],
         "trials_per_count": [row[1] for row in table],
-        "failed_trials": failed,
+        "failed_trials": failed.total(),
+        "failed_by_error": dict(failed),
     }
     _write_summary(spec, summary)
     return summary

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ from vortex_align.channel import (
     SampleTensor,
     delta,
     bessel_j,
+    rho,
     simulate_measurement,
     wavenumber,
 )
@@ -29,7 +35,9 @@ from vortex_align.estimator import (
 )
 from vortex_align import estimator as estimator_module
 from vortex_align.estimator import (
+    _bessel_factors,
     _coarse_candidates,
+    _mode_pairs,
     _refine_cells,
     _residuals,
 )
@@ -459,6 +467,123 @@ class TestBatchedRefine:
             x, cost, _n = _refine_cells([(*start, 0.0)], terms, config)[0]
             assert np.max(np.abs(np.angle(np.exp(1j * (x - truth))))) < 1e-6
             assert cost < 1e-20
+
+
+class TestBesselFactors:
+    X = np.linspace(0.0, 20.0, 401)
+
+    def test_matches_mpmath(self):
+        with mpmath.workdps(30):
+            for l in range(4):
+                want = np.array([float(mpmath.besselj(l, x)) for x in self.X])
+                got = _bessel_factors((l,), self.X)[0]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_negative_orders_reflect(self):
+        for l in range(1, 4):
+            neg, pos = _bessel_factors((-l, l), self.X)
+            np.testing.assert_array_equal(neg, (-1) ** l * pos)
+
+
+def _diverse_walk(ranking, count, n_phi, spacing=3):
+    kept = []
+    for flat in ranking:
+        it, ip = divmod(int(flat), n_phi)
+        if all(max(abs(it - jt), min(abs(ip - jp), n_phi - abs(ip - jp))) >= spacing
+               for jt, jp in kept):
+            kept.append((it, ip))
+            if len(kept) == count:
+                break
+    return kept
+
+
+def full_coarse_candidates(terms, config, tensor, scen):
+    """The coarse search built in full, without the estimator's tables.
+
+    Builds the whole (theta, phi, gamma) loss cube as a Fourier sum over
+    the distinct delta-l, and the matched-power map from the profile of
+    every cell at every probed subcarrier and mode.  Also returns the cube.
+    """
+    g_th, g_ph, g_ga = np.deg2rad(config.grid_deg)
+    thetas = np.arange(0.0, np.pi / 2 - 1e-12, g_th)
+    phis = -np.pi + g_ph * np.arange(1, int(round(2 * np.pi / g_ph)) + 1)
+    gammas = -np.pi + g_ga * np.arange(1, int(round(2 * np.pi / g_ga)) + 1)
+    th, ph = (a[..., None] for a in np.meshgrid(thetas, phis, indexing="ij"))
+    az = scen.rx.element_azimuths[list(config.antennas)]
+    d = delta(th, ph, az)
+    pair_dl = np.array([li - lj for li, lj in _mode_pairs(config.modes)])
+    model = np.exp(-2j * d[..., None] * pair_dl).reshape(len(thetas), len(phis), -1)
+    coef = terms.weight * terms.target
+    corr = np.zeros((len(thetas), len(phis), len(gammas)))
+    for dl in np.unique(terms.dl):
+        sel = terms.dl == dl
+        c = np.einsum("xyt,t->xy", model[:, :, sel], coef[sel])
+        corr += np.real(c[:, :, None] * np.exp(-2j * dl * gammas))
+    cube = 2.0 * terms.weight.sum() - 2.0 * corr
+
+    rows = [tensor.antenna_index(m) for m in config.antennas]
+    subs = config.subcarriers_hz
+    if len(subs) > 4:  # the power map probes at most four subcarriers
+        subs = [subs[i] for i in np.linspace(0, len(subs) - 1, 4).astype(int)]
+    a_r, a_t, r = scen.rx.radius_m, scen.tx.radius_m, scen.pose.distance_m
+    power = np.zeros((len(thetas), len(phis)))
+    for f in subs:
+        k = wavenumber(f)
+        for l in config.modes:
+            profile = (
+                np.exp(1j * k * a_r * np.sin(th) * np.cos(ph - az))
+                * np.exp(1j * l * d)
+                * bessel_j(l, k * a_r * a_t * rho(th, ph, az) / r)
+            )
+            y = tensor.values[rows, tensor.mode_index(l), tensor.subcarrier_index(f)]
+            power += np.abs(np.conj(profile) @ y) ** 2
+
+    n_phi = len(phis)
+    cells = _diverse_walk(np.argsort(-power.ravel(), kind="stable"), 4, n_phi)
+    by_loss = np.argsort(cube.min(axis=2).ravel(), kind="stable")
+    cells += [c for c in _diverse_walk(by_loss, 4, n_phi) if c not in cells]
+    out = []
+    for it, ip in cells:
+        ig = int(np.argmin(cube[it, ip]))
+        out.append((thetas[it], phis[ip], gammas[ig], cube[it, ip, ig]))
+    return out, (thetas, phis, gammas, cube)
+
+
+class TestCoarseGrid:
+    @pytest.mark.parametrize("model", ["farfield", "exact"])
+    @pytest.mark.parametrize("p", [1, 64])
+    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1)])
+    def test_matches_full_loss_cube_and_power_profiles(self, model, p, modes):
+        scen, _pose, tensor, config = make_setup(
+            30.0, -120.0, subcarriers=tuple(SUBS[:p]), modes=modes, snr_db=10.0,
+            seed=11, model=model,
+        )
+        terms = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
+        got = _coarse_candidates(terms, config, tensor, scen)
+        want, (thetas, phis, gammas, cube) = full_coarse_candidates(
+            terms, config, tensor, scen
+        )
+        assert len(np.unique(terms.dl)) == len(modes) - 1
+        assert [c[:3] for c in got] == [c[:3] for c in want]
+        np.testing.assert_allclose([c[3] for c in got], [c[3] for c in want],
+                                   rtol=0, atol=1e-12)
+        # The cube itself is the weighted loss, cell by cell.
+        for it, ip, ig in [(0, 0, 0), (7, 50, 93), (29, 119, 119)]:
+            assert cube[it, ip, ig] == pytest.approx(
+                loss(thetas[it], phis[ip], gammas[ig], terms), abs=1e-12)
+
+
+class TestImports:
+    def test_estimator_does_not_load_scipy_optimize(self):
+        # The refine is a hand-written Levenberg-Marquardt solve; importing
+        # the estimator in a fresh interpreter must not pull in an optimizer.
+        src = str(Path(estimator_module.__file__).resolve().parents[1])
+        code = ("import sys, vortex_align.estimator; "
+                "sys.exit('scipy.optimize' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestEstimationConfig:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vortex_align import harness
-from vortex_align.estimator import NoPowerError
+from vortex_align.estimator import NoPowerError, ZeroPowerError
 from vortex_align.harness import (
     ConfigError,
     EXIT_CONFIG,
@@ -33,6 +33,25 @@ def tiny_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def failing_every_other_call():
+    """An ``estimate`` stand-in whose even calls raise a noise failure.
+
+    The failures alternate between ``NoPowerError`` and ``ZeroPowerError``.
+    """
+    calls = []
+    real_estimate = harness.estimate
+
+    def estimate(*args):
+        calls.append(None)
+        if len(calls) % 4 == 2:
+            raise NoPowerError("all selected antennas are below the power floor")
+        if len(calls) % 4 == 0:
+            raise ZeroPowerError("cross-modal accumulator vanished")
+        return real_estimate(*args)
+
+    return estimate
 
 
 class TestLoadSpec:
@@ -226,23 +245,56 @@ class TestFailures:
         assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_noise_failures_counted(self, tmp_path, monkeypatch):
-        calls = []
-        real_estimate = harness.estimate
-
-        def every_other(*args):
-            calls.append(None)
-            if len(calls) % 2 == 0:
-                raise NoPowerError("all selected antennas are below the power floor")
-            return real_estimate(*args)
-
-        monkeypatch.setattr(harness, "estimate", every_other)
+        monkeypatch.setattr(harness, "estimate", failing_every_other_call())
         path = tiny_config(tmp_path, trials=4)
         spec = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "out"))
         summary = run_ccdf(spec)
         assert summary["trials"] == 2
         assert summary["failed_trials"] == 2
+        by_error = {"NoPowerError": 1, "ZeroPowerError": 1}
+        assert summary["failed_by_error"] == by_error
+        written = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert written["failed_by_error"] == by_error
         results = (tmp_path / "out" / "results.csv").read_text().splitlines()
         assert len(results) == 2 + 2  # hash line, header, completed trials
+
+    # Four trials per sweep count; every second call fails, alternating
+    # between the two noise failures.
+    @pytest.mark.parametrize("kind, runner, failed", [
+        ("angle-sweep", run_angle_sweep, 2),
+        ("subcarrier-sweep", run_subcarrier_sweep, 4),
+    ])
+    def test_failures_counted_per_error_class(self, tmp_path, monkeypatch, kind,
+                                              runner, failed):
+        monkeypatch.setattr(harness, "estimate", failing_every_other_call())
+        path = tiny_config(tmp_path, trials=4, subcarrier_counts=[1, 2])
+        spec = load_spec(kind, config_path=path, out_dir=str(tmp_path / "out"))
+        summary = runner(spec)
+        assert summary["failed_trials"] == failed
+        assert summary["failed_by_error"] == {
+            "NoPowerError": failed // 2,
+            "ZeroPowerError": failed // 2,
+        }
+
+    def test_no_failures_counted_as_empty_map(self, tmp_path):
+        path = tiny_config(tmp_path, trials=1)
+        spec = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "out"))
+        summary = run_ccdf(spec)
+        assert summary["failed_trials"] == 0
+        assert summary["failed_by_error"] == {}
+
+    def test_refine_at_theta_bound_does_not_end_run(self, tmp_path):
+        # Uniform weights at 0 dB drive a cell onto the theta = 0 bound, where
+        # the refine's normal matrix is singular without its damping floor
+        # (default seed: point 3, trial 5).
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"estimation": {"p": 2, "weighting": "uniform"},
+                                    "noise": {"snr_db": 0}}))
+        out = tmp_path / "out"
+        code = main(["ccdf", "--config", str(path), "--trials", "6", "--out", str(out)])
+        assert code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["trials"] + summary["failed_trials"] == 15 * 6
 
     def test_no_successful_trial_exits_runtime(self, tmp_path, monkeypatch, capsys):
         def no_power(*args):
