@@ -2,12 +2,13 @@
 
 Pipeline: extract the cross-modal phases at a handful of antennas into one
 per-term array record (``CrossModalPhaseSet``) that every later stage reads,
-search a coarse (theta, phi, gamma) grid of the weighted circular-distance
-loss, refine the best cells together in one batched, box-constrained
-Levenberg-Marquardt solve on the closed-form Jacobian, and arbitrate them and
-their half-turn azimuth twins by a joint phase-misfit / corrected-power score.
+search a coarse (theta, phi) grid of the weighted circular-distance loss
+with gamma profiled out, refine the best cells together in one batched,
+box-constrained Levenberg-Marquardt solve on the projected closed-form
+Jacobian, and arbitrate them and their half-turn azimuth twins by a joint
+phase-misfit / corrected-power score.
 
-Two structural facts shape the design:
+Three structural facts shape the design:
 
 * The cross-modal phase u~ = 0.5 * angle[ sum_k (y_i y_j*)^2 ] determines
   (l_i - l_j) * (delta_m + gamma) only modulo pi: squaring removes the sign
@@ -15,6 +16,9 @@ Two structural facts shape the design:
   comparisons therefore happen on the doubled angle, |e^{2i u~} -
   e^{2i (l_i-l_j)(delta_m + gamma)}|^2, which is exactly the distance
   between the squared products and is insensitive to the per-antenna sign.
+* gamma is common to every antenna, so ``_profile_gamma`` solves it at each
+  (theta, phi) instead of searching it (variable projection, Golub & Pereyra
+  1973), in closed form for one distinct l_i - l_j.
 * The phase loss alone cannot settle phi against phi + pi (gamma absorbs
   the half turn), and at noisy, weakly-conditioned poses it grows spurious
   minima; the corrected matched power over the ring supplies the missing
@@ -53,13 +57,23 @@ _POWER_CANDIDATES = 4
 _LOSS_CANDIDATES = 4
 _SHORTLIST_SPACING = 3
 
+# Several distinct l_i - l_j (see ``_profile_gamma``): Newton starts and
+# ranking samples per period and unit of max(l_i - l_j) / gcd, Newton steps,
+# and the grid cells solved to the end; the diverse walk over the loss
+# ranking reads at most its first 4 + 3 * 24 = 76 cells.
+_GAMMA_STARTS = 2
+_GAMMA_NEWTON_STEPS = 6
+_GAMMA_SAMPLES = 32
+_POLISHED_CELLS = 200
+
 # Levenberg-Marquardt refine: initial damping, its floor, its factors after
 # an accepted and a rejected step, the smallest step that continues, and the
-# floor of the Marquardt scale relative to the largest curvature (it keeps
-# a coordinate with no curvature, such as theta at exactly 0, damped).  The
-# damping floor keeps the damped normal matrix invertible where the
-# residuals leave it singular: on the theta = 0 bound no residual depends
-# on theta, and d delta/d phi equals d delta/d gamma.
+# floor of the Marquardt scale relative to the curvature along gamma (it
+# keeps a coordinate with no curvature damped).  The damping floor keeps the
+# damped normal matrix invertible where the residuals leave it singular: on
+# the theta = 0 bound no residual depends on theta, and there phi only
+# shifts delta, which the solved gamma absorbs, so the projected Jacobian
+# vanishes altogether.
 _LM_DAMPING = 1e-3
 _LM_MIN_DAMPING = 1e-12
 _LM_SHRINK = 1.0 / 3.0
@@ -93,7 +107,8 @@ class EstimationConfig:
     """Knobs of the estimation pipeline.
 
     ``antennas`` and ``modes`` are the subsets used in the fit; subcarriers
-    are given as frequencies present in the measurement tensor.  The
+    are given as frequencies present in the measurement tensor; ``grid_deg``
+    is the (theta, phi) grid step and refine-box half-width.  The
     Levenberg-Marquardt refine stops a candidate cell once an accepted step
     lowers its loss by no more than ``refine_tol`` relative (or its step
     moves less than 1e-9 rad), and after at most ``refine_max_iter`` steps,
@@ -104,7 +119,7 @@ class EstimationConfig:
     antennas: tuple[int, ...]
     subcarriers_hz: tuple[float, ...]
     weighting: str = "amplitude"
-    grid_deg: tuple[float, float, float] = (3.0, 3.0, 3.0)
+    grid_deg: tuple[float, float] = (3.0, 3.0)
     refine_tol: float = 1e-10
     refine_max_iter: int = 200
 
@@ -118,8 +133,11 @@ class EstimationConfig:
             raise ValueError("modes must be distinct")
         if self.weighting not in ("uniform", "amplitude", "amplitude-squared"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
-        if len(self.grid_deg) != 3 or any(g <= 0 for g in self.grid_deg):
-            raise ValueError("grid_deg must be three resolutions > 0")
+        if len(self.grid_deg) != 2 or any(g <= 0 for g in self.grid_deg):
+            raise ValueError(
+                "grid_deg must be two resolutions [theta, phi] > 0; "
+                "gamma is solved, no longer gridded"
+            )
 
 
 @dataclass(frozen=True)
@@ -140,7 +158,11 @@ class CrossModalPhaseSet:
 
 @dataclass(frozen=True)
 class MisalignmentEstimate:
-    """Estimated (theta, phi, gamma) with fit diagnostics."""
+    """Estimated (theta, phi, gamma) with fit diagnostics.
+
+    ``gamma`` is the canonical copy in (-pi/(2g), pi/(2g)], g the gcd of the
+    fitted modes' differences: the loss has period pi/g in gamma.
+    """
 
     theta: float
     phi: float
@@ -350,47 +372,38 @@ def _validate_config(config: EstimationConfig, n_rx: int) -> None:
 
 @lru_cache(maxsize=8)
 def _grid_tables(
-    grid_deg: tuple[float, float, float],
+    grid_deg: tuple[float, float],
     antenna_azimuths: tuple[float, ...],
     modes: tuple[int, ...],
 ):
-    """Precompute the (theta, phi, gamma) grids and their f-independent tables.
+    """Precompute the (theta, phi) grid and its f-independent tables.
 
-    Returns the three grid axes; the power-map geometry of every (theta, phi)
-    cell at the given antennas and gamma = 0 (see ``_power_geometry``); the
-    per-term model phase factors exp(-2i dl delta) of shape (n_theta, n_phi,
-    n_terms), with terms ordered antenna-major over ``_mode_pairs(modes)`` as
-    in ``cross_modal_phase_set``; and per distinct dl, ascending, the gamma
-    basis sin(2 dl gamma) over cos(2 dl gamma), (n_dl, 2, n_gamma).
+    Returns the two grid axes; the power-map geometry of every (theta, phi)
+    cell at the given antennas (see ``_power_geometry``); and the per-term
+    spin exp(-2i dl delta) of every cell, (n_theta * n_phi, n_terms), with
+    terms ordered antenna-major over ``_mode_pairs(modes)`` as in
+    ``cross_modal_phase_set``.
     """
-    g_th, g_ph, g_ga = (np.deg2rad(g) for g in grid_deg)
+    g_th, g_ph = (np.deg2rad(g) for g in grid_deg)
     thetas = np.arange(0.0, np.pi / 2 - 1e-12, g_th)
     phis = -np.pi + g_ph * np.arange(1, int(round(2 * np.pi / g_ph)) + 1)
-    gammas = -np.pi + g_ga * np.arange(1, int(round(2 * np.pi / g_ga)) + 1)
     th_mesh, ph_mesh = np.meshgrid(thetas, phis, indexing="ij")
     geometry = _power_geometry(
-        th_mesh.ravel(),
-        ph_mesh.ravel(),
-        np.asarray(antenna_azimuths),
-        np.zeros(th_mesh.size),
-        modes,
+        th_mesh.ravel(), ph_mesh.ravel(), np.asarray(antenna_azimuths), modes
     )
     pair_dl = np.array([li - lj for li, lj in _mode_pairs(modes)])
-    d = geometry[0].reshape(len(thetas), len(phis), -1)
-    model = np.exp(-2j * d[..., :, None] * pair_dl).reshape(len(thetas), len(phis), -1)
-    waves = np.exp(-2j * np.unique(pair_dl)[:, None] * gammas)
-    return thetas, phis, gammas, geometry, model, np.stack([-waves.imag, waves.real], 1)
+    spin = np.exp(-2j * geometry[0][:, :, None] * pair_dl).reshape(th_mesh.size, -1)
+    return thetas, phis, geometry, spin
 
 
-def _power_geometry(
-    theta: np.ndarray, phi: np.ndarray, phi_m: np.ndarray, gamma: np.ndarray, modes
-):
+def _power_geometry(theta: np.ndarray, phi: np.ndarray, phi_m: np.ndarray, modes):
     """Frequency-independent geometry of the matched-power probe.
 
-    For candidate angles (theta, phi, gamma) of shape (n,) and element
-    azimuths ``phi_m`` of shape (Q,), returns delta_m and rho_m of shape
-    (n, Q), sin(theta) of shape (n, 1), cos(phi - phi_m) of shape (n, Q) and
-    the twist e^{il(delta_m + gamma)} of each of ``modes``, (n_modes, n, Q).
+    For candidate angles (theta, phi) of shape (n,) and element azimuths
+    ``phi_m`` of shape (Q,), returns delta_m and rho_m of shape (n, Q),
+    sin(theta) of shape (n, 1), cos(phi - phi_m) of shape (n, Q) and the
+    twist e^{il delta_m} of each of ``modes``, (n_modes, n, Q); the matched
+    power does not see gamma, a phase common to all elements of a mode.
     """
     th = theta[:, None]
     ph = phi[:, None]
@@ -400,8 +413,54 @@ def _power_geometry(
         rho(th, ph, phi_m[None, :]),
         np.sin(th),
         np.cos(ph - phi_m),
-        np.exp(1j * np.asarray(modes)[:, None, None] * (d_m + gamma[:, None])),
+        np.exp(1j * np.asarray(modes)[:, None, None] * d_m),
     )
+
+
+def _profile_gamma(
+    spin: np.ndarray, terms: CrossModalPhaseSet, samples: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gamma that minimises the loss at n points, and the loss there.
+
+    ``spin`` holds each term's e^{-2i dl delta} at the points, (n, T).  The
+    loss is 2 sum(lambda) - 2 f(gamma), f(gamma) = Re sum_d c_d e^{-2i d
+    gamma} over the distinct dl, c_d = sum of lambda e^{2iu} spin over the
+    terms of that dl; f has period pi/g, g = gcd(dl).  One dl: f peaks at
+    |c| at gamma = arg(c) / (2 dl).  Several: safeguarded Newton steps from
+    ``_GAMMA_STARTS`` max(dl)/g starts per period, the best end kept; with
+    ``samples``, the best of that many unpolished samples per unit of
+    max(dl)/g, an upper bound of the loss for ranking.  gamma is returned
+    as the canonical copy in (-pi/(2g), pi/(2g)].
+    """
+    dls = np.unique(terms.dl)
+    g = np.gcd.reduce(dls)
+    # Real matrix products, the sampled f as a single one: at these shapes
+    # complex or very thin real products run several times slower.
+    terms_c = spin * (terms.weight * terms.target)
+    one_hot = (terms.dl[:, None] == dls).astype(float)
+    c_re, c_im = terms_c.real @ one_hot, terms_c.imag @ one_hot
+    c = c_re + 1j * c_im
+    if len(dls) == 1:
+        gamma, f = np.angle(c[:, 0]) / (2 * g), np.abs(c[:, 0])
+    else:
+        spacing = np.pi / ((samples or _GAMMA_STARTS) * dls.max())
+        starts = spacing * np.arange(round(np.pi / g / spacing))
+        phase = 2.0 * np.outer(dls, starts)
+        fs = np.hstack([c_re, c_im]) @ np.vstack([np.cos(phase), np.sin(phase)])
+        gam = step_to = np.broadcast_to(starts, fs.shape)
+        # |f''| never exceeds bound, so slope / bound is a safe ascent step.
+        bound = np.abs(c) @ (4.0 * dls**2)
+        for _ in range(0 if samples else _GAMMA_NEWTON_STEPS + 1):
+            gam = step_to
+            wave = c[:, None, :] * np.exp(-2j * gam[..., None] * dls)
+            fs = wave.real.sum(axis=-1)
+            slope, curv = wave.imag @ (2.0 * dls), wave.real @ (4.0 * dls**2)
+            step = slope / np.where(curv > 0, curv, bound[:, None])
+            step_to = gam + np.clip(step, -spacing / 2, spacing / 2)
+        best = (np.arange(len(c)), np.argmax(fs, axis=1))
+        gamma, f = gam[best], fs[best]
+    half = np.pi / (2 * g)
+    return half - np.mod(half - gamma, 2 * half), 2.0 * terms.weight.sum() - 2.0 * f
 
 
 def _coarse_candidates(
@@ -417,27 +476,19 @@ def _coarse_candidates(
     map (the criterion that later settles the half-turn ambiguity, and
     independent of gamma) is robust there but blurrier.  Candidates are the
     spatially diverse best cells of each map; the refined solutions are
-    arbitrated jointly afterwards.  Gamma per cell is read off the loss
-    along its own axis.  Returns (theta, phi, gamma, loss) tuples.
+    arbitrated jointly afterwards.  A cell's loss is minimised over gamma;
+    with several distinct dl only the cells that lead on sampled gamma are
+    solved to the end.  Returns (theta, phi, gamma, loss) tuples.
     """
-    thetas, phis, gammas, geometry, model, basis = _grid_tables(
+    thetas, phis, geometry, spin = _grid_tables(
         tuple(config.grid_deg),
         tuple(scenario.rx.element_azimuths[list(config.antennas)]),
         config.modes,
     )
-    # Group the gamma dependence: per distinct delta-l the model picks up
-    # exp(-2i dl gamma), so the correlation along the gamma axis is a real
-    # product of [Im c, Re c] with the cached [sin; cos](2 dl gamma).  In this
-    # order an FMA kernel rounds it as numpy's complex product does, so ties
-    # between the gamma-periodic copies of a minimum break as in that product.
-    coef = terms.weight * terms.target
-    total = float(2.0 * terms.weight.sum())
-    corr = 0.0
-    for dl, basis_dl in zip(np.unique(terms.dl), basis):
-        sel = terms.dl == dl
-        c = np.einsum("xyt,t->xy", model[:, :, sel], coef[sel]).ravel()
-        corr = corr + np.column_stack([c.imag, c.real]) @ basis_dl
-    loss_by_cell = total - 2.0 * corr.max(axis=1)
+    _gamma, rough = _profile_gamma(spin, terms, samples=_GAMMA_SAMPLES)
+    near = np.argsort(rough, kind="stable")[:_POLISHED_CELLS]
+    loss_by_cell = np.full(len(rough), np.inf)
+    loss_by_cell[near] = _profile_gamma(spin[near], terms)[1]
     n_phi = len(phis)
 
     def diverse_walk(ranking: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -463,14 +514,11 @@ def _coarse_candidates(
     for cell in diverse_walk(np.argsort(loss_by_cell, kind="stable"), _LOSS_CANDIDATES):
         if cell not in cells:
             cells.append(cell)
-    out = []
-    for it, ip in cells:
-        losses = total - 2.0 * corr[it * n_phi + ip]
-        ig = int(np.argmin(losses))
-        out.append(
-            (float(thetas[it]), float(phis[ip]), float(gammas[ig]), float(losses[ig]))
-        )
-    return out
+    solved, losses = _profile_gamma(spin[[it * n_phi + ip for it, ip in cells]], terms)
+    return [
+        (float(thetas[it]), float(phis[ip]), float(ga), float(lo))
+        for (it, ip), ga, lo in zip(cells, solved, losses)
+    ]
 
 
 def _matched_power(
@@ -538,14 +586,6 @@ def _model(x: np.ndarray, terms: CrossModalPhaseSet) -> np.ndarray:
     return np.exp(2j * terms.dl * (delta(theta, phi, terms.azimuth) + gamma))
 
 
-def _phase_misfit_nll(x: np.ndarray, terms: CrossModalPhaseSet) -> np.ndarray:
-    """Cross-modal phase misfit in (scaled) log-likelihood units, per candidate.
-
-    Each term is weighted by the inverse of its phase variance.
-    """
-    return np.abs(terms.target - _model(x, terms)) ** 2 @ terms.inv_var
-
-
 def _residuals(
     x: np.ndarray, terms: CrossModalPhaseSet
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -578,6 +618,23 @@ def _residuals(
     )
 
 
+def _profiled(
+    x: np.ndarray, terms: CrossModalPhaseSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gamma*, the residuals there and their projected Jacobian at (n, 2) ``x``.
+
+    Kaufman's J_p = J_a - J_g (J_g . J_a) / (J_g . J_g), (n, 2T, 2), from the
+    angle columns J_a and gamma column J_g of ``_residuals``; as J_g . r = 0
+    at gamma*, J_p^T r is the exact gradient of the profiled cost.
+    """
+    spin = np.exp(-2j * terms.dl * delta(x[:, 0:1], x[:, 1:2], terms.azimuth))
+    gamma, _loss = _profile_gamma(spin, terms)
+    res, jac = _residuals(np.column_stack([x, gamma]), terms)
+    j_a, j_g = jac[..., :2], jac[..., 2:]
+    proj = np.sum(j_g * j_a, axis=1, keepdims=True) / np.sum(j_g**2, axis=1)[..., None]
+    return gamma, res, j_a - j_g * proj
+
+
 def _refine_cells(
     cells: list[tuple[float, float, float, float]],
     terms: CrossModalPhaseSet,
@@ -585,20 +642,21 @@ def _refine_cells(
 ) -> list[tuple[np.ndarray, float, int]]:
     """Box-constrained Levenberg-Marquardt refinement of all cells at once.
 
-    Refinement is local by design: the loss valley trades phi against gamma
-    almost freely at weakly-conditioned poses, so each cell is confined to
-    a box of one grid step in theta and phi and two in gamma around its
-    coarse candidate.  Each iteration solves the Marquardt-scaled damped
-    normal equations of every active cell; a gradient component pushing
-    out of the box at an active bound is dropped, and the trial point is
-    clipped into the box.  The damping shrinks after an accepted step, down
-    to a floor, and grows after a rejected one.  A cell stops when its step moves less than
-    1e-9 rad, when an accepted step lowers its cost by no more than
+    The refine runs in (theta, phi) on ``_profiled``, gamma solved at every
+    iterate.  Each cell is confined to a box of one grid step in theta and
+    phi around its candidate, a prior that keeps noisy, weakly-conditioned
+    fits out of the spurious phase-loss minima a few steps away.  Each
+    iteration solves the Marquardt-scaled damped 2 x 2 normal equations of
+    every active cell; a gradient component pushing out of the box at an
+    active bound is dropped, and the trial point is clipped into the box.
+    The damping shrinks after an accepted step, down to a floor, and grows
+    after a rejected one.  A cell stops when its step moves less than 1e-9
+    rad, when an accepted step lowers its cost by no more than
     ``config.refine_tol`` relative, or after ``config.refine_max_iter``
-    steps.  Returns (x, cost, iterations) per cell, in input order.
+    steps.  Returns ((theta, phi), cost, iterations) per cell, in order.
     """
-    x = np.array([cell[:3] for cell in cells], dtype=float)
-    reach = np.deg2rad(config.grid_deg) * np.array([1.0, 1.0, 2.0])
+    x = np.array([cell[:2] for cell in cells], dtype=float)
+    reach = np.deg2rad(config.grid_deg)
     lower = x - reach
     upper = x + reach
     lower[:, 0] = np.maximum(lower[:, 0], 0.0)
@@ -606,8 +664,10 @@ def _refine_cells(
     # delta depends on theta through cos(theta), so every gradient vanishes
     # in theta at theta = 0: a cell on that row starts half a step inside.
     x[:, 0] = np.maximum(x[:, 0], 0.5 * reach[0])
-    res, jac = _residuals(x, terms)
+    _gamma, res, jac = _profiled(x, terms)
     cost = np.sum(res**2, axis=1)
+    # J_g . J_g, the curvature along gamma, is the same at every point.
+    scale_floor = _LM_SCALE_FLOOR * 4.0 * np.sum(terms.dl**2 * terms.weight)
     damping = np.full(len(x), _LM_DAMPING)
     iterations = np.zeros(len(x), dtype=int)
     act = np.arange(len(x))
@@ -619,13 +679,11 @@ def _refine_cells(
             ((xa <= lower[act]) & (grad > 0)) | ((xa >= upper[act]) & (grad < 0))
         )
         jf = ja * free[:, None, :]
-        scale = np.maximum(curv, _LM_SCALE_FLOOR * curv.max(axis=1, keepdims=True))
-        lhs = np.einsum("ntj,ntk->njk", jf, jf) + (
-            damping[act][:, None, None] * scale[:, :, None] * np.eye(3)
-        )
+        scale = damping[act][:, None] * np.maximum(curv, scale_floor)
+        lhs = np.einsum("ntj,ntk->njk", jf, jf) + scale[:, :, None] * np.eye(2)
         step = np.linalg.solve(lhs, -(grad * free)[..., None])[..., 0]
         trial = np.clip(xa + step, lower[act], upper[act])
-        res_t, jac_t = _residuals(trial, terms)
+        _gamma, res_t, jac_t = _profiled(trial, terms)
         cost_t = np.sum(res_t**2, axis=1)
         iterations[act] += 1
         accept = cost_t < cost[act]
@@ -651,60 +709,47 @@ def estimate(
 ) -> MisalignmentEstimate:
     """Estimate (theta, phi, gamma) from a few-shot measurement tensor.
 
-    Coarse grid search over the enforced ranges, batched box-constrained
-    Levenberg-Marquardt refinement of the most promising cells, then one
-    joint arbitration over the refined solutions and their half-turn
-    azimuth twins that combines the phase misfit with the corrected
-    received power.
+    Coarse (theta, phi) grid search over the enforced ranges, batched
+    box-constrained Levenberg-Marquardt refinement of the most promising
+    cells with gamma solved at every point, then one joint arbitration over
+    the refined solutions and their half-turn azimuth twins that combines
+    the phase misfit with the corrected received power.
     """
     _validate_config(config, scenario.rx.n_elements)
     terms = cross_modal_phase_set(tensor, config, scenario.rx.n_elements)
     cells = _coarse_candidates(terms, config, tensor, scenario)
     refined = _refine_cells(cells, terms, config)
 
-    # The loss cannot distinguish phi from phi + pi (with gamma shifted by
-    # -pi), so every refined candidate enters the pool together with its
-    # half-turn twin (identical loss by symmetry).  One joint likelihood
-    # score then arbitrates: the cross-modal phase misfit (inverse-variance
-    # weighted, which the measured amplitudes supply) plus the corrected
-    # matched-power deficit; both scale with 1/noise, so the noise level
-    # cancels from the ranking and the twin comparison is exactly the
-    # higher-corrected-power rule.  Even pool rows hold the refined
-    # candidates, odd rows their twins.
-    pool_x = np.repeat(np.array([x for x, _f, _n in refined]), 2, axis=0)
-    pool_x[1::2, 1] = np.angle(np.exp(1j * (pool_x[1::2, 1] + np.pi)))
-    pool_x[1::2, 2] = np.angle(np.exp(1j * (pool_x[1::2, 2] - np.pi)))
-    ring_azimuths = scenario.rx.element_azimuths[tensor.antennas]
-    powers = _matched_power(
-        tensor,
-        scenario,
-        config,
-        _power_geometry(
-            pool_x[:, 0], pool_x[:, 1], ring_azimuths, pool_x[:, 2], config.modes
-        ),
-        antennas=None,
-        normalized=True,
-    )
-    misfits = _phase_misfit_nll(pool_x, terms)
+    # The loss cannot distinguish phi from phi + pi (gamma absorbs the half
+    # turn), so every refined candidate enters the pool with its half-turn
+    # twin and the twin's own gamma.  One joint likelihood score arbitrates:
+    # the cross-modal phase misfit (inverse-variance weighted, which the
+    # measured amplitudes supply) plus the corrected matched-power deficit;
+    # both scale with 1/noise, so the noise level cancels from the ranking
+    # and the twin comparison is exactly the higher-corrected-power rule.
+    # Even pool rows hold the refined candidates, odd rows their twins.
+    pool = np.repeat(np.array([x for x, _f, _n in refined]), 2, axis=0)
+    pool[1::2, 1] = np.angle(np.exp(1j * (pool[1::2, 1] + np.pi)))
+    pool_gamma = _profiled(pool, terms)[0]
+    ring = scenario.rx.element_azimuths[tensor.antennas]
+    geometry = _power_geometry(pool[:, 0], pool[:, 1], ring, config.modes)
+    powers = _matched_power(tensor, scenario, config, geometry, normalized=True)
+    model = _model(np.column_stack([pool, pool_gamma]), terms)
+    misfits = np.abs(terms.target - model) ** 2 @ terms.inv_var
     scores = misfits + (powers.max() - powers)
     best = int(np.argmin(scores))
-    x_hat = pool_x[best]
     cell_idx = best // 2
     _x, residual, n_iter = refined[cell_idx]
-    theta_hat = float(np.clip(x_hat[0], 0.0, np.pi / 2 - 1e-12))
-    phi_hat = float(np.angle(np.exp(1j * x_hat[1])))
-    gamma_hat = float(np.angle(np.exp(1j * x_hat[2])))
     twin_idx = best + 1 if best % 2 == 0 else best - 1
 
     return MisalignmentEstimate(
-        theta=theta_hat,
-        phi=phi_hat,
-        gamma=gamma_hat,
+        theta=float(np.clip(pool[best, 0], 0.0, np.pi / 2 - 1e-12)),
+        phi=float(np.angle(np.exp(1j * pool[best, 1]))),
+        gamma=float(pool_gamma[best]),
         residual=residual,
         diagnostics={
             "grid_theta": cells[cell_idx][0],
             "grid_phi": cells[cell_idx][1],
-            "grid_gamma": cells[cell_idx][2],
             "grid_loss": cells[cell_idx][3],
             "refine_iterations": n_iter,
             "corrected_power_kept": float(powers[best]),

@@ -84,6 +84,11 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+def _pose_for_targets(theta_deg: float, phi_deg: float) -> dict:
+    ry, rx = tilt_for_angles(np.deg2rad(theta_deg), np.deg2rad(phi_deg))
+    return {"rot_y_deg": float(np.rad2deg(ry)), "rot_x_deg": float(np.rad2deg(rx))}
+
+
 def _default_pose_grid() -> list[dict]:
     """Fifteen poses spanning elevations 14..75.7 deg, azimuths -170..-100 deg.
 
@@ -92,18 +97,7 @@ def _default_pose_grid() -> list[dict]:
     """
     thetas = np.linspace(14.0, 75.7, 15)
     phis = np.linspace(-170.0, -100.0, 15)
-    poses = []
-    for th, ph in zip(thetas, phis):
-        ry, rx = tilt_for_angles(np.deg2rad(th), np.deg2rad(ph))
-        poses.append(
-            {"rot_y_deg": float(np.rad2deg(ry)), "rot_x_deg": float(np.rad2deg(rx))}
-        )
-    return poses
-
-
-def _pose_for_targets(theta_deg: float, phi_deg: float) -> dict:
-    ry, rx = tilt_for_angles(np.deg2rad(theta_deg), np.deg2rad(phi_deg))
-    return {"rot_y_deg": float(np.rad2deg(ry)), "rot_x_deg": float(np.rad2deg(rx))}
+    return [_pose_for_targets(th, ph) for th, ph in zip(thetas, phis)]
 
 
 BASE_DEFAULTS: dict = {
@@ -120,7 +114,7 @@ BASE_DEFAULTS: dict = {
         "q": 6,
         "p": 1,
         "weighting": "amplitude",
-        "grid_deg": [3.0, 3.0, 3.0],
+        "grid_deg": [3.0, 3.0],
         "tol": 1e-10,
         "max_iter": 200,
     },
@@ -186,7 +180,7 @@ class ExperimentSpec:
     q: int
     p: int
     weighting: str
-    grid_deg: tuple[float, float, float]
+    grid_deg: tuple[float, float]
     refine_tol: float
     refine_max_iter: int
     subcarrier_counts: tuple[int, ...]
@@ -550,6 +544,19 @@ def _trial_rows(
     return rows, failures
 
 
+def _estimation_summary(rows: list[ResultRow], failures: Counter) -> dict:
+    """Accuracy, mean SIR gains and trial counts of completed ``rows``."""
+    return {
+        "mae_theta_deg": float(np.mean([r.theta_err_deg for r in rows])),
+        "mae_phi_deg": float(np.mean([r.phi_err_deg for r in rows])),
+        "mean_sir_gain_db": float(np.mean([r.sir_gain_db for r in rows])),
+        "mean_sir_gain_true_db": float(np.mean([r.sir_gain_true_db for r in rows])),
+        "trials": len(rows),
+        "failed_trials": failures.total(),
+        "failed_by_error": dict(failures),
+    }
+
+
 def run_angle_sweep(spec: ExperimentSpec) -> dict:
     """Estimate every pose; report per-pose statistics and overall MAEs."""
     rows, failures = _trial_rows(spec, spec.p, spec.q)
@@ -584,15 +591,7 @@ def run_angle_sweep(spec: ExperimentSpec) -> dict:
         per_pose,
         spec.config_hash,
     )
-    summary = {
-        "mae_theta_deg": float(np.mean([r.theta_err_deg for r in rows])),
-        "mae_phi_deg": float(np.mean([r.phi_err_deg for r in rows])),
-        "mean_sir_gain_db": float(np.mean([r.sir_gain_db for r in rows])),
-        "mean_sir_gain_true_db": float(np.mean([r.sir_gain_true_db for r in rows])),
-        "trials": len(rows),
-        "failed_trials": failures.total(),
-        "failed_by_error": dict(failures),
-    }
+    summary = _estimation_summary(rows, failures)
     _write_summary(spec, summary)
     return summary
 
@@ -622,14 +621,8 @@ def run_ccdf(spec: ExperimentSpec) -> dict:
         spec.config_hash,
     )
     summary = {
-        "mean_sir_gain_db": float(np.mean(gains)),
-        "mean_sir_gain_true_db": float(np.mean([r.sir_gain_true_db for r in rows])),
+        **_estimation_summary(rows, failures),
         "mean_capacity_ratio": float(np.mean(ratios)),
-        "mae_theta_deg": float(np.mean([r.theta_err_deg for r in rows])),
-        "mae_phi_deg": float(np.mean([r.phi_err_deg for r in rows])),
-        "trials": len(rows),
-        "failed_trials": failures.total(),
-        "failed_by_error": dict(failures),
     }
     _write_summary(spec, summary)
     return summary

@@ -317,7 +317,7 @@ class TestFailures:
         ("ccdf", {"estimation": {"q": 2}}),
         ("ccdf", {"estimation": {"q": 30}}),
         ("ccdf", {"estimation": {"weighting": "magic"}}),
-        ("ccdf", {"estimation": {"grid_deg": [3, 3]}}),
+        ("ccdf", {"estimation": {"grid_deg": [3]}}),
         ("ccdf", {"estimation": {"modes": [1, 1]}}),
         ("antenna-sweep", {"antenna_counts": [2, 6]}),
         ("imi-demo", {"demo_modes": [-12, 12]}),
@@ -328,6 +328,13 @@ class TestFailures:
         code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_gamma_grid_exit_config(self, tmp_path, capsys):
+        # gamma is solved at every point, so a third grid step is an error.
+        path = tiny_config(tmp_path, estimation={"grid_deg": [3, 3, 3]})
+        code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "gamma is solved, no longer gridded" in capsys.readouterr().err
 
 
 class TestCli:
