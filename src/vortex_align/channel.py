@@ -3,16 +3,16 @@
 Two models generate the complex sample at each receive element for a
 transmitted vortex mode ``l`` and wavenumber ``k``:
 
-* ``exact_received_signal`` sums spherical waves from every transmit
-  element over exact 3-D distances.  It is the ground-truth oracle and is
-  valid at any range where the elements do not overlap.
+* ``exact_received_signals`` is the ground-truth oracle: spherical waves
+  from every transmit element over exact 3-D distances, built once per
+  call, with the propagation once per k; valid unless elements overlap.
 * ``farfield_received_signal`` is the closed-form model
   (alpha/k) * (exp(-i k r)/r) * exp(i k a_r sin(theta) cos(phi - phi_m))
   * N_t * exp(i l (delta_m + gamma)) * J_l(k a_r a_t rho_m / r),
   valid when the link distance dominates both apertures.
 
-``simulate_measurement`` stacks either model over (antenna, mode,
-subcarrier) and adds seeded circularly-symmetric complex Gaussian noise.
+``received_signals`` stacks either model over (antenna, mode, subcarrier);
+``simulate_measurement`` adds seeded circularly-symmetric complex noise.
 """
 
 from __future__ import annotations
@@ -90,27 +90,36 @@ def rho(theta, phi, phi_m):
     return float(out) if out.ndim == 0 else out
 
 
-def exact_received_signal(
-    scenario: Scenario, pose: RxPose, mode: int, k: float
-) -> np.ndarray:
-    """Exact point-source sum at every receive element for one (mode, k).
+def exact_received_signals(scenario: Scenario, pose: RxPose, modes, ks) -> np.ndarray:
+    """Exact point-source sums at every receive element, (N_r, modes, ks).
 
-    s_m = (alpha/k) * sum_n exp(i l phi_n) exp(-i k d_mn) / d_mn with exact
-    element-to-element distances d_mn.  Returns a complex vector of length
-    N_r.
+    s_m = (alpha/k) * sum_n exp(i l phi_n) exp(-i k d_mn) / d_mn over exact
+    distances d_mn; one call builds them once and the propagation once per k.
     """
-    if not k > 0:
+    if not np.all(np.asarray(ks) > 0):
         raise ValueError("wavenumber k must be > 0")
     tx_pos = element_positions_tx(scenario.tx)
     rx_pos = element_positions_rx(scenario.rx, pose)
-    diff = rx_pos[:, None, :] - tx_pos[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
+    dist = np.linalg.norm(rx_pos[:, None, :] - tx_pos[None, :, :], axis=2)
     if dist.min() < MIN_SEPARATION_M:
         raise GeometryOverlapError(
             f"element separation {dist.min():.3e} m below {MIN_SEPARATION_M} m"
         )
-    tx_phase = np.exp(1j * mode * scenario.tx.element_azimuths)
-    return (scenario.gain / k) * (np.exp(-1j * k * dist) / dist) @ tx_phase
+    tx_phases = [np.exp(1j * l * scenario.tx.element_azimuths) for l in modes]
+    out = np.empty((len(rx_pos), len(tx_phases), len(ks)), dtype=complex)
+    for ki, k in enumerate(ks):
+        prop = (scenario.gain / k) * (np.exp(-1j * k * dist) / dist)
+        # One product per mode: a single product over all modes rounds differently.
+        for li, tx_phase in enumerate(tx_phases):
+            out[:, li, ki] = prop @ tx_phase
+    return out
+
+
+def exact_received_signal(
+    scenario: Scenario, pose: RxPose, mode: int, k: float
+) -> np.ndarray:
+    """``exact_received_signals`` for one (mode, k): a complex vector of length N_r."""
+    return exact_received_signals(scenario, pose, [mode], [k])[:, 0, 0]
 
 
 def _check_farfield(r: float, tx: UcaGeometry, rx: UcaGeometry) -> None:
@@ -177,6 +186,19 @@ def farfield_antenna_vector(
     )
 
 
+def received_signals(scenario: Scenario, pose: RxPose, modes, ks, model: str):
+    """Noiseless samples (N_r, modes, ks) of the ``"exact"`` or ``"farfield"`` model."""
+    if model == "exact":
+        return exact_received_signals(scenario, pose, modes, ks)
+    if model != "farfield":
+        raise ValueError(f"unknown model {model!r}")
+    s = np.empty((scenario.rx.n_elements, len(modes), len(ks)), dtype=complex)
+    for li, mode in enumerate(modes):
+        for ki, k in enumerate(ks):
+            s[:, li, ki] = farfield_antenna_vector(scenario, pose, mode, k)
+    return s
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive noise description: explicit variance or target SNR, plus seed.
@@ -237,11 +259,22 @@ class SampleTensor:
         except ValueError:
             raise KeyError(f"mode {mode} not present in tensor") from None
 
+    def subcarrier_indices(self, freqs_hz) -> np.ndarray:
+        """Column of each of ``freqs_hz`` in ``values`` (the first match)."""
+        freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
+        return _lookup(self.subcarriers_hz, freqs, KeyError, "not present in tensor")
+
     def subcarrier_index(self, freq_hz: float) -> int:
-        idx = np.flatnonzero(np.isclose(self.subcarriers_hz, freq_hz, rtol=1e-12))
-        if idx.size == 0:
-            raise KeyError(f"subcarrier {freq_hz} Hz not present in tensor")
-        return int(idx[0])
+        return int(self.subcarrier_indices(freq_hz)[0])
+
+
+def _lookup(grid: np.ndarray, freqs: np.ndarray, error, where: str) -> np.ndarray:
+    """First match of each ``freqs`` in ``grid``; ``error`` names the first missing."""
+    match = np.isclose(grid, freqs[:, None], rtol=1e-12)
+    found = match.any(axis=1)
+    if not found.all():
+        raise error(f"subcarrier {freqs[np.argmin(found)]} Hz {where}")
+    return match.argmax(axis=1)
 
 
 def simulate_measurement(
@@ -254,28 +287,16 @@ def simulate_measurement(
 ) -> SampleTensor:
     """Simulate the measurement tensor y = s + n over (antenna, mode, subcarrier).
 
-    Noise draws are circularly-symmetric complex Gaussian, independent per
-    sample, and deterministic given ``noise.seed``.
+    The exact oracle builds the distances once per call and the propagation
+    once per subcarrier.  Noise draws are circularly-symmetric complex
+    Gaussian, independent per sample, and deterministic given ``noise.seed``.
     """
     modes = tuple(int(l) for l in modes)
     if len(set(modes)) != len(modes):
         raise ValueError("modes must be distinct")
     sub = np.atleast_1d(np.asarray(subcarriers_hz, dtype=float))
-    for f in sub:
-        if not np.any(np.isclose(scenario.subcarriers_hz, f, rtol=1e-12)):
-            raise ValueError(f"subcarrier {f} Hz is not on the scenario grid")
-    if model not in ("exact", "farfield"):
-        raise ValueError(f"unknown model {model!r}")
-
-    n_rx = scenario.rx.n_elements
-    s = np.empty((n_rx, len(modes), len(sub)), dtype=complex)
-    for li, mode in enumerate(modes):
-        for ki, f in enumerate(sub):
-            k = wavenumber(f)
-            if model == "exact":
-                s[:, li, ki] = exact_received_signal(scenario, pose, mode, k)
-            else:
-                s[:, li, ki] = farfield_antenna_vector(scenario, pose, mode, k)
+    _lookup(scenario.subcarriers_hz, sub, ValueError, "is not on the scenario grid")
+    s = received_signals(scenario, pose, modes, wavenumber(sub), model)
 
     if noise.sigma2 is not None:
         sigma2 = noise.sigma2
@@ -292,7 +313,7 @@ def simulate_measurement(
 
     return SampleTensor(
         values=s,
-        antennas=np.arange(n_rx),
+        antennas=np.arange(scenario.rx.n_elements),
         modes=modes,
         subcarriers_hz=sub,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import exact_received_signal, farfield_antenna_vector
+from .channel import received_signals
 from .geometry import RxPose, Scenario, UcaGeometry
 
 # Sentinel for infinite SIR (zero interference); keeps capacity finite.
@@ -151,21 +151,16 @@ def imi_matrices(
 ) -> list[ImiMatrix]:
     """Decoded power for every (decoded, transmitted) mode pair, one matrix per mask.
 
-    Runs one noiseless channel simulation per transmitted mode and decodes
-    it under every mask in ``masks`` (``None`` decodes without a mask).
+    Simulates all transmitted modes in one noiseless channel call and
+    decodes each under every mask in ``masks`` (``None``: no mask).
     """
     transmitted_modes = tuple(int(l) for l in transmitted_modes)
     decoded_modes = tuple(int(l) for l in decoded_modes)
+    fields = received_signals(scenario, pose, transmitted_modes, [k], model)
     power = np.zeros((len(masks), len(decoded_modes), len(transmitted_modes)))
-    for col, l_tx in enumerate(transmitted_modes):
-        if model == "exact":
-            s = exact_received_signal(scenario, pose, l_tx, k)
-        elif model == "farfield":
-            s = farfield_antenna_vector(scenario, pose, l_tx, k)
-        else:
-            raise ValueError(f"unknown model {model!r}")
+    for col in range(len(transmitted_modes)):
         for m, mask in enumerate(masks):
-            decoded = decode_modes(s, mask, decoded_modes)
+            decoded = decode_modes(fields[:, col, 0], mask, decoded_modes)
             for row, l_dec in enumerate(decoded_modes):
                 power[m, row, col] = abs(decoded[l_dec]) ** 2
     return [ImiMatrix(p, decoded_modes, transmitted_modes) for p in power]

@@ -223,7 +223,7 @@ def _samples(tensor: SampleTensor, antennas, modes, subcarriers_hz) -> np.ndarra
     try:
         rows = [tensor.antenna_index(m) for m in antennas]
         cols = [tensor.mode_index(l) for l in modes]
-        ks = [tensor.subcarrier_index(f) for f in np.atleast_1d(subcarriers_hz)]
+        ks = tensor.subcarrier_indices(subcarriers_hz)
     except KeyError as exc:
         raise MissingSamplesError(str(exc)) from None
     return tensor.values[np.ix_(rows, cols, ks)]
@@ -551,12 +551,11 @@ def _matched_power(
         picks = np.linspace(0, len(subs) - 1, _POWER_GRID_MAX_SUBCARRIERS).astype(int)
         subs = tuple(subs[i] for i in picks)
     power = np.zeros(rho_m.shape[0])
-    for f in subs:
+    for f, ki in zip(subs, tensor.subcarrier_indices(subs)):
         k = wavenumber(f)
         # Includes the candidate mask: conj of the tilt-induced spatial phase.
         spatial = np.exp(1j * k * rx.radius_m * sin_th * cos_u)
         arg = k * rx.radius_m * scenario.tx.radius_m * rho_m / r
-        ki = tensor.subcarrier_index(f)
         bessel = _bessel_factors(config.modes, arg)
         for li, tw, j_l in zip(mode_idx, twist, bessel):
             profile = spatial * tw * j_l

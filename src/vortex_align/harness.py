@@ -36,7 +36,7 @@ import numpy as np
 
 from .channel import (
     NoiseSpec,
-    exact_received_signal,
+    exact_received_signals,
     farfield_antenna_vector,
     simulate_measurement,
     wavenumber,
@@ -775,8 +775,8 @@ def validate_model(spec: ExperimentSpec) -> dict:
                 carrier_hz=scenario.carrier_hz,
                 subcarriers_hz=np.array([scenario.carrier_hz]),
             )
-            for mode in modes:
-                exact = exact_received_signal(ring_scenario, pose, mode, k)
+            fields = exact_received_signals(ring_scenario, pose, modes, [k])
+            for mode, exact in zip(modes, fields[:, :, 0].T):
                 model = farfield_antenna_vector(ring_scenario, pose, mode, k)
                 corr = abs(np.vdot(exact, model)) / (
                     np.linalg.norm(exact) * np.linalg.norm(model)

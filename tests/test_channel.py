@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -11,13 +13,23 @@ from vortex_align.channel import (
     bessel_j,
     delta,
     exact_received_signal,
+    exact_received_signals,
     farfield_antenna_vector,
     farfield_received_signal,
+    received_signals,
     rho,
     simulate_measurement,
     wavenumber,
 )
-from vortex_align.geometry import RxPose, Scenario, UcaGeometry, tilt_for_angles
+from vortex_align.correction import imi_matrices
+from vortex_align.geometry import (
+    RxPose,
+    Scenario,
+    UcaGeometry,
+    element_positions_rx,
+    element_positions_tx,
+    tilt_for_angles,
+)
 
 F_CARRIER = 120e9
 K_CARRIER = wavenumber(F_CARRIER)
@@ -31,6 +43,25 @@ def make_scenario(tx_n=160, tx_r=0.03, rx_n=20, rx_r=0.008, distance=100.0,
     scen = Scenario(UcaGeometry(tx_n, tx_r), UcaGeometry(rx_n, rx_r), pose,
                     F_CARRIER, subs, gain=gain)
     return scen, pose
+
+
+GRID_HZ = 119.5e9 + 1e7 * np.arange(71)
+
+
+def reference_exact(scen, pose, modes, ks):
+    """The oracle evaluated one (mode, k) pair at a time, stacked (N_r, modes, ks)."""
+    out = np.empty((scen.rx.n_elements, len(modes), len(ks)), dtype=complex)
+    for li, mode in enumerate(modes):
+        for ki, k in enumerate(ks):
+            tx_pos = element_positions_tx(scen.tx)
+            rx_pos = element_positions_rx(scen.rx, pose)
+            diff = rx_pos[:, None, :] - tx_pos[None, :, :]
+            dist = np.linalg.norm(diff, axis=2)
+            tx_phase = np.exp(1j * mode * scen.tx.element_azimuths)
+            out[:, li, ki] = (
+                (scen.gain / k) * (np.exp(-1j * k * dist) / dist) @ tx_phase
+            )
+    return out
 
 
 def correlation(a, b):
@@ -112,15 +143,43 @@ class TestExactOracle:
             residual = np.angle(flattened * np.conj(flattened[0]))
             assert np.max(np.abs(residual)) < 1e-6
 
+    @pytest.mark.parametrize("rx_n, rx_r", [(20, 0.008), (120, 0.02)])
+    @pytest.mark.parametrize("theta_deg, phi_deg", [(0.0, 0.0), (23.0, -131.0)])
+    def test_batch_matches_per_pair_formula_bitwise(self, rx_n, rx_r, theta_deg,
+                                                   phi_deg):
+        scen, pose = make_scenario(rx_n=rx_n, rx_r=rx_r, distance=0.4,
+                                   theta_deg=theta_deg, phi_deg=phi_deg,
+                                   subcarriers=GRID_HZ)
+        modes = list(range(-3, 4))
+        ks = wavenumber(GRID_HZ[[0, 17, 35, 52, 70]])
+        got = exact_received_signals(scen, pose, modes, ks)
+        assert got.shape == (rx_n, len(modes), len(ks))
+        assert np.array_equal(got, reference_exact(scen, pose, modes, ks))
+        one = exact_received_signal(scen, pose, -2, ks[3])
+        assert np.array_equal(one, got[:, 1, 3])
+
     def test_overlap_raises(self):
         scen, pose = make_scenario(tx_r=0.03, rx_r=0.03, distance=1e-10)
         with pytest.raises(GeometryOverlapError):
             exact_received_signal(scen, pose, 0, K_CARRIER)
+        with pytest.raises(GeometryOverlapError):
+            exact_received_signals(scen, pose, [-1, 0, 1], [K_CARRIER, 2 * K_CARRIER])
 
-    def test_rejects_bad_wavenumber(self):
+    def test_rejects_bad_wavenumber(self, monkeypatch):
         scen, pose = make_scenario()
-        with pytest.raises(ValueError):
-            exact_received_signal(scen, pose, 0, 0.0)
+
+        def no_geometry(*_args):
+            raise AssertionError("geometry built before the wavenumber check")
+
+        monkeypatch.setattr("vortex_align.channel.element_positions_tx", no_geometry)
+        monkeypatch.setattr("vortex_align.channel.element_positions_rx", no_geometry)
+        message = r"^wavenumber k must be > 0$"
+        for k in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match=message):
+                exact_received_signal(scen, pose, 0, k)
+        for ks in ([K_CARRIER, -1.0], [K_CARRIER, np.nan, K_CARRIER], [np.nan]):
+            with pytest.raises(ValueError, match=message):
+                exact_received_signals(scen, pose, [0, 1], ks)
 
 
 class TestFarfieldModel:
@@ -205,6 +264,15 @@ class TestSimulateMeasurement:
         direct = exact_received_signal(scen, pose, 1, K_CARRIER)
         assert np.allclose(tensor.values[:, 0, 0], direct)
 
+    def test_exact_model_matches_per_pair_formula_bitwise(self):
+        scen, pose = make_scenario(theta_deg=23.0, phi_deg=-131.0, distance=0.4,
+                                   subcarriers=GRID_HZ)
+        subs = GRID_HZ[::9]
+        assert len(subs) == 8
+        tensor = simulate_measurement(scen, pose, [-1, 1], subs, model="exact")
+        expected = reference_exact(scen, pose, [-1, 1], wavenumber(subs))
+        assert np.array_equal(tensor.values, expected)
+
     def test_rejects_duplicate_modes(self):
         scen, pose = make_scenario()
         with pytest.raises(ValueError):
@@ -212,13 +280,22 @@ class TestSimulateMeasurement:
 
     def test_rejects_off_grid_subcarrier(self):
         scen, pose = make_scenario()
-        with pytest.raises(ValueError):
-            simulate_measurement(scen, pose, [1], [119.9e9])
+        # The message names the first off-grid entry.
+        first = r"subcarrier 119900000000\.0 Hz is not on"
+        for subs in ([119.9e9], [F_CARRIER, 119.9e9, 119.8e9],
+                     [119.9e9, F_CARRIER, 119.8e9]):
+            with pytest.raises(ValueError, match=first):
+                simulate_measurement(scen, pose, [1], subs)
 
     def test_rejects_unknown_model(self):
         scen, pose = make_scenario()
-        with pytest.raises(ValueError):
+        message = r"^unknown model 'hybrid'$"
+        with pytest.raises(ValueError, match=message):
             simulate_measurement(scen, pose, [1], [F_CARRIER], model="hybrid")
+        with pytest.raises(ValueError, match=message):
+            received_signals(scen, pose, [1], [K_CARRIER], "hybrid")
+        with pytest.raises(ValueError, match=message):
+            imi_matrices(scen, pose, [1], [1], [None], "hybrid", K_CARRIER)
 
 
 class TestSampleTensor:
@@ -244,6 +321,26 @@ class TestSampleTensor:
             tensor.mode_index(3)
         with pytest.raises(KeyError):
             tensor.subcarrier_index(2e9)
+
+    def test_subcarrier_indices_take_first_match(self):
+        tensor = SampleTensor(np.zeros((1, 1, 4), dtype=complex), np.arange(1),
+                              (1,), np.array([3e9, 1e9, 2e9, 1e9]))
+        got = tensor.subcarrier_indices([1e9 * (1 + 1e-13), 2e9, 3e9, 1e9])
+        assert got.tolist() == [1, 2, 0, 1]
+        assert tensor.subcarrier_index(1e9) == 1
+
+    @pytest.mark.parametrize("freqs, first", [
+        ([2e9], 2e9),
+        ([1e9, 2e9, 3e9], 2e9),
+        ([4e9, 3e9, 2e9], 3e9),
+        ([1e9 * (1 + 1e-11), 2e9], 1e9 * (1 + 1e-11)),
+    ])
+    def test_subcarrier_indices_name_first_missing(self, freqs, first):
+        tensor = SampleTensor(np.zeros((1, 1, 2), dtype=complex), np.arange(1),
+                              (1,), np.array([1e9, 4e9]))
+        message = re.escape(f"subcarrier {first} Hz not present")
+        with pytest.raises(KeyError, match=message):
+            tensor.subcarrier_indices(freqs)
 
 
 class TestNoiseSpec:
