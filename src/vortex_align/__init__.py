@@ -8,7 +8,6 @@ from .channel import (
     SampleTensor,
     bessel_j,
     delta,
-    exact_received_signal,
     farfield_antenna_vector,
     farfield_received_signal,
     rho,
@@ -21,7 +20,6 @@ from .correction import (
     capacity,
     decode_modes,
     imi_matrices,
-    imi_matrix,
     phase_mask,
     sir,
     sir_gain,
@@ -30,7 +28,6 @@ from .estimator import (
     CrossModalPhaseSet,
     EstimationConfig,
     MisalignmentEstimate,
-    cross_modal_phase,
     cross_modal_phase_set,
     estimate,
     loss,

@@ -115,13 +115,6 @@ def exact_received_signals(scenario: Scenario, pose: RxPose, modes, ks) -> np.nd
     return out
 
 
-def exact_received_signal(
-    scenario: Scenario, pose: RxPose, mode: int, k: float
-) -> np.ndarray:
-    """``exact_received_signals`` for one (mode, k): a complex vector of length N_r."""
-    return exact_received_signals(scenario, pose, [mode], [k])[:, 0, 0]
-
-
 def _check_farfield(r: float, tx: UcaGeometry, rx: UcaGeometry) -> None:
     aperture = max(tx.radius_m, rx.radius_m)
     if r <= FARFIELD_HARD_FACTOR * aperture:
@@ -263,9 +256,6 @@ class SampleTensor:
         """Column of each of ``freqs_hz`` in ``values`` (the first match)."""
         freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
         return _lookup(self.subcarriers_hz, freqs, KeyError, "not present in tensor")
-
-    def subcarrier_index(self, freq_hz: float) -> int:
-        return int(self.subcarrier_indices(freq_hz)[0])
 
 
 def _lookup(grid: np.ndarray, freqs: np.ndarray, error, where: str) -> np.ndarray:

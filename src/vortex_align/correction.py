@@ -18,7 +18,6 @@ mode ``l`` lands in decode slot ``l``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,16 +80,6 @@ class ImiMatrix:
                 self.transmitted_modes.index(transmitted),
             ]
         )
-
-    def write_csv(self, path) -> None:
-        """Rows are decoded modes, columns transmitted modes."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["decoded\\transmitted"] + list(self.transmitted_modes))
-            for i, l_dec in enumerate(self.decoded_modes):
-                writer.writerow(
-                    [l_dec] + [format(v, ".12g") for v in self.power[i]]
-                )
 
 
 def phase_mask(theta: float, phi: float, k: float, rx: UcaGeometry) -> PhaseMask:
@@ -164,21 +153,6 @@ def imi_matrices(
             for row, l_dec in enumerate(decoded_modes):
                 power[m, row, col] = abs(decoded[l_dec]) ** 2
     return [ImiMatrix(p, decoded_modes, transmitted_modes) for p in power]
-
-
-def imi_matrix(
-    scenario: Scenario,
-    pose: RxPose,
-    transmitted_modes,
-    decoded_modes,
-    mask: PhaseMask | None,
-    model: str,
-    k: float,
-) -> ImiMatrix:
-    """Decoded power for every (decoded, transmitted) mode pair under one mask."""
-    return imi_matrices(
-        scenario, pose, transmitted_modes, decoded_modes, [mask], model, k
-    )[0]
 
 
 def _capped_db(ratio_num: float, ratio_den: float) -> float:

@@ -171,18 +171,6 @@ class MisalignmentEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def cross_modal_phase(
-    tensor: SampleTensor, m: int, l_i: int, l_j: int, subcarriers_hz
-) -> float:
-    """Average cross-modal phase at antenna ``m`` for the mode pair (l_i, l_j).
-
-    Returns 0.5 * angle[ sum_k (y_{m,l_i,k} * conj(y_{m,l_j,k}))^2 ], in
-    (-pi/2, pi/2]; the value estimates (l_i - l_j)(delta_m + gamma) mod pi.
-    """
-    block = _samples(tensor, (m,), (l_i, l_j), subcarriers_hz)
-    return float(_cross_modal_phases(block, [0], [1], (m,), [(l_i, l_j)])[0, 0])
-
-
 def cross_modal_phase_set(
     tensor: SampleTensor, config: EstimationConfig, n_elements: int
 ) -> CrossModalPhaseSet:

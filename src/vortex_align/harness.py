@@ -34,20 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (
-    NoiseSpec,
-    exact_received_signals,
-    farfield_antenna_vector,
-    simulate_measurement,
-    wavenumber,
-)
+from .channel import NoiseSpec, received_signals, simulate_measurement, wavenumber
 from .correction import (
     ImiMatrix,
     ZeroSignalError,
     capacity,
     check_decodable,
     imi_matrices,
-    imi_matrix,
     phase_mask,
     sir,
 )
@@ -708,7 +701,9 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
     tilted_pose = RxPose.from_tilt(r, np.deg2rad(spec.demo_tilt_deg), 0.0)
     theta_t, phi_t = misalignment_angles(tilted_pose)
 
-    aligned = imi_matrix(scenario, aligned_pose, modes, modes, None, spec.model, k)
+    aligned = imi_matrices(
+        scenario, aligned_pose, modes, modes, [None], spec.model, k
+    )[0]
     tilted, corrected = imi_matrices(
         scenario,
         tilted_pose,
@@ -718,22 +713,20 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
         spec.model,
         k,
     )
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    aligned.write_csv(spec.out_dir / "imi_aligned.csv")
-    tilted.write_csv(spec.out_dir / "imi_misaligned.csv")
-    corrected.write_csv(spec.out_dir / "imi_corrected.csv")
+    matrices = {"aligned": aligned, "misaligned": tilted, "corrected": corrected}
+    for label, imi in matrices.items():
+        # Rows are decoded modes, columns transmitted modes.
+        _write_csv(
+            spec.out_dir / f"imi_{label}.csv",
+            ["decoded\\transmitted", *imi.transmitted_modes],
+            [[l, *row] for l, row in zip(imi.decoded_modes, imi.power)],
+            spec.config_hash,
+        )
 
     diag_al = _diag_db(aligned)
     diag_ti = _diag_db(tilted)
     diag_co = _diag_db(corrected)
-    dominance = {
-        label: sir(m)[0]
-        for label, m in (
-            ("aligned", aligned),
-            ("misaligned", tilted),
-            ("corrected", corrected),
-        )
-    }
+    dominance = {label: sir(m)[0] for label, m in matrices.items()}
     summary = {
         "modes": list(modes),
         "tilt_deg": spec.demo_tilt_deg,
@@ -775,9 +768,11 @@ def validate_model(spec: ExperimentSpec) -> dict:
                 carrier_hz=scenario.carrier_hz,
                 subcarriers_hz=np.array([scenario.carrier_hz]),
             )
-            fields = exact_received_signals(ring_scenario, pose, modes, [k])
-            for mode, exact in zip(modes, fields[:, :, 0].T):
-                model = farfield_antenna_vector(ring_scenario, pose, mode, k)
+            exact_fields = received_signals(ring_scenario, pose, modes, [k], "exact")
+            model_fields = received_signals(ring_scenario, pose, modes, [k], "farfield")
+            for mode, exact, model in zip(
+                modes, exact_fields[:, :, 0].T, model_fields[:, :, 0].T
+            ):
                 corr = abs(np.vdot(exact, model)) / (
                     np.linalg.norm(exact) * np.linalg.norm(model)
                 )

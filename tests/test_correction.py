@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from vortex_align.channel import (
-    exact_received_signal,
+    exact_received_signals,
     farfield_antenna_vector,
+    received_signals,
     wavenumber,
 )
 from vortex_align.correction import (
@@ -16,7 +17,6 @@ from vortex_align.correction import (
     capacity,
     decode_modes,
     imi_matrices,
-    imi_matrix,
     phase_mask,
     sir,
     sir_gain,
@@ -91,8 +91,9 @@ class TestDecodeModes:
 
     def test_aligned_oracle_dominance(self):
         scen, pose = make_scenario(0.0, 0.0)
-        for l in (-2, 0, 1):
-            s = exact_received_signal(scen, pose, l, K_CARRIER)
+        modes = (-2, 0, 1)
+        fields = exact_received_signals(scen, pose, modes, [K_CARRIER])[:, :, 0]
+        for l, s in zip(modes, fields.T):
             decoded = decode_modes(s, None, range(-3, 4))
             co = abs(decoded[l]) ** 2
             for lp, val in decoded.items():
@@ -101,7 +102,7 @@ class TestDecodeModes:
 
     def test_tilt_without_mask_leaks(self):
         scen, pose = make_scenario(10.0, 180.0)
-        s = exact_received_signal(scen, pose, 1, K_CARRIER)
+        s = exact_received_signals(scen, pose, [1], [K_CARRIER])[:, 0, 0]
         decoded = decode_modes(s, None, range(-3, 4))
         co = abs(decoded[1]) ** 2
         leak = max(abs(v) ** 2 for lp, v in decoded.items() if lp != 1)
@@ -131,7 +132,7 @@ class TestImiMatrix:
     def test_aligned_diagonal_dominance(self):
         scen, pose = make_scenario(0.0, 0.0)
         modes = (-2, -1, 0, 1, 2)
-        imi = imi_matrix(scen, pose, modes, modes, None, "exact", K_CARRIER)
+        [imi] = imi_matrices(scen, pose, modes, modes, [None], "exact", K_CARRIER)
         for l in modes:
             diag = imi.entry(l, l)
             col = [imi.entry(lp, l) for lp in modes if lp != l]
@@ -150,16 +151,17 @@ class TestImiMatrix:
             phase_mask(theta, phi, K_CARRIER, scen.rx),
             phase_mask(theta + 0.05, phi - 0.1, K_CARRIER, scen.rx),
         ]
-        field = exact_received_signal if model == "exact" else farfield_antenna_vector
+        fields = received_signals(scen, pose, tx_modes, [K_CARRIER], model)[:, :, 0]
         batch = imi_matrices(scen, pose, tx_modes, dec_modes, masks, model, K_CARRIER)
         assert len(batch) == len(masks)
         for imi, mask in zip(batch, masks):
-            one = imi_matrix(scen, pose, tx_modes, dec_modes, mask, model, K_CARRIER)
+            [one] = imi_matrices(scen, pose, tx_modes, dec_modes, [mask], model,
+                                 K_CARRIER)
             assert imi.decoded_modes == one.decoded_modes == dec_modes
             assert imi.transmitted_modes == one.transmitted_modes == tx_modes
             assert np.array_equal(imi.power, one.power)
             for col, l_tx in enumerate(tx_modes):
-                dec = decode_modes(field(scen, pose, l_tx, K_CARRIER), mask, dec_modes)
+                dec = decode_modes(fields[:, col], mask, dec_modes)
                 expected = [abs(dec[l]) ** 2 for l in dec_modes]
                 assert np.array_equal(imi.power[:, col], expected)
 
@@ -169,11 +171,11 @@ class TestImiMatrix:
         theta, phi = misalignment_angles(pose)
         aligned_scen, aligned_pose = make_scenario(0.0, 0.0, rx=(20, 0.02),
                                                    distance=4.0)
-        aligned = imi_matrix(aligned_scen, aligned_pose, modes, modes, None,
-                             "exact", K_CARRIER)
-        masked = imi_matrix(scen, pose, modes, modes,
-                            phase_mask(theta, phi, K_CARRIER, scen.rx),
-                            "exact", K_CARRIER)
+        [aligned] = imi_matrices(aligned_scen, aligned_pose, modes, modes, [None],
+                                 "exact", K_CARRIER)
+        [masked] = imi_matrices(scen, pose, modes, modes,
+                                [phase_mask(theta, phi, K_CARRIER, scen.rx)],
+                                "exact", K_CARRIER)
         for l in modes:
             gap = abs(10 * np.log10(masked.entry(l, l))
                       - 10 * np.log10(aligned.entry(l, l)))
@@ -181,8 +183,8 @@ class TestImiMatrix:
 
     def test_single_mode_matrix(self):
         scen, pose = make_scenario(5.0, -120.0)
-        imi = imi_matrix(scen, pose, (1,), (1,), None, "exact", K_CARRIER)
-        s = exact_received_signal(scen, pose, 1, K_CARRIER)
+        [imi] = imi_matrices(scen, pose, (1,), (1,), [None], "exact", K_CARRIER)
+        s = exact_received_signals(scen, pose, [1], [K_CARRIER])[:, 0, 0]
         expected = abs(decode_modes(s, None, [1])[1]) ** 2
         assert imi.power.shape == (1, 1)
         assert np.isclose(imi.power[0, 0], expected)
@@ -192,15 +194,6 @@ class TestImiMatrix:
             ImiMatrix(np.ones((2, 3)), (0, 1), (0, 1))
         with pytest.raises(ValueError):
             ImiMatrix(-np.ones((1, 1)), (0,), (0,))
-
-    def test_csv_round_trip(self, tmp_path):
-        imi = ImiMatrix(np.array([[1.0, 0.25], [0.5, 2.0]]), (-1, 1), (-1, 1))
-        path = tmp_path / "imi.csv"
-        imi.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",") == ["decoded\\transmitted", "-1", "1"]
-        assert lines[1].split(",") == ["-1", "1", "0.25"]
-        assert lines[2].split(",") == ["1", "0.5", "2"]
 
 
 class TestSir:
@@ -244,10 +237,9 @@ class TestSirGain:
     def test_zero_mask_equals_no_mask(self):
         scen, pose = make_scenario(10.0, 180.0)
         modes = (-1, 1)
-        no_mask = imi_matrix(scen, pose, modes, modes, None, "exact", K_CARRIER)
-        zero_mask = imi_matrix(scen, pose, modes, modes,
-                               phase_mask(0.0, 0.0, K_CARRIER, scen.rx),
-                               "exact", K_CARRIER)
+        no_mask, zero_mask = imi_matrices(
+            scen, pose, modes, modes,
+            [None, phase_mask(0.0, 0.0, K_CARRIER, scen.rx)], "exact", K_CARRIER)
         assert sir_gain(no_mask, zero_mask) == pytest.approx(0.0, abs=1e-9)
 
     def test_mode_list_mismatch(self):
@@ -292,11 +284,10 @@ class TestCorrectionInvariants:
         for theta_deg in (5.0, 15.0, 25.0, 35.0, 45.0):
             scen, pose = make_scenario(theta_deg, -140.0)
             theta, phi = misalignment_angles(pose)
-            before = imi_matrix(scen, pose, modes, modes, None, "farfield",
-                                K_CARRIER)
-            after = imi_matrix(scen, pose, modes, modes,
-                               phase_mask(theta, phi, K_CARRIER, scen.rx),
-                               "farfield", K_CARRIER)
+            before, after = imi_matrices(
+                scen, pose, modes, modes,
+                [None, phase_mask(theta, phi, K_CARRIER, scen.rx)], "farfield",
+                K_CARRIER)
             assert sir(after)[1] >= sir(before)[1]
 
     def test_gain_scaling_leaves_sir_ratios(self):
@@ -304,8 +295,8 @@ class TestCorrectionInvariants:
         scen2 = Scenario(scen.tx, scen.rx, pose, scen.carrier_hz,
                          scen.subcarriers_hz, gain=0.2 + 5.0j)
         modes = (-1, 1)
-        a = imi_matrix(scen, pose, modes, modes, None, "exact", K_CARRIER)
-        b = imi_matrix(scen2, pose, modes, modes, None, "exact", K_CARRIER)
+        [a] = imi_matrices(scen, pose, modes, modes, [None], "exact", K_CARRIER)
+        [b] = imi_matrices(scen2, pose, modes, modes, [None], "exact", K_CARRIER)
         sir_a, avg_a = sir(a)
         sir_b, avg_b = sir(b)
         for l in modes:
@@ -319,13 +310,12 @@ class TestCorrectionInvariants:
         for theta_deg in (45.0, 60.0):
             scen, pose = make_scenario(theta_deg, -125.0)
             theta, phi = misalignment_angles(pose)
-            before = imi_matrix(scen, pose, modes, modes, None, "farfield",
-                                K_CARRIER)
             true_mask = phase_mask(theta, phi, K_CARRIER, scen.rx)
             off_mask = phase_mask(theta + np.deg2rad(2.4),
                                   phi + np.deg2rad(0.65), K_CARRIER, scen.rx)
-            gain_true = sir_gain(before, imi_matrix(
-                scen, pose, modes, modes, true_mask, "farfield", K_CARRIER))
-            gain_off = sir_gain(before, imi_matrix(
-                scen, pose, modes, modes, off_mask, "farfield", K_CARRIER))
+            before, true_fix, off_fix = imi_matrices(
+                scen, pose, modes, modes, [None, true_mask, off_mask], "farfield",
+                K_CARRIER)
+            gain_true = sir_gain(before, true_fix)
+            gain_off = sir_gain(before, off_fix)
             assert gain_true - gain_off < 3.0

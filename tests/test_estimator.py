@@ -25,7 +25,6 @@ from vortex_align.estimator import (
     MissingSamplesError,
     NoPowerError,
     ZeroPowerError,
-    cross_modal_phase,
     cross_modal_phase_set,
     estimate,
     loss,
@@ -82,44 +81,61 @@ class TestCrossModalPhase:
     def test_matches_model_noiseless(self):
         scen, pose, tensor, config = make_setup(27.0, -133.0)
         theta, phi = misalignment_angles(pose)
-        g = gamma(pose)
-        for m in config.antennas:
-            u = cross_modal_phase(tensor, m, 1, -1, [F_CARRIER])
-            phi_m = 2 * np.pi * m / scen.rx.n_elements
-            expected = 2.0 * (delta(theta, phi, phi_m) + g)
-            # Equality holds on the doubled phase (u is known modulo pi).
-            assert circ_err(2 * u, 2 * expected) < 1e-9
-            assert -np.pi / 2 < u <= np.pi / 2
+        phases = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
+        np.testing.assert_array_equal(phases.antenna, config.antennas)
+        expected = phases.dl * (delta(theta, phi, phases.azimuth) + gamma(pose))
+        # Equality holds on the doubled phase (u is known modulo pi).
+        assert np.all(circ_err(np.angle(phases.target), 2 * expected) < 1e-9)
 
     def test_same_mode_zero(self):
-        _scen, _pose, tensor, _config = make_setup(27.0, -133.0)
-        assert abs(cross_modal_phase(tensor, 0, 1, 1, [F_CARRIER])) < 1e-12
+        # Identical samples on both modes carry no cross-modal phase.
+        scen, _pose, tensor, config = make_setup(27.0, -133.0)
+        values = tensor.values.copy()
+        values[:, 0] = values[:, 1]
+        same = SampleTensor(values, tensor.antennas, tensor.modes,
+                            tensor.subcarriers_hz)
+        phases = cross_modal_phase_set(same, config, scen.rx.n_elements)
+        assert np.all(np.abs(np.angle(phases.target)) < 1e-12)
 
     def test_missing_samples(self):
-        _scen, _pose, tensor, _config = make_setup(27.0, -133.0)
-        with pytest.raises(MissingSamplesError):
-            cross_modal_phase(tensor, 0, 1, 2, [F_CARRIER])
-        with pytest.raises(MissingSamplesError):
-            cross_modal_phase(tensor, 0, 1, -1, [SUBS[1]])
+        scen, _pose, tensor, config = make_setup(27.0, -133.0)
+        for changes, message in (
+            ({"modes": (1, 2)}, "mode 2 not present"),
+            ({"subcarriers_hz": (SUBS[1],)}, f"subcarrier {SUBS[1]} Hz not present"),
+        ):
+            with pytest.raises(MissingSamplesError, match=message):
+                cross_modal_phase_set(tensor, replace(config, **changes),
+                                      scen.rx.n_elements)
 
     def test_zero_power(self):
-        from vortex_align.channel import SampleTensor
-
-        tensor = SampleTensor(np.zeros((4, 2, 1), dtype=complex), np.arange(4),
-                              (-1, 1), np.array([F_CARRIER]))
-        with pytest.raises(ZeroPowerError):
-            cross_modal_phase(tensor, 0, 1, -1, [F_CARRIER])
+        # Only the row labelled 7 is silent: the error names that antenna and
+        # the pair, and the other rows keep the power floor check quiet.
+        values = np.ones((4, 2, 1), dtype=complex)
+        values[2] = 0.0
+        tensor = SampleTensor(values, np.array([1, 4, 7, 12]), (-1, 1),
+                              np.array([F_CARRIER]))
+        config = EstimationConfig(modes=(-1, 1), antennas=(1, 4, 7),
+                                  subcarriers_hz=(F_CARRIER,))
+        with pytest.raises(ZeroPowerError, match=r"antenna 7, pair \(1,-1\)"):
+            cross_modal_phase_set(tensor, config, 20)
 
     def test_set_matches_scalar_phase(self):
-        # The vectorised record against the scalar reference, term by term.
+        # The vectorised record against its formula evaluated term by term.
         subs = tuple(SUBS[:64])
         scen, _pose, tensor, config = make_setup(
             30.0, -120.0, subcarriers=subs, modes=(-1, 0, 1), snr_db=10.0,
             seed=9, q=12)
         phases = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
         pairs = [(0, -1), (1, -1), (1, 0)]
-        expected = [np.exp(2j * cross_modal_phase(tensor, m, li, lj, subs))
-                    for m in config.antennas for li, lj in pairs]
+        ks = tensor.subcarrier_indices(subs)
+
+        def term(m, l_i, l_j):
+            y = tensor.values[tensor.antenna_index(m)]
+            acc = np.sum((y[tensor.mode_index(l_i), ks]
+                          * np.conj(y[tensor.mode_index(l_j), ks])) ** 2)
+            return np.exp(2j * (0.5 * np.angle(acc)))
+
+        expected = [term(m, li, lj) for m in config.antennas for li, lj in pairs]
         np.testing.assert_array_equal(phases.target, expected)
         np.testing.assert_array_equal(phases.antenna, np.repeat(config.antennas, 3))
         np.testing.assert_array_equal(phases.dl, np.tile([1, 2, 1], 12))
@@ -136,15 +152,16 @@ class TestCrossModalPhase:
         scen = Scenario(UcaGeometry(160, 0.03), UcaGeometry(20, 0.008), pose,
                         F_CARRIER, SUBS)
         sub32 = SUBS[:32]
+        config = EstimationConfig(modes=(-1, 1), antennas=(0,), subcarriers_hz=sub32)
+        single = replace(config, subcarriers_hz=sub32[:1])
         for trial in range(300):
             tensor = simulate_measurement(
                 scen, pose, (-1, 1), sub32,
                 NoiseSpec(snr_db=10.0, seed=int(rng.integers(2**32))))
-            singles.append(cross_modal_phase(tensor, 0, 1, -1, sub32[:1]))
-            pooled.append(cross_modal_phase(tensor, 0, 1, -1, sub32))
+            singles.append(cross_modal_phase_set(tensor, single, 20).target[0])
+            pooled.append(cross_modal_phase_set(tensor, config, 20).target[0])
 
-        def circ_spread(vals):
-            z = np.exp(2j * np.asarray(vals))
+        def circ_spread(z):
             return 1.0 - abs(np.mean(z))
 
         assert circ_spread(pooled) < circ_spread(singles)
@@ -599,7 +616,7 @@ def full_coarse_candidates(terms, config, tensor, scen):
         subs = [subs[i] for i in np.linspace(0, len(subs) - 1, 4).astype(int)]
     a_r, a_t, r = scen.rx.radius_m, scen.tx.radius_m, scen.pose.distance_m
     power = np.zeros((len(thetas), len(phis)))
-    for f in subs:
+    for f, ki in zip(subs, tensor.subcarrier_indices(subs)):
         k = wavenumber(f)
         for l in config.modes:
             profile = (
@@ -607,7 +624,7 @@ def full_coarse_candidates(terms, config, tensor, scen):
                 * np.exp(1j * l * d)
                 * bessel_j(l, k * a_r * a_t * rho(th, ph, az) / r)
             )
-            y = tensor.values[rows, tensor.mode_index(l), tensor.subcarrier_index(f)]
+            y = tensor.values[rows, tensor.mode_index(l), ki]
             power += np.abs(np.conj(profile) @ y) ** 2
 
     n_phi = len(phis)

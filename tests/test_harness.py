@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from vortex_align import harness
+from vortex_align.channel import wavenumber
+from vortex_align.correction import imi_matrices
 from vortex_align.estimator import NoPowerError, ZeroPowerError
+from vortex_align.geometry import RxPose
 from vortex_align.harness import (
     ConfigError,
     EXIT_CONFIG,
@@ -192,8 +195,22 @@ class TestRunners:
         assert summary["aligned_min_dominance_db"] >= 30.0
         assert summary["misaligned_max_diag_drop_db"] >= 10.0
         assert summary["corrected_max_diag_gap_db"] <= 3.0
+        header = "decoded\\transmitted," + ",".join(map(str, spec.demo_modes))
         for name in ("imi_aligned.csv", "imi_misaligned.csv", "imi_corrected.csv"):
-            assert (tmp_path / "imi" / name).exists()
+            lines = (tmp_path / "imi" / name).read_text().splitlines()
+            assert lines[0] == f"# spec_hash={spec.config_hash}"
+            assert lines[1] == header
+        # Rows are decoded modes, columns transmitted modes.
+        tilted = RxPose.from_tilt(spec.scenario.pose.distance_m,
+                                  np.deg2rad(spec.demo_tilt_deg), 0.0)
+        [expected] = imi_matrices(spec.scenario, tilted, spec.demo_modes,
+                                  spec.demo_modes, [None], spec.model,
+                                  wavenumber(spec.scenario.carrier_hz))
+        with open(tmp_path / "imi" / "imi_misaligned.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[2:]
+        assert [int(row[0]) for row in rows] == list(spec.demo_modes)
+        np.testing.assert_allclose([[float(v) for v in row[1:]] for row in rows],
+                                   expected.power, rtol=1e-11, atol=0.0)
 
     def test_subcarrier_sweep_noiseless_invariance(self, tmp_path):
         from vortex_align.harness import run_subcarrier_sweep
