@@ -42,7 +42,6 @@ from .geometry import (
     element_positions_rx,
     element_positions_tx,
     gamma,
-    is_aligned_degenerate,
     misalignment_angles,
     rotation_yx,
     tilt_for_angles,

@@ -7,7 +7,7 @@ transmitted vortex mode ``l`` and wavenumber ``k``:
   from every transmit element over exact 3-D distances, built once per
   call, with the propagation once per k; valid unless elements overlap.
 * ``farfield_received_signal`` is the closed-form model
-  (alpha/k) * (exp(-i k r)/r) * exp(i k a_r sin(theta) cos(phi - phi_m))
+  (1/k) * (exp(-i k r)/r) * exp(i k a_r sin(theta) cos(phi - phi_m))
   * N_t * exp(i l (delta_m + gamma)) * J_l(k a_r a_t rho_m / r),
   valid when the link distance dominates both apertures.
 
@@ -93,7 +93,7 @@ def rho(theta, phi, phi_m):
 def exact_received_signals(scenario: Scenario, pose: RxPose, modes, ks) -> np.ndarray:
     """Exact point-source sums at every receive element, (N_r, modes, ks).
 
-    s_m = (alpha/k) * sum_n exp(i l phi_n) exp(-i k d_mn) / d_mn over exact
+    s_m = (1/k) * sum_n exp(i l phi_n) exp(-i k d_mn) / d_mn over exact
     distances d_mn; one call builds them once and the propagation once per k.
     """
     if not np.all(np.asarray(ks) > 0):
@@ -108,7 +108,7 @@ def exact_received_signals(scenario: Scenario, pose: RxPose, modes, ks) -> np.nd
     tx_phases = [np.exp(1j * l * scenario.tx.element_azimuths) for l in modes]
     out = np.empty((len(rx_pos), len(tx_phases), len(ks)), dtype=complex)
     for ki, k in enumerate(ks):
-        prop = (scenario.gain / k) * (np.exp(-1j * k * dist) / dist)
+        prop = (1.0 / k) * (np.exp(-1j * k * dist) / dist)
         # One product per mode: a single product over all modes rounds differently.
         for li, tx_phase in enumerate(tx_phases):
             out[:, li, ki] = prop @ tx_phase
@@ -140,7 +140,6 @@ def farfield_received_signal(
     r: float,
     tx: UcaGeometry,
     rx: UcaGeometry,
-    gain: complex = 1.0 + 0.0j,
 ):
     """Closed-form far-field sample at receive element(s) ``m``.
 
@@ -156,7 +155,7 @@ def farfield_received_signal(
     rho_m = rho(theta, phi, phi_m)
     bess = jv(mode, k * rx.radius_m * tx.radius_m * rho_m / r)
     out = (
-        (gain / k)
+        (1.0 / k)
         * (np.exp(-1j * k * r) / r)
         * np.exp(1j * k * rx.radius_m * np.sin(theta) * np.cos(phi - phi_m))
         * tx.n_elements
@@ -174,8 +173,7 @@ def farfield_antenna_vector(
     g = pose_gamma(pose)
     m = np.arange(scenario.rx.n_elements)
     return farfield_received_signal(
-        m, mode, k, theta, phi, g, pose.distance_m, scenario.tx, scenario.rx,
-        scenario.gain,
+        m, mode, k, theta, phi, g, pose.distance_m, scenario.tx, scenario.rx
     )
 
 
@@ -194,21 +192,14 @@ def received_signals(scenario: Scenario, pose: RxPose, modes, ks, model: str):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive noise description: explicit variance or target SNR, plus seed.
+    """Additive noise description: target SNR in dB, plus seed.
 
     ``snr_db`` is measured against the mean signal power of the simulated
-    tensor.  With neither field set the measurement is noiseless.
+    tensor.  With ``snr_db`` None the measurement is noiseless.
     """
 
-    sigma2: float | None = None
     snr_db: float | None = None
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sigma2 is not None and self.snr_db is not None:
-            raise ValueError("specify sigma2 or snr_db, not both")
-        if self.sigma2 is not None and self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
 
 
 @dataclass
@@ -288,13 +279,8 @@ def simulate_measurement(
     _lookup(scenario.subcarriers_hz, sub, ValueError, "is not on the scenario grid")
     s = received_signals(scenario, pose, modes, wavenumber(sub), model)
 
-    if noise.sigma2 is not None:
-        sigma2 = noise.sigma2
-    elif noise.snr_db is not None:
+    if noise.snr_db is not None:
         sigma2 = float(np.mean(np.abs(s) ** 2)) * 10.0 ** (-noise.snr_db / 10.0)
-    else:
-        sigma2 = 0.0
-    if sigma2 > 0.0:
         rng = np.random.default_rng(noise.seed)
         scale = np.sqrt(sigma2 / 2.0)
         s = s + scale * (

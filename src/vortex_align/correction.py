@@ -39,12 +39,9 @@ class ZeroSignalError(ValueError):
 
 @dataclass(frozen=True)
 class PhaseMask:
-    """Per-element correction phases plus the (theta, phi, k) they came from."""
+    """Per-element correction phases, wrapped to (-pi, pi]."""
 
     values: np.ndarray
-    theta: float
-    phi: float
-    k: float
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -94,7 +91,7 @@ def phase_mask(theta: float, phi: float, k: float, rx: UcaGeometry) -> PhaseMask
     x = rx.radius_m * np.cos(phi_m)
     y = rx.radius_m * np.sin(phi_m)
     raw = -k * np.sin(theta) * (x * np.cos(phi) + y * np.sin(phi))
-    return PhaseMask(values=np.angle(np.exp(1j * raw)), theta=theta, phi=phi, k=k)
+    return PhaseMask(values=np.angle(np.exp(1j * raw)))
 
 
 def check_decodable(modes, n: int) -> None:
@@ -161,30 +158,21 @@ def _capped_db(ratio_num: float, ratio_den: float) -> float:
     return min(10.0 * np.log10(ratio_num / ratio_den), SIR_CAP_DB)
 
 
-def sir(
-    imi: ImiMatrix, interference_axis: str = "transmitted"
-) -> tuple[dict[int, float], float]:
+def sir(imi: ImiMatrix) -> tuple[dict[int, float], float]:
     """Per-mode SIR in dB and the arithmetic mean of the dB values.
 
-    For mode ``l`` the signal is the diagonal entry power[l][l].  With the
-    default ``interference_axis="transmitted"`` the interference is the
-    power other transmitted modes leak into decode slot ``l`` (row sum);
-    ``"decoded"`` instead sums what mode ``l`` spills into other decode
-    slots (column sum).  Infinite ratios are capped at ``SIR_CAP_DB``.
+    For mode ``l`` the signal is the diagonal entry power[l][l] and the
+    interference is the power other transmitted modes leak into decode slot
+    ``l`` (row sum).  Infinite ratios are capped at ``SIR_CAP_DB``.
     """
     if imi.decoded_modes != imi.transmitted_modes:
         raise ValueError("SIR needs a square matrix over a common mode list")
-    if interference_axis not in ("transmitted", "decoded"):
-        raise ValueError(f"unknown interference_axis {interference_axis!r}")
     per_mode: dict[int, float] = {}
     for i, mode in enumerate(imi.decoded_modes):
         signal = imi.power[i, i]
         if signal == 0.0:
             raise ZeroSignalError(f"zero diagonal power for mode {mode}")
-        if interference_axis == "transmitted":
-            interference = imi.power[i, :].sum() - signal
-        else:
-            interference = imi.power[:, i].sum() - signal
+        interference = imi.power[i, :].sum() - signal
         per_mode[mode] = _capped_db(signal, interference)
     return per_mode, float(np.mean(list(per_mode.values())))
 

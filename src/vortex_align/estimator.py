@@ -67,9 +67,11 @@ _GAMMA_SAMPLES = 32
 _POLISHED_CELLS = 200
 
 # Levenberg-Marquardt refine: initial damping, its floor, its factors after
-# an accepted and a rejected step, the smallest step that continues, and the
+# an accepted and a rejected step, the smallest step that continues, the
 # floor of the Marquardt scale relative to the curvature along gamma (it
-# keeps a coordinate with no curvature damped).  The damping floor keeps the
+# keeps a coordinate with no curvature damped), the relative cost decrease
+# of an accepted step at or below which a cell stops, and the most steps
+# (rejected ones included) a cell takes.  The damping floor keeps the
 # damped normal matrix invertible where the residuals leave it singular: on
 # the theta = 0 bound no residual depends on theta, and there phi only
 # shifts delta, which the solved gamma absorbs, so the projected Jacobian
@@ -80,6 +82,8 @@ _LM_SHRINK = 1.0 / 3.0
 _LM_GROW = 2.0
 _LM_MIN_MOVE = 1e-9
 _LM_SCALE_FLOOR = 1e-12
+_LM_TOL = 1e-10
+_LM_MAX_ITER = 200
 
 
 class MissingSamplesError(KeyError):
@@ -104,24 +108,17 @@ class InfeasibleSelectionError(ValueError):
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Knobs of the estimation pipeline.
+    """What the estimator fits and how finely it searches.
 
     ``antennas`` and ``modes`` are the subsets used in the fit; subcarriers
     are given as frequencies present in the measurement tensor; ``grid_deg``
-    is the (theta, phi) grid step and refine-box half-width.  The
-    Levenberg-Marquardt refine stops a candidate cell once an accepted step
-    lowers its loss by no more than ``refine_tol`` relative (or its step
-    moves less than 1e-9 rad), and after at most ``refine_max_iter`` steps,
-    rejected steps included.
+    is the (theta, phi) grid step and refine-box half-width.
     """
 
     modes: tuple[int, ...]
     antennas: tuple[int, ...]
     subcarriers_hz: tuple[float, ...]
-    weighting: str = "amplitude"
     grid_deg: tuple[float, float] = (3.0, 3.0)
-    refine_tol: float = 1e-10
-    refine_max_iter: int = 200
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", tuple(int(l) for l in self.modes))
@@ -131,8 +128,6 @@ class EstimationConfig:
         )
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("modes must be distinct")
-        if self.weighting not in ("uniform", "amplitude", "amplitude-squared"):
-            raise ValueError(f"unknown weighting {self.weighting!r}")
         if len(self.grid_deg) != 2 or any(g <= 0 for g in self.grid_deg):
             raise ValueError(
                 "grid_deg must be two resolutions [theta, phi] > 0; "
@@ -199,7 +194,7 @@ def cross_modal_phase_set(
         azimuth=np.repeat(2.0 * np.pi * labels / n_elements, len(pairs)),
         dl=np.tile([li - lj for li, lj in pairs], len(labels)),
         target=np.exp(2j * u.ravel()),
-        weight=np.repeat(weight(amps, config.weighting), len(pairs)),
+        weight=np.repeat(weight(amps), len(pairs)),
         inv_var=len(config.subcarriers_hz)
         * (a_i**2 * a_j**2)
         / (16.0 * (a_i**2 + a_j**2)),
@@ -243,27 +238,18 @@ def _mode_pairs(modes) -> list[tuple[int, int]]:
     ]
 
 
-def weight(amplitudes, scheme: str = "amplitude") -> np.ndarray:
-    """Per-antenna weights: a positive, non-decreasing function of amplitude.
+def weight(amplitudes) -> np.ndarray:
+    """Per-antenna weights: the amplitudes normalized by their mean.
 
-    ``uniform`` gives 1 everywhere; ``amplitude`` normalizes by the mean
-    amplitude; ``amplitude-squared`` by the mean squared amplitude.  Outputs
-    are floored at a tiny positive value so zero-power antennas cannot zero
-    out a loss term entirely.
+    All-zero amplitudes give 1 everywhere.  Outputs are floored at a tiny
+    positive value so zero-power antennas cannot zero out a loss term
+    entirely.
     """
     amps = np.asarray(amplitudes, dtype=float)
     if np.any(amps < 0):
         raise ValueError("amplitudes must be >= 0")
-    if scheme == "uniform":
-        out = np.ones_like(amps)
-    elif scheme == "amplitude":
-        mean = amps.mean()
-        out = amps / mean if mean > 0 else np.ones_like(amps)
-    elif scheme == "amplitude-squared":
-        mean = (amps**2).mean()
-        out = amps**2 / mean if mean > 0 else np.ones_like(amps)
-    else:
-        raise ValueError(f"unknown weighting scheme {scheme!r}")
+    mean = amps.mean()
+    out = amps / mean if mean > 0 else np.ones_like(amps)
     return np.maximum(out, _WEIGHT_FLOOR)
 
 
@@ -637,10 +623,10 @@ def _refine_cells(
     every active cell; a gradient component pushing out of the box at an
     active bound is dropped, and the trial point is clipped into the box.
     The damping shrinks after an accepted step, down to a floor, and grows
-    after a rejected one.  A cell stops when its step moves less than 1e-9
-    rad, when an accepted step lowers its cost by no more than
-    ``config.refine_tol`` relative, or after ``config.refine_max_iter``
-    steps.  Returns ((theta, phi), cost, iterations) per cell, in order.
+    after a rejected one.  A cell stops when its step moves less than
+    ``_LM_MIN_MOVE`` rad, when an accepted step lowers its cost by no more
+    than ``_LM_TOL`` relative, or after ``_LM_MAX_ITER`` steps.  Returns
+    ((theta, phi), cost, iterations) per cell, in order.
     """
     x = np.array([cell[:2] for cell in cells], dtype=float)
     reach = np.deg2rad(config.grid_deg)
@@ -676,8 +662,8 @@ def _refine_cells(
         accept = cost_t < cost[act]
         done = (
             (np.abs(trial - xa).max(axis=1) < _LM_MIN_MOVE)
-            | (accept & (cost[act] - cost_t <= config.refine_tol * cost[act]))
-            | (iterations[act] >= config.refine_max_iter)
+            | (accept & (cost[act] - cost_t <= _LM_TOL * cost[act]))
+            | (iterations[act] >= _LM_MAX_ITER)
         )
         took = act[accept]
         x[took] = trial[accept]

@@ -141,12 +141,6 @@ def misalignment_angles(pose: RxPose) -> tuple[float, float]:
     return theta, float(np.arctan2(d[1], d[0]))
 
 
-def is_aligned_degenerate(pose: RxPose) -> bool:
-    """True when the pose is aligned closely enough that phi/gamma are undefined."""
-    d = pose.rotation.T @ np.array([0.0, 0.0, -1.0])
-    return bool(np.hypot(d[0], d[1]) < ALIGNED_TOL)
-
-
 def gamma(pose: RxPose) -> float:
     """In-plane ring orientation angle, atan2(w2, w1) with w = z' x z.
 
@@ -174,14 +168,13 @@ def tilt_for_angles(theta: float, phi: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulated link: arrays, nominal pose, frequency plan, and gain."""
+    """One simulated link: arrays, nominal pose, and frequency plan."""
 
     tx: UcaGeometry
     rx: UcaGeometry
     pose: RxPose
     carrier_hz: float
     subcarriers_hz: np.ndarray
-    gain: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
         if not self.carrier_hz > 0.0:
@@ -195,8 +188,6 @@ class Scenario:
             raise ValueError(
                 "fractional bandwidth too large for the flat-gain assumption"
             )
-        if self.gain == 0:
-            raise ValueError("gain must be nonzero")
         sub = sub.copy()
         sub.flags.writeable = False
         object.__setattr__(self, "subcarriers_hz", sub)

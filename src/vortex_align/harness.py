@@ -106,10 +106,7 @@ BASE_DEFAULTS: dict = {
         "modes": [-1, 1],
         "q": 6,
         "p": 1,
-        "weighting": "amplitude",
         "grid_deg": [3.0, 3.0],
-        "tol": 1e-10,
-        "max_iter": 200,
     },
     "noise": {"snr_db": 25.0},
     "trials": 50,
@@ -172,10 +169,7 @@ class ExperimentSpec:
     modes: tuple[int, ...]
     q: int
     p: int
-    weighting: str
     grid_deg: tuple[float, float]
-    refine_tol: float
-    refine_max_iter: int
     subcarrier_counts: tuple[int, ...]
     antenna_counts: tuple[int, ...]
     demo_tilt_deg: float
@@ -231,12 +225,7 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def _resolve_config(kind: str, user: dict | None, overrides: dict) -> dict:
-    defaults = json.loads(json.dumps(BASE_DEFAULTS))
-    for key, value in KIND_DEFAULTS.get(kind, {}).items():
-        if isinstance(value, dict) and isinstance(defaults.get(key), dict):
-            defaults[key] = _merge(defaults[key], value)
-        else:
-            defaults[key] = json.loads(json.dumps(value))
+    defaults = json.loads(json.dumps(_merge(BASE_DEFAULTS, KIND_DEFAULTS.get(kind, {}))))
     if defaults.get("poses") is None:
         defaults["poses"] = _default_pose_grid()
     merged = _merge(defaults, user or {})
@@ -325,10 +314,7 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
             modes=tuple(int(l) for l in est["modes"]),
             q=int(est["q"]),
             p=int(est["p"]),
-            weighting=str(est["weighting"]),
             grid_deg=tuple(float(g) for g in est["grid_deg"]),
-            refine_tol=float(est["tol"]),
-            refine_max_iter=int(est["max_iter"]),
             subcarrier_counts=tuple(int(x) for x in cfg["subcarrier_counts"]),
             antenna_counts=tuple(int(x) for x in cfg["antenna_counts"]),
             demo_tilt_deg=float(cfg["demo_tilt_deg"]),
@@ -381,10 +367,7 @@ def _estimation_config(spec: ExperimentSpec, q: int, subcarriers) -> EstimationC
         modes=spec.modes,
         antennas=tuple(select_antennas(spec.scenario.rx.n_elements, q)),
         subcarriers_hz=tuple(subcarriers),
-        weighting=spec.weighting,
         grid_deg=spec.grid_deg,
-        refine_tol=spec.refine_tol,
-        refine_max_iter=spec.refine_max_iter,
     )
 
 

@@ -221,12 +221,13 @@ class TestSir:
             sir(imi)
 
     def test_interference_axes_differ_when_asymmetric(self):
+        # Interference is the row sum, what the other transmitted modes leak
+        # into decode slot l; the column sum would swap the two values.
         power = np.array([[1.0, 0.5], [0.01, 1.0]])
         imi = ImiMatrix(power, (-1, 1), (-1, 1))
-        row = sir(imi, interference_axis="transmitted")[0]
-        col = sir(imi, interference_axis="decoded")[0]
+        row = sir(imi)[0]
         assert row[-1] == pytest.approx(10 * np.log10(1 / 0.5))
-        assert col[-1] == pytest.approx(10 * np.log10(1 / 0.01))
+        assert row[1] == pytest.approx(10 * np.log10(1 / 0.01))
 
 
 class TestSirGain:
@@ -289,19 +290,6 @@ class TestCorrectionInvariants:
                 [None, phase_mask(theta, phi, K_CARRIER, scen.rx)], "farfield",
                 K_CARRIER)
             assert sir(after)[1] >= sir(before)[1]
-
-    def test_gain_scaling_leaves_sir_ratios(self):
-        scen, pose = make_scenario(20.0, -140.0)
-        scen2 = Scenario(scen.tx, scen.rx, pose, scen.carrier_hz,
-                         scen.subcarriers_hz, gain=0.2 + 5.0j)
-        modes = (-1, 1)
-        [a] = imi_matrices(scen, pose, modes, modes, [None], "exact", K_CARRIER)
-        [b] = imi_matrices(scen2, pose, modes, modes, [None], "exact", K_CARRIER)
-        sir_a, avg_a = sir(a)
-        sir_b, avg_b = sir(b)
-        for l in modes:
-            assert np.isclose(sir_a[l], sir_b[l], atol=1e-9)
-        assert np.isclose(avg_a, avg_b, atol=1e-9)
 
     def test_estimation_error_costs_under_3db(self):
         # Gains with angle errors at the reference accuracy stay within

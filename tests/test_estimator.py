@@ -227,24 +227,16 @@ class TestSelectModes:
 
 class TestWeight:
     def test_equal_amplitudes(self):
-        for scheme in ("uniform", "amplitude", "amplitude-squared"):
-            assert np.allclose(weight([2.0, 2.0, 2.0], scheme), 1.0)
+        assert np.allclose(weight([2.0, 2.0, 2.0]), 1.0)
 
     def test_zero_amplitude_floors(self):
-        lam = weight([0.0, 1.0], "amplitude")
+        lam = weight([0.0, 1.0])
         assert lam[0] == pytest.approx(1e-12)
         assert lam[0] > 0
-
-    def test_amplitude_squared_example(self):
-        assert np.allclose(weight([1.0, 2.0], "amplitude-squared"), [0.4, 1.6])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             weight([-1.0, 1.0])
-
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            weight([1.0], "cubed")
 
 
 class TestLoss:
@@ -252,16 +244,14 @@ class TestLoss:
         scen, pose, tensor, config = make_setup(33.0, -147.0)
         theta, phi = misalignment_angles(pose)
         g = gamma(pose)
-        phases = cross_modal_phase_set(
-            tensor, replace(config, weighting="uniform"), scen.rx.n_elements)
+        phases = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
         assert loss(theta, phi, g, phases) <= 1e-18
 
     def test_half_turn_family_also_zero(self):
         scen, pose, tensor, config = make_setup(33.0, -147.0)
         theta, phi = misalignment_angles(pose)
         g = gamma(pose)
-        phases = cross_modal_phase_set(
-            tensor, replace(config, weighting="uniform"), scen.rx.n_elements)
+        phases = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
         phi_alt = np.angle(np.exp(1j * (phi + np.pi)))
         g_alt = np.angle(np.exp(1j * (g - np.pi)))
         assert loss(theta, phi_alt, g_alt, phases) <= 1e-18
@@ -277,15 +267,15 @@ class TestLoss:
         assert val == pytest.approx(4 * 2.5, rel=1e-12)
 
     def test_weighting_schemes_share_minimizer_noiseless(self):
+        # The amplitude-weighted loss keeps the noiseless truth as its minimum.
         scen, pose, tensor, _ = make_setup(38.0, -112.0)
         truth = misalignment_angles(pose)
-        for scheme in ("uniform", "amplitude", "amplitude-squared"):
-            config = EstimationConfig(
-                modes=(-1, 1), antennas=tuple(select_antennas(20, 6)),
-                subcarriers_hz=(F_CARRIER,), weighting=scheme)
-            est = estimate(tensor, scen, config)
-            assert abs(np.rad2deg(est.theta - truth[0])) < 1e-4
-            assert np.rad2deg(circ_err(est.phi, truth[1])) < 1e-4
+        config = EstimationConfig(
+            modes=(-1, 1), antennas=tuple(select_antennas(20, 6)),
+            subcarriers_hz=(F_CARRIER,))
+        est = estimate(tensor, scen, config)
+        assert abs(np.rad2deg(est.theta - truth[0])) < 1e-4
+        assert np.rad2deg(circ_err(est.phi, truth[1])) < 1e-4
 
 
 class TestEstimate:
@@ -724,11 +714,6 @@ class TestEstimationConfig:
         with pytest.raises(ValueError):
             EstimationConfig(modes=(1, 1), antennas=(0, 1, 2),
                              subcarriers_hz=(F_CARRIER,))
-
-    def test_rejects_unknown_weighting(self):
-        with pytest.raises(ValueError):
-            EstimationConfig(modes=(-1, 1), antennas=(0, 1, 2),
-                             subcarriers_hz=(F_CARRIER,), weighting="magic")
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):

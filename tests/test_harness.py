@@ -301,12 +301,10 @@ class TestFailures:
         assert summary["failed_by_error"] == {}
 
     def test_refine_at_theta_bound_does_not_end_run(self, tmp_path):
-        # Uniform weights at 0 dB drive a cell onto the theta = 0 bound, where
-        # the refine's normal matrix is singular without its damping floor
-        # (default seed: point 3, trial 5).
+        # At 0 dB a cell reaches the theta = 0 bound, where the refine's
+        # normal matrix is singular without its damping floor.
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"estimation": {"p": 2, "weighting": "uniform"},
-                                    "noise": {"snr_db": 0}}))
+        path.write_text(json.dumps({"estimation": {"p": 2}, "noise": {"snr_db": 0}}))
         out = tmp_path / "out"
         code = main(["ccdf", "--config", str(path), "--trials", "6", "--out", str(out)])
         assert code == EXIT_OK
@@ -333,7 +331,7 @@ class TestFailures:
     @pytest.mark.parametrize("kind, cfg", [
         ("ccdf", {"estimation": {"q": 2}}),
         ("ccdf", {"estimation": {"q": 30}}),
-        ("ccdf", {"estimation": {"weighting": "magic"}}),
+        ("ccdf", {"estimation": {"grid_deg": [0.0, 3.0]}}),
         ("ccdf", {"estimation": {"grid_deg": [3]}}),
         ("ccdf", {"estimation": {"modes": [1, 1]}}),
         ("antenna-sweep", {"antenna_counts": [2, 6]}),
@@ -345,6 +343,20 @@ class TestFailures:
         code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimation", [
+        {"tol": 1e-8},
+        {"max_iter": 50},
+        {"weighting": "amplitude"},
+        {"weighting": "magic"},
+    ])
+    def test_retired_estimation_keys_exit_config(self, tmp_path, capsys, estimation):
+        # The loss weighting and the refine's stopping rule are fixed.
+        path = tiny_config(tmp_path, estimation=estimation)
+        code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        [key] = estimation
+        assert f"unknown config key 'estimation.{key}'" in capsys.readouterr().err
 
     def test_gamma_grid_exit_config(self, tmp_path, capsys):
         # gamma is solved at every point, so a third grid step is an error.
