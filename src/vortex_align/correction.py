@@ -54,29 +54,23 @@ class PhaseMask:
 
 @dataclass
 class ImiMatrix:
-    """Decoded power per (decoded mode, transmitted mode) pair."""
+    """Decoded power per (decode slot, transmitted mode), both over ``modes``."""
 
     power: np.ndarray
-    decoded_modes: tuple[int, ...]
-    transmitted_modes: tuple[int, ...]
+    modes: tuple[int, ...]
 
     def __post_init__(self) -> None:
         self.power = np.asarray(self.power, dtype=float)
-        self.decoded_modes = tuple(int(l) for l in self.decoded_modes)
-        self.transmitted_modes = tuple(int(l) for l in self.transmitted_modes)
-        expected = (len(self.decoded_modes), len(self.transmitted_modes))
+        self.modes = tuple(int(l) for l in self.modes)
+        expected = (len(self.modes), len(self.modes))
         if self.power.shape != expected:
             raise ValueError(f"power shape {self.power.shape} != {expected}")
         if not np.all(np.isfinite(self.power)) or np.any(self.power < 0):
             raise ValueError("power entries must be finite and >= 0")
 
     def entry(self, decoded: int, transmitted: int) -> float:
-        return float(
-            self.power[
-                self.decoded_modes.index(decoded),
-                self.transmitted_modes.index(transmitted),
-            ]
-        )
+        i, j = self.modes.index(decoded), self.modes.index(transmitted)
+        return float(self.power[i, j])
 
 
 def phase_mask(theta: float, phi: float, k: float, rx: UcaGeometry) -> PhaseMask:
@@ -129,27 +123,24 @@ def decode_modes(
 def imi_matrices(
     scenario: Scenario,
     pose: RxPose,
-    transmitted_modes,
-    decoded_modes,
+    modes,
     masks,
     model: str,
     k: float,
 ) -> list[ImiMatrix]:
-    """Decoded power for every (decoded, transmitted) mode pair, one matrix per mask.
+    """Decoded power of each of ``modes`` in each slot, one matrix per mask.
 
-    Simulates all transmitted modes in one noiseless channel call and
-    decodes each under every mask in ``masks`` (``None``: no mask).
+    Simulates all of ``modes`` in one noiseless channel call and decodes
+    each under every mask in ``masks`` (``None``: no mask) into the same slots.
     """
-    transmitted_modes = tuple(int(l) for l in transmitted_modes)
-    decoded_modes = tuple(int(l) for l in decoded_modes)
-    fields = received_signals(scenario, pose, transmitted_modes, [k], model)
-    power = np.zeros((len(masks), len(decoded_modes), len(transmitted_modes)))
-    for col in range(len(transmitted_modes)):
+    modes = tuple(int(l) for l in modes)
+    fields = received_signals(scenario, pose, modes, [k], model)
+    power = np.zeros((len(masks), len(modes), len(modes)))
+    for col in range(len(modes)):
         for m, mask in enumerate(masks):
-            decoded = decode_modes(fields[:, col, 0], mask, decoded_modes)
-            for row, l_dec in enumerate(decoded_modes):
-                power[m, row, col] = abs(decoded[l_dec]) ** 2
-    return [ImiMatrix(p, decoded_modes, transmitted_modes) for p in power]
+            decoded = decode_modes(fields[:, col, 0], mask, modes)
+            power[m, :, col] = [abs(decoded[l]) ** 2 for l in modes]
+    return [ImiMatrix(p, modes) for p in power]
 
 
 def _capped_db(ratio_num: float, ratio_den: float) -> float:
@@ -165,10 +156,8 @@ def sir(imi: ImiMatrix) -> tuple[dict[int, float], float]:
     interference is the power other transmitted modes leak into decode slot
     ``l`` (row sum).  Infinite ratios are capped at ``SIR_CAP_DB``.
     """
-    if imi.decoded_modes != imi.transmitted_modes:
-        raise ValueError("SIR needs a square matrix over a common mode list")
     per_mode: dict[int, float] = {}
-    for i, mode in enumerate(imi.decoded_modes):
+    for i, mode in enumerate(imi.modes):
         signal = imi.power[i, i]
         if signal == 0.0:
             raise ZeroSignalError(f"zero diagonal power for mode {mode}")
@@ -179,10 +168,7 @@ def sir(imi: ImiMatrix) -> tuple[dict[int, float], float]:
 
 def sir_gain(before: ImiMatrix, after: ImiMatrix) -> float:
     """Average SIR improvement in dB (after minus before)."""
-    if (
-        before.decoded_modes != after.decoded_modes
-        or before.transmitted_modes != after.transmitted_modes
-    ):
+    if before.modes != after.modes:
         raise ValueError("mode lists must match")
     return sir(after)[1] - sir(before)[1]
 

@@ -46,6 +46,10 @@ _ACCUMULATOR_FLOOR = 1e-300
 _DIAMETRIC_TOL = 1e-9
 
 _WEIGHT_FLOOR = 1e-12
+
+# Coarse (theta, phi) grid step and refine-box half-width, in degrees.
+_GRID_DEG = 3.0
+
 # The candidate power probes saturate quickly with frequency diversity; cap
 # the subcarriers used there so their cost does not scale with P.
 _POWER_GRID_MAX_SUBCARRIERS = 4
@@ -108,17 +112,16 @@ class InfeasibleSelectionError(ValueError):
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """What the estimator fits and how finely it searches.
+    """What the estimator fits.
 
     ``antennas`` and ``modes`` are the subsets used in the fit; subcarriers
-    are given as frequencies present in the measurement tensor; ``grid_deg``
-    is the (theta, phi) grid step and refine-box half-width.
+    are given as frequencies present in the measurement tensor.  The grid
+    step and the refine box are fixed (``_GRID_DEG``).
     """
 
     modes: tuple[int, ...]
     antennas: tuple[int, ...]
     subcarriers_hz: tuple[float, ...]
-    grid_deg: tuple[float, float] = (3.0, 3.0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", tuple(int(l) for l in self.modes))
@@ -128,11 +131,6 @@ class EstimationConfig:
         )
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("modes must be distinct")
-        if len(self.grid_deg) != 2 or any(g <= 0 for g in self.grid_deg):
-            raise ValueError(
-                "grid_deg must be two resolutions [theta, phi] > 0; "
-                "gamma is solved, no longer gridded"
-            )
 
 
 @dataclass(frozen=True)
@@ -345,11 +343,7 @@ def _validate_config(config: EstimationConfig, n_rx: int) -> None:
 
 
 @lru_cache(maxsize=8)
-def _grid_tables(
-    grid_deg: tuple[float, float],
-    antenna_azimuths: tuple[float, ...],
-    modes: tuple[int, ...],
-):
+def _grid_tables(antenna_azimuths: tuple[float, ...], modes: tuple[int, ...]):
     """Precompute the (theta, phi) grid and its f-independent tables.
 
     Returns the two grid axes; the power-map geometry of every (theta, phi)
@@ -358,9 +352,9 @@ def _grid_tables(
     terms ordered antenna-major over ``_mode_pairs(modes)`` as in
     ``cross_modal_phase_set``.
     """
-    g_th, g_ph = (np.deg2rad(g) for g in grid_deg)
-    thetas = np.arange(0.0, np.pi / 2 - 1e-12, g_th)
-    phis = -np.pi + g_ph * np.arange(1, int(round(2 * np.pi / g_ph)) + 1)
+    step = np.deg2rad(_GRID_DEG)
+    thetas = np.arange(0.0, np.pi / 2 - 1e-12, step)
+    phis = -np.pi + step * np.arange(1, int(round(2 * np.pi / step)) + 1)
     th_mesh, ph_mesh = np.meshgrid(thetas, phis, indexing="ij")
     geometry = _power_geometry(
         th_mesh.ravel(), ph_mesh.ravel(), np.asarray(antenna_azimuths), modes
@@ -455,9 +449,7 @@ def _coarse_candidates(
     solved to the end.  Returns (theta, phi, gamma, loss) tuples.
     """
     thetas, phis, geometry, spin = _grid_tables(
-        tuple(config.grid_deg),
-        tuple(scenario.rx.element_azimuths[list(config.antennas)]),
-        config.modes,
+        tuple(scenario.rx.element_azimuths[list(config.antennas)]), config.modes
     )
     _gamma, rough = _profile_gamma(spin, terms, samples=_GAMMA_SAMPLES)
     near = np.argsort(rough, kind="stable")[:_POLISHED_CELLS]
@@ -481,9 +473,7 @@ def _coarse_candidates(
                     break
         return kept
 
-    power_map = _matched_power(
-        tensor, scenario, config, geometry, antennas=config.antennas
-    )
+    power_map = _matched_power(tensor, scenario, config, geometry, config.antennas)
     cells = diverse_walk(np.argsort(-power_map, kind="stable"), _POWER_CANDIDATES)
     for cell in diverse_walk(np.argsort(loss_by_cell, kind="stable"), _LOSS_CANDIDATES):
         if cell not in cells:
@@ -500,23 +490,20 @@ def _matched_power(
     scenario: Scenario,
     config: EstimationConfig,
     geometry,
-    antennas=None,
+    antennas,
     normalized: bool = False,
 ) -> np.ndarray:
-    """Corrected matched power for a batch of candidate angle triples.
+    """Corrected matched power for a batch of candidate angle pairs.
 
     Models the power probe a receiver makes after applying a candidate
-    correction mask and mode-matched combining over the ring (``antennas``
-    None means every ring element the tensor holds; pass a subset of their
-    labels to restrict it).  ``geometry`` is ``_power_geometry`` of the
+    correction mask and mode-matched combining over the ring elements
+    labelled ``antennas``.  ``geometry`` is ``_power_geometry`` of the
     candidates at those antennas and ``config.modes``.  With ``normalized``
     the matched energy |<g, y>|^2 / |g|^2 is returned, which is the signal
     power the candidate model explains.
     """
     rx = scenario.rx
-    rows = np.arange(len(tensor.antennas)) if antennas is None else np.array(
-        [tensor.antenna_index(m) for m in antennas]
-    )
+    rows = np.array([tensor.antenna_index(m) for m in antennas])
     _d_m, rho_m, sin_th, cos_u, twist = geometry
     r = scenario.pose.distance_m
     mode_idx = [tensor.mode_index(l) for l in config.modes]
@@ -611,7 +598,6 @@ def _profiled(
 def _refine_cells(
     cells: list[tuple[float, float, float, float]],
     terms: CrossModalPhaseSet,
-    config: EstimationConfig,
 ) -> list[tuple[np.ndarray, float, int]]:
     """Box-constrained Levenberg-Marquardt refinement of all cells at once.
 
@@ -629,14 +615,14 @@ def _refine_cells(
     ((theta, phi), cost, iterations) per cell, in order.
     """
     x = np.array([cell[:2] for cell in cells], dtype=float)
-    reach = np.deg2rad(config.grid_deg)
+    reach = np.deg2rad(_GRID_DEG)
     lower = x - reach
     upper = x + reach
     lower[:, 0] = np.maximum(lower[:, 0], 0.0)
     upper[:, 0] = np.minimum(upper[:, 0], np.pi / 2 - 1e-12)
     # delta depends on theta through cos(theta), so every gradient vanishes
     # in theta at theta = 0: a cell on that row starts half a step inside.
-    x[:, 0] = np.maximum(x[:, 0], 0.5 * reach[0])
+    x[:, 0] = np.maximum(x[:, 0], 0.5 * reach)
     _gamma, res, jac = _profiled(x, terms)
     cost = np.sum(res**2, axis=1)
     # J_g . J_g, the curvature along gamma, is the same at every point.
@@ -691,7 +677,7 @@ def estimate(
     _validate_config(config, scenario.rx.n_elements)
     terms = cross_modal_phase_set(tensor, config, scenario.rx.n_elements)
     cells = _coarse_candidates(terms, config, tensor, scenario)
-    refined = _refine_cells(cells, terms, config)
+    refined = _refine_cells(cells, terms)
 
     # The loss cannot distinguish phi from phi + pi (gamma absorbs the half
     # turn), so every refined candidate enters the pool with its half-turn
@@ -706,7 +692,9 @@ def estimate(
     pool_gamma = _profiled(pool, terms)[0]
     ring = scenario.rx.element_azimuths[tensor.antennas]
     geometry = _power_geometry(pool[:, 0], pool[:, 1], ring, config.modes)
-    powers = _matched_power(tensor, scenario, config, geometry, normalized=True)
+    powers = _matched_power(
+        tensor, scenario, config, geometry, tensor.antennas, normalized=True
+    )
     model = _model(np.column_stack([pool, pool_gamma]), terms)
     misfits = np.abs(terms.target - model) ** 2 @ terms.inv_var
     scores = misfits + (powers.max() - powers)

@@ -36,7 +36,6 @@ import numpy as np
 
 from .channel import NoiseSpec, received_signals, simulate_measurement, wavenumber
 from .correction import (
-    ImiMatrix,
     ZeroSignalError,
     capacity,
     check_decodable,
@@ -106,7 +105,6 @@ BASE_DEFAULTS: dict = {
         "modes": [-1, 1],
         "q": 6,
         "p": 1,
-        "grid_deg": [3.0, 3.0],
     },
     "noise": {"snr_db": 25.0},
     "trials": 50,
@@ -169,7 +167,6 @@ class ExperimentSpec:
     modes: tuple[int, ...]
     q: int
     p: int
-    grid_deg: tuple[float, float]
     subcarrier_counts: tuple[int, ...]
     antenna_counts: tuple[int, ...]
     demo_tilt_deg: float
@@ -314,7 +311,6 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
             modes=tuple(int(l) for l in est["modes"]),
             q=int(est["q"]),
             p=int(est["p"]),
-            grid_deg=tuple(float(g) for g in est["grid_deg"]),
             subcarrier_counts=tuple(int(x) for x in cfg["subcarrier_counts"]),
             antenna_counts=tuple(int(x) for x in cfg["antenna_counts"]),
             demo_tilt_deg=float(cfg["demo_tilt_deg"]),
@@ -346,15 +342,24 @@ def _validate_spec(spec: ExperimentSpec) -> None:
                 f"pose (rot_y={ry} deg, rot_x={rx_deg} deg) turns the receiver "
                 "away from the transmitter"
             )
-    if spec.p > len(spec.scenario.subcarriers_hz):
-        raise ConfigError("p exceeds the scenario subcarrier count")
+    n_sub = len(spec.scenario.subcarriers_hz)
+    if not 1 <= spec.p <= n_sub:
+        raise ConfigError(f"estimation.p must lie in 1..{n_sub}, got {spec.p}")
+    if spec.kind == "subcarrier-sweep":
+        ps = spec.subcarrier_counts
+        if not ps or min(ps) < 1 or max(ps) > n_sub:
+            raise ConfigError(f"subcarrier_counts must lie in 1..{n_sub}, got {ps}")
+    qs = spec.antenna_counts if spec.kind == "antenna-sweep" else (spec.q,)
+    if not qs:
+        raise ConfigError("antenna_counts must be nonempty")
     if len(spec.modes) < 2:
         raise ConfigError("estimation needs at least two modes")
+    if spec.kind == "validate-model" and not (spec.validate_modes and spec.rings):
+        raise ConfigError("validate-model needs nonempty validate_modes and rings")
     try:
         if spec.kind == "imi-demo":
             check_decodable(spec.demo_modes, spec.scenario.rx.n_elements)
         elif spec.kind != "validate-model":
-            qs = spec.antenna_counts if spec.kind == "antenna-sweep" else (spec.q,)
             for q in qs:
                 _estimation_config(spec, q, spec.scenario.subcarriers_hz)
     except ValueError as exc:
@@ -367,7 +372,6 @@ def _estimation_config(spec: ExperimentSpec, q: int, subcarriers) -> EstimationC
         modes=spec.modes,
         antennas=tuple(select_antennas(spec.scenario.rx.n_elements, q)),
         subcarriers_hz=tuple(subcarriers),
-        grid_deg=spec.grid_deg,
     )
 
 
@@ -417,7 +421,7 @@ def _run_trial(
         phase_mask(theta_t, phi_t, k_c, scenario.rx),
     ]
     before, after, after_true = imi_matrices(
-        scenario, pose, spec.modes, spec.modes, masks, spec.model, k_c
+        scenario, pose, spec.modes, masks, spec.model, k_c
     )
     sir_before = sir(before)[1]
     sir_after = sir(after)[1]
@@ -604,10 +608,8 @@ def run_ccdf(spec: ExperimentSpec) -> dict:
     return summary
 
 
-def _sweep(spec: ExperimentSpec, axis: str, counts, limit: int) -> dict:
+def _sweep(spec: ExperimentSpec, axis: str, counts) -> dict:
     """Run every count of axis ``p`` or ``q``; write rows, table and summary."""
-    if not counts or min(counts) < 1 or max(counts) > limit:
-        raise ConfigError(f"{spec.kind} counts must lie in 1..{limit}, got {counts}")
     rows: list[ResultRow] = []
     table = []
     failed: Counter = Counter()
@@ -617,18 +619,16 @@ def _sweep(spec: ExperimentSpec, axis: str, counts, limit: int) -> dict:
         sel, failures = _trial_rows(spec, p, q, value)
         rows.extend(sel)
         failed += failures
-        n = len(sel)
-        eth = [r.theta_err_deg for r in sel]
-        eph = [r.phi_err_deg for r in sel]
+        stats = _estimation_summary(sel, failures)
         table.append(
             [
                 value,
-                n,
-                float(np.mean(eth)),
-                float(np.std(eth) / np.sqrt(n)),
-                float(np.mean(eph)),
-                float(np.std(eph) / np.sqrt(n)),
-                float(np.mean([r.sir_gain_db for r in sel])),
+                stats["trials"],
+                stats["mae_theta_deg"],
+                float(np.std([r.theta_err_deg for r in sel]) / np.sqrt(len(sel))),
+                stats["mae_phi_deg"],
+                float(np.std([r.phi_err_deg for r in sel]) / np.sqrt(len(sel))),
+                stats["mean_sir_gain_db"],
             ]
         )
     _write_results(spec, rows)
@@ -660,18 +660,12 @@ def _sweep(spec: ExperimentSpec, axis: str, counts, limit: int) -> dict:
 
 def run_subcarrier_sweep(spec: ExperimentSpec) -> dict:
     """Accuracy and SIR gain versus the number of subcarriers P."""
-    return _sweep(spec, "p", spec.subcarrier_counts, len(spec.scenario.subcarriers_hz))
+    return _sweep(spec, "p", spec.subcarrier_counts)
 
 
 def run_antenna_sweep(spec: ExperimentSpec) -> dict:
     """Accuracy and SIR gain versus the number of antennas Q."""
-    return _sweep(spec, "q", spec.antenna_counts, spec.scenario.rx.n_elements)
-
-
-def _diag_db(imi: ImiMatrix) -> dict[int, float]:
-    return {
-        l: 10.0 * np.log10(imi.entry(l, l)) for l in imi.transmitted_modes
-    }
+    return _sweep(spec, "q", spec.antenna_counts)
 
 
 def run_imi_demo(spec: ExperimentSpec) -> dict:
@@ -684,13 +678,10 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
     tilted_pose = RxPose.from_tilt(r, np.deg2rad(spec.demo_tilt_deg), 0.0)
     theta_t, phi_t = misalignment_angles(tilted_pose)
 
-    aligned = imi_matrices(
-        scenario, aligned_pose, modes, modes, [None], spec.model, k
-    )[0]
+    aligned = imi_matrices(scenario, aligned_pose, modes, [None], spec.model, k)[0]
     tilted, corrected = imi_matrices(
         scenario,
         tilted_pose,
-        modes,
         modes,
         [None, phase_mask(theta_t, phi_t, k, scenario.rx)],
         spec.model,
@@ -701,14 +692,14 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
         # Rows are decoded modes, columns transmitted modes.
         _write_csv(
             spec.out_dir / f"imi_{label}.csv",
-            ["decoded\\transmitted", *imi.transmitted_modes],
-            [[l, *row] for l, row in zip(imi.decoded_modes, imi.power)],
+            ["decoded\\transmitted", *imi.modes],
+            [[l, *row] for l, row in zip(imi.modes, imi.power)],
             spec.config_hash,
         )
 
-    diag_al = _diag_db(aligned)
-    diag_ti = _diag_db(tilted)
-    diag_co = _diag_db(corrected)
+    diag_al, diag_ti, diag_co = (
+        10.0 * np.log10(np.diag(m.power)) for m in (aligned, tilted, corrected)
+    )
     dominance = {label: sir(m)[0] for label, m in matrices.items()}
     summary = {
         "modes": list(modes),
@@ -716,12 +707,8 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
         "aligned_min_dominance_db": min(dominance["aligned"].values()),
         "misaligned_min_dominance_db": min(dominance["misaligned"].values()),
         "corrected_min_dominance_db": min(dominance["corrected"].values()),
-        "misaligned_max_diag_drop_db": max(
-            diag_al[l] - diag_ti[l] for l in modes
-        ),
-        "corrected_max_diag_gap_db": max(
-            abs(diag_al[l] - diag_co[l]) for l in modes
-        ),
+        "misaligned_max_diag_drop_db": float(np.max(diag_al - diag_ti)),
+        "corrected_max_diag_gap_db": float(np.max(np.abs(diag_al - diag_co))),
     }
     _write_summary(spec, summary)
     return summary
@@ -733,16 +720,13 @@ def validate_model(spec: ExperimentSpec) -> dict:
     k = wavenumber(scenario.carrier_hz)
     r = scenario.pose.distance_m
     modes = spec.validate_modes
-    if not modes:
-        raise ConfigError("validate_modes must be nonempty")
-    rings = spec.rings or ((scenario.rx.radius_m, scenario.rx.n_elements),)
     corr_rows = []
     phase_rows = []
     min_corr = 1.0
     for pose_idx, (ry, rx_deg) in enumerate(spec.poses):
         pose = RxPose.from_tilt(r, np.deg2rad(ry), np.deg2rad(rx_deg))
         theta_t, phi_t = misalignment_angles(pose)
-        for ring_idx, (radius, count) in enumerate(rings):
+        for ring_idx, (radius, count) in enumerate(spec.rings):
             ring = UcaGeometry(count, radius)
             ring_scenario = Scenario(
                 tx=scenario.tx,
@@ -821,12 +805,12 @@ def validate_model(spec: ExperimentSpec) -> dict:
         spec.config_hash,
     )
     aperture = max(
-        scenario.tx.radius_m, max(radius for radius, _count in rings)
+        scenario.tx.radius_m, max(radius for radius, _count in spec.rings)
     )
     summary = {
         "min_correlation": min_corr,
         "farfield_marginal": bool(r < 100.0 * aperture),
-        "rings": [[radius, count] for radius, count in rings],
+        "rings": [[radius, count] for radius, count in spec.rings],
         "modes": list(modes),
     }
     _write_summary(spec, summary)
@@ -873,9 +857,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         summary = RUNNERS[spec.kind](spec)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - surfaced as exit code
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

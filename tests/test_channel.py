@@ -290,7 +290,7 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError, match=message):
             received_signals(scen, pose, [1], [K_CARRIER], "hybrid")
         with pytest.raises(ValueError, match=message):
-            imi_matrices(scen, pose, [1], [1], [None], "hybrid", K_CARRIER)
+            imi_matrices(scen, pose, [1], [None], "hybrid", K_CARRIER)
 
 
 class TestSampleTensor:

@@ -474,8 +474,8 @@ class TestBatchedRefine:
                                        atol=1e-6 * np.abs(grad).max())
 
     def test_iterates_stay_in_box(self, monkeypatch):
-        _pose, config, terms, cells = _terms_and_cells(30.0, -120.0, 5.0)
-        g = np.deg2rad(config.grid_deg)
+        _pose, _config, terms, cells = _terms_and_cells(30.0, -120.0, 5.0)
+        g = np.deg2rad(estimator_module._GRID_DEG)
         for cell in cells:
             seen = []
 
@@ -484,7 +484,7 @@ class TestBatchedRefine:
                 return _inner(x, t)
 
             monkeypatch.setattr(estimator_module, "_profiled", recording)
-            _refine_cells([cell], terms, config)
+            _refine_cells([cell], terms)
             monkeypatch.undo()
             pts = np.vstack(seen)
             x0 = np.asarray(cell[:2])
@@ -494,22 +494,22 @@ class TestBatchedRefine:
             assert np.all((pts >= lower) & (pts <= upper))
 
     def test_batch_matches_single_cells(self):
-        _pose, config, terms, cells = _terms_and_cells(30.0, -120.0, 10.0)
-        batch = _refine_cells(cells, terms, config)
+        _pose, _config, terms, cells = _terms_and_cells(30.0, -120.0, 10.0)
+        batch = _refine_cells(cells, terms)
         for cell, (x, cost, n_iter) in zip(cells, batch):
-            x1, cost1, n_iter1 = _refine_cells([cell], terms, config)[0]
+            x1, cost1, n_iter1 = _refine_cells([cell], terms)[0]
             np.testing.assert_allclose(x, x1, rtol=0, atol=1e-15)
             assert cost == pytest.approx(cost1, rel=1e-12, abs=1e-300)
             assert n_iter == n_iter1
 
     def test_recovers_noiseless_from_neighbour_cell(self):
-        pose, config, terms, _cells = _terms_and_cells(33.0, -147.0, None)
+        pose, _config, terms, _cells = _terms_and_cells(33.0, -147.0, None)
         theta, phi = misalignment_angles(pose)
         truth = np.array([theta, phi])
-        g = np.deg2rad(config.grid_deg)
+        g = np.deg2rad(estimator_module._GRID_DEG)
         for sign in (-1.0, 1.0):
             start = truth + sign * g
-            x, cost, _n = _refine_cells([(*start, 0.0, 0.0)], terms, config)[0]
+            x, cost, _n = _refine_cells([(*start, 0.0, 0.0)], terms)[0]
             assert np.max(np.abs(np.angle(np.exp(1j * (x - truth))))) < 1e-6
             assert cost < 1e-20
             # Modes +-1: gamma is known modulo pi/2.
@@ -590,7 +590,7 @@ def full_coarse_candidates(terms, config, tensor, scen):
     of every cell at every probed subcarrier and mode.  Also returns the
     grid axes and the per-cell gamma and loss.
     """
-    g_th, g_ph = np.deg2rad(config.grid_deg)
+    g_th = g_ph = np.deg2rad(estimator_module._GRID_DEG)
     thetas = np.arange(0.0, np.pi / 2 - 1e-12, g_th)
     phis = -np.pi + g_ph * np.arange(1, int(round(2 * np.pi / g_ph)) + 1)
     th, ph = (a[..., None] for a in np.meshgrid(thetas, phis, indexing="ij"))
@@ -714,13 +714,3 @@ class TestEstimationConfig:
         with pytest.raises(ValueError):
             EstimationConfig(modes=(1, 1), antennas=(0, 1, 2),
                              subcarriers_hz=(F_CARRIER,))
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            EstimationConfig(modes=(-1, 1), antennas=(0, 1, 2),
-                             subcarriers_hz=(F_CARRIER,), grid_deg=(0.0, 3))
-
-    def test_rejects_gamma_grid(self):
-        with pytest.raises(ValueError, match="gamma is solved, no longer gridded"):
-            EstimationConfig(modes=(-1, 1), antennas=(0, 1, 2),
-                             subcarriers_hz=(F_CARRIER,), grid_deg=(3, 3, 3))

@@ -203,9 +203,8 @@ class TestRunners:
         # Rows are decoded modes, columns transmitted modes.
         tilted = RxPose.from_tilt(spec.scenario.pose.distance_m,
                                   np.deg2rad(spec.demo_tilt_deg), 0.0)
-        [expected] = imi_matrices(spec.scenario, tilted, spec.demo_modes,
-                                  spec.demo_modes, [None], spec.model,
-                                  wavenumber(spec.scenario.carrier_hz))
+        [expected] = imi_matrices(spec.scenario, tilted, spec.demo_modes, [None],
+                                  spec.model, wavenumber(spec.scenario.carrier_hz))
         with open(tmp_path / "imi" / "imi_misaligned.csv", newline="") as fh:
             rows = list(csv.reader(fh))[2:]
         assert [int(row[0]) for row in rows] == list(spec.demo_modes)
@@ -323,16 +322,30 @@ class TestFailures:
 
     @pytest.mark.parametrize("kind, key", [("subcarrier-sweep", "subcarrier_counts"),
                                            ("antenna-sweep", "antenna_counts"),
-                                           ("validate-model", "validate_modes")])
+                                           ("validate-model", "validate_modes"),
+                                           ("validate-model", "rings")])
     def test_empty_kind_list_exit_config(self, tmp_path, kind, key):
+        # Every setting is checked when the spec loads, before any trial runs.
         path = tiny_config(tmp_path, **{key: []})
+        with pytest.raises(ConfigError):
+            load_spec(kind, config_path=path)
         assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind, cfg", [
+        ("ccdf", {"estimation": {"p": 0}}),
+        ("subcarrier-sweep", {"subcarrier_counts": [0, 2]}),
+        ("subcarrier-sweep", {"subcarrier_counts": [1, 500]}),
+    ])
+    def test_count_out_of_range_rejected_at_load(self, tmp_path, kind, cfg):
+        path = tiny_config(tmp_path, **cfg)
+        with pytest.raises(ConfigError, match="must lie in 1..71"):
+            load_spec(kind, config_path=path)
 
     @pytest.mark.parametrize("kind, cfg", [
         ("ccdf", {"estimation": {"q": 2}}),
         ("ccdf", {"estimation": {"q": 30}}),
-        ("ccdf", {"estimation": {"grid_deg": [0.0, 3.0]}}),
-        ("ccdf", {"estimation": {"grid_deg": [3]}}),
+        ("ccdf", {"estimation": {"p": 0}}),
+        ("ccdf", {"estimation": {"modes": [1]}}),
         ("ccdf", {"estimation": {"modes": [1, 1]}}),
         ("antenna-sweep", {"antenna_counts": [2, 6]}),
         ("imi-demo", {"demo_modes": [-12, 12]}),
@@ -349,21 +362,15 @@ class TestFailures:
         {"max_iter": 50},
         {"weighting": "amplitude"},
         {"weighting": "magic"},
+        {"grid_deg": [3.0, 3.0]},
     ])
     def test_retired_estimation_keys_exit_config(self, tmp_path, capsys, estimation):
-        # The loss weighting and the refine's stopping rule are fixed.
+        # The loss weighting, the refine's stopping rule and the grid are fixed.
         path = tiny_config(tmp_path, estimation=estimation)
         code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         [key] = estimation
         assert f"unknown config key 'estimation.{key}'" in capsys.readouterr().err
-
-    def test_gamma_grid_exit_config(self, tmp_path, capsys):
-        # gamma is solved at every point, so a third grid step is an error.
-        path = tiny_config(tmp_path, estimation={"grid_deg": [3, 3, 3]})
-        code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out")])
-        assert code == EXIT_CONFIG
-        assert "gamma is solved, no longer gridded" in capsys.readouterr().err
 
 
 class TestCli:
