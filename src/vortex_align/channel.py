@@ -6,10 +6,10 @@ transmitted vortex mode ``l`` and wavenumber ``k``:
 * ``exact_received_signals`` is the ground-truth oracle: spherical waves
   from every transmit element over exact 3-D distances, built once per
   call, with the propagation once per k; valid unless elements overlap.
-* ``farfield_received_signal`` is the closed-form model
-  (1/k) * (exp(-i k r)/r) * exp(i k a_r sin(theta) cos(phi - phi_m))
-  * N_t * exp(i l (delta_m + gamma)) * J_l(k a_r a_t rho_m / r),
-  valid when the link distance dominates both apertures.
+* ``farfield_received_signal`` is the closed-form model, valid when the
+  link distance dominates both apertures: (1/k) * (exp(-i k r)/r) * N_t *
+  exp(i l gamma) times ``farfield_pattern``, which the estimator's power
+  probe reads too; the correction mask is minus its spatial phase.
 
 ``received_signals`` stacks either model over (antenna, mode, subcarrier);
 ``simulate_measurement`` adds seeded circularly-symmetric complex noise.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.special import jv
+from scipy.special import j0, j1, jv
 
 from .geometry import (
     RxPose,
@@ -63,12 +63,20 @@ def wavenumber(freq_hz: float) -> float:
 def bessel_j(order: int, x) -> float | np.ndarray:
     """Bessel function of the first kind for integer orders.
 
-    Negative orders follow J_{-l}(x) = (-1)^l J_l(x).
+    Orders 0 and +-1 use the Cephes j0 / j1, as accurate as jv and far
+    faster; negative orders follow J_{-l}(x) = (-1)^l J_l(x) exactly.
     """
     if order != int(order):
         raise ValueError(f"order must be an integer, got {order}")
-    out = jv(int(order), x)
+    out = _bessel((int(order),), x)[0]
     return float(out) if np.isscalar(x) else out
+
+
+def _bessel(modes, x) -> list[np.ndarray]:
+    """``bessel_j`` of each of ``modes`` at ``x``, one evaluation per |l|."""
+    orders = {abs(l) for l in modes}
+    by_order = {n: (j0, j1)[n](x) if n < 2 else jv(n, x) for n in orders}
+    return [-by_order[abs(l)] if l < 0 and l % 2 else by_order[abs(l)] for l in modes]
 
 
 def delta(theta, phi, phi_m):
@@ -130,6 +138,40 @@ def _check_farfield(r: float, tx: UcaGeometry, rx: UcaGeometry) -> None:
         )
 
 
+def farfield_geometry(theta: np.ndarray, phi: np.ndarray, phi_m: np.ndarray, modes):
+    """Frequency-independent geometry of the far-field pattern.
+
+    For (n,) angles (theta, phi) and (Q,) element azimuths ``phi_m``: delta_m
+    and rho_m (n, Q), sin(theta) (n, 1), cos(phi - phi_m) (n, Q) and the
+    twist e^{il delta_m} of each of ``modes``, (n_modes, n, Q).
+    """
+    th, ph = theta[:, None], phi[:, None]
+    d_m = delta(th, ph, phi_m)
+    twist = np.exp(1j * np.asarray(modes)[:, None, None] * d_m)
+    return d_m, rho(th, ph, phi_m), np.sin(th), np.cos(ph - phi_m), twist
+
+
+def farfield_spatial_phase(geometry, k: float, rx: UcaGeometry) -> np.ndarray:
+    """Tilt-induced spatial phase k a_r sin(theta) cos(phi - phi_m), (n, Q)."""
+    _d_m, _rho_m, sin_th, cos_u, _twist = geometry
+    return k * rx.radius_m * sin_th * cos_u
+
+
+def farfield_pattern(
+    geometry, modes, k: float, r: float, tx: UcaGeometry, rx: UcaGeometry
+) -> list[np.ndarray]:
+    """Far-field pattern of each of ``modes`` at wavenumber ``k``, each (n, Q).
+
+    exp(i k a_r sin(theta) cos(phi - phi_m)) * exp(i l delta_m)
+    * J_l(k a_r a_t rho_m / r) over ``farfield_geometry`` of the same modes.
+    gamma is left out: it is one phase common to every element of a mode.
+    """
+    _d_m, rho_m, _sin_th, _cos_u, twist = geometry
+    spatial = np.exp(1j * farfield_spatial_phase(geometry, k, rx))
+    bessel = _bessel(modes, k * rx.radius_m * tx.radius_m * rho_m / r)
+    return [spatial * tw * j_l for tw, j_l in zip(twist, bessel)]
+
+
 def farfield_received_signal(
     m,
     mode: int,
@@ -149,19 +191,11 @@ def farfield_received_signal(
     if not 0.0 <= theta < np.pi / 2:
         raise ValueError(f"theta must be in [0, pi/2), got {theta}")
     _check_farfield(r, tx, rx)
-    m_arr = np.atleast_1d(np.asarray(m, dtype=int))
-    phi_m = 2.0 * np.pi * m_arr / rx.n_elements
-    d_m = delta(theta, phi, phi_m)
-    rho_m = rho(theta, phi, phi_m)
-    bess = jv(mode, k * rx.radius_m * tx.radius_m * rho_m / r)
-    out = (
-        (1.0 / k)
-        * (np.exp(-1j * k * r) / r)
-        * np.exp(1j * k * rx.radius_m * np.sin(theta) * np.cos(phi - phi_m))
-        * tx.n_elements
-        * np.exp(1j * mode * (d_m + gamma_angle))
-        * bess
-    )
+    phi_m = 2.0 * np.pi * np.atleast_1d(np.asarray(m, dtype=int)) / rx.n_elements
+    geometry = farfield_geometry(np.array([theta]), np.array([phi]), phi_m, (mode,))
+    scale = (1.0 / k) * (np.exp(-1j * k * r) / r) * tx.n_elements
+    pattern = farfield_pattern(geometry, (mode,), k, r, tx, rx)[0][0]
+    out = scale * np.exp(1j * mode * gamma_angle) * pattern
     return complex(out[0]) if np.isscalar(m) else out
 
 

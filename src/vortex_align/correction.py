@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import received_signals
+from .channel import farfield_geometry, farfield_spatial_phase, received_signals
 from .geometry import RxPose, Scenario, UcaGeometry
 
 # Sentinel for infinite SIR (zero interference); keeps capacity finite.
@@ -74,18 +74,12 @@ class ImiMatrix:
 
 
 def phase_mask(theta: float, phi: float, k: float, rx: UcaGeometry) -> PhaseMask:
-    """Correction phases P_m = -k sin(theta) (x cos(phi) + y sin(phi)).
-
-    (x, y) are the element coordinates in the receiver plane; values are
-    wrapped to (-pi, pi].
-    """
+    """Correction phases: minus the far-field spatial phase, in (-pi, pi]."""
     if not 0.0 <= theta < np.pi / 2:
         raise ValueError(f"theta must be in [0, pi/2), got {theta}")
-    phi_m = rx.element_azimuths
-    x = rx.radius_m * np.cos(phi_m)
-    y = rx.radius_m * np.sin(phi_m)
-    raw = -k * np.sin(theta) * (x * np.cos(phi) + y * np.sin(phi))
-    return PhaseMask(values=np.angle(np.exp(1j * raw)))
+    geometry = farfield_geometry(*np.array([[theta], [phi]]), rx.element_azimuths, ())
+    spatial = farfield_spatial_phase(geometry, k, rx)[0]
+    return PhaseMask(values=np.angle(np.exp(-1j * spatial)))
 
 
 def check_decodable(modes, n: int) -> None:

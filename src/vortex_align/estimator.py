@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0, j1, jv
 
-from .channel import SampleTensor, bessel_j, delta, rho, wavenumber
+from .channel import SampleTensor, bessel_j, delta, wavenumber
+from .channel import farfield_geometry, farfield_pattern
 from .geometry import Scenario
 
 # Amplitudes below this floor mean the measurement carries no usable power.
@@ -346,8 +346,8 @@ def _validate_config(config: EstimationConfig, n_rx: int) -> None:
 def _grid_tables(antenna_azimuths: tuple[float, ...], modes: tuple[int, ...]):
     """Precompute the (theta, phi) grid and its f-independent tables.
 
-    Returns the two grid axes; the power-map geometry of every (theta, phi)
-    cell at the given antennas (see ``_power_geometry``); and the per-term
+    Returns the two grid axes; the ``farfield_geometry`` of every (theta,
+    phi) cell at the given antennas; and the per-term
     spin exp(-2i dl delta) of every cell, (n_theta * n_phi, n_terms), with
     terms ordered antenna-major over ``_mode_pairs(modes)`` as in
     ``cross_modal_phase_set``.
@@ -356,33 +356,12 @@ def _grid_tables(antenna_azimuths: tuple[float, ...], modes: tuple[int, ...]):
     thetas = np.arange(0.0, np.pi / 2 - 1e-12, step)
     phis = -np.pi + step * np.arange(1, int(round(2 * np.pi / step)) + 1)
     th_mesh, ph_mesh = np.meshgrid(thetas, phis, indexing="ij")
-    geometry = _power_geometry(
+    geometry = farfield_geometry(
         th_mesh.ravel(), ph_mesh.ravel(), np.asarray(antenna_azimuths), modes
     )
     pair_dl = np.array([li - lj for li, lj in _mode_pairs(modes)])
     spin = np.exp(-2j * geometry[0][:, :, None] * pair_dl).reshape(th_mesh.size, -1)
     return thetas, phis, geometry, spin
-
-
-def _power_geometry(theta: np.ndarray, phi: np.ndarray, phi_m: np.ndarray, modes):
-    """Frequency-independent geometry of the matched-power probe.
-
-    For candidate angles (theta, phi) of shape (n,) and element azimuths
-    ``phi_m`` of shape (Q,), returns delta_m and rho_m of shape (n, Q),
-    sin(theta) of shape (n, 1), cos(phi - phi_m) of shape (n, Q) and the
-    twist e^{il delta_m} of each of ``modes``, (n_modes, n, Q); the matched
-    power does not see gamma, a phase common to all elements of a mode.
-    """
-    th = theta[:, None]
-    ph = phi[:, None]
-    d_m = delta(th, ph, phi_m[None, :])
-    return (
-        d_m,
-        rho(th, ph, phi_m[None, :]),
-        np.sin(th),
-        np.cos(ph - phi_m),
-        np.exp(1j * np.asarray(modes)[:, None, None] * d_m),
-    )
 
 
 def _profile_gamma(
@@ -497,29 +476,25 @@ def _matched_power(
 
     Models the power probe a receiver makes after applying a candidate
     correction mask and mode-matched combining over the ring elements
-    labelled ``antennas``.  ``geometry`` is ``_power_geometry`` of the
-    candidates at those antennas and ``config.modes``.  With ``normalized``
-    the matched energy |<g, y>|^2 / |g|^2 is returned, which is the signal
-    power the candidate model explains.
+    labelled ``antennas``, matched to the far-field pattern of each mode;
+    ``geometry`` is ``farfield_geometry`` of the candidates at those
+    antennas and ``config.modes``.  With ``normalized`` the matched energy
+    |<g, y>|^2 / |g|^2 is returned, the signal power the model explains.
     """
-    rx = scenario.rx
     rows = np.array([tensor.antenna_index(m) for m in antennas])
-    _d_m, rho_m, sin_th, cos_u, twist = geometry
-    r = scenario.pose.distance_m
     mode_idx = [tensor.mode_index(l) for l in config.modes]
     subs = config.subcarriers_hz
     if len(subs) > _POWER_GRID_MAX_SUBCARRIERS:
         picks = np.linspace(0, len(subs) - 1, _POWER_GRID_MAX_SUBCARRIERS).astype(int)
         subs = tuple(subs[i] for i in picks)
-    power = np.zeros(rho_m.shape[0])
+    power = np.zeros(geometry[0].shape[0])
     for f, ki in zip(subs, tensor.subcarrier_indices(subs)):
-        k = wavenumber(f)
-        # Includes the candidate mask: conj of the tilt-induced spatial phase.
-        spatial = np.exp(1j * k * rx.radius_m * sin_th * cos_u)
-        arg = k * rx.radius_m * scenario.tx.radius_m * rho_m / r
-        bessel = _bessel_factors(config.modes, arg)
-        for li, tw, j_l in zip(mode_idx, twist, bessel):
-            profile = spatial * tw * j_l
+        # The pattern's spatial phase is the conjugate of the candidate mask.
+        profiles = farfield_pattern(
+            geometry, config.modes, wavenumber(f), scenario.pose.distance_m,
+            scenario.tx, scenario.rx,
+        )
+        for li, profile in zip(mode_idx, profiles):
             combined = np.conj(profile) @ tensor.values[rows, li, ki]
             if normalized:
                 norm = np.sum(np.abs(profile) ** 2, axis=1)
@@ -527,17 +502,6 @@ def _matched_power(
             else:
                 power += np.abs(combined) ** 2
     return power
-
-
-def _bessel_factors(modes, x: np.ndarray) -> list[np.ndarray]:
-    """J_l(x) for each of ``modes``, one evaluation per |l|.
-
-    Orders 0 and 1 use the Cephes j0 / j1, as accurate as jv and far faster
-    than its general-order path; negative orders follow J_{-l} = (-1)^l J_l.
-    """
-    orders = {abs(l) for l in modes}
-    by_order = {n: (j0, j1)[n](x) if n < 2 else jv(n, x) for n in orders}
-    return [-by_order[abs(l)] if l < 0 and l % 2 else by_order[abs(l)] for l in modes]
 
 
 def _model(x: np.ndarray, terms: CrossModalPhaseSet) -> np.ndarray:
@@ -604,10 +568,13 @@ def _refine_cells(
     The refine runs in (theta, phi) on ``_profiled``, gamma solved at every
     iterate.  Each cell is confined to a box of one grid step in theta and
     phi around its candidate, a prior that keeps noisy, weakly-conditioned
-    fits out of the spurious phase-loss minima a few steps away.  Each
-    iteration solves the Marquardt-scaled damped 2 x 2 normal equations of
-    every active cell; a gradient component pushing out of the box at an
-    active bound is dropped, and the trial point is clipped into the box.
+    fits out of the spurious phase-loss minima a few steps away.  A cell on
+    the theta = 0 row is the boresight, one point at every phi, so its box
+    spans the whole phi circle; the row stays in the grid because its cells
+    are the refine's phi starts.  Each iteration solves the Marquardt-scaled
+    damped 2 x 2 normal equations of every active cell; a gradient component
+    pushing out of the box at an active bound is dropped, and the trial
+    point is clipped into the box.
     The damping shrinks after an accepted step, down to a floor, and grows
     after a rejected one.  A cell stops when its step moves less than
     ``_LM_MIN_MOVE`` rad, when an accepted step lowers its cost by no more
@@ -620,6 +587,8 @@ def _refine_cells(
     upper = x + reach
     lower[:, 0] = np.maximum(lower[:, 0], 0.0)
     upper[:, 0] = np.minimum(upper[:, 0], np.pi / 2 - 1e-12)
+    axis = x[:, 0] == 0.0
+    lower[axis, 1], upper[axis, 1] = -np.inf, np.inf
     # delta depends on theta through cos(theta), so every gradient vanishes
     # in theta at theta = 0: a cell on that row starts half a step inside.
     x[:, 0] = np.maximum(x[:, 0], 0.5 * reach)
@@ -691,7 +660,7 @@ def estimate(
     pool[1::2, 1] = np.angle(np.exp(1j * (pool[1::2, 1] + np.pi)))
     pool_gamma = _profiled(pool, terms)[0]
     ring = scenario.rx.element_azimuths[tensor.antennas]
-    geometry = _power_geometry(pool[:, 0], pool[:, 1], ring, config.modes)
+    geometry = farfield_geometry(pool[:, 0], pool[:, 1], ring, config.modes)
     powers = _matched_power(
         tensor, scenario, config, geometry, tensor.antennas, normalized=True
     )

@@ -343,7 +343,8 @@ def _validate_spec(spec: ExperimentSpec) -> None:
                 "away from the transmitter"
             )
     n_sub = len(spec.scenario.subcarriers_hz)
-    if not 1 <= spec.p <= n_sub:
+    reads_p = spec.kind in ("angle-sweep", "ccdf", "antenna-sweep")
+    if reads_p and not 1 <= spec.p <= n_sub:
         raise ConfigError(f"estimation.p must lie in 1..{n_sub}, got {spec.p}")
     if spec.kind == "subcarrier-sweep":
         ps = spec.subcarrier_counts

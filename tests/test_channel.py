@@ -14,19 +14,23 @@ from vortex_align.channel import (
     delta,
     exact_received_signals,
     farfield_antenna_vector,
+    farfield_geometry,
     farfield_received_signal,
     received_signals,
     rho,
     simulate_measurement,
     wavenumber,
 )
+from vortex_align.channel import _bessel
 from vortex_align.correction import imi_matrices
+from vortex_align.estimator import EstimationConfig, _matched_power, select_antennas
 from vortex_align.geometry import (
     RxPose,
     Scenario,
     UcaGeometry,
     element_positions_rx,
     element_positions_tx,
+    misalignment_angles,
     tilt_for_angles,
 )
 
@@ -94,6 +98,42 @@ class TestBessel:
     def test_array_argument(self):
         x = np.array([0.1, 1.0, 3.0])
         assert bessel_j(1, x).shape == (3,)
+
+
+class TestBesselFactors:
+    X = np.linspace(0.0, 20.0, 401)
+
+    def test_matches_mpmath(self):
+        with mpmath.workdps(30):
+            for l in range(4):
+                want = np.array([float(mpmath.besselj(l, x)) for x in self.X])
+                got = _bessel((l,), self.X)[0]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+                np.testing.assert_array_equal(bessel_j(l, self.X), got)
+
+    def test_negative_orders_reflect(self):
+        for l in range(1, 4):
+            neg, pos = _bessel((-l, l), self.X)
+            np.testing.assert_array_equal(neg, (-1) ** l * pos)
+
+
+class TestPowerProbeMatchesChannel:
+    @pytest.mark.parametrize("modes", [(-1, 1), (-2, 0, 2)])
+    def test_matched_energy_at_truth_is_tensor_energy(self, modes):
+        # The estimator's probe and the channel read one far-field pattern,
+        # so at the true angles the probe explains all the received energy.
+        scen, pose = make_scenario(distance=0.4, theta_deg=30.0, phi_deg=-120.0,
+                                   subcarriers=[F_CARRIER, F_CARRIER + 1e8])
+        tensor = simulate_measurement(scen, pose, modes, scen.subcarriers_hz)
+        config = EstimationConfig(modes, tuple(select_antennas(20, 6)),
+                                  tuple(scen.subcarriers_hz))
+        theta, phi = misalignment_angles(pose)
+        ring = scen.rx.element_azimuths[list(config.antennas)]
+        geometry = farfield_geometry(np.array([theta]), np.array([phi]), ring, modes)
+        got = _matched_power(tensor, scen, config, geometry, config.antennas,
+                             normalized=True)
+        want = np.sum(np.abs(tensor.values[list(config.antennas)]) ** 2)
+        np.testing.assert_allclose(got, [want], rtol=1e-12)
 
 
 class TestDeltaRho:

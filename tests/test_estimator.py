@@ -4,7 +4,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -34,7 +33,6 @@ from vortex_align.estimator import (
 )
 from vortex_align import estimator as estimator_module
 from vortex_align.estimator import (
-    _bessel_factors,
     _coarse_candidates,
     _mode_pairs,
     _profile_gamma,
@@ -308,6 +306,22 @@ class TestEstimate:
             assert est.diagnostics["grid_theta"] == 0.0
             assert abs(np.rad2deg(est.theta - theta)) < 0.05
 
+    def test_near_boresight_recovers_both_angles(self):
+        # At theta = 0 all phi cells of the grid are one point, so their
+        # order is set by rounding; the refine from that row must still
+        # reach the true azimuth.  Azimuths sit off the 3-degree grid.
+        misses = []
+        for theta_deg in (0.5, 1.0, 2.0):
+            for phi_deg in -173.0 + 30.0 * np.arange(12):
+                scen, pose, tensor, config = make_setup(theta_deg, phi_deg)
+                est = estimate(tensor, scen, config)
+                theta, phi = misalignment_angles(pose)
+                err = (np.rad2deg(abs(est.theta - theta)),
+                       np.rad2deg(circ_err(est.phi, phi)))
+                if err[0] >= 0.05 or err[1] >= 0.1:
+                    misses.append((theta_deg, phi_deg, *err))
+        assert not misses
+
     def test_minimum_measurement_q3(self):
         scen, pose, tensor, _ = make_setup(35.0, -125.0)
         config = EstimationConfig(
@@ -515,22 +529,6 @@ class TestBatchedRefine:
             # Modes +-1: gamma is known modulo pi/2.
             gamma_hat = _profiled(x[None, :], terms)[0][0]
             assert circ_err(4 * gamma_hat, 4 * gamma(pose)) < 1e-6
-
-
-class TestBesselFactors:
-    X = np.linspace(0.0, 20.0, 401)
-
-    def test_matches_mpmath(self):
-        with mpmath.workdps(30):
-            for l in range(4):
-                want = np.array([float(mpmath.besselj(l, x)) for x in self.X])
-                got = _bessel_factors((l,), self.X)[0]
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-
-    def test_negative_orders_reflect(self):
-        for l in range(1, 4):
-            neg, pos = _bessel_factors((-l, l), self.X)
-            np.testing.assert_array_equal(neg, (-1) ** l * pos)
 
 
 def _diverse_walk(ranking, count, n_phi, spacing=3):

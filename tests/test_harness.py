@@ -349,6 +349,7 @@ class TestFailures:
         ("ccdf", {"estimation": {"modes": [1, 1]}}),
         ("antenna-sweep", {"antenna_counts": [2, 6]}),
         ("imi-demo", {"demo_modes": [-12, 12]}),
+        ("ccdf", {"estimation": {"p": 72}}),
     ])
     def test_invalid_setup_exit_config(self, tmp_path, capsys, kind, cfg):
         # Settings the estimator or the decoder would reject fail at load.
@@ -356,6 +357,13 @@ class TestFailures:
         code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["imi-demo", "validate-model"])
+    def test_kinds_without_p_ignore_it(self, tmp_path, kind):
+        # One config file drives a p = 4 ccdf and the kinds that read no p.
+        path = tiny_config(tmp_path, estimation={"p": 4}, validate_modes=[-1, 1],
+                           rings=[{"radius_m": 0.02, "n": 16}])
+        assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
 
     @pytest.mark.parametrize("estimation", [
         {"tol": 1e-8},
