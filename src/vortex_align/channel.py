@@ -9,9 +9,10 @@ transmitted vortex mode ``l`` and wavenumber ``k``:
 * ``farfield_received_signal`` is the closed-form model, valid when the
   link distance dominates both apertures: (1/k) * (exp(-i k r)/r) * N_t *
   exp(i l gamma) times ``farfield_pattern``, which the estimator's power
-  probe reads too; the correction mask is minus its spatial phase.
+  probe reads too; the correction mask is minus its spatial phase.  It
+  takes the same arguments and returns the same shape as the oracle.
 
-``received_signals`` stacks either model over (antenna, mode, subcarrier);
+``received_signals`` picks either model by name;
 ``simulate_measurement`` adds seeded circularly-symmetric complex noise.
 """
 
@@ -172,56 +173,48 @@ def farfield_pattern(
     return [spatial * tw * j_l for tw, j_l in zip(twist, bessel)]
 
 
-def farfield_received_signal(
-    m,
-    mode: int,
-    k: float,
-    theta: float,
-    phi: float,
-    gamma_angle: float,
-    r: float,
-    tx: UcaGeometry,
-    rx: UcaGeometry,
-):
-    """Closed-form far-field sample at receive element(s) ``m``.
+def farfield_received_signal(scenario: Scenario, pose: RxPose, modes, ks) -> np.ndarray:
+    """Closed-form far-field samples at every receive element, (N_r, modes, ks).
 
-    ``m`` may be an integer index or an array of indices; a complex scalar
-    or array is returned accordingly.
+    s_m = (1/k) * (exp(-i k r)/r) * N_t * exp(i l gamma) times
+    ``farfield_pattern``; one call builds the pose angles, gamma and the
+    geometry once, and the pattern once per k.
     """
+    theta, phi = misalignment_angles(pose)
     if not 0.0 <= theta < np.pi / 2:
         raise ValueError(f"theta must be in [0, pi/2), got {theta}")
+    tx, rx, r = scenario.tx, scenario.rx, pose.distance_m
     _check_farfield(r, tx, rx)
-    phi_m = 2.0 * np.pi * np.atleast_1d(np.asarray(m, dtype=int)) / rx.n_elements
-    geometry = farfield_geometry(np.array([theta]), np.array([phi]), phi_m, (mode,))
-    scale = (1.0 / k) * (np.exp(-1j * k * r) / r) * tx.n_elements
-    pattern = farfield_pattern(geometry, (mode,), k, r, tx, rx)[0][0]
-    out = scale * np.exp(1j * mode * gamma_angle) * pattern
-    return complex(out[0]) if np.isscalar(m) else out
+    geometry = farfield_geometry(
+        np.array([theta]), np.array([phi]), rx.element_azimuths, modes
+    )
+    helix = np.exp(1j * np.asarray(modes) * pose_gamma(pose))
+    out = np.empty((rx.n_elements, len(modes), len(ks)), dtype=complex)
+    for ki, k in enumerate(ks):
+        scale = (1.0 / k) * (np.exp(-1j * k * r) / r) * tx.n_elements
+        pattern = farfield_pattern(geometry, modes, k, r, tx, rx)
+        # scale * e^{il gamma} stays a scalar product: numpy's array complex
+        # multiply may fuse it (FMA) and round differently.
+        out[:, :, ki] = np.column_stack(
+            [scale * h * p[0] for h, p in zip(helix, pattern)]
+        )
+    return out
 
 
 def farfield_antenna_vector(
     scenario: Scenario, pose: RxPose, mode: int, k: float
 ) -> np.ndarray:
-    """Far-field samples at every receive element for the given pose."""
-    theta, phi = misalignment_angles(pose)
-    g = pose_gamma(pose)
-    m = np.arange(scenario.rx.n_elements)
-    return farfield_received_signal(
-        m, mode, k, theta, phi, g, pose.distance_m, scenario.tx, scenario.rx
-    )
+    """Far-field samples at every receive element for one mode and wavenumber."""
+    return farfield_received_signal(scenario, pose, (mode,), [k])[:, 0, 0]
 
 
 def received_signals(scenario: Scenario, pose: RxPose, modes, ks, model: str):
     """Noiseless samples (N_r, modes, ks) of the ``"exact"`` or ``"farfield"`` model."""
     if model == "exact":
         return exact_received_signals(scenario, pose, modes, ks)
-    if model != "farfield":
-        raise ValueError(f"unknown model {model!r}")
-    s = np.empty((scenario.rx.n_elements, len(modes), len(ks)), dtype=complex)
-    for li, mode in enumerate(modes):
-        for ki, k in enumerate(ks):
-            s[:, li, ki] = farfield_antenna_vector(scenario, pose, mode, k)
-    return s
+    if model == "farfield":
+        return farfield_received_signal(scenario, pose, modes, ks)
+    raise ValueError(f"unknown model {model!r}")
 
 
 @dataclass(frozen=True)

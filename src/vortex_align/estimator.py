@@ -415,7 +415,7 @@ def _coarse_candidates(
     config: EstimationConfig,
     tensor: SampleTensor,
     scenario: Scenario,
-) -> list[tuple[float, float, float, float]]:
+) -> list[tuple[float, float]]:
     """Coarse search: candidate cells from both the loss and the power map.
 
     The phase-only loss develops spurious near-global minima at noisy,
@@ -425,7 +425,7 @@ def _coarse_candidates(
     spatially diverse best cells of each map; the refined solutions are
     arbitrated jointly afterwards.  A cell's loss is minimised over gamma;
     with several distinct dl only the cells that lead on sampled gamma are
-    solved to the end.  Returns (theta, phi, gamma, loss) tuples.
+    solved to the end.  Returns (theta, phi) pairs.
     """
     thetas, phis, geometry, spin = _grid_tables(
         tuple(scenario.rx.element_azimuths[list(config.antennas)]), config.modes
@@ -457,11 +457,7 @@ def _coarse_candidates(
     for cell in diverse_walk(np.argsort(loss_by_cell, kind="stable"), _LOSS_CANDIDATES):
         if cell not in cells:
             cells.append(cell)
-    solved, losses = _profile_gamma(spin[[it * n_phi + ip for it, ip in cells]], terms)
-    return [
-        (float(thetas[it]), float(phis[ip]), float(ga), float(lo))
-        for (it, ip), ga, lo in zip(cells, solved, losses)
-    ]
+    return [(float(thetas[it]), float(phis[ip])) for it, ip in cells]
 
 
 def _matched_power(
@@ -560,7 +556,7 @@ def _profiled(
 
 
 def _refine_cells(
-    cells: list[tuple[float, float, float, float]],
+    cells: list[tuple[float, float]],
     terms: CrossModalPhaseSet,
 ) -> list[tuple[np.ndarray, float, int]]:
     """Box-constrained Levenberg-Marquardt refinement of all cells at once.
@@ -581,7 +577,7 @@ def _refine_cells(
     than ``_LM_TOL`` relative, or after ``_LM_MAX_ITER`` steps.  Returns
     ((theta, phi), cost, iterations) per cell, in order.
     """
-    x = np.array([cell[:2] for cell in cells], dtype=float)
+    x = np.array(cells, dtype=float)
     reach = np.deg2rad(_GRID_DEG)
     lower = x - reach
     upper = x + reach
@@ -680,7 +676,6 @@ def estimate(
         diagnostics={
             "grid_theta": cells[cell_idx][0],
             "grid_phi": cells[cell_idx][1],
-            "grid_loss": cells[cell_idx][3],
             "refine_iterations": n_iter,
             "corrected_power_kept": float(powers[best]),
             "corrected_power_rejected": float(powers[twin_idx]),

@@ -736,10 +736,14 @@ def validate_model(spec: ExperimentSpec) -> dict:
                 carrier_hz=scenario.carrier_hz,
                 subcarriers_hz=np.array([scenario.carrier_hz]),
             )
-            exact_fields = received_signals(ring_scenario, pose, modes, [k], "exact")
-            model_fields = received_signals(ring_scenario, pose, modes, [k], "farfield")
-            for mode, exact, model in zip(
-                modes, exact_fields[:, :, 0].T, model_fields[:, :, 0].T
+            exact_all, model_all = (
+                received_signals(ring_scenario, pose, modes, [k], name)[:, :, 0].T
+                for name in ("exact", "farfield")
+            )
+            azimuths = np.rad2deg(ring.element_azimuths).tolist()
+            for mode, exact, model, exact_phase, model_phase in zip(
+                modes, exact_all, model_all,
+                np.angle(exact_all).tolist(), np.angle(model_all).tolist(),
             ):
                 corr = abs(np.vdot(exact, model)) / (
                     np.linalg.norm(exact) * np.linalg.norm(model)
@@ -762,19 +766,12 @@ def validate_model(spec: ExperimentSpec) -> dict:
                         float(np.max(np.abs(phase_err))),
                     ]
                 )
-                az = ring.element_azimuths
-                for m_idx in range(count):
-                    phase_rows.append(
-                        [
-                            pose_idx,
-                            ring_idx,
-                            mode,
-                            m_idx,
-                            float(np.rad2deg(az[m_idx])),
-                            float(np.angle(exact[m_idx])),
-                            float(np.angle(model[m_idx])),
-                        ]
+                phase_rows += (
+                    [pose_idx, ring_idx, mode, m_idx, *values]
+                    for m_idx, values in enumerate(
+                        zip(azimuths, exact_phase, model_phase)
                     )
+                )
     _write_csv(
         spec.out_dir / "validate_correlations.csv",
         [

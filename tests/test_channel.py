@@ -30,6 +30,7 @@ from vortex_align.geometry import (
     UcaGeometry,
     element_positions_rx,
     element_positions_tx,
+    gamma,
     misalignment_angles,
     tilt_for_angles,
 )
@@ -63,6 +64,28 @@ def reference_exact(scen, pose, modes, ks):
             tx_phase = np.exp(1j * mode * scen.tx.element_azimuths)
             out[:, li, ki] = (
                 (1.0 / k) * (np.exp(-1j * k * dist) / dist) @ tx_phase
+            )
+    return out
+
+
+def reference_farfield(scen, pose, modes, ks):
+    """The far-field formula evaluated one (mode, k) pair at a time, (N_r, modes, ks).
+
+    (1/k) (e^{-ikr}/r) N_t e^{il gamma} e^{ik a_r sin(theta) cos(phi - phi_m)}
+    e^{il delta_m} J_l(k a_r a_t rho_m / r).
+    """
+    theta, phi = misalignment_angles(pose)
+    r, a_t, a_r = pose.distance_m, scen.tx.radius_m, scen.rx.radius_m
+    phi_m = scen.rx.element_azimuths
+    out = np.empty((scen.rx.n_elements, len(modes), len(ks)), dtype=complex)
+    for li, l in enumerate(modes):
+        for ki, k in enumerate(ks):
+            out[:, li, ki] = (
+                (1.0 / k) * (np.exp(-1j * k * r) / r) * scen.tx.n_elements
+                * np.exp(1j * l * gamma(pose))
+                * np.exp(1j * k * a_r * np.sin(theta) * np.cos(phi - phi_m))
+                * np.exp(1j * l * delta(theta, phi, phi_m))
+                * bessel_j(l, k * a_r * a_t * rho(theta, phi, phi_m) / r)
             )
     return out
 
@@ -217,6 +240,18 @@ class TestExactOracle:
 
 
 class TestFarfieldModel:
+    def test_matches_per_pair_formula(self):
+        # Unlike a correlation with the oracle, this catches a wrong
+        # e^{il gamma} or swapped mode and subcarrier axes.
+        scen, pose = make_scenario(theta_deg=23.0, phi_deg=-131.0,
+                                   subcarriers=GRID_HZ)
+        modes = (-2, -1, 0, 1, 2)
+        ks = wavenumber(GRID_HZ[[0, 35, 70]])
+        got = received_signals(scen, pose, modes, ks, "farfield")
+        assert got.shape == (scen.rx.n_elements, len(modes), len(ks))
+        np.testing.assert_allclose(got, reference_farfield(scen, pose, modes, ks),
+                                   rtol=1e-12, atol=0)
+
     def test_matches_oracle_misaligned(self):
         scen, pose = make_scenario(theta_deg=17.9, phi_deg=-34.2)
         modes = (-1, 1)
@@ -235,14 +270,6 @@ class TestFarfieldModel:
         s = farfield_antenna_vector(scen, pose, 0, K_CARRIER)
         assert np.allclose(s, s[0])
 
-    def test_scalar_signature(self):
-        scen, pose = make_scenario(theta_deg=10.0, phi_deg=-120.0)
-        vec = farfield_antenna_vector(scen, pose, 1, K_CARRIER)
-        one = farfield_received_signal(
-            3, 1, K_CARRIER, np.deg2rad(10.0), np.deg2rad(-120.0),
-            _gamma_of(pose), 100.0, scen.tx, scen.rx)
-        assert np.isclose(one, vec[3])
-
     def test_hard_range_guard(self):
         scen, pose = make_scenario(distance=0.2)
         with pytest.raises(FarfieldViolationError):
@@ -254,16 +281,12 @@ class TestFarfieldModel:
             farfield_antenna_vector(scen, pose, 1, K_CARRIER)
 
     def test_rejects_bad_theta(self):
+        # A receiver tilted past 90 degrees faces away from the transmitter.
         scen, _pose = make_scenario()
-        with pytest.raises(ValueError):
-            farfield_received_signal(0, 1, K_CARRIER, np.pi / 2, 0.0, 0.0,
-                                     100.0, scen.tx, scen.rx)
-
-
-def _gamma_of(pose):
-    from vortex_align.geometry import gamma
-
-    return gamma(pose)
+        pose = RxPose.from_tilt(100.0, 0.6 * np.pi, 0.0)
+        assert misalignment_angles(pose)[0] > np.pi / 2
+        with pytest.raises(ValueError, match="theta must be in"):
+            farfield_received_signal(scen, pose, (1,), [K_CARRIER])
 
 
 class TestSimulateMeasurement:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from vortex_align import harness
-from vortex_align.channel import wavenumber
+from vortex_align.channel import received_signals, wavenumber
 from vortex_align.correction import imi_matrices
 from vortex_align.estimator import NoPowerError, ZeroPowerError
-from vortex_align.geometry import RxPose
+from vortex_align.geometry import RxPose, Scenario, UcaGeometry
 from vortex_align.harness import (
     ConfigError,
     EXIT_CONFIG,
@@ -248,6 +248,47 @@ class TestRunners:
         assert far_summary["farfield_marginal"] is False
         assert near_summary["farfield_marginal"] is True
         assert near_summary["min_correlation"] < far_summary["min_correlation"]
+
+    def test_validate_phases_rows(self, tmp_path):
+        rings = [{"radius_m": 0.02, "n": 12}, {"radius_m": 0.03, "n": 16}]
+        modes = [-1, 0, 2]
+        poses = [{"rot_y_deg": 0.0, "rot_x_deg": 0.0},
+                 {"rot_y_deg": 14.0, "rot_x_deg": -9.0}]
+        path = tiny_config(tmp_path, rings=rings, validate_modes=modes, poses=poses)
+        spec = load_spec("validate-model", config_path=path,
+                         out_dir=str(tmp_path / "out"))
+        validate_model(spec)
+        with open(tmp_path / "out" / "validate_phases.csv") as fh:
+            assert fh.readline().startswith("# spec_hash=")
+            rows = list(csv.DictReader(fh))
+        # One row per (pose, ring, mode, antenna), in that order.
+        assert len(rows) == len(poses) * (12 + 16) * len(modes)
+        want = [(p, r, l, m) for p in range(len(poses))
+                for r, ring in enumerate(rings) for l in modes
+                for m in range(ring["n"])]
+        keys = ("pose_index", "ring_index", "mode", "antenna")
+        assert [tuple(int(row[k]) for k in keys) for row in rows] == want
+
+        # The second pose's second ring against the channel models.
+        scen = spec.scenario
+        ring = UcaGeometry(16, 0.03)
+        pose = RxPose.from_tilt(scen.pose.distance_m, np.deg2rad(14.0),
+                                np.deg2rad(-9.0))
+        ring_scen = Scenario(scen.tx, ring, pose, scen.carrier_hz, [scen.carrier_hz])
+        ks = [wavenumber(scen.carrier_hz)]
+        block = [row for row in rows
+                 if row["pose_index"] == "1" and row["ring_index"] == "1"]
+        fields = {
+            "azimuth_deg": np.broadcast_to(np.rad2deg(ring.element_azimuths),
+                                           (len(modes), 16)),
+            "exact_phase_rad": np.angle(
+                received_signals(ring_scen, pose, modes, ks, "exact")[:, :, 0].T),
+            "model_phase_rad": np.angle(
+                received_signals(ring_scen, pose, modes, ks, "farfield")[:, :, 0].T),
+        }
+        for name, values in fields.items():
+            assert [row[name] for row in block] == [
+                format(float(v), ".12g") for v in values.ravel()], name
 
 
 class TestFailures:
