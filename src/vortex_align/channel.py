@@ -152,23 +152,22 @@ def farfield_geometry(theta: np.ndarray, phi: np.ndarray, phi_m: np.ndarray, mod
     return d_m, rho(th, ph, phi_m), np.sin(th), np.cos(ph - phi_m), twist
 
 
-def farfield_spatial_phase(geometry, k: float, rx: UcaGeometry) -> np.ndarray:
-    """Tilt-induced spatial phase k a_r sin(theta) cos(phi - phi_m), (n, Q)."""
-    _d_m, _rho_m, sin_th, cos_u, _twist = geometry
-    return k * rx.radius_m * sin_th * cos_u
+def farfield_spatial_phase(sin_theta, cos_u, k, rx: UcaGeometry) -> np.ndarray:
+    """Tilt-induced spatial phase k a_r sin(theta) cos(u), u = phi - phi_m."""
+    return k * rx.radius_m * sin_theta * cos_u
 
 
 def farfield_pattern(
-    geometry, modes, k: float, r: float, tx: UcaGeometry, rx: UcaGeometry
+    geometry, modes, k, r: float, tx: UcaGeometry, rx: UcaGeometry
 ) -> list[np.ndarray]:
     """Far-field pattern of each of ``modes`` at wavenumber ``k``, each (n, Q).
 
-    exp(i k a_r sin(theta) cos(phi - phi_m)) * exp(i l delta_m)
-    * J_l(k a_r a_t rho_m / r) over ``farfield_geometry`` of the same modes.
-    gamma is left out: it is one phase common to every element of a mode.
+    exp(i k a_r sin(theta) cos(phi - phi_m)) * exp(i l delta_m) * J_l(k a_r
+    a_t rho_m / r) over ``farfield_geometry`` of the same modes, k a scalar
+    or (n, 1).  gamma is left out: it is common to every element of a mode.
     """
-    _d_m, rho_m, _sin_th, _cos_u, twist = geometry
-    spatial = np.exp(1j * farfield_spatial_phase(geometry, k, rx))
+    _d_m, rho_m, sin_th, cos_u, twist = geometry
+    spatial = np.exp(1j * farfield_spatial_phase(sin_th, cos_u, k, rx))
     bessel = _bessel(modes, k * rx.radius_m * tx.radius_m * rho_m / r)
     return [spatial * tw * j_l for tw, j_l in zip(twist, bessel)]
 
@@ -259,10 +258,10 @@ class SampleTensor:
 
     def antenna_index(self, antenna: int) -> int:
         """Row of ``values`` that holds ring element ``antenna`` (a label)."""
-        idx = np.flatnonzero(self.antennas == antenna)
-        if idx.size == 0:
-            raise KeyError(f"antenna {antenna} not present in tensor")
-        return int(idx[0])
+        try:
+            return self.antennas.tolist().index(antenna)
+        except ValueError:
+            raise KeyError(f"antenna {antenna} not present in tensor") from None
 
     def mode_index(self, mode: int) -> int:
         try:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import farfield_geometry, farfield_spatial_phase, received_signals
+from .channel import farfield_spatial_phase, received_signals
 from .geometry import RxPose, Scenario, UcaGeometry
 
 # Sentinel for infinite SIR (zero interference); keeps capacity finite.
@@ -77,8 +77,8 @@ def phase_mask(theta: float, phi: float, k: float, rx: UcaGeometry) -> PhaseMask
     """Correction phases: minus the far-field spatial phase, in (-pi, pi]."""
     if not 0.0 <= theta < np.pi / 2:
         raise ValueError(f"theta must be in [0, pi/2), got {theta}")
-    geometry = farfield_geometry(*np.array([[theta], [phi]]), rx.element_azimuths, ())
-    spatial = farfield_spatial_phase(geometry, k, rx)[0]
+    cos_u = np.cos(phi - rx.element_azimuths)
+    spatial = farfield_spatial_phase(np.sin(theta), cos_u, k, rx)
     return PhaseMask(values=np.angle(np.exp(-1j * spatial)))
 
 

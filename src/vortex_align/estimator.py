@@ -28,7 +28,8 @@ Three structural facts shape the design:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -139,6 +140,8 @@ class CrossModalPhaseSet:
 
     Terms run antenna-major over ``_mode_pairs(config.modes)``.  The loss,
     the grid, the refine and the arbitration misfit all read these arrays.
+    ``antenna``, ``azimuth`` and ``dl`` are (terms,), shared by every trial;
+    ``target``, ``weight`` and ``inv_var`` are (T, terms), one row per trial.
     """
 
     antenna: np.ndarray  # ring label m
@@ -147,6 +150,11 @@ class CrossModalPhaseSet:
     target: np.ndarray  # measured doubled phase as e^{2iu}
     weight: np.ndarray  # loss weight lambda_m of the term's antenna
     inv_var: np.ndarray  # inverse phase variance, up to the noise level
+
+    def rows(self, index) -> CrossModalPhaseSet:
+        """The set of the trial rows ``index`` picks, in that order."""
+        picked = ("target", "weight", "inv_var")
+        return replace(self, **{name: getattr(self, name)[index] for name in picked})
 
 
 @dataclass(frozen=True)
@@ -169,34 +177,62 @@ def cross_modal_phase_set(
 ) -> CrossModalPhaseSet:
     """Every cross-modal phase term of ``config``, with its weight and variance.
 
+    The single-trial call of ``_phase_sets``; raises its noise failure.
+    """
+    phases, (failure,) = _phase_sets([(tensor, config)], n_elements)
+    if failure is not None:
+        raise failure
+    return phases
+
+
+def _phase_sets(
+    trials: Sequence[tuple[SampleTensor, EstimationConfig]], n_elements: int
+) -> tuple[CrossModalPhaseSet, list[ValueError | None]]:
+    """The cross-modal phase terms of every trial, one row each.
+
     ``n_elements`` is the size of the receive ring, which fixes the element
     azimuths 2 pi m / n_elements.  The inverse variance of a term follows
     from the measured per-mode amplitudes up to the common noise level; the
     same common factor scales the matched-power deficit, so the misfit and
-    the deficit can be summed.
+    the deficit can be summed.  The trials share modes, antennas and the
+    subcarrier count.  Also returns per trial the noise failure that leaves
+    its row undefined, or None.
     """
-    block = _samples(tensor, config.antennas, config.modes, config.subcarriers_hz)
+    config = trials[0][1]
+    block = np.stack(
+        [_samples(t, c.antennas, c.modes, c.subcarriers_hz) for t, c in trials]
+    )
     magnitude = np.abs(block)
-    amps = np.mean(magnitude, axis=(1, 2))
-    if np.all(amps < _POWER_FLOOR):
-        raise NoPowerError("all selected antennas are below the power floor")
+    amps = np.mean(magnitude, axis=(2, 3))
     pairs = _mode_pairs(config.modes)
     i = [config.modes.index(li) for li, _lj in pairs]
     j = [config.modes.index(lj) for _li, lj in pairs]
-    u = _cross_modal_phases(block, i, j, config.antennas, pairs)
-    mode_amps = np.maximum(np.mean(magnitude, axis=2), _WEIGHT_FLOOR)
-    a_i, a_j = mode_amps[:, i].ravel(), mode_amps[:, j].ravel()
+    acc = np.sum((block[:, :, i] * np.conj(block[:, :, j])) ** 2, axis=-1)
+    failed: list[ValueError | None] = [None] * len(trials)
+    for t, (amps_t, acc_t) in enumerate(zip(amps, acc)):
+        vanished = np.argwhere(np.abs(acc_t) < _ACCUMULATOR_FLOOR)
+        if np.all(amps_t < _POWER_FLOOR):
+            failed[t] = NoPowerError("all selected antennas are below the power floor")
+        elif vanished.size:
+            a, p = vanished[0]  # the first term, antenna-major
+            failed[t] = ZeroPowerError(
+                f"cross-modal accumulator vanished at antenna {config.antennas[a]}, "
+                f"pair ({pairs[p][0]},{pairs[p][1]})"
+            )
+    mode_amps = np.maximum(np.mean(magnitude, axis=3), _WEIGHT_FLOOR)
+    a_i, a_j = (mode_amps[:, :, c].reshape(len(trials), -1) for c in (i, j))
     labels = np.asarray(config.antennas)
-    return CrossModalPhaseSet(
+    phases = CrossModalPhaseSet(
         antenna=np.repeat(labels, len(pairs)),
         azimuth=np.repeat(2.0 * np.pi * labels / n_elements, len(pairs)),
         dl=np.tile([li - lj for li, lj in pairs], len(labels)),
-        target=np.exp(2j * u.ravel()),
-        weight=np.repeat(weight(amps), len(pairs)),
+        target=np.exp(2j * (0.5 * np.angle(acc)).reshape(len(trials), -1)),
+        weight=np.repeat(weight(amps), len(pairs), axis=-1),
         inv_var=len(config.subcarriers_hz)
         * (a_i**2 * a_j**2)
         / (16.0 * (a_i**2 + a_j**2)),
     )
+    return phases, failed
 
 
 def _samples(tensor: SampleTensor, antennas, modes, subcarriers_hz) -> np.ndarray:
@@ -210,24 +246,6 @@ def _samples(tensor: SampleTensor, antennas, modes, subcarriers_hz) -> np.ndarra
     return tensor.values[np.ix_(rows, cols, ks)]
 
 
-def _cross_modal_phases(block: np.ndarray, i, j, antennas, pairs) -> np.ndarray:
-    """0.5 * angle[ sum_k (y_i y_j*)^2 ] per antenna and mode pair.
-
-    ``block`` is a ``_samples`` block; mode pair p reads its columns i[p]
-    and j[p].  Raises ``ZeroPowerError`` at the first (antenna-major) term
-    whose accumulator vanishes.
-    """
-    acc = np.sum((block[:, i] * np.conj(block[:, j])) ** 2, axis=-1)
-    vanished = np.argwhere(np.abs(acc) < _ACCUMULATOR_FLOOR)
-    if vanished.size:
-        a, p = vanished[0]
-        raise ZeroPowerError(
-            f"cross-modal accumulator vanished at antenna {antennas[a]}, "
-            f"pair ({pairs[p][0]},{pairs[p][1]})"
-        )
-    return 0.5 * np.angle(acc)
-
-
 def _mode_pairs(modes) -> list[tuple[int, int]]:
     """All ordered pairs (l_i, l_j) with l_i > l_j, each unordered pair once."""
     srt = sorted(modes)
@@ -239,27 +257,27 @@ def _mode_pairs(modes) -> list[tuple[int, int]]:
 def weight(amplitudes) -> np.ndarray:
     """Per-antenna weights: the amplitudes normalized by their mean.
 
-    All-zero amplitudes give 1 everywhere.  Outputs are floored at a tiny
-    positive value so zero-power antennas cannot zero out a loss term
-    entirely.
+    Normalizes along the last axis.  All-zero amplitudes give 1 everywhere.
+    Outputs are floored at a tiny positive value so zero-power antennas
+    cannot zero out a loss term entirely.
     """
     amps = np.asarray(amplitudes, dtype=float)
     if np.any(amps < 0):
         raise ValueError("amplitudes must be >= 0")
-    mean = amps.mean()
-    out = amps / mean if mean > 0 else np.ones_like(amps)
+    mean = amps.mean(axis=-1, keepdims=True)
+    out = np.divide(amps, mean, out=np.ones_like(amps), where=mean > 0)
     return np.maximum(out, _WEIGHT_FLOOR)
 
 
 def loss(theta: float, phi: float, gamma: float, phases: CrossModalPhaseSet) -> float:
     """Weighted circular distance between measured and modeled phases.
 
-    Each term is weighted by ``phases.weight``.  Comparison is on the doubled
-    phases (see module docstring), so per-term values range in
-    [0, 4 * lambda_m].
+    Each term of the single trial of ``phases`` is weighted by
+    ``phases.weight``.  Comparison is on the doubled phases (see module
+    docstring), so per-term values range in [0, 4 * lambda_m].
     """
     x = np.array([[theta, phi, gamma]], dtype=float)
-    return float(np.abs(phases.target - _model(x, phases)[0]) ** 2 @ phases.weight)
+    return float(np.sum(np.abs(phases.target - _model(x, phases)) ** 2 * phases.weight))
 
 
 def select_antennas(n_rx: int, q: int) -> list[int]:
@@ -369,7 +387,8 @@ def _profile_gamma(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The gamma that minimises the loss at n points, and the loss there.
 
-    ``spin`` holds each term's e^{-2i dl delta} at the points, (n, T).  The
+    ``spin`` holds each term's e^{-2i dl delta} at the points, (n, T);
+    ``terms`` has one trial row per point, or one for all of them.  The
     loss is 2 sum(lambda) - 2 f(gamma), f(gamma) = Re sum_d c_d e^{-2i d
     gamma} over the distinct dl, c_d = sum of lambda e^{2iu} spin over the
     terms of that dl; f has period pi/g, g = gcd(dl).  One dl: f peaks at
@@ -407,7 +426,7 @@ def _profile_gamma(
         best = (np.arange(len(c)), np.argmax(fs, axis=1))
         gamma, f = gam[best], fs[best]
     half = np.pi / (2 * g)
-    return half - np.mod(half - gamma, 2 * half), 2.0 * terms.weight.sum() - 2.0 * f
+    return half - np.mod(half - gamma, 2 * half), 2.0 * (terms.weight.sum(axis=-1) - f)
 
 
 def _coarse_candidates(
@@ -425,15 +444,16 @@ def _coarse_candidates(
     spatially diverse best cells of each map; the refined solutions are
     arbitrated jointly afterwards.  A cell's loss is minimised over gamma;
     with several distinct dl only the cells that lead on sampled gamma are
-    solved to the end.  Returns (theta, phi) pairs.
+    solved to the end.  ``terms`` is one trial's set.  Returns (theta, phi).
     """
     thetas, phis, geometry, spin = _grid_tables(
         tuple(scenario.rx.element_azimuths[list(config.antennas)]), config.modes
     )
-    _gamma, rough = _profile_gamma(spin, terms, samples=_GAMMA_SAMPLES)
-    near = np.argsort(rough, kind="stable")[:_POLISHED_CELLS]
-    loss_by_cell = np.full(len(rough), np.inf)
-    loss_by_cell[near] = _profile_gamma(spin[near], terms)[1]
+    _gamma, loss_by_cell = _profile_gamma(spin, terms, samples=_GAMMA_SAMPLES)
+    if len(np.unique(terms.dl)) > 1:
+        near = np.argsort(loss_by_cell, kind="stable")[:_POLISHED_CELLS]
+        loss_by_cell = np.full(len(loss_by_cell), np.inf)
+        loss_by_cell[near] = _profile_gamma(spin[near], terms)[1]
     n_phi = len(phis)
 
     def diverse_walk(ranking: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -452,7 +472,9 @@ def _coarse_candidates(
                     break
         return kept
 
-    power_map = _matched_power(tensor, scenario, config, geometry, config.antennas)
+    power_map = _matched_power(
+        [(tensor, config)], config.antennas, [len(spin)], geometry, scenario
+    )
     cells = diverse_walk(np.argsort(-power_map, kind="stable"), _POWER_CANDIDATES)
     for cell in diverse_walk(np.argsort(loss_by_cell, kind="stable"), _LOSS_CANDIDATES):
         if cell not in cells:
@@ -461,12 +483,7 @@ def _coarse_candidates(
 
 
 def _matched_power(
-    tensor: SampleTensor,
-    scenario: Scenario,
-    config: EstimationConfig,
-    geometry,
-    antennas,
-    normalized: bool = False,
+    trials, antennas, counts, geometry, scenario: Scenario, normalized: bool = False
 ) -> np.ndarray:
     """Corrected matched power for a batch of candidate angle pairs.
 
@@ -474,24 +491,32 @@ def _matched_power(
     correction mask and mode-matched combining over the ring elements
     labelled ``antennas``, matched to the far-field pattern of each mode;
     ``geometry`` is ``farfield_geometry`` of the candidates at those
-    antennas and ``config.modes``.  With ``normalized`` the matched energy
-    |<g, y>|^2 / |g|^2 is returned, the signal power the model explains.
+    antennas.  The candidates fall into consecutive groups of ``counts``,
+    group g probing the (tensor, config) pair ``trials[g]``.  With
+    ``normalized`` the matched energy |<g, y>|^2 / |g|^2 is returned.
     """
-    rows = np.array([tensor.antenna_index(m) for m in antennas])
-    mode_idx = [tensor.mode_index(l) for l in config.modes]
-    subs = config.subcarriers_hz
-    if len(subs) > _POWER_GRID_MAX_SUBCARRIERS:
-        picks = np.linspace(0, len(subs) - 1, _POWER_GRID_MAX_SUBCARRIERS).astype(int)
-        subs = tuple(subs[i] for i in picks)
+    modes = trials[0][1].modes
+    blocks, ks = [], []
+    for tensor, config in trials:
+        subs = config.subcarriers_hz
+        if len(subs) > _POWER_GRID_MAX_SUBCARRIERS:
+            picks = np.linspace(0, len(subs) - 1, _POWER_GRID_MAX_SUBCARRIERS)
+            subs = tuple(subs[i] for i in picks.astype(int))
+        blocks.append(_samples(tensor, antennas, modes, subs))
+        ks.append(wavenumber(np.asarray(subs)))
     power = np.zeros(geometry[0].shape[0])
-    for f, ki in zip(subs, tensor.subcarrier_indices(subs)):
+    edges = np.cumsum([0, *counts])
+    for j in range(len(ks[0])):
+        k = np.repeat([k_t[j] for k_t in ks], counts)[:, None]
         # The pattern's spatial phase is the conjugate of the candidate mask.
         profiles = farfield_pattern(
-            geometry, config.modes, wavenumber(f), scenario.pose.distance_m,
-            scenario.tx, scenario.rx,
+            geometry, modes, k, scenario.pose.distance_m, scenario.tx, scenario.rx
         )
-        for li, profile in zip(mode_idx, profiles):
-            combined = np.conj(profile) @ tensor.values[rows, li, ki]
+        for i, profile in enumerate(profiles):
+            combined = np.concatenate([
+                np.conj(profile[a:b]) @ block[:, i, j]
+                for block, a, b in zip(blocks, edges, edges[1:])
+            ])
             if normalized:
                 norm = np.sum(np.abs(profile) ** 2, axis=1)
                 power += np.abs(combined) ** 2 / np.maximum(norm, 1e-300)
@@ -561,7 +586,9 @@ def _refine_cells(
 ) -> list[tuple[np.ndarray, float, int]]:
     """Box-constrained Levenberg-Marquardt refinement of all cells at once.
 
-    The refine runs in (theta, phi) on ``_profiled``, gamma solved at every
+    ``terms`` holds one trial row per cell: the cells of many trials refine
+    together, each on its own row with its own damping and stop rule.  The
+    refine runs in (theta, phi) on ``_profiled``, gamma solved at every
     iterate.  Each cell is confined to a box of one grid step in theta and
     phi around its candidate, a prior that keeps noisy, weakly-conditioned
     fits out of the spurious phase-loss minima a few steps away.  A cell on
@@ -590,8 +617,8 @@ def _refine_cells(
     x[:, 0] = np.maximum(x[:, 0], 0.5 * reach)
     _gamma, res, jac = _profiled(x, terms)
     cost = np.sum(res**2, axis=1)
-    # J_g . J_g, the curvature along gamma, is the same at every point.
-    scale_floor = _LM_SCALE_FLOOR * 4.0 * np.sum(terms.dl**2 * terms.weight)
+    # J_g . J_g, the curvature along gamma, is the same at every point of a cell.
+    scale_floor = _LM_SCALE_FLOOR * 4.0 * np.sum(terms.dl**2 * terms.weight, axis=1)
     damping = np.full(len(x), _LM_DAMPING)
     iterations = np.zeros(len(x), dtype=int)
     act = np.arange(len(x))
@@ -603,11 +630,11 @@ def _refine_cells(
             ((xa <= lower[act]) & (grad > 0)) | ((xa >= upper[act]) & (grad < 0))
         )
         jf = ja * free[:, None, :]
-        scale = damping[act][:, None] * np.maximum(curv, scale_floor)
+        scale = damping[act][:, None] * np.maximum(curv, scale_floor[act, None])
         lhs = np.einsum("ntj,ntk->njk", jf, jf) + scale[:, :, None] * np.eye(2)
         step = np.linalg.solve(lhs, -(grad * free)[..., None])[..., 0]
         trial = np.clip(xa + step, lower[act], upper[act])
-        _gamma, res_t, jac_t = _profiled(trial, terms)
+        _gamma, res_t, jac_t = _profiled(trial, terms.rows(act))
         cost_t = np.sum(res_t**2, axis=1)
         iterations[act] += 1
         accept = cost_t < cost[act]
@@ -631,18 +658,40 @@ def _refine_cells(
 def estimate(
     tensor: SampleTensor, scenario: Scenario, config: EstimationConfig
 ) -> MisalignmentEstimate:
-    """Estimate (theta, phi, gamma) from a few-shot measurement tensor.
+    """Estimate (theta, phi, gamma) as ``estimate_trials`` of one trial; raises."""
+    (result,) = estimate_trials([(tensor, config)], scenario)
+    if not isinstance(result, MisalignmentEstimate):
+        raise result
+    return result
 
-    Coarse (theta, phi) grid search over the enforced ranges, batched
-    box-constrained Levenberg-Marquardt refinement of the most promising
-    cells with gamma solved at every point, then one joint arbitration over
-    the refined solutions and their half-turn azimuth twins that combines
-    the phase misfit with the corrected received power.
+
+def estimate_trials(
+    trials: Sequence[tuple[SampleTensor, EstimationConfig]], scenario: Scenario
+) -> list[MisalignmentEstimate | NoPowerError | ZeroPowerError]:
+    """Estimate (theta, phi, gamma) of every (tensor, config) trial at once.
+
+    A coarse (theta, phi) grid per trial, then one box-constrained LM refine
+    of every trial's best cells with gamma solved at every point, and one
+    arbitration of the refined solutions and their half-turn azimuth twins
+    by phase misfit and corrected power, probed at the first tensor's
+    antennas.  The trials share modes, antennas and subcarrier count.  A
+    noise failure ends only its own trial and is returned in its place.
     """
+    tensor, config = trials[0]
+    if len({(c.modes, c.antennas, len(c.subcarriers_hz)) for _t, c in trials}) > 1:
+        raise ValueError("trials must share modes, antennas and subcarrier count")
     _validate_config(config, scenario.rx.n_elements)
-    terms = cross_modal_phase_set(tensor, config, scenario.rx.n_elements)
-    cells = _coarse_candidates(terms, config, tensor, scenario)
-    refined = _refine_cells(cells, terms)
+    terms, results = _phase_sets(trials, scenario.rx.n_elements)
+    live = [i for i, failure in enumerate(results) if failure is None]
+    if not live:
+        return results
+    terms = terms.rows(live)
+    cells = [
+        _coarse_candidates(terms.rows([n]), trials[i][1], trials[i][0], scenario)
+        for n, i in enumerate(live)
+    ]
+    owner = np.repeat(np.arange(len(live)), [len(c) for c in cells])
+    refined = _refine_cells([c for cs in cells for c in cs], terms.rows(owner))
 
     # The loss cannot distinguish phi from phi + pi (gamma absorbs the half
     # turn), so every refined candidate enters the pool with its half-turn
@@ -654,30 +703,33 @@ def estimate(
     # Even pool rows hold the refined candidates, odd rows their twins.
     pool = np.repeat(np.array([x for x, _f, _n in refined]), 2, axis=0)
     pool[1::2, 1] = np.angle(np.exp(1j * (pool[1::2, 1] + np.pi)))
-    pool_gamma = _profiled(pool, terms)[0]
+    pool_gamma = _profiled(pool, terms.rows(np.repeat(owner, 2)))[0]
+    model = _model(np.column_stack([pool, pool_gamma]), terms)
     ring = scenario.rx.element_azimuths[tensor.antennas]
     geometry = farfield_geometry(pool[:, 0], pool[:, 1], ring, config.modes)
     powers = _matched_power(
-        tensor, scenario, config, geometry, tensor.antennas, normalized=True
+        [trials[i] for i in live], tensor.antennas, [2 * len(c) for c in cells],
+        geometry, scenario, normalized=True,
     )
-    model = _model(np.column_stack([pool, pool_gamma]), terms)
-    misfits = np.abs(terms.target - model) ** 2 @ terms.inv_var
-    scores = misfits + (powers.max() - powers)
-    best = int(np.argmin(scores))
-    cell_idx = best // 2
-    _x, residual, n_iter = refined[cell_idx]
-    twin_idx = best + 1 if best % 2 == 0 else best - 1
-
-    return MisalignmentEstimate(
-        theta=float(np.clip(pool[best, 0], 0.0, np.pi / 2 - 1e-12)),
-        phi=float(np.angle(np.exp(1j * pool[best, 1]))),
-        gamma=float(pool_gamma[best]),
-        residual=residual,
-        diagnostics={
-            "grid_theta": cells[cell_idx][0],
-            "grid_phi": cells[cell_idx][1],
-            "refine_iterations": n_iter,
-            "corrected_power_kept": float(powers[best]),
-            "corrected_power_rejected": float(powers[twin_idx]),
-        },
-    )
+    start = 0
+    for n, (i, trial_cells) in enumerate(zip(live, cells)):
+        stop = start + 2 * len(trial_cells)
+        power = powers[start:stop]
+        misfits = np.abs(terms.target[n] - model[start:stop]) ** 2 @ terms.inv_var[n]
+        best = int(np.argmin(misfits + (power.max() - power)))
+        _x, residual, n_iter = refined[start // 2 + best // 2]
+        results[i] = MisalignmentEstimate(
+            theta=float(np.clip(pool[start + best, 0], 0.0, np.pi / 2 - 1e-12)),
+            phi=float(np.angle(np.exp(1j * pool[start + best, 1]))),
+            gamma=float(pool_gamma[start + best]),
+            residual=residual,
+            diagnostics={
+                "grid_theta": trial_cells[best // 2][0],
+                "grid_phi": trial_cells[best // 2][1],
+                "refine_iterations": n_iter,
+                "corrected_power_kept": float(power[best]),
+                "corrected_power_rejected": float(power[best ^ 1]),
+            },
+        )
+        start = stop
+    return results

@@ -29,7 +29,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +45,10 @@ from .correction import (
 )
 from .estimator import (
     EstimationConfig,
+    MisalignmentEstimate,
     NoPowerError,
     ZeroPowerError,
-    estimate,
+    estimate_trials,
     select_antennas,
 )
 from .geometry import (
@@ -355,6 +356,10 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("antenna_counts must be nonempty")
     if len(spec.modes) < 2:
         raise ConfigError("estimation needs at least two modes")
+    if spec.master_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {spec.master_seed}")
+    if spec.snr_db is not None and np.isnan(spec.snr_db):
+        raise ConfigError("noise.snr_db must be a number or null, got NaN")
     if spec.kind == "validate-model" and not (spec.validate_modes and spec.rings):
         raise ConfigError("validate-model needs nonempty validate_modes and rings")
     try:
@@ -362,17 +367,17 @@ def _validate_spec(spec: ExperimentSpec) -> None:
             check_decodable(spec.demo_modes, spec.scenario.rx.n_elements)
         elif spec.kind != "validate-model":
             for q in qs:
-                _estimation_config(spec, q, spec.scenario.subcarriers_hz)
+                _estimation_config(spec, q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _estimation_config(spec: ExperimentSpec, q: int, subcarriers) -> EstimationConfig:
-    """The estimator settings of ``spec`` for ``q`` antennas and ``subcarriers``."""
+def _estimation_config(spec: ExperimentSpec, q: int) -> EstimationConfig:
+    """The estimator settings of ``spec`` for ``q`` antennas, on every subcarrier."""
     return EstimationConfig(
         modes=spec.modes,
         antennas=tuple(select_antennas(spec.scenario.rx.n_elements, q)),
-        subcarriers_hz=tuple(subcarriers),
+        subcarriers_hz=tuple(spec.scenario.subcarriers_hz),
     )
 
 
@@ -392,29 +397,13 @@ def _circular_err_deg(a_deg: float, b_deg: float) -> float:
     )
 
 
-def _run_trial(
-    spec: ExperimentSpec,
-    pose: RxPose,
-    point_index: int,
-    trial_index: int,
-    seed: int,
-    p: int,
-    q: int,
+def _score_trial(
+    spec: ExperimentSpec, est: MisalignmentEstimate, item: tuple, p: int, q: int
 ) -> ResultRow:
+    """The row of trial ``item``, (pose, point index, trial index, seed)."""
+    pose, point_index, trial_index, seed = item
     scenario = spec.scenario
-    rng = np.random.default_rng(seed)
-    pool = scenario.subcarriers_hz
-    if p >= len(pool):
-        subcarriers = np.asarray(pool, dtype=float)
-    else:
-        subcarriers = np.sort(rng.choice(pool, size=p, replace=False))
-    noise = NoiseSpec(snr_db=spec.snr_db, seed=seed)
-    tensor = simulate_measurement(
-        scenario, pose, spec.modes, subcarriers, noise, spec.model
-    )
-    est = estimate(tensor, scenario, _estimation_config(spec, q, subcarriers))
     theta_t, phi_t = misalignment_angles(pose)
-
     k_c = wavenumber(scenario.carrier_hz)
     masks = [
         None,
@@ -455,13 +444,6 @@ def _run_trial(
     )
 
 
-def _pose_from_grid(spec: ExperimentSpec, index: int) -> RxPose:
-    ry, rx_deg = spec.poses[index]
-    return RxPose.from_tilt(
-        spec.scenario.pose.distance_m, np.deg2rad(ry), np.deg2rad(rx_deg)
-    )
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".12g")
@@ -499,6 +481,10 @@ def _write_summary(spec: ExperimentSpec, summary: dict) -> None:
 # setup or the code, and ends the run.
 NOISE_FAILURES = (ZeroPowerError, NoPowerError, ZeroSignalError)
 
+# Trials simulated and estimated together: a batch's per-trial cost is
+# near its floor from a few dozen trials on, and its memory grows with it.
+_BATCH_TRIALS = 128
+
 
 def _trial_rows(
     spec: ExperimentSpec, p: int, q: int, value: int | None = None
@@ -508,14 +494,38 @@ def _trial_rows(
     Returns the completed rows and the failed trials per exception class.
     """
     axis_value = () if value is None else (value,)
+    scenario = spec.scenario
+    config = _estimation_config(spec, q)
+    pool = scenario.subcarriers_hz
+    poses = [
+        RxPose.from_tilt(scenario.pose.distance_m, *np.deg2rad(tilt))
+        for tilt in spec.poses
+    ]
+    items = [
+        (pose, point, t, trial_seed(spec.master_seed, *axis_value, point, t))
+        for point, pose in enumerate(poses)
+        for t in range(spec.trials)
+    ]
     rows: list[ResultRow] = []
     failures: Counter = Counter()
-    for point in range(len(spec.poses)):
-        pose = _pose_from_grid(spec, point)
-        for t in range(spec.trials):
-            seed = trial_seed(spec.master_seed, *axis_value, point, t)
+    for start in range(0, len(items), _BATCH_TRIALS):
+        # Simulate a batch of trials, then estimate them in one call.
+        batch, trials = items[start : start + _BATCH_TRIALS], []
+        for pose, _point, _t, seed in batch:
+            subcarriers = pool
+            if p < len(pool):
+                rng = np.random.default_rng(seed)
+                subcarriers = np.sort(rng.choice(pool, size=p, replace=False))
+            tensor = simulate_measurement(
+                scenario, pose, spec.modes, subcarriers,
+                NoiseSpec(snr_db=spec.snr_db, seed=seed), spec.model,
+            )
+            trials.append((tensor, replace(config, subcarriers_hz=subcarriers)))
+        for item, est in zip(batch, estimate_trials(trials, scenario)):
             try:
-                rows.append(_run_trial(spec, pose, point, t, seed, p, q))
+                if isinstance(est, NOISE_FAILURES):
+                    raise est
+                rows.append(_score_trial(spec, est, item, p, q))
             except NOISE_FAILURES as exc:
                 failures[type(exc).__name__] += 1
                 last = exc

@@ -153,8 +153,8 @@ class TestPowerProbeMatchesChannel:
         theta, phi = misalignment_angles(pose)
         ring = scen.rx.element_azimuths[list(config.antennas)]
         geometry = farfield_geometry(np.array([theta]), np.array([phi]), ring, modes)
-        got = _matched_power(tensor, scen, config, geometry, config.antennas,
-                             normalized=True)
+        got = _matched_power([(tensor, config)], config.antennas, [1], geometry,
+                             scen, normalized=True)
         want = np.sum(np.abs(tensor.values[list(config.antennas)]) ** 2)
         np.testing.assert_allclose(got, [want], rtol=1e-12)
 

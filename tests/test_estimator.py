@@ -21,11 +21,13 @@ from vortex_align.estimator import (
     DegenerateGeometryError,
     EstimationConfig,
     InfeasibleSelectionError,
+    MisalignmentEstimate,
     MissingSamplesError,
     NoPowerError,
     ZeroPowerError,
     cross_modal_phase_set,
     estimate,
+    estimate_trials,
     loss,
     select_antennas,
     select_modes,
@@ -134,7 +136,7 @@ class TestCrossModalPhase:
             return np.exp(2j * (0.5 * np.angle(acc)))
 
         expected = [term(m, li, lj) for m in config.antennas for li, lj in pairs]
-        np.testing.assert_array_equal(phases.target, expected)
+        np.testing.assert_array_equal(phases.target[0], expected)
         np.testing.assert_array_equal(phases.antenna, np.repeat(config.antennas, 3))
         np.testing.assert_array_equal(phases.dl, np.tile([1, 2, 1], 12))
         np.testing.assert_array_equal(
@@ -156,8 +158,8 @@ class TestCrossModalPhase:
             tensor = simulate_measurement(
                 scen, pose, (-1, 1), sub32,
                 NoiseSpec(snr_db=10.0, seed=int(rng.integers(2**32))))
-            singles.append(cross_modal_phase_set(tensor, single, 20).target[0])
-            pooled.append(cross_modal_phase_set(tensor, config, 20).target[0])
+            singles.append(cross_modal_phase_set(tensor, single, 20).target[0, 0])
+            pooled.append(cross_modal_phase_set(tensor, config, 20).target[0, 0])
 
         def circ_spread(z):
             return 1.0 - abs(np.mean(z))
@@ -509,7 +511,7 @@ class TestBatchedRefine:
 
     def test_batch_matches_single_cells(self):
         _pose, _config, terms, cells = _terms_and_cells(30.0, -120.0, 10.0)
-        batch = _refine_cells(cells, terms)
+        batch = _refine_cells(cells, terms.rows([0] * len(cells)))
         for cell, (x, cost, n_iter) in zip(cells, batch):
             x1, cost1, n_iter1 = _refine_cells([cell], terms)[0]
             np.testing.assert_allclose(x, x1, rtol=0, atol=1e-15)
@@ -686,6 +688,45 @@ class TestProfileGamma:
             for i in range(0, 300, 37):
                 assert got_loss[i] == pytest.approx(
                     loss(th[i, 0], ph[i, 0], got_gamma[i], terms), abs=1e-12)
+
+
+class TestBatchedEstimate:
+    def test_batch_matches_single_trial_calls(self):
+        # Mixed poses, four subcarriers drawn per trial, and one trial whose
+        # accumulator vanishes: every other trial gets its single-trial
+        # estimate, and only the silenced one fails.
+        rng = np.random.default_rng(21)
+        poses = [(18.0, -150.0), (33.0, -110.0), (47.0, 40.0), (62.0, 170.0),
+                 (26.0, -60.0), (71.0, -5.0)]
+        trials = []
+        for n, (theta_deg, phi_deg) in enumerate(poses):
+            subs = tuple(np.sort(rng.choice(SUBS, 4, replace=False)))
+            scen, _pose, tensor, config = make_setup(
+                theta_deg, phi_deg, subcarriers=subs, snr_db=12.0, seed=n)
+            trials.append((tensor, config))
+        assert len({config.subcarriers_hz for _t, config in trials}) == len(poses)
+        silenced = 2
+        trials[silenced][0].values[trials[silenced][1].antennas[1], 1] = 0.0
+        batch = estimate_trials(trials, scen)
+        for n, ((tensor, config), got) in enumerate(zip(trials, batch)):
+            if n == silenced:
+                assert isinstance(got, ZeroPowerError)
+                with pytest.raises(ZeroPowerError):
+                    estimate(tensor, scen, config)
+                continue
+            want = estimate(tensor, scen, config)
+            assert isinstance(got, MisalignmentEstimate)
+            for name in ("theta", "phi", "gamma"):
+                assert getattr(got, name) == pytest.approx(
+                    getattr(want, name), rel=0, abs=1e-12)
+            assert (got.diagnostics["refine_iterations"]
+                    == want.diagnostics["refine_iterations"])
+
+    def test_batch_rejects_mixed_settings(self):
+        scen, _pose, tensor, config = make_setup(30.0, -120.0)
+        other = replace(config, antennas=tuple(select_antennas(20, 5)))
+        with pytest.raises(ValueError, match="must share"):
+            estimate_trials([(tensor, config), (tensor, other)], scen)
 
 
 class TestImports:

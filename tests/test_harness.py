@@ -39,22 +39,25 @@ def tiny_config(tmp_path, **extra):
 
 
 def failing_every_other_call():
-    """An ``estimate`` stand-in whose even calls raise a noise failure.
+    """An ``estimate_trials`` stand-in that fails every even trial by noise.
 
-    The failures alternate between ``NoPowerError`` and ``ZeroPowerError``.
+    Trials count across calls; the failures alternate between
+    ``NoPowerError`` and ``ZeroPowerError``.
     """
     calls = []
-    real_estimate = harness.estimate
+    real_estimate_trials = harness.estimate_trials
 
-    def estimate(*args):
-        calls.append(None)
-        if len(calls) % 4 == 2:
-            raise NoPowerError("all selected antennas are below the power floor")
-        if len(calls) % 4 == 0:
-            raise ZeroPowerError("cross-modal accumulator vanished")
-        return real_estimate(*args)
+    def estimate_trials(trials, scenario):
+        out = real_estimate_trials(trials, scenario)
+        for i in range(len(out)):
+            calls.append(None)
+            if len(calls) % 4 == 2:
+                out[i] = NoPowerError("all selected antennas are below the power floor")
+            if len(calls) % 4 == 0:
+                out[i] = ZeroPowerError("cross-modal accumulator vanished")
+        return out
 
-    return estimate
+    return estimate_trials
 
 
 class TestLoadSpec:
@@ -302,7 +305,7 @@ class TestFailures:
         assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_noise_failures_counted(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "estimate", failing_every_other_call())
+        monkeypatch.setattr(harness, "estimate_trials", failing_every_other_call())
         path = tiny_config(tmp_path, trials=4)
         spec = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "out"))
         summary = run_ccdf(spec)
@@ -323,7 +326,7 @@ class TestFailures:
     ])
     def test_failures_counted_per_error_class(self, tmp_path, monkeypatch, kind,
                                               runner, failed):
-        monkeypatch.setattr(harness, "estimate", failing_every_other_call())
+        monkeypatch.setattr(harness, "estimate_trials", failing_every_other_call())
         path = tiny_config(tmp_path, trials=4, subcarrier_counts=[1, 2])
         spec = load_spec(kind, config_path=path, out_dir=str(tmp_path / "out"))
         summary = runner(spec)
@@ -352,10 +355,11 @@ class TestFailures:
         assert summary["trials"] + summary["failed_trials"] == 15 * 6
 
     def test_no_successful_trial_exits_runtime(self, tmp_path, monkeypatch, capsys):
-        def no_power(*args):
-            raise NoPowerError("all selected antennas are below the power floor")
+        def no_power(trials, _scenario):
+            return [NoPowerError("all selected antennas are below the power floor")
+                    for _trial in trials]
 
-        monkeypatch.setattr(harness, "estimate", no_power)
+        monkeypatch.setattr(harness, "estimate_trials", no_power)
         path = tiny_config(tmp_path, trials=2)
         code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_RUNTIME
@@ -420,6 +424,52 @@ class TestFailures:
         assert code == EXIT_CONFIG
         [key] = estimation
         assert f"unknown config key 'estimation.{key}'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--seed", "-1"], "seed"),
+        (["--snr-db", "nan"], "noise.snr_db"),
+    ])
+    def test_bad_seed_or_snr_exit_config(self, tmp_path, capsys, flags, key):
+        # Both used to load and end the run with exit 3 from the simulation.
+        path = tiny_config(tmp_path)
+        code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out"), *flags])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_zero_power_trial_leaves_the_others(self, tmp_path, monkeypatch):
+        # The trials of a run are estimated as one batch; a noise failure in
+        # one of them drops that row only.
+        path = tiny_config(tmp_path, trials=3, poses=[
+            {"rot_y_deg": 25.0, "rot_x_deg": 18.0},
+            {"rot_y_deg": -40.0, "rot_x_deg": 10.0},
+        ])
+        clean = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "clean"))
+        assert run_ccdf(clean)["failed_trials"] == 0
+        calls = []
+        real_simulate = harness.simulate_measurement
+
+        def silence_fourth(*args):
+            tensor = real_simulate(*args)
+            calls.append(None)
+            if len(calls) == 4:  # point 1, trial 0: one mode vanishes at antenna 0
+                tensor.values[0, 0] = 0.0
+            return tensor
+
+        monkeypatch.setattr(harness, "simulate_measurement", silence_fourth)
+        forced = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "forced"))
+        summary = run_ccdf(forced)
+        assert summary["failed_by_error"] == {"ZeroPowerError": 1}
+        assert summary["trials"] == 5
+
+        def rows(name):
+            lines = (tmp_path / name / "results.csv").read_text().splitlines()
+            return lines[2:]
+
+        kept = [r for r in rows("clean") if not r.startswith("ccdf,1,0,")]
+        assert len(kept) == 5
+        assert rows("forced") == kept
 
 
 class TestCli:
