@@ -269,20 +269,6 @@ class SampleTensor:
         except ValueError:
             raise KeyError(f"mode {mode} not present in tensor") from None
 
-    def subcarrier_indices(self, freqs_hz) -> np.ndarray:
-        """Column of each of ``freqs_hz`` in ``values`` (the first match)."""
-        freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
-        return _lookup(self.subcarriers_hz, freqs, KeyError, "not present in tensor")
-
-
-def _lookup(grid: np.ndarray, freqs: np.ndarray, error, where: str) -> np.ndarray:
-    """First match of each ``freqs`` in ``grid``; ``error`` names the first missing."""
-    match = np.isclose(grid, freqs[:, None], rtol=1e-12)
-    found = match.any(axis=1)
-    if not found.all():
-        raise error(f"subcarrier {freqs[np.argmin(found)]} Hz {where}")
-    return match.argmax(axis=1)
-
 
 def simulate_measurement(
     scenario: Scenario,
@@ -302,7 +288,10 @@ def simulate_measurement(
     if len(set(modes)) != len(modes):
         raise ValueError("modes must be distinct")
     sub = np.atleast_1d(np.asarray(subcarriers_hz, dtype=float))
-    _lookup(scenario.subcarriers_hz, sub, ValueError, "is not on the scenario grid")
+    on_grid = np.isclose(scenario.subcarriers_hz, sub[:, None], rtol=1e-12).any(axis=1)
+    if not on_grid.all():
+        first = sub[np.argmin(on_grid)]
+        raise ValueError(f"subcarrier {first} Hz is not on the scenario grid")
     s = received_signals(scenario, pose, modes, wavenumber(sub), model)
 
     if noise.snr_db is not None:

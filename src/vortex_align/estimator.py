@@ -115,21 +115,17 @@ class InfeasibleSelectionError(ValueError):
 class EstimationConfig:
     """What the estimator fits.
 
-    ``antennas`` and ``modes`` are the subsets used in the fit; subcarriers
-    are given as frequencies present in the measurement tensor.  The grid
-    step and the refine box are fixed (``_GRID_DEG``).
+    ``antennas`` (ring labels) and ``modes`` are the subsets used in the fit;
+    every subcarrier of the measurement tensor enters it.  The grid step and
+    the refine box are fixed (``_GRID_DEG``).
     """
 
     modes: tuple[int, ...]
     antennas: tuple[int, ...]
-    subcarriers_hz: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", tuple(int(l) for l in self.modes))
         object.__setattr__(self, "antennas", tuple(int(m) for m in self.antennas))
-        object.__setattr__(
-            self, "subcarriers_hz", tuple(float(f) for f in self.subcarriers_hz)
-        )
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("modes must be distinct")
 
@@ -179,36 +175,35 @@ def cross_modal_phase_set(
 
     The single-trial call of ``_phase_sets``; raises its noise failure.
     """
-    phases, (failure,) = _phase_sets([(tensor, config)], n_elements)
+    phases, (failure,) = _phase_sets([tensor], config, n_elements)
     if failure is not None:
         raise failure
     return phases
 
 
 def _phase_sets(
-    trials: Sequence[tuple[SampleTensor, EstimationConfig]], n_elements: int
+    tensors: Sequence[SampleTensor], config: EstimationConfig, n_elements: int
 ) -> tuple[CrossModalPhaseSet, list[ValueError | None]]:
-    """The cross-modal phase terms of every trial, one row each.
+    """The cross-modal phase terms of ``config`` in every tensor, one row each.
 
     ``n_elements`` is the size of the receive ring, which fixes the element
     azimuths 2 pi m / n_elements.  The inverse variance of a term follows
     from the measured per-mode amplitudes up to the common noise level; the
     same common factor scales the matched-power deficit, so the misfit and
-    the deficit can be summed.  The trials share modes, antennas and the
-    subcarrier count.  Also returns per trial the noise failure that leaves
-    its row undefined, or None.
+    the deficit can be summed.  Every subcarrier of a tensor is pooled, so
+    the tensors must hold equally many.  Also returns per tensor the noise
+    failure that leaves its row undefined, or None.
     """
-    config = trials[0][1]
-    block = np.stack(
-        [_samples(t, c.antennas, c.modes, c.subcarriers_hz) for t, c in trials]
-    )
+    block = np.stack([_samples(t, config.antennas, config.modes) for t in tensors])
+    if block.shape[-1] < 1:
+        raise DegenerateGeometryError("at least 1 subcarrier is required")
     magnitude = np.abs(block)
     amps = np.mean(magnitude, axis=(2, 3))
     pairs = _mode_pairs(config.modes)
     i = [config.modes.index(li) for li, _lj in pairs]
     j = [config.modes.index(lj) for _li, lj in pairs]
     acc = np.sum((block[:, :, i] * np.conj(block[:, :, j])) ** 2, axis=-1)
-    failed: list[ValueError | None] = [None] * len(trials)
+    failed: list[ValueError | None] = [None] * len(tensors)
     for t, (amps_t, acc_t) in enumerate(zip(amps, acc)):
         vanished = np.argwhere(np.abs(acc_t) < _ACCUMULATOR_FLOOR)
         if np.all(amps_t < _POWER_FLOOR):
@@ -220,30 +215,27 @@ def _phase_sets(
                 f"pair ({pairs[p][0]},{pairs[p][1]})"
             )
     mode_amps = np.maximum(np.mean(magnitude, axis=3), _WEIGHT_FLOOR)
-    a_i, a_j = (mode_amps[:, :, c].reshape(len(trials), -1) for c in (i, j))
+    a_i, a_j = (mode_amps[:, :, c].reshape(len(tensors), -1) for c in (i, j))
     labels = np.asarray(config.antennas)
     phases = CrossModalPhaseSet(
         antenna=np.repeat(labels, len(pairs)),
         azimuth=np.repeat(2.0 * np.pi * labels / n_elements, len(pairs)),
         dl=np.tile([li - lj for li, lj in pairs], len(labels)),
-        target=np.exp(2j * (0.5 * np.angle(acc)).reshape(len(trials), -1)),
+        target=np.exp(2j * (0.5 * np.angle(acc)).reshape(len(tensors), -1)),
         weight=np.repeat(weight(amps), len(pairs), axis=-1),
-        inv_var=len(config.subcarriers_hz)
-        * (a_i**2 * a_j**2)
-        / (16.0 * (a_i**2 + a_j**2)),
+        inv_var=block.shape[-1] * (a_i**2 * a_j**2) / (16.0 * (a_i**2 + a_j**2)),
     )
     return phases, failed
 
 
-def _samples(tensor: SampleTensor, antennas, modes, subcarriers_hz) -> np.ndarray:
-    """The (antenna, mode, subcarrier) sample block of ``tensor``, by label."""
+def _samples(tensor: SampleTensor, antennas, modes) -> np.ndarray:
+    """The (antenna, mode, subcarrier) block of ``tensor`` by label, all columns."""
     try:
         rows = [tensor.antenna_index(m) for m in antennas]
         cols = [tensor.mode_index(l) for l in modes]
-        ks = tensor.subcarrier_indices(subcarriers_hz)
     except KeyError as exc:
         raise MissingSamplesError(str(exc)) from None
-    return tensor.values[np.ix_(rows, cols, ks)]
+    return tensor.values[np.ix_(rows, cols)]
 
 
 def _mode_pairs(modes) -> list[tuple[int, int]]:
@@ -350,8 +342,6 @@ def _validate_config(config: EstimationConfig, n_rx: int) -> None:
         raise DegenerateGeometryError("at least 3 antennas are required")
     if len(config.modes) < 2:
         raise DegenerateGeometryError("at least 2 modes are required")
-    if len(config.subcarriers_hz) < 1:
-        raise DegenerateGeometryError("at least 1 subcarrier is required")
     # A diametric pair collapses the minimal Q=3 system to dependent
     # equations; with more antennas the redundancy absorbs it.
     pair = _diametric_pair(config.antennas, n_rx) if len(config.antennas) == 3 else None
@@ -473,7 +463,7 @@ def _coarse_candidates(
         return kept
 
     power_map = _matched_power(
-        [(tensor, config)], config.antennas, [len(spin)], geometry, scenario
+        [tensor], config.modes, config.antennas, [len(spin)], geometry, scenario
     )
     cells = diverse_walk(np.argsort(-power_map, kind="stable"), _POWER_CANDIDATES)
     for cell in diverse_walk(np.argsort(loss_by_cell, kind="stable"), _LOSS_CANDIDATES):
@@ -483,27 +473,27 @@ def _coarse_candidates(
 
 
 def _matched_power(
-    trials, antennas, counts, geometry, scenario: Scenario, normalized: bool = False
+    tensors, modes, antennas, counts, geometry, scenario: Scenario,
+    normalized: bool = False,
 ) -> np.ndarray:
     """Corrected matched power for a batch of candidate angle pairs.
 
     Models the power probe a receiver makes after applying a candidate
     correction mask and mode-matched combining over the ring elements
-    labelled ``antennas``, matched to the far-field pattern of each mode;
-    ``geometry`` is ``farfield_geometry`` of the candidates at those
-    antennas.  The candidates fall into consecutive groups of ``counts``,
-    group g probing the (tensor, config) pair ``trials[g]``.  With
-    ``normalized`` the matched energy |<g, y>|^2 / |g|^2 is returned.
+    labelled ``antennas``, matched to the far-field pattern of each of
+    ``modes``; ``geometry`` is ``farfield_geometry`` of the candidates at
+    those antennas.  The candidates fall into consecutive groups of
+    ``counts``, group g probing ``tensors[g]`` at up to
+    ``_POWER_GRID_MAX_SUBCARRIERS`` of its subcarriers, spread over them.
+    With ``normalized`` the matched energy |<g, y>|^2 / |g|^2 is returned.
     """
-    modes = trials[0][1].modes
     blocks, ks = [], []
-    for tensor, config in trials:
-        subs = config.subcarriers_hz
-        if len(subs) > _POWER_GRID_MAX_SUBCARRIERS:
-            picks = np.linspace(0, len(subs) - 1, _POWER_GRID_MAX_SUBCARRIERS)
-            subs = tuple(subs[i] for i in picks.astype(int))
-        blocks.append(_samples(tensor, antennas, modes, subs))
-        ks.append(wavenumber(np.asarray(subs)))
+    for tensor in tensors:
+        n_sub = len(tensor.subcarriers_hz)
+        picks = np.linspace(0, n_sub - 1, min(n_sub, _POWER_GRID_MAX_SUBCARRIERS))
+        picks = picks.astype(int)
+        blocks.append(_samples(tensor, antennas, modes)[:, :, picks])
+        ks.append(wavenumber(tensor.subcarriers_hz[picks]))
     power = np.zeros(geometry[0].shape[0])
     edges = np.cumsum([0, *counts])
     for j in range(len(ks[0])):
@@ -659,35 +649,32 @@ def estimate(
     tensor: SampleTensor, scenario: Scenario, config: EstimationConfig
 ) -> MisalignmentEstimate:
     """Estimate (theta, phi, gamma) as ``estimate_trials`` of one trial; raises."""
-    (result,) = estimate_trials([(tensor, config)], scenario)
+    (result,) = estimate_trials([tensor], scenario, config)
     if not isinstance(result, MisalignmentEstimate):
         raise result
     return result
 
 
 def estimate_trials(
-    trials: Sequence[tuple[SampleTensor, EstimationConfig]], scenario: Scenario
+    tensors: Sequence[SampleTensor], scenario: Scenario, config: EstimationConfig
 ) -> list[MisalignmentEstimate | NoPowerError | ZeroPowerError]:
-    """Estimate (theta, phi, gamma) of every (tensor, config) trial at once.
+    """Estimate (theta, phi, gamma) of every trial's tensor at once under ``config``.
 
     A coarse (theta, phi) grid per trial, then one box-constrained LM refine
     of every trial's best cells with gamma solved at every point, and one
     arbitration of the refined solutions and their half-turn azimuth twins
     by phase misfit and corrected power, probed at the first tensor's
-    antennas.  The trials share modes, antennas and subcarrier count.  A
-    noise failure ends only its own trial and is returned in its place.
+    antennas.  The tensors hold equally many subcarriers.  A noise failure
+    ends only its own trial and is returned in its place.
     """
-    tensor, config = trials[0]
-    if len({(c.modes, c.antennas, len(c.subcarriers_hz)) for _t, c in trials}) > 1:
-        raise ValueError("trials must share modes, antennas and subcarrier count")
     _validate_config(config, scenario.rx.n_elements)
-    terms, results = _phase_sets(trials, scenario.rx.n_elements)
+    terms, results = _phase_sets(tensors, config, scenario.rx.n_elements)
     live = [i for i, failure in enumerate(results) if failure is None]
     if not live:
         return results
     terms = terms.rows(live)
     cells = [
-        _coarse_candidates(terms.rows([n]), trials[i][1], trials[i][0], scenario)
+        _coarse_candidates(terms.rows([n]), config, tensors[i], scenario)
         for n, i in enumerate(live)
     ]
     owner = np.repeat(np.arange(len(live)), [len(c) for c in cells])
@@ -705,11 +692,12 @@ def estimate_trials(
     pool[1::2, 1] = np.angle(np.exp(1j * (pool[1::2, 1] + np.pi)))
     pool_gamma = _profiled(pool, terms.rows(np.repeat(owner, 2)))[0]
     model = _model(np.column_stack([pool, pool_gamma]), terms)
-    ring = scenario.rx.element_azimuths[tensor.antennas]
+    antennas = tensors[0].antennas
+    ring = scenario.rx.element_azimuths[antennas]
     geometry = farfield_geometry(pool[:, 0], pool[:, 1], ring, config.modes)
     powers = _matched_power(
-        [trials[i] for i in live], tensor.antennas, [2 * len(c) for c in cells],
-        geometry, scenario, normalized=True,
+        [tensors[i] for i in live], config.modes, antennas,
+        [2 * len(c) for c in cells], geometry, scenario, normalized=True,
     )
     start = 0
     for n, (i, trial_cells) in enumerate(zip(live, cells)):

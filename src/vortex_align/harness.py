@@ -29,7 +29,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -272,9 +272,12 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
     try:
         sc = cfg["scenario"]
         sub = sc["subcarriers"]
-        subcarriers = sub["start_hz"] + sub["step_hz"] * np.arange(int(sub["count"]))
-        tx = UcaGeometry(int(sc["tx"]["n"]), float(sc["tx"]["radius_m"]))
-        rx = UcaGeometry(int(sc["rx"]["n"]), float(sc["rx"]["radius_m"]))
+        count = _integer(sub["count"], "scenario.subcarriers.count")
+        subcarriers = sub["start_hz"] + sub["step_hz"] * np.arange(count)
+        tx = UcaGeometry(_integer(sc["tx"]["n"], "scenario.tx.n"),
+                         float(sc["tx"]["radius_m"]))
+        rx = UcaGeometry(_integer(sc["rx"]["n"], "scenario.rx.n"),
+                         float(sc["rx"]["radius_m"]))
         poses = [
             (float(p["rot_y_deg"]), float(p["rot_x_deg"])) for p in cfg["poses"]
         ]
@@ -293,7 +296,7 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
             subcarriers_hz=subcarriers,
         )
         est = cfg["estimation"]
-        trials = int(cfg["trials"])
+        trials = _integer(cfg["trials"], "trials")
         if trials < 1:
             raise ConfigError("trials must be >= 1")
         noise = cfg["noise"]
@@ -305,21 +308,22 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
             scenario=scenario,
             poses=poses,
             trials=trials,
-            master_seed=int(cfg["seed"]),
+            master_seed=_integer(cfg["seed"], "seed"),
             out_dir=Path(out_dir),
             model=cfg["model"],
             snr_db=snr_db,
-            modes=tuple(int(l) for l in est["modes"]),
-            q=int(est["q"]),
-            p=int(est["p"]),
-            subcarrier_counts=tuple(int(x) for x in cfg["subcarrier_counts"]),
-            antenna_counts=tuple(int(x) for x in cfg["antenna_counts"]),
+            modes=_integers(est["modes"], "estimation.modes"),
+            q=_integer(est["q"], "estimation.q"),
+            p=_integer(est["p"], "estimation.p"),
+            subcarrier_counts=_integers(cfg["subcarrier_counts"], "subcarrier_counts"),
+            antenna_counts=_integers(cfg["antenna_counts"], "antenna_counts"),
             demo_tilt_deg=float(cfg["demo_tilt_deg"]),
-            demo_modes=tuple(int(l) for l in cfg["demo_modes"]),
+            demo_modes=_integers(cfg["demo_modes"], "demo_modes"),
             rings=tuple(
-                (float(r["radius_m"]), int(r["n"])) for r in cfg["rings"]
+                (float(r["radius_m"]), _integer(r["n"], f"rings[{i}].n"))
+                for i, r in enumerate(cfg["rings"])
             ),
-            validate_modes=tuple(int(l) for l in cfg["validate_modes"]),
+            validate_modes=_integers(cfg["validate_modes"], "validate_modes"),
             config_hash=hashlib.sha256(
                 json.dumps(cfg, sort_keys=True).encode()
             ).hexdigest()[:16],
@@ -330,6 +334,17 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     _validate_spec(spec)
     return spec
+
+
+def _integer(value, key: str) -> int:
+    """``value`` as an int; a float that is not whole is an error naming ``key``."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value}")
+    return int(value)
+
+
+def _integers(values, key: str) -> tuple[int, ...]:
+    return tuple(_integer(v, f"{key}[{i}]") for i, v in enumerate(values))
 
 
 def _validate_spec(spec: ExperimentSpec) -> None:
@@ -358,14 +373,15 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("estimation needs at least two modes")
     if spec.master_seed < 0:
         raise ConfigError(f"seed must be >= 0, got {spec.master_seed}")
-    if spec.snr_db is not None and np.isnan(spec.snr_db):
-        raise ConfigError("noise.snr_db must be a number or null, got NaN")
+    if spec.snr_db is not None and not np.isfinite(spec.snr_db):
+        raise ConfigError(f"noise.snr_db must be finite or null, got {spec.snr_db}")
     if spec.kind == "validate-model" and not (spec.validate_modes and spec.rings):
         raise ConfigError("validate-model needs nonempty validate_modes and rings")
     try:
         if spec.kind == "imi-demo":
             check_decodable(spec.demo_modes, spec.scenario.rx.n_elements)
         elif spec.kind != "validate-model":
+            check_decodable(spec.modes, spec.scenario.rx.n_elements)
             for q in qs:
                 _estimation_config(spec, q)
     except ValueError as exc:
@@ -373,11 +389,10 @@ def _validate_spec(spec: ExperimentSpec) -> None:
 
 
 def _estimation_config(spec: ExperimentSpec, q: int) -> EstimationConfig:
-    """The estimator settings of ``spec`` for ``q`` antennas, on every subcarrier."""
+    """The estimator settings of ``spec`` for ``q`` antennas."""
     return EstimationConfig(
         modes=spec.modes,
         antennas=tuple(select_antennas(spec.scenario.rx.n_elements, q)),
-        subcarriers_hz=tuple(spec.scenario.subcarriers_hz),
     )
 
 
@@ -510,18 +525,17 @@ def _trial_rows(
     failures: Counter = Counter()
     for start in range(0, len(items), _BATCH_TRIALS):
         # Simulate a batch of trials, then estimate them in one call.
-        batch, trials = items[start : start + _BATCH_TRIALS], []
+        batch, tensors = items[start : start + _BATCH_TRIALS], []
         for pose, _point, _t, seed in batch:
             subcarriers = pool
             if p < len(pool):
                 rng = np.random.default_rng(seed)
                 subcarriers = np.sort(rng.choice(pool, size=p, replace=False))
-            tensor = simulate_measurement(
+            tensors.append(simulate_measurement(
                 scenario, pose, spec.modes, subcarriers,
                 NoiseSpec(snr_db=spec.snr_db, seed=seed), spec.model,
-            )
-            trials.append((tensor, replace(config, subcarriers_hz=subcarriers)))
-        for item, est in zip(batch, estimate_trials(trials, scenario)):
+            ))
+        for item, est in zip(batch, estimate_trials(tensors, scenario, config)):
             try:
                 if isinstance(est, NOISE_FAILURES):
                     raise est

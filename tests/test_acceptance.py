@@ -243,8 +243,7 @@ def test_criterion_9_property_suite(tmp_path):
                     F_CARRIER, subs)
     tensor = simulate_measurement(scen, pose, (-1, 1), [F_CARRIER])
     config = EstimationConfig(modes=(-1, 1),
-                              antennas=tuple(select_antennas(20, 6)),
-                              subcarriers_hz=(F_CARRIER,))
+                              antennas=tuple(select_antennas(20, 6)))
     est_a = estimate(tensor, scen, config)
     tensor.values = tensor.values * (0.3 + 2.2j)
     est_b = estimate(tensor, scen, config)

@@ -148,12 +148,11 @@ class TestPowerProbeMatchesChannel:
         scen, pose = make_scenario(distance=0.4, theta_deg=30.0, phi_deg=-120.0,
                                    subcarriers=[F_CARRIER, F_CARRIER + 1e8])
         tensor = simulate_measurement(scen, pose, modes, scen.subcarriers_hz)
-        config = EstimationConfig(modes, tuple(select_antennas(20, 6)),
-                                  tuple(scen.subcarriers_hz))
+        config = EstimationConfig(modes, tuple(select_antennas(20, 6)))
         theta, phi = misalignment_angles(pose)
         ring = scen.rx.element_azimuths[list(config.antennas)]
         geometry = farfield_geometry(np.array([theta]), np.array([phi]), ring, modes)
-        got = _matched_power([(tensor, config)], config.antennas, [1], geometry,
+        got = _matched_power([tensor], modes, config.antennas, [1], geometry,
                              scen, normalized=True)
         want = np.sum(np.abs(tensor.values[list(config.antennas)]) ** 2)
         np.testing.assert_allclose(got, [want], rtol=1e-12)
@@ -337,12 +336,21 @@ class TestSimulateMeasurement:
             simulate_measurement(scen, pose, [1, 1], [F_CARRIER])
 
     def test_rejects_off_grid_subcarrier(self):
-        scen, pose = make_scenario()
-        # The message names the first off-grid entry.
-        first = r"subcarrier 119900000000\.0 Hz is not on"
-        for subs in ([119.9e9], [F_CARRIER, 119.9e9, 119.8e9],
-                     [119.9e9, F_CARRIER, 119.8e9]):
-            with pytest.raises(ValueError, match=first):
+        # The message names the first off-grid entry; a tone within 1e-11
+        # relative of a grid entry is still off the grid.
+        on_carrier = make_scenario()
+        on_two = make_scenario(subcarriers=[1e9, 4e9])
+        for (scen, pose), subs, first in (
+            (on_carrier, [119.9e9], 119.9e9),
+            (on_carrier, [F_CARRIER, 119.9e9, 119.8e9], 119.9e9),
+            (on_carrier, [119.9e9, F_CARRIER, 119.8e9], 119.9e9),
+            (on_two, [2e9], 2e9),
+            (on_two, [1e9, 2e9, 3e9], 2e9),
+            (on_two, [4e9, 3e9, 2e9], 3e9),
+            (on_two, [1e9 * (1 + 1e-11), 2e9], 1e9 * (1 + 1e-11)),
+        ):
+            message = re.escape(f"subcarrier {first} Hz is not on the scenario grid")
+            with pytest.raises(ValueError, match=message):
                 simulate_measurement(scen, pose, [1], subs)
 
     def test_rejects_unknown_model(self):
@@ -377,28 +385,6 @@ class TestSampleTensor:
         assert tensor.mode_index(1) == 1
         with pytest.raises(KeyError):
             tensor.mode_index(3)
-        with pytest.raises(KeyError):
-            tensor.subcarrier_indices([2e9])
-
-    def test_subcarrier_indices_take_first_match(self):
-        tensor = SampleTensor(np.zeros((1, 1, 4), dtype=complex), np.arange(1),
-                              (1,), np.array([3e9, 1e9, 2e9, 1e9]))
-        got = tensor.subcarrier_indices([1e9 * (1 + 1e-13), 2e9, 3e9, 1e9])
-        assert got.tolist() == [1, 2, 0, 1]
-        assert tensor.subcarrier_indices(1e9).tolist() == [1]
-
-    @pytest.mark.parametrize("freqs, first", [
-        ([2e9], 2e9),
-        ([1e9, 2e9, 3e9], 2e9),
-        ([4e9, 3e9, 2e9], 3e9),
-        ([1e9 * (1 + 1e-11), 2e9], 1e9 * (1 + 1e-11)),
-    ])
-    def test_subcarrier_indices_name_first_missing(self, freqs, first):
-        tensor = SampleTensor(np.zeros((1, 1, 2), dtype=complex), np.arange(1),
-                              (1,), np.array([1e9, 4e9]))
-        message = re.escape(f"subcarrier {first} Hz not present")
-        with pytest.raises(KeyError, match=message):
-            tensor.subcarrier_indices(freqs)
 
 
 class TestChannelInvariants:

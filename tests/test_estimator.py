@@ -65,11 +65,7 @@ def make_setup(theta_deg, phi_deg, distance=0.4, subcarriers=(F_CARRIER,),
     noise = NoiseSpec(snr_db=snr_db, seed=seed)
     tensor = simulate_measurement(scen, pose, modes, np.asarray(subcarriers),
                                   noise, model)
-    config = EstimationConfig(
-        modes=modes,
-        antennas=tuple(select_antennas(rx_n, q)),
-        subcarriers_hz=tuple(subcarriers),
-    )
+    config = EstimationConfig(modes=modes, antennas=tuple(select_antennas(rx_n, q)))
     return scen, pose, tensor, config
 
 
@@ -99,13 +95,9 @@ class TestCrossModalPhase:
 
     def test_missing_samples(self):
         scen, _pose, tensor, config = make_setup(27.0, -133.0)
-        for changes, message in (
-            ({"modes": (1, 2)}, "mode 2 not present"),
-            ({"subcarriers_hz": (SUBS[1],)}, f"subcarrier {SUBS[1]} Hz not present"),
-        ):
-            with pytest.raises(MissingSamplesError, match=message):
-                cross_modal_phase_set(tensor, replace(config, **changes),
-                                      scen.rx.n_elements)
+        with pytest.raises(MissingSamplesError, match="mode 2 not present"):
+            cross_modal_phase_set(tensor, replace(config, modes=(1, 2)),
+                                  scen.rx.n_elements)
 
     def test_zero_power(self):
         # Only the row labelled 7 is silent: the error names that antenna and
@@ -114,8 +106,7 @@ class TestCrossModalPhase:
         values[2] = 0.0
         tensor = SampleTensor(values, np.array([1, 4, 7, 12]), (-1, 1),
                               np.array([F_CARRIER]))
-        config = EstimationConfig(modes=(-1, 1), antennas=(1, 4, 7),
-                                  subcarriers_hz=(F_CARRIER,))
+        config = EstimationConfig(modes=(-1, 1), antennas=(1, 4, 7))
         with pytest.raises(ZeroPowerError, match=r"antenna 7, pair \(1,-1\)"):
             cross_modal_phase_set(tensor, config, 20)
 
@@ -127,12 +118,11 @@ class TestCrossModalPhase:
             seed=9, q=12)
         phases = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
         pairs = [(0, -1), (1, -1), (1, 0)]
-        ks = tensor.subcarrier_indices(subs)
 
         def term(m, l_i, l_j):
             y = tensor.values[tensor.antenna_index(m)]
-            acc = np.sum((y[tensor.mode_index(l_i), ks]
-                          * np.conj(y[tensor.mode_index(l_j), ks])) ** 2)
+            acc = np.sum((y[tensor.mode_index(l_i)]
+                          * np.conj(y[tensor.mode_index(l_j)])) ** 2)
             return np.exp(2j * (0.5 * np.angle(acc)))
 
         expected = [term(m, li, lj) for m in config.antennas for li, lj in pairs]
@@ -151,14 +141,14 @@ class TestCrossModalPhase:
         pose = RxPose.from_tilt(0.4, ry, rx_tilt)
         scen = Scenario(UcaGeometry(160, 0.03), UcaGeometry(20, 0.008), pose,
                         F_CARRIER, SUBS)
-        sub32 = SUBS[:32]
-        config = EstimationConfig(modes=(-1, 1), antennas=(0,), subcarriers_hz=sub32)
-        single = replace(config, subcarriers_hz=sub32[:1])
+        config = EstimationConfig(modes=(-1, 1), antennas=(0,))
         for trial in range(300):
             tensor = simulate_measurement(
-                scen, pose, (-1, 1), sub32,
+                scen, pose, (-1, 1), SUBS[:32],
                 NoiseSpec(snr_db=10.0, seed=int(rng.integers(2**32))))
-            singles.append(cross_modal_phase_set(tensor, single, 20).target[0, 0])
+            single = SampleTensor(tensor.values[:, :, :1], tensor.antennas,
+                                  tensor.modes, tensor.subcarriers_hz[:1])
+            singles.append(cross_modal_phase_set(single, config, 20).target[0, 0])
             pooled.append(cross_modal_phase_set(tensor, config, 20).target[0, 0])
 
         def circ_spread(z):
@@ -271,8 +261,7 @@ class TestLoss:
         scen, pose, tensor, _ = make_setup(38.0, -112.0)
         truth = misalignment_angles(pose)
         config = EstimationConfig(
-            modes=(-1, 1), antennas=tuple(select_antennas(20, 6)),
-            subcarriers_hz=(F_CARRIER,))
+            modes=(-1, 1), antennas=tuple(select_antennas(20, 6)))
         est = estimate(tensor, scen, config)
         assert abs(np.rad2deg(est.theta - truth[0])) < 1e-4
         assert np.rad2deg(circ_err(est.phi, truth[1])) < 1e-4
@@ -327,8 +316,7 @@ class TestEstimate:
     def test_minimum_measurement_q3(self):
         scen, pose, tensor, _ = make_setup(35.0, -125.0)
         config = EstimationConfig(
-            modes=(-1, 1), antennas=tuple(select_antennas(20, 3)),
-            subcarriers_hz=(F_CARRIER,))
+            modes=(-1, 1), antennas=tuple(select_antennas(20, 3)))
         est = estimate(tensor, scen, config)
         theta, phi = misalignment_angles(pose)
         assert abs(np.rad2deg(est.theta - theta)) < 0.1
@@ -344,13 +332,10 @@ class TestEstimate:
         assert circ_err(est_a.phi, est_b.phi) < 1e-9
 
     def test_frequency_invariance(self):
-        scen, pose, _t, _c = make_setup(26.0, -105.0)
+        scen, pose, _t, config = make_setup(26.0, -105.0)
         results = []
         for sub in (SUBS[0], SUBS[70]):
             tensor = simulate_measurement(scen, pose, (-1, 1), [sub])
-            config = EstimationConfig(
-                modes=(-1, 1), antennas=tuple(select_antennas(20, 6)),
-                subcarriers_hz=(sub,))
             results.append(estimate(tensor, scen, config))
         assert abs(results[0].theta - results[1].theta) < 1e-6
         assert circ_err(results[0].phi, results[1].phi) < 1e-6
@@ -381,29 +366,31 @@ class TestEstimate:
         assert np.rad2deg(circ_err(est.phi, phi)) < 0.1
 
     def test_missing_labels_raise_missing_samples(self):
-        # A six-element subset tensor without configured antenna 17, and a
-        # subcarrier the tensor does not hold.
+        # A six-element subset tensor without configured antenna 17.
         scen, _pose, full, config = make_setup(30.0, -120.0)
         ants = np.array([*config.antennas[:5], 1])
         subset = SampleTensor(full.values[ants], ants, full.modes,
                               full.subcarriers_hz)
         with pytest.raises(MissingSamplesError):
             estimate(subset, scen, config)
-        with pytest.raises(MissingSamplesError):
-            estimate(full, scen, replace(config, subcarriers_hz=(SUBS[1],)))
+
+    def test_rejects_tensor_without_subcarriers(self):
+        scen, _pose, _tensor, config = make_setup(30.0, -120.0)
+        empty = SampleTensor(np.zeros((20, 2, 0), dtype=complex), np.arange(20),
+                             (-1, 1), np.array([]))
+        with pytest.raises(DegenerateGeometryError, match="at least 1 subcarrier"):
+            estimate(empty, scen, config)
 
     def test_rejects_diametric_triplet(self):
         scen, _pose, tensor, _ = make_setup(30.0, -120.0)
-        config = EstimationConfig(
-            modes=(-1, 1), antennas=(0, 5, 10), subcarriers_hz=(F_CARRIER,))
+        config = EstimationConfig(modes=(-1, 1), antennas=(0, 5, 10))
         with pytest.raises(DegenerateGeometryError):
             estimate(tensor, scen, config)
 
     def test_rejects_single_mode(self):
         scen, _pose, tensor, _ = make_setup(30.0, -120.0, modes=(-1, 1))
         config = EstimationConfig(
-            modes=(1,), antennas=tuple(select_antennas(20, 6)),
-            subcarriers_hz=(F_CARRIER,))
+            modes=(1,), antennas=tuple(select_antennas(20, 6)))
         with pytest.raises(DegenerateGeometryError):
             estimate(tensor, scen, config)
 
@@ -601,13 +588,14 @@ def full_coarse_candidates(terms, config, tensor, scen):
     gammas, losses = brute_profile(terms, spin)
 
     rows = [tensor.antenna_index(m) for m in config.antennas]
-    subs = config.subcarriers_hz
-    if len(subs) > 4:  # the power map probes at most four subcarriers
-        subs = [subs[i] for i in np.linspace(0, len(subs) - 1, 4).astype(int)]
+    n_sub = len(tensor.subcarriers_hz)
+    columns = range(n_sub)
+    if n_sub > 4:  # the power map probes at most four subcarriers
+        columns = np.linspace(0, n_sub - 1, 4).astype(int)
     a_r, a_t, r = scen.rx.radius_m, scen.tx.radius_m, scen.pose.distance_m
     power = np.zeros((len(thetas), len(phis)))
-    for f, ki in zip(subs, tensor.subcarrier_indices(subs)):
-        k = wavenumber(f)
+    for ki in columns:
+        k = wavenumber(tensor.subcarriers_hz[ki])
         for l in config.modes:
             profile = (
                 np.exp(1j * k * a_r * np.sin(th) * np.cos(ph - az))
@@ -698,17 +686,17 @@ class TestBatchedEstimate:
         rng = np.random.default_rng(21)
         poses = [(18.0, -150.0), (33.0, -110.0), (47.0, 40.0), (62.0, 170.0),
                  (26.0, -60.0), (71.0, -5.0)]
-        trials = []
+        tensors = []
         for n, (theta_deg, phi_deg) in enumerate(poses):
-            subs = tuple(np.sort(rng.choice(SUBS, 4, replace=False)))
+            subs = np.sort(rng.choice(SUBS, 4, replace=False))
             scen, _pose, tensor, config = make_setup(
                 theta_deg, phi_deg, subcarriers=subs, snr_db=12.0, seed=n)
-            trials.append((tensor, config))
-        assert len({config.subcarriers_hz for _t, config in trials}) == len(poses)
+            tensors.append(tensor)
+        assert len({tuple(t.subcarriers_hz) for t in tensors}) == len(poses)
         silenced = 2
-        trials[silenced][0].values[trials[silenced][1].antennas[1], 1] = 0.0
-        batch = estimate_trials(trials, scen)
-        for n, ((tensor, config), got) in enumerate(zip(trials, batch)):
+        tensors[silenced].values[config.antennas[1], 1] = 0.0
+        batch = estimate_trials(tensors, scen, config)
+        for n, (tensor, got) in enumerate(zip(tensors, batch)):
             if n == silenced:
                 assert isinstance(got, ZeroPowerError)
                 with pytest.raises(ZeroPowerError):
@@ -723,10 +711,11 @@ class TestBatchedEstimate:
                     == want.diagnostics["refine_iterations"])
 
     def test_batch_rejects_mixed_settings(self):
-        scen, _pose, tensor, config = make_setup(30.0, -120.0)
-        other = replace(config, antennas=tuple(select_antennas(20, 5)))
-        with pytest.raises(ValueError, match="must share"):
-            estimate_trials([(tensor, config), (tensor, other)], scen)
+        # Every subcarrier of a tensor is pooled, so a batch cannot mix counts.
+        scen, _pose, one, config = make_setup(30.0, -120.0)
+        two = make_setup(30.0, -120.0, subcarriers=SUBS[:2])[2]
+        with pytest.raises(ValueError, match="same shape"):
+            estimate_trials([one, two], scen, config)
 
 
 class TestImports:
@@ -745,5 +734,4 @@ class TestImports:
 class TestEstimationConfig:
     def test_rejects_duplicate_modes(self):
         with pytest.raises(ValueError):
-            EstimationConfig(modes=(1, 1), antennas=(0, 1, 2),
-                             subcarriers_hz=(F_CARRIER,))
+            EstimationConfig(modes=(1, 1), antennas=(0, 1, 2))

@@ -47,8 +47,8 @@ def failing_every_other_call():
     calls = []
     real_estimate_trials = harness.estimate_trials
 
-    def estimate_trials(trials, scenario):
-        out = real_estimate_trials(trials, scenario)
+    def estimate_trials(tensors, scenario, config):
+        out = real_estimate_trials(tensors, scenario, config)
         for i in range(len(out)):
             calls.append(None)
             if len(calls) % 4 == 2:
@@ -355,9 +355,9 @@ class TestFailures:
         assert summary["trials"] + summary["failed_trials"] == 15 * 6
 
     def test_no_successful_trial_exits_runtime(self, tmp_path, monkeypatch, capsys):
-        def no_power(trials, _scenario):
+        def no_power(tensors, _scenario, _config):
             return [NoPowerError("all selected antennas are below the power floor")
-                    for _trial in trials]
+                    for _tensor in tensors]
 
         monkeypatch.setattr(harness, "estimate_trials", no_power)
         path = tiny_config(tmp_path, trials=2)
@@ -395,6 +395,7 @@ class TestFailures:
         ("antenna-sweep", {"antenna_counts": [2, 6]}),
         ("imi-demo", {"demo_modes": [-12, 12]}),
         ("ccdf", {"estimation": {"p": 72}}),
+        ("ccdf", {"estimation": {"modes": [-10, 10]}}),
     ])
     def test_invalid_setup_exit_config(self, tmp_path, capsys, kind, cfg):
         # Settings the estimator or the decoder would reject fail at load.
@@ -429,13 +430,38 @@ class TestFailures:
     @pytest.mark.parametrize("flags, key", [
         (["--seed", "-1"], "seed"),
         (["--snr-db", "nan"], "noise.snr_db"),
+        (["--snr-db=-inf"], "noise.snr_db"),
     ])
     def test_bad_seed_or_snr_exit_config(self, tmp_path, capsys, flags, key):
-        # Both used to load and end the run with exit 3 from the simulation.
+        # Each used to load and end the run with exit 3 from the simulation.
         path = tiny_config(tmp_path)
         code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out"), *flags])
         assert code == EXIT_CONFIG
         assert f"config error: {key} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"scenario": {"tx": {"n": 160.5}}}, "scenario.tx.n"),
+        ({"scenario": {"rx": {"n": 20.5}}}, "scenario.rx.n"),
+        ({"scenario": {"subcarriers": {"count": 71.5}}},
+         "scenario.subcarriers.count"),
+        ({"estimation": {"modes": [-1, 1.5]}}, "estimation.modes[1]"),
+        ({"estimation": {"q": 6.5}}, "estimation.q"),
+        ({"estimation": {"p": 1.5}}, "estimation.p"),
+        ({"trials": 2.7}, "trials"),
+        ({"seed": 4.9}, "seed"),
+        ({"subcarrier_counts": [1, 2.5]}, "subcarrier_counts[1]"),
+        ({"antenna_counts": [3.5]}, "antenna_counts[0]"),
+        ({"demo_modes": [-1, 0.5]}, "demo_modes[1]"),
+        ({"rings": [{"radius_m": 0.02, "n": 16.5}]}, "rings[0].n"),
+        ({"validate_modes": [-1, 1.25]}, "validate_modes[1]"),
+    ])
+    def test_non_integral_setting_exit_config(self, tmp_path, capsys, cfg, key):
+        # Each was truncated to an integer and the run went on.
+        path = tiny_config(tmp_path, **cfg)
+        code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_one_zero_power_trial_leaves_the_others(self, tmp_path, monkeypatch):
