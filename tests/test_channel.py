@@ -336,20 +336,11 @@ class TestSimulateMeasurement:
             simulate_measurement(scen, pose, [1, 1], [F_CARRIER])
 
     def test_rejects_off_grid_subcarrier(self):
-        # The message names the first off-grid entry; a tone within 1e-11
-        # relative of a grid entry is still off the grid.
-        on_carrier = make_scenario()
-        on_two = make_scenario(subcarriers=[1e9, 4e9])
-        for (scen, pose), subs, first in (
-            (on_carrier, [119.9e9], 119.9e9),
-            (on_carrier, [F_CARRIER, 119.9e9, 119.8e9], 119.9e9),
-            (on_carrier, [119.9e9, F_CARRIER, 119.8e9], 119.9e9),
-            (on_two, [2e9], 2e9),
-            (on_two, [1e9, 2e9, 3e9], 2e9),
-            (on_two, [4e9, 3e9, 2e9], 3e9),
-            (on_two, [1e9 * (1 + 1e-11), 2e9], 1e9 * (1 + 1e-11)),
-        ):
-            message = re.escape(f"subcarrier {first} Hz is not on the scenario grid")
+        # The message names the first off-grid entry.
+        scen, pose = make_scenario()
+        for subs in ([119.9e9], [F_CARRIER, 119.9e9, 119.8e9],
+                     [119.9e9, F_CARRIER, 119.8e9]):
+            message = re.escape("subcarrier 119900000000.0 Hz is not on the scenario grid")
             with pytest.raises(ValueError, match=message):
                 simulate_measurement(scen, pose, [1], subs)
 
@@ -385,6 +376,21 @@ class TestSampleTensor:
         assert tensor.mode_index(1) == 1
         with pytest.raises(KeyError):
             tensor.mode_index(3)
+
+    @pytest.mark.parametrize("freqs, first", [
+        ([2e9], 2e9),
+        ([1e9, 2e9, 3e9], 2e9),
+        ([4e9, 3e9, 2e9], 3e9),
+        ([1e9 * (1 + 1e-11), 2e9], 1e9 * (1 + 1e-11)),
+    ])
+    def test_subcarrier_indices_name_first_missing(self, freqs, first):
+        # A tensor's subcarrier axis is the requested tones, each of which must
+        # sit on the scenario grid; the error names the first one that does
+        # not, and a tone within 1e-11 relative of a grid entry is still off it.
+        scen, pose = make_scenario(subcarriers=[1e9, 4e9])
+        message = re.escape(f"subcarrier {first} Hz is not on the scenario grid")
+        with pytest.raises(ValueError, match=message):
+            simulate_measurement(scen, pose, [1], freqs)
 
 
 class TestChannelInvariants:
