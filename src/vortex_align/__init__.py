@@ -22,7 +22,6 @@ from .correction import (
     imi_matrices,
     phase_mask,
     sir,
-    sir_gain,
 )
 from .estimator import (
     CrossModalPhaseSet,
@@ -32,7 +31,6 @@ from .estimator import (
     estimate,
     loss,
     select_antennas,
-    select_modes,
     weight,
 )
 from .geometry import (

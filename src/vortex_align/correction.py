@@ -68,10 +68,6 @@ class ImiMatrix:
         if not np.all(np.isfinite(self.power)) or np.any(self.power < 0):
             raise ValueError("power entries must be finite and >= 0")
 
-    def entry(self, decoded: int, transmitted: int) -> float:
-        i, j = self.modes.index(decoded), self.modes.index(transmitted)
-        return float(self.power[i, j])
-
 
 def phase_mask(theta: float, phi: float, k: float, rx: UcaGeometry) -> PhaseMask:
     """Correction phases: minus the far-field spatial phase, in (-pi, pi]."""
@@ -92,15 +88,12 @@ def check_decodable(modes, n: int) -> None:
             )
 
 
-def decode_modes(
-    samples: np.ndarray,
-    mask: PhaseMask | None,
-    modes,
-) -> dict[int, complex]:
-    """Project per-antenna samples onto each decode slot.
+def decode_modes(samples: np.ndarray, mask: PhaseMask | None, modes) -> np.ndarray:
+    """Project per-antenna samples onto each decode slot, one row per mode.
 
-    ``samples`` is the complex vector over the full receive ring (one entry
-    per element, in azimuth order).  Mask phases default to zero.
+    ``samples`` holds the full receive ring (one row per element, in azimuth
+    order), as a vector or with one column per signal; every column is
+    decoded at once.  Mask phases default to zero.
     """
     y = np.asarray(samples, dtype=complex)
     n = y.shape[0]
@@ -109,32 +102,23 @@ def decode_modes(
     if mask is not None:
         if mask.values.shape[0] != n:
             raise ValueError("mask length does not match sample count")
-        y = y * np.exp(1j * mask.values)
+        y = y * np.exp(1j * mask.values).reshape((n,) + (1,) * (y.ndim - 1))
     phi_m = 2.0 * np.pi * np.arange(n) / n
-    return {l: complex(np.mean(y * np.exp(1j * l * phi_m))) for l in modes}
+    return np.exp(1j * np.outer(modes, phi_m)) @ y / n
 
 
 def imi_matrices(
-    scenario: Scenario,
-    pose: RxPose,
-    modes,
-    masks,
-    model: str,
-    k: float,
+    scenario: Scenario, pose: RxPose, modes, masks, model: str, k: float
 ) -> list[ImiMatrix]:
     """Decoded power of each of ``modes`` in each slot, one matrix per mask.
 
     Simulates all of ``modes`` in one noiseless channel call and decodes
-    each under every mask in ``masks`` (``None``: no mask) into the same slots.
+    them under every mask in ``masks`` (``None``: no mask) into the same slots.
     """
     modes = tuple(int(l) for l in modes)
-    fields = received_signals(scenario, pose, modes, [k], model)
-    power = np.zeros((len(masks), len(modes), len(modes)))
-    for col in range(len(modes)):
-        for m, mask in enumerate(masks):
-            decoded = decode_modes(fields[:, col, 0], mask, modes)
-            power[m, :, col] = [abs(decoded[l]) ** 2 for l in modes]
-    return [ImiMatrix(p, modes) for p in power]
+    fields = received_signals(scenario, pose, modes, [k], model)[:, :, 0]
+    return [ImiMatrix(np.abs(decode_modes(fields, mask, modes)) ** 2, modes)
+            for mask in masks]
 
 
 def _capped_db(ratio_num: float, ratio_den: float) -> float:
@@ -158,13 +142,6 @@ def sir(imi: ImiMatrix) -> tuple[dict[int, float], float]:
         interference = imi.power[i, :].sum() - signal
         per_mode[mode] = _capped_db(signal, interference)
     return per_mode, float(np.mean(list(per_mode.values())))
-
-
-def sir_gain(before: ImiMatrix, after: ImiMatrix) -> float:
-    """Average SIR improvement in dB (after minus before)."""
-    if before.modes != after.modes:
-        raise ValueError("mode lists must match")
-    return sir(after)[1] - sir(before)[1]
 
 
 def capacity(imi: ImiMatrix) -> float:

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import SampleTensor, bessel_j, delta, wavenumber
+from .channel import SampleTensor, delta, wavenumber
 from .channel import farfield_geometry, farfield_pattern
 from .geometry import Scenario
 
@@ -312,19 +312,6 @@ def select_antennas(n_rx: int, q: int) -> list[int]:
             nxt = (nxt + 1) % n_rx
         selected[pos] = nxt
     return base
-
-
-def select_modes(scenario: Scenario) -> tuple[int, int]:
-    """Symmetric mode pair (-l, +l) with the strongest aligned-case gain.
-
-    Scans integer l >= 1 up to the ring sampling limit and maximizes
-    |J_l(k a_r a_t / r)| at the carrier.
-    """
-    k = wavenumber(scenario.carrier_hz)
-    x = k * scenario.rx.radius_m * scenario.tx.radius_m / scenario.pose.distance_m
-    l_max = max(scenario.rx.n_elements // 2 - 1, 1)
-    best = max(range(1, l_max + 1), key=lambda l: abs(bessel_j(l, x)))
-    return (-best, best)
 
 
 def _diametric_pair(labels, n_rx: int) -> tuple[int, int] | None:
@@ -663,10 +650,13 @@ def estimate_trials(
     A coarse (theta, phi) grid per trial, then one box-constrained LM refine
     of every trial's best cells with gamma solved at every point, and one
     arbitration of the refined solutions and their half-turn azimuth twins
-    by phase misfit and corrected power, probed at the first tensor's
-    antennas.  The tensors hold equally many subcarriers.  A noise failure
-    ends only its own trial and is returned in its place.
+    by phase misfit and corrected power, probed at the tensors' antennas.
+    The tensors hold the same antenna labels (ValueError otherwise) and
+    equally many subcarriers.  A noise failure ends only its own trial and
+    is returned in its place.
     """
+    if any(not np.array_equal(t.antennas, tensors[0].antennas) for t in tensors):
+        raise ValueError("the tensors of one batch must hold the same antenna labels")
     _validate_config(config, scenario.rx.n_elements)
     terms, results = _phase_sets(tensors, config, scenario.rx.n_elements)
     live = [i for i, failure in enumerate(results) if failure is None]

@@ -273,18 +273,21 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
         sc = cfg["scenario"]
         sub = sc["subcarriers"]
         count = _integer(sub["count"], "scenario.subcarriers.count")
-        subcarriers = sub["start_hz"] + sub["step_hz"] * np.arange(count)
+        start, step = (_real(sub[k], f"scenario.subcarriers.{k}")
+                       for k in ("start_hz", "step_hz"))
+        subcarriers = start + step * np.arange(count)
         tx = UcaGeometry(_integer(sc["tx"]["n"], "scenario.tx.n"),
-                         float(sc["tx"]["radius_m"]))
+                         _real(sc["tx"]["radius_m"], "scenario.tx.radius_m"))
         rx = UcaGeometry(_integer(sc["rx"]["n"], "scenario.rx.n"),
-                         float(sc["rx"]["radius_m"]))
+                         _real(sc["rx"]["radius_m"], "scenario.rx.radius_m"))
         poses = [
-            (float(p["rot_y_deg"]), float(p["rot_x_deg"])) for p in cfg["poses"]
+            tuple(_real(p[a], f"poses[{i}].{a}") for a in ("rot_y_deg", "rot_x_deg"))
+            for i, p in enumerate(cfg["poses"])
         ]
         if not poses:
             raise ConfigError("pose grid must be nonempty")
         first_pose = RxPose.from_tilt(
-            float(sc["distance_m"]),
+            _real(sc["distance_m"], "scenario.distance_m"),
             np.deg2rad(poses[0][0]),
             np.deg2rad(poses[0][1]),
         )
@@ -292,15 +295,15 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
             tx=tx,
             rx=rx,
             pose=first_pose,
-            carrier_hz=float(sc["carrier_hz"]),
+            carrier_hz=_real(sc["carrier_hz"], "scenario.carrier_hz"),
             subcarriers_hz=subcarriers,
         )
         est = cfg["estimation"]
         trials = _integer(cfg["trials"], "trials")
         if trials < 1:
             raise ConfigError("trials must be >= 1")
-        noise = cfg["noise"]
-        snr_db = None if noise["snr_db"] is None else float(noise["snr_db"])
+        snr_db = cfg["noise"]["snr_db"]
+        snr_db = None if snr_db is None else _real(snr_db, "noise.snr_db")
         if cfg["model"] not in ("exact", "farfield"):
             raise ConfigError(f"unknown model {cfg['model']!r}")
         spec = ExperimentSpec(
@@ -317,10 +320,11 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
             p=_integer(est["p"], "estimation.p"),
             subcarrier_counts=_integers(cfg["subcarrier_counts"], "subcarrier_counts"),
             antenna_counts=_integers(cfg["antenna_counts"], "antenna_counts"),
-            demo_tilt_deg=float(cfg["demo_tilt_deg"]),
+            demo_tilt_deg=_real(cfg["demo_tilt_deg"], "demo_tilt_deg"),
             demo_modes=_integers(cfg["demo_modes"], "demo_modes"),
             rings=tuple(
-                (float(r["radius_m"]), _integer(r["n"], f"rings[{i}].n"))
+                (_real(r["radius_m"], f"rings[{i}].radius_m"),
+                 _integer(r["n"], f"rings[{i}].n"))
                 for i, r in enumerate(cfg["rings"])
             ),
             validate_modes=_integers(cfg["validate_modes"], "validate_modes"),
@@ -341,6 +345,14 @@ def _integer(value, key: str) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{key} must be an integer, got {value}")
     return int(value)
+
+
+def _real(value, key: str) -> float:
+    """``value`` as a float; NaN or an infinity is an error naming ``key``."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return value
 
 
 def _integers(values, key: str) -> tuple[int, ...]:
@@ -373,8 +385,6 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError("estimation needs at least two modes")
     if spec.master_seed < 0:
         raise ConfigError(f"seed must be >= 0, got {spec.master_seed}")
-    if spec.snr_db is not None and not np.isfinite(spec.snr_db):
-        raise ConfigError(f"noise.snr_db must be finite or null, got {spec.snr_db}")
     if spec.kind == "validate-model" and not (spec.validate_modes and spec.rings):
         raise ConfigError("validate-model needs nonempty validate_modes and rings")
     try:

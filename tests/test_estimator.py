@@ -30,7 +30,6 @@ from vortex_align.estimator import (
     estimate_trials,
     loss,
     select_antennas,
-    select_modes,
     weight,
 )
 from vortex_align import estimator as estimator_module
@@ -191,28 +190,6 @@ class TestSelectAntennas:
             select_antennas(10, 11)
         with pytest.raises(InfeasibleSelectionError):
             select_antennas(10, 2)
-
-
-class TestSelectModes:
-    def _scenario(self, distance, rx_r=0.008):
-        pose = RxPose.from_tilt(distance, 0.3, 0.1)
-        return Scenario(UcaGeometry(160, 0.03), UcaGeometry(20, rx_r), pose,
-                        F_CARRIER, SUBS)
-
-    def test_long_range_prefers_first_mode(self):
-        scen = self._scenario(1e4)
-        assert select_modes(scen) == (-1, 1)
-
-    def test_matches_brute_force(self):
-        for distance in (0.4, 2.0, 100.0):
-            scen = self._scenario(distance, rx_r=0.03)
-            x = wavenumber(F_CARRIER) * 0.03 * 0.03 / distance
-            best = max(range(1, 10), key=lambda l: abs(bessel_j(l, x)))
-            assert select_modes(scen) == (-best, best)
-
-    def test_default_scenario_uses_unit_modes(self):
-        scen = self._scenario(0.4)
-        assert select_modes(scen) == (-1, 1)
 
 
 class TestWeight:
@@ -716,6 +693,34 @@ class TestBatchedEstimate:
         two = make_setup(30.0, -120.0, subcarriers=SUBS[:2])[2]
         with pytest.raises(ValueError, match="same shape"):
             estimate_trials([one, two], scen, config)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_batch_rejects_mixed_antenna_labels(self, order):
+        # The arbitration probes every trial at the batch's antennas, so a
+        # full-ring tensor and a subset tensor cannot share a batch, in
+        # either order.
+        scen, _pose, full, config = make_setup(30.0, -120.0)
+        rows = list(config.antennas)
+        subset = SampleTensor(full.values[rows], rows, full.modes, full.subcarriers_hz)
+        for tensor in (full, subset):
+            assert isinstance(estimate(tensor, scen, config), MisalignmentEstimate)
+        tensors = [(full, subset)[i] for i in order]
+        with pytest.raises(ValueError, match="same antenna labels"):
+            estimate_trials(tensors, scen, config)
+
+    def test_permuted_batch_permutes_results(self):
+        poses = [(18.0, -150.0), (33.0, -110.0), (47.0, 40.0), (62.0, 170.0)]
+        tensors = []
+        for n, (theta_deg, phi_deg) in enumerate(poses):
+            scen, _pose, tensor, config = make_setup(
+                theta_deg, phi_deg, subcarriers=SUBS[:2], snr_db=12.0, seed=n)
+            tensors.append(tensor)
+        order = [2, 0, 3, 1]
+        forward = estimate_trials(tensors, scen, config)
+        permuted = estimate_trials([tensors[i] for i in order], scen, config)
+        for got, i in zip(permuted, order):
+            for name in ("theta", "phi", "gamma"):
+                assert circ_err(getattr(got, name), getattr(forward[i], name)) < 1e-12
 
 
 class TestImports:

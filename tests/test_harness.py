@@ -26,6 +26,8 @@ from vortex_align.harness import (
     validate_model,
 )
 
+NAN, INF = float("nan"), float("inf")
+
 
 def tiny_config(tmp_path, **extra):
     cfg = {
@@ -462,6 +464,27 @@ class TestFailures:
         code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert f"config error: {key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, cfg, key", [
+        ("ccdf", {"poses": [{"rot_y_deg": NAN, "rot_x_deg": 0.0}]}, "poses[0].rot_y_deg"),
+        ("ccdf", {"poses": [{"rot_y_deg": 20.0, "rot_x_deg": INF}]}, "poses[0].rot_x_deg"),
+        ("ccdf", {"scenario": {"carrier_hz": INF}}, "scenario.carrier_hz"),
+        ("ccdf", {"scenario": {"subcarriers": {"step_hz": NAN}}},
+         "scenario.subcarriers.step_hz"),
+        ("ccdf", {"scenario": {"subcarriers": {"start_hz": INF}}},
+         "scenario.subcarriers.start_hz"),
+        ("ccdf", {"scenario": {"distance_m": INF}}, "scenario.distance_m"),
+        ("ccdf", {"scenario": {"tx": {"radius_m": INF}}}, "scenario.tx.radius_m"),
+        ("imi-demo", {"demo_tilt_deg": NAN}, "demo_tilt_deg"),
+        ("validate-model", {"rings": [{"radius_m": INF, "n": 16}]}, "rings[0].radius_m"),
+    ])
+    def test_non_finite_setting_exit_config(self, tmp_path, capsys, kind, cfg, key):
+        # Each loaded and ended the run with exit 3 once the simulation started.
+        path = tiny_config(tmp_path, **cfg)
+        code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_one_zero_power_trial_leaves_the_others(self, tmp_path, monkeypatch):
