@@ -64,8 +64,7 @@ _SHORTLIST_SPACING = 3
 
 # Several distinct l_i - l_j (see ``_profile_gamma``): Newton starts and
 # ranking samples per period and unit of max(l_i - l_j) / gcd, Newton steps,
-# and the grid cells solved to the end; the diverse walk over the loss
-# ranking reads at most its first 4 + 3 * 24 = 76 cells.
+# and the grid cells solved to the end.
 _GAMMA_STARTS = 2
 _GAMMA_NEWTON_STEPS = 6
 _GAMMA_SAMPLES = 32
@@ -341,22 +340,30 @@ def _validate_config(config: EstimationConfig, n_rx: int) -> None:
 def _grid_tables(antenna_azimuths: tuple[float, ...], modes: tuple[int, ...]):
     """Precompute the (theta, phi) grid and its f-independent tables.
 
-    Returns the two grid axes; the ``farfield_geometry`` of every (theta,
-    phi) cell at the given antennas; and the per-term
-    spin exp(-2i dl delta) of every cell, (n_theta * n_phi, n_terms), with
-    terms ordered antenna-major over ``_mode_pairs(modes)`` as in
-    ``cross_modal_phase_set``.
+    A cell's far field depends on phi only through u = phi - phi_m: returns
+    the grid axes, ``farfield_geometry`` on a (theta, u) table of the distinct
+    wrapped u, the flat table index of every (cell, antenna), and each cell's
+    spin exp(-2i dl delta), terms antenna-major over ``_mode_pairs(modes)``.
     """
     step = np.deg2rad(_GRID_DEG)
     thetas = np.arange(0.0, np.pi / 2 - 1e-12, step)
     phis = -np.pi + step * np.arange(1, int(round(2 * np.pi / step)) + 1)
-    th_mesh, ph_mesh = np.meshgrid(thetas, phis, indexing="ij")
-    geometry = farfield_geometry(
-        th_mesh.ravel(), ph_mesh.ravel(), np.asarray(antenna_azimuths), modes
-    )
+    u = np.mod(phis[:, None] - np.asarray(antenna_azimuths) + np.pi, 2 * np.pi) - np.pi
+    # Offsets equal up to rounding share one table column.
+    _, first, column = np.unique(np.round(u, 12), return_index=True, return_inverse=True)
+    table = farfield_geometry(thetas, np.zeros_like(thetas), -u.ravel()[first], modes)
+    offset = len(first) * np.arange(len(thetas))[:, None, None]
+    gather = (offset + column.reshape(u.shape)).reshape(-1, u.shape[1])
     pair_dl = np.array([li - lj for li, lj in _mode_pairs(modes)])
-    spin = np.exp(-2j * geometry[0][:, :, None] * pair_dl).reshape(th_mesh.size, -1)
-    return thetas, phis, geometry, spin
+    spin = np.exp(-2j * table[0].ravel()[gather][:, :, None] * pair_dl)
+    return thetas, phis, table, gather, spin.reshape(len(gather), -1)
+
+
+def _leading(values: np.ndarray, count: int) -> np.ndarray:
+    """Every entry up to the ``count``-th smallest of ``values``, ties included,
+    in stable order: a prefix of np.argsort(values, kind="stable")."""
+    lead = np.flatnonzero(values <= np.partition(values, count - 1)[count - 1])
+    return lead[np.argsort(values[lead], kind="stable")]
 
 
 def _profile_gamma(
@@ -407,10 +414,7 @@ def _profile_gamma(
 
 
 def _coarse_candidates(
-    terms: CrossModalPhaseSet,
-    config: EstimationConfig,
-    tensor: SampleTensor,
-    scenario: Scenario,
+    terms: CrossModalPhaseSet, config: EstimationConfig, tensor, scenario: Scenario
 ) -> list[tuple[float, float]]:
     """Coarse search: candidate cells from both the loss and the power map.
 
@@ -423,82 +427,78 @@ def _coarse_candidates(
     with several distinct dl only the cells that lead on sampled gamma are
     solved to the end.  ``terms`` is one trial's set.  Returns (theta, phi).
     """
-    thetas, phis, geometry, spin = _grid_tables(
+    thetas, phis, table, gather, spin = _grid_tables(
         tuple(scenario.rx.element_azimuths[list(config.antennas)]), config.modes
     )
     _gamma, loss_by_cell = _profile_gamma(spin, terms, samples=_GAMMA_SAMPLES)
     if len(np.unique(terms.dl)) > 1:
-        near = np.argsort(loss_by_cell, kind="stable")[:_POLISHED_CELLS]
+        near = _leading(loss_by_cell, _POLISHED_CELLS)[:_POLISHED_CELLS]
         loss_by_cell = np.full(len(loss_by_cell), np.inf)
         loss_by_cell[near] = _profile_gamma(spin[near], terms)[1]
     n_phi = len(phis)
 
-    def diverse_walk(ranking: np.ndarray, count: int) -> list[tuple[int, int]]:
+    def diverse_walk(score: np.ndarray, count: int) -> list[tuple[int, int]]:
+        # Each of the first count - 1 kept cells rules out at most its block of
+        # (2 spacing - 1)^2 cells, so the walk reads at most 1 + that many.
         kept: list[tuple[int, int]] = []
-        for flat in ranking:
-            it, ip = int(flat) // n_phi, int(flat) % n_phi
-            ok = True
-            for jt, jp in kept:
-                dphi = min(abs(ip - jp), n_phi - abs(ip - jp))
-                if max(abs(it - jt), dphi) < _SHORTLIST_SPACING:
-                    ok = False
-                    break
-            if ok:
+        for flat in _leading(score, 1 + (count - 1) * (2 * _SHORTLIST_SPACING - 1) ** 2):
+            it, ip = divmod(int(flat), n_phi)
+            if all(
+                max(abs(it - jt), min(abs(ip - jp), n_phi - abs(ip - jp)))
+                >= _SHORTLIST_SPACING for jt, jp in kept
+            ):
                 kept.append((it, ip))
                 if len(kept) >= count:
                     break
         return kept
 
-    power_map = _matched_power(
-        [tensor], config.modes, config.antennas, [len(spin)], geometry, scenario
-    )
-    cells = diverse_walk(np.argsort(-power_map, kind="stable"), _POWER_CANDIDATES)
-    for cell in diverse_walk(np.argsort(loss_by_cell, kind="stable"), _LOSS_CANDIDATES):
-        if cell not in cells:
-            cells.append(cell)
+    power_map = _grid_power(tensor, config, scenario, table, gather)
+    cells = diverse_walk(-power_map, _POWER_CANDIDATES)
+    cells += [c for c in diverse_walk(loss_by_cell, _LOSS_CANDIDATES) if c not in cells]
     return [(float(thetas[it]), float(phis[ip])) for it, ip in cells]
 
 
-def _matched_power(
-    tensors, modes, antennas, counts, geometry, scenario: Scenario,
-    normalized: bool = False,
-) -> np.ndarray:
-    """Corrected matched power for a batch of candidate angle pairs.
+def _grid_power(tensor, config, scenario: Scenario, table, gather) -> np.ndarray:
+    """Matched power |<p, y>|^2 of every grid cell, p gathered from ``table``."""
+    block, ks = _probed(tensor, config.antennas, config.modes)
+    power = np.zeros(len(gather))
+    link = (scenario.pose.distance_m, scenario.tx, scenario.rx)
+    for j, k in enumerate(ks):
+        for i, pattern in enumerate(farfield_pattern(table, config.modes, k, *link)):
+            power += np.abs(np.conj(pattern).ravel()[gather] @ block[:, i, j]) ** 2
+    return power
 
-    Models the power probe a receiver makes after applying a candidate
-    correction mask and mode-matched combining over the ring elements
-    labelled ``antennas``, matched to the far-field pattern of each of
-    ``modes``; ``geometry`` is ``farfield_geometry`` of the candidates at
-    those antennas.  The candidates fall into consecutive groups of
-    ``counts``, group g probing ``tensors[g]`` at up to
-    ``_POWER_GRID_MAX_SUBCARRIERS`` of its subcarriers, spread over them.
-    With ``normalized`` the matched energy |<g, y>|^2 / |g|^2 is returned.
+
+def _probed(tensor: SampleTensor, antennas, modes) -> tuple[np.ndarray, np.ndarray]:
+    """Samples and wavenumbers of the probed subcarriers, spread over ``tensor``'s."""
+    n = len(tensor.subcarriers_hz)
+    picks = np.linspace(0, n - 1, min(n, _POWER_GRID_MAX_SUBCARRIERS)).astype(int)
+    ks = wavenumber(tensor.subcarriers_hz[picks])
+    return _samples(tensor, antennas, modes)[..., picks], ks
+
+
+def _matched_power(tensors, modes, antennas, counts, geometry, scenario: Scenario):
+    """Corrected matched energy |<p, y>|^2 / |p|^2 of candidate angle pairs.
+
+    The probe a receiver makes after a candidate correction mask and
+    mode-matched combining over the ring elements labelled ``antennas``,
+    matched to the far-field pattern p of each of ``modes``; ``geometry`` is
+    ``farfield_geometry`` of the candidates at those antennas.  Candidates
+    fall into consecutive groups of ``counts``, group g probing ``tensors[g]``.
     """
-    blocks, ks = [], []
-    for tensor in tensors:
-        n_sub = len(tensor.subcarriers_hz)
-        picks = np.linspace(0, n_sub - 1, min(n_sub, _POWER_GRID_MAX_SUBCARRIERS))
-        picks = picks.astype(int)
-        blocks.append(_samples(tensor, antennas, modes)[:, :, picks])
-        ks.append(wavenumber(tensor.subcarriers_hz[picks]))
+    blocks, ks = zip(*(_probed(tensor, antennas, modes) for tensor in tensors))
     power = np.zeros(geometry[0].shape[0])
     edges = np.cumsum([0, *counts])
-    for j in range(len(ks[0])):
-        k = np.repeat([k_t[j] for k_t in ks], counts)[:, None]
+    link = (scenario.pose.distance_m, scenario.tx, scenario.rx)
+    for j, k in enumerate(np.repeat(ks, counts, axis=0).T[..., None]):
         # The pattern's spatial phase is the conjugate of the candidate mask.
-        profiles = farfield_pattern(
-            geometry, modes, k, scenario.pose.distance_m, scenario.tx, scenario.rx
-        )
-        for i, profile in enumerate(profiles):
+        for i, profile in enumerate(farfield_pattern(geometry, modes, k, *link)):
             combined = np.concatenate([
                 np.conj(profile[a:b]) @ block[:, i, j]
                 for block, a, b in zip(blocks, edges, edges[1:])
             ])
-            if normalized:
-                norm = np.sum(np.abs(profile) ** 2, axis=1)
-                power += np.abs(combined) ** 2 / np.maximum(norm, 1e-300)
-            else:
-                power += np.abs(combined) ** 2
+            norm = np.sum(np.abs(profile) ** 2, axis=1)
+            power += np.abs(combined) ** 2 / np.maximum(norm, 1e-300)
     return power
 
 
@@ -687,7 +687,7 @@ def estimate_trials(
     geometry = farfield_geometry(pool[:, 0], pool[:, 1], ring, config.modes)
     powers = _matched_power(
         [tensors[i] for i in live], config.modes, antennas,
-        [2 * len(c) for c in cells], geometry, scenario, normalized=True,
+        [2 * len(c) for c in cells], geometry, scenario,
     )
     start = 0
     for n, (i, trial_cells) in enumerate(zip(live, cells)):

@@ -152,8 +152,7 @@ class TestPowerProbeMatchesChannel:
         theta, phi = misalignment_angles(pose)
         ring = scen.rx.element_azimuths[list(config.antennas)]
         geometry = farfield_geometry(np.array([theta]), np.array([phi]), ring, modes)
-        got = _matched_power([tensor], modes, config.antennas, [1], geometry,
-                             scen, normalized=True)
+        got = _matched_power([tensor], modes, config.antennas, [1], geometry, scen)
         want = np.sum(np.abs(tensor.values[list(config.antennas)]) ** 2)
         np.testing.assert_allclose(got, [want], rtol=1e-12)
 

@@ -12,6 +12,8 @@ from vortex_align.channel import (
     SampleTensor,
     delta,
     bessel_j,
+    farfield_geometry,
+    farfield_pattern,
     rho,
     simulate_measurement,
     wavenumber,
@@ -35,6 +37,9 @@ from vortex_align.estimator import (
 from vortex_align import estimator as estimator_module
 from vortex_align.estimator import (
     _coarse_candidates,
+    _grid_power,
+    _grid_tables,
+    _leading,
     _mode_pairs,
     _profile_gamma,
     _profiled,
@@ -590,6 +595,38 @@ def full_coarse_candidates(terms, config, tensor, scen):
     return out, (thetas, phis, gammas, losses)
 
 
+def check_coarse_grid(scen, tensor, config):
+    """``_coarse_candidates`` against ``full_coarse_candidates``."""
+    terms = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
+    got = _coarse_candidates(terms, config, tensor, scen)
+    want, (thetas, phis, gammas, losses) = full_coarse_candidates(
+        terms, config, tensor, scen
+    )
+    assert len(np.unique(terms.dl)) == len(config.modes) - 1
+    # The same cells in the same order.  The loss of (theta, phi + pi)
+    # equals that of (theta, phi), so the order within such a pair is
+    # decided by rounding, and the cells are compared modulo that turn.
+    # With one distinct dl the loss ranking is exact; with several it
+    # is checked for these setups.
+    def key(cell):
+        return round(np.rad2deg(cell[0]), 9), round(np.rad2deg(cell[1]) % 180, 9)
+
+    assert [key(c) for c in got] == [key(c) for c in want]
+    assert got[:4] == want[:4]
+    # The searched loss is the weighted loss at its gamma, cell by cell.
+    n_phi = len(phis)
+    for it, ip in [(0, 0), (7, 50), (29, 119)]:
+        cell = it * n_phi + ip
+        assert losses[cell] == pytest.approx(
+            loss(thetas[it], phis[ip], gammas[cell], terms), abs=1e-12)
+
+
+def walk_reads(ranking, count, n_phi, spacing=3):
+    """How many entries of ``ranking`` ``_diverse_walk`` reads."""
+    cells = _diverse_walk(ranking, count, n_phi, spacing)
+    return 1 + list(ranking).index(cells[-1][0] * n_phi + cells[-1][1])
+
+
 class TestCoarseGrid:
     @pytest.mark.parametrize("model", ["farfield", "exact"])
     @pytest.mark.parametrize("p", [1, 64])
@@ -599,28 +636,117 @@ class TestCoarseGrid:
             30.0, -120.0, subcarriers=tuple(SUBS[:p]), modes=modes, snr_db=10.0,
             seed=11, model=model,
         )
-        terms = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
-        got = _coarse_candidates(terms, config, tensor, scen)
-        want, (thetas, phis, gammas, losses) = full_coarse_candidates(
-            terms, config, tensor, scen
-        )
-        assert len(np.unique(terms.dl)) == len(modes) - 1
-        # The same cells in the same order.  The loss of (theta, phi + pi)
-        # equals that of (theta, phi), so the order within such a pair is
-        # decided by rounding, and the cells are compared modulo that turn.
-        # With one distinct dl the loss ranking is exact; with several it
-        # is checked for these setups.
-        def key(cell):
-            return round(np.rad2deg(cell[0]), 9), round(np.rad2deg(cell[1]) % 180, 9)
+        check_coarse_grid(scen, tensor, config)
 
-        assert [key(c) for c in got] == [key(c) for c in want]
-        assert got[:4] == want[:4]
-        # The searched loss is the weighted loss at its gamma, cell by cell.
-        n_phi = len(phis)
-        for it, ip in [(0, 0), (7, 50), (29, 119)]:
-            cell = it * n_phi + ip
-            assert losses[cell] == pytest.approx(
-                loss(thetas[it], phis[ip], gammas[cell], terms), abs=1e-12)
+    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1)])
+    @pytest.mark.parametrize("rx_n, q", [(16, 6), (20, 12)])
+    def test_matches_full_on_other_rings(self, rx_n, q, modes):
+        # A 16-element ring puts its antennas 22.5 degrees apart, off the
+        # 3-degree grid, so its (theta, u) table holds 1.5-degree offsets.
+        scen, _pose, tensor, config = make_setup(
+            30.0, -120.0, subcarriers=tuple(SUBS[:4]), modes=modes, snr_db=10.0,
+            seed=11, q=q, rx_n=rx_n,
+        )
+        check_coarse_grid(scen, tensor, config)
+
+    @pytest.mark.parametrize("model", ["farfield", "exact"])
+    @pytest.mark.parametrize("rx_n", [20, 16])
+    def test_power_map_matches_full_geometry(self, rx_n, model):
+        # The map gathered from the (theta, u) table against the map built
+        # from farfield_geometry of every cell at every antenna, at each of
+        # the four probed subcarriers; the loss spin likewise.
+        modes = (-2, 1, 3)
+        scen, _pose, tensor, config = make_setup(
+            20.0, 75.0, subcarriers=tuple(SUBS[:9]), modes=modes, snr_db=10.0,
+            seed=4, model=model, rx_n=rx_n,
+        )
+        az = scen.rx.element_azimuths[list(config.antennas)]
+        thetas, phis, table, gather, spin = _grid_tables(tuple(az), modes)
+        th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+        geometry = farfield_geometry(th, ph, az, modes)
+        rows = [tensor.antenna_index(m) for m in config.antennas]
+        link = (scen.pose.distance_m, scen.tx, scen.rx)
+        want = np.zeros(len(th))
+        for ki in np.linspace(0, 8, 4).astype(int):
+            k = wavenumber(tensor.subcarriers_hz[ki])
+            for li, pattern in enumerate(farfield_pattern(geometry, modes, k, *link)):
+                want += np.abs(np.conj(pattern) @ tensor.values[rows, li, ki]) ** 2
+        got = _grid_power(tensor, config, scen, table, gather)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        pair_dl = np.array([li - lj for li, lj in _mode_pairs(modes)])
+        full_spin = np.exp(-2j * geometry[0][:, :, None] * pair_dl)
+        np.testing.assert_allclose(spin, full_spin.reshape(len(th), -1),
+                                   rtol=0, atol=1e-12)
+        assert table[0].shape == (len(thetas), {20: 120, 16: 240}[rx_n])
+
+
+def tied_map(rng, edge_tie):
+    """A 30 x 120 map that walks read to the bound, flattened.
+
+    Four centres at least five cells apart lead in turn, each followed by
+    the 24 other cells of its 5 x 5 block, so a walk for four cells reads
+    1 + 3 * 25 = 76 entries.  With ``edge_tie`` the whole theta = 0 row
+    ties with the fourth centre, which is where the 76th entry falls.
+    """
+    values = 1000.0 + rng.integers(0, 50, (30, 120)).astype(float)
+    spots = [(3 + 6 * n + int(rng.integers(0, 2)), int(rng.integers(0, 120)))
+             for n in range(4)]
+    for n, (ct, cp) in enumerate(spots):
+        for dt in range(-2, 3):
+            for dp in range(-2, 3):
+                values[ct + dt, (cp + dp) % 120] = 10 * n + max(abs(dt), abs(dp))
+    if edge_tie:
+        values[0] = values[spots[3]]
+    return values.ravel()
+
+
+class TestLeadingRanking:
+    # A diverse walk for 4 cells at spacing 3 reads at most 1 + 3 * 25 entries.
+    READS = 1 + 3 * (2 * estimator_module._SHORTLIST_SPACING - 1) ** 2
+
+    @pytest.mark.parametrize("count", [1, 30, 31, 76, 150, 151, 200])
+    def test_keeps_a_whole_tie_at_the_edge(self, count):
+        # 30 leading cells, then a 120-way exact tie (a theta = 0 row), then
+        # the rest: the ranking is a prefix of the full stable one that ends
+        # after the last tied cell.
+        rng = np.random.default_rng(count)
+        values = 2.0 + rng.random(3600)
+        values[rng.choice(np.arange(120, 3600), 30, replace=False)] = rng.random(30)
+        values[:120] = 1.5
+        got = _leading(values, count)
+        edge = np.sort(values)[count - 1]
+        assert len(got) == np.sum(values <= edge) >= count
+        np.testing.assert_array_equal(got, np.argsort(values, kind="stable")[:len(got)])
+
+    @pytest.mark.parametrize("count", [76, 200, 201, 300])
+    def test_inf_tail(self, count):
+        # The multi-dl loss map: 200 polished cells, some tied, the rest inf.
+        rng = np.random.default_rng(count)
+        values = np.full(3600, np.inf)
+        near = rng.choice(3600, 200, replace=False)
+        values[near] = rng.integers(0, 40, 200).astype(float)
+        got = _leading(values, count)
+        full = np.argsort(values, kind="stable")
+        np.testing.assert_array_equal(got, full[:len(got)])
+        assert len(got) == (3600 if count > 200 else np.sum(values <= values[got[-1]]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("edge_tie", [False, True])
+    def test_walks_never_read_past_the_leading_cells(self, seed, edge_tie):
+        # On maps built to make the walk read the most, and on coarse random
+        # maps full of ties, the walk over the full stable ranking reads at
+        # most READS entries and keeps the cells it keeps over the leading
+        # cells alone.
+        assert self.READS == 76
+        rng = np.random.default_rng(seed)
+        maps = [tied_map(rng, edge_tie), rng.integers(0, 8, 3600).astype(float)]
+        for values in maps:
+            for score in (values, -values):
+                full = np.argsort(score, kind="stable")
+                lead = _leading(score, self.READS)
+                assert walk_reads(full, 4, 120) <= self.READS <= len(lead)
+                assert _diverse_walk(lead, 4, 120) == _diverse_walk(full, 4, 120)
+        assert walk_reads(np.argsort(maps[0], kind="stable"), 4, 120) == self.READS
 
 
 class TestProfileGamma:
