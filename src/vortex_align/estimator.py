@@ -135,11 +135,10 @@ class CrossModalPhaseSet:
 
     Terms run antenna-major over ``_mode_pairs(config.modes)``.  The loss,
     the grid, the refine and the arbitration misfit all read these arrays.
-    ``antenna``, ``azimuth`` and ``dl`` are (terms,), shared by every trial;
-    ``target``, ``weight`` and ``inv_var`` are (T, terms), one row per trial.
+    ``azimuth`` and ``dl`` are (terms,), shared by every trial; ``target``,
+    ``weight`` and ``inv_var`` are (T, terms), one row per trial.
     """
 
-    antenna: np.ndarray  # ring label m
     azimuth: np.ndarray  # element azimuth phi_m
     dl: np.ndarray  # l_i - l_j
     target: np.ndarray  # measured doubled phase as e^{2iu}
@@ -174,26 +173,27 @@ def cross_modal_phase_set(
 
     The single-trial call of ``_phase_sets``; raises its noise failure.
     """
-    phases, (failure,) = _phase_sets([tensor], config, n_elements)
+    block = tensor.values[np.ix_(*_positions(tensor, config.antennas, config.modes))]
+    phases, (failure,) = _phase_sets(block[None], config, n_elements)
     if failure is not None:
         raise failure
     return phases
 
 
 def _phase_sets(
-    tensors: Sequence[SampleTensor], config: EstimationConfig, n_elements: int
+    block: np.ndarray, config: EstimationConfig, n_elements: int
 ) -> tuple[CrossModalPhaseSet, list[ValueError | None]]:
-    """The cross-modal phase terms of ``config`` in every tensor, one row each.
+    """The cross-modal phase terms of ``config`` in every trial, one row each.
 
-    ``n_elements`` is the size of the receive ring, which fixes the element
-    azimuths 2 pi m / n_elements.  The inverse variance of a term follows
-    from the measured per-mode amplitudes up to the common noise level; the
-    same common factor scales the matched-power deficit, so the misfit and
-    the deficit can be summed.  Every subcarrier of a tensor is pooled, so
-    the tensors must hold equally many.  Also returns per tensor the noise
+    ``block`` holds the trials' samples at ``config``'s antennas and modes,
+    (trial, antenna, mode, subcarrier).  ``n_elements`` is the size of the
+    receive ring, which fixes the element azimuths 2 pi m / n_elements.  The
+    inverse variance of a term follows from the measured per-mode amplitudes
+    up to the common noise level; the same common factor scales the
+    matched-power deficit, so the misfit and the deficit can be summed.
+    Every subcarrier of a trial is pooled.  Also returns per trial the noise
     failure that leaves its row undefined, or None.
     """
-    block = np.stack([_samples(t, config.antennas, config.modes) for t in tensors])
     if block.shape[-1] < 1:
         raise DegenerateGeometryError("at least 1 subcarrier is required")
     magnitude = np.abs(block)
@@ -202,7 +202,7 @@ def _phase_sets(
     i = [config.modes.index(li) for li, _lj in pairs]
     j = [config.modes.index(lj) for _li, lj in pairs]
     acc = np.sum((block[:, :, i] * np.conj(block[:, :, j])) ** 2, axis=-1)
-    failed: list[ValueError | None] = [None] * len(tensors)
+    failed: list[ValueError | None] = [None] * len(block)
     for t, (amps_t, acc_t) in enumerate(zip(amps, acc)):
         vanished = np.argwhere(np.abs(acc_t) < _ACCUMULATOR_FLOOR)
         if np.all(amps_t < _POWER_FLOOR):
@@ -214,27 +214,25 @@ def _phase_sets(
                 f"pair ({pairs[p][0]},{pairs[p][1]})"
             )
     mode_amps = np.maximum(np.mean(magnitude, axis=3), _WEIGHT_FLOOR)
-    a_i, a_j = (mode_amps[:, :, c].reshape(len(tensors), -1) for c in (i, j))
+    a_i, a_j = (mode_amps[:, :, c].reshape(len(block), -1) for c in (i, j))
     labels = np.asarray(config.antennas)
     phases = CrossModalPhaseSet(
-        antenna=np.repeat(labels, len(pairs)),
         azimuth=np.repeat(2.0 * np.pi * labels / n_elements, len(pairs)),
         dl=np.tile([li - lj for li, lj in pairs], len(labels)),
-        target=np.exp(2j * (0.5 * np.angle(acc)).reshape(len(tensors), -1)),
+        target=np.exp(2j * (0.5 * np.angle(acc)).reshape(len(block), -1)),
         weight=np.repeat(weight(amps), len(pairs), axis=-1),
         inv_var=block.shape[-1] * (a_i**2 * a_j**2) / (16.0 * (a_i**2 + a_j**2)),
     )
     return phases, failed
 
 
-def _samples(tensor: SampleTensor, antennas, modes) -> np.ndarray:
-    """The (antenna, mode, subcarrier) block of ``tensor`` by label, all columns."""
+def _positions(tensor: SampleTensor, antennas, modes) -> tuple[list[int], list[int]]:
+    """The rows of ``antennas`` and the columns of ``modes`` in ``tensor``, by label."""
     try:
         rows = [tensor.antenna_index(m) for m in antennas]
-        cols = [tensor.mode_index(l) for l in modes]
+        return rows, [tensor.mode_index(l) for l in modes]
     except KeyError as exc:
         raise MissingSamplesError(str(exc)) from None
-    return tensor.values[np.ix_(rows, cols)]
 
 
 def _mode_pairs(modes) -> list[tuple[int, int]]:
@@ -414,7 +412,7 @@ def _profile_gamma(
 
 
 def _coarse_candidates(
-    terms: CrossModalPhaseSet, config: EstimationConfig, tensor, scenario: Scenario
+    terms: CrossModalPhaseSet, config: EstimationConfig, block, ks, scenario: Scenario
 ) -> list[tuple[float, float]]:
     """Coarse search: candidate cells from both the loss and the power map.
 
@@ -425,7 +423,9 @@ def _coarse_candidates(
     spatially diverse best cells of each map; the refined solutions are
     arbitrated jointly afterwards.  A cell's loss is minimised over gamma;
     with several distinct dl only the cells that lead on sampled gamma are
-    solved to the end.  ``terms`` is one trial's set.  Returns (theta, phi).
+    solved to the end.  ``terms`` is one trial's set, and ``block`` its
+    samples at the fitted antennas and modes on the probed subcarriers of
+    wavenumbers ``ks``.  Returns (theta, phi).
     """
     thetas, phis, table, gather, spin = _grid_tables(
         tuple(scenario.rx.element_azimuths[list(config.antennas)]), config.modes
@@ -452,41 +452,35 @@ def _coarse_candidates(
                     break
         return kept
 
-    power_map = _grid_power(tensor, config, scenario, table, gather)
+    power_map = _grid_power(block, ks, config.modes, scenario, table, gather)
     cells = diverse_walk(-power_map, _POWER_CANDIDATES)
     cells += [c for c in diverse_walk(loss_by_cell, _LOSS_CANDIDATES) if c not in cells]
     return [(float(thetas[it]), float(phis[ip])) for it, ip in cells]
 
 
-def _grid_power(tensor, config, scenario: Scenario, table, gather) -> np.ndarray:
-    """Matched power |<p, y>|^2 of every grid cell, p gathered from ``table``."""
-    block, ks = _probed(tensor, config.antennas, config.modes)
+def _grid_power(block, ks, modes, scenario: Scenario, table, gather) -> np.ndarray:
+    """Matched power |<p, y>|^2 of every grid cell, p gathered from ``table``.
+
+    ``block`` is (antenna, mode, probed subcarrier), of wavenumbers ``ks``.
+    """
     power = np.zeros(len(gather))
     link = (scenario.pose.distance_m, scenario.tx, scenario.rx)
     for j, k in enumerate(ks):
-        for i, pattern in enumerate(farfield_pattern(table, config.modes, k, *link)):
+        for i, pattern in enumerate(farfield_pattern(table, modes, k, *link)):
             power += np.abs(np.conj(pattern).ravel()[gather] @ block[:, i, j]) ** 2
     return power
 
 
-def _probed(tensor: SampleTensor, antennas, modes) -> tuple[np.ndarray, np.ndarray]:
-    """Samples and wavenumbers of the probed subcarriers, spread over ``tensor``'s."""
-    n = len(tensor.subcarriers_hz)
-    picks = np.linspace(0, n - 1, min(n, _POWER_GRID_MAX_SUBCARRIERS)).astype(int)
-    ks = wavenumber(tensor.subcarriers_hz[picks])
-    return _samples(tensor, antennas, modes)[..., picks], ks
-
-
-def _matched_power(tensors, modes, antennas, counts, geometry, scenario: Scenario):
+def _matched_power(blocks, ks, counts, modes, geometry, scenario: Scenario):
     """Corrected matched energy |<p, y>|^2 / |p|^2 of candidate angle pairs.
 
     The probe a receiver makes after a candidate correction mask and
-    mode-matched combining over the ring elements labelled ``antennas``,
-    matched to the far-field pattern p of each of ``modes``; ``geometry`` is
-    ``farfield_geometry`` of the candidates at those antennas.  Candidates
-    fall into consecutive groups of ``counts``, group g probing ``tensors[g]``.
+    mode-matched combining over ring elements, matched to the far-field
+    pattern p of each of ``modes``; ``geometry`` is ``farfield_geometry`` of
+    the candidates at those elements.  Candidates fall into consecutive
+    groups of ``counts``, group g probing ``blocks[g]``: its samples at those
+    elements, (antenna, mode, probed subcarrier), of wavenumbers ``ks[g]``.
     """
-    blocks, ks = zip(*(_probed(tensor, antennas, modes) for tensor in tensors))
     power = np.zeros(geometry[0].shape[0])
     edges = np.cumsum([0, *counts])
     link = (scenario.pose.distance_m, scenario.tx, scenario.rx)
@@ -558,9 +552,8 @@ def _profiled(
 
 
 def _refine_cells(
-    cells: list[tuple[float, float]],
-    terms: CrossModalPhaseSet,
-) -> list[tuple[np.ndarray, float, int]]:
+    cells: list[tuple[float, float]], terms: CrossModalPhaseSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Box-constrained Levenberg-Marquardt refinement of all cells at once.
 
     ``terms`` holds one trial row per cell: the cells of many trials refine
@@ -579,7 +572,7 @@ def _refine_cells(
     after a rejected one.  A cell stops when its step moves less than
     ``_LM_MIN_MOVE`` rad, when an accepted step lowers its cost by no more
     than ``_LM_TOL`` relative, or after ``_LM_MAX_ITER`` steps.  Returns
-    ((theta, phi), cost, iterations) per cell, in order.
+    per cell, in order: (theta, phi) (n, 2), gamma there, cost and iterations.
     """
     x = np.array(cells, dtype=float)
     reach = np.deg2rad(_GRID_DEG)
@@ -592,7 +585,7 @@ def _refine_cells(
     # delta depends on theta through cos(theta), so every gradient vanishes
     # in theta at theta = 0: a cell on that row starts half a step inside.
     x[:, 0] = np.maximum(x[:, 0], 0.5 * reach)
-    _gamma, res, jac = _profiled(x, terms)
+    gamma, res, jac = _profiled(x, terms)
     cost = np.sum(res**2, axis=1)
     # J_g . J_g, the curvature along gamma, is the same at every point of a cell.
     scale_floor = _LM_SCALE_FLOOR * 4.0 * np.sum(terms.dl**2 * terms.weight, axis=1)
@@ -611,7 +604,7 @@ def _refine_cells(
         lhs = np.einsum("ntj,ntk->njk", jf, jf) + scale[:, :, None] * np.eye(2)
         step = np.linalg.solve(lhs, -(grad * free)[..., None])[..., 0]
         trial = np.clip(xa + step, lower[act], upper[act])
-        _gamma, res_t, jac_t = _profiled(trial, terms.rows(act))
+        gamma_t, res_t, jac_t = _profiled(trial, terms.rows(act))
         cost_t = np.sum(res_t**2, axis=1)
         iterations[act] += 1
         accept = cost_t < cost[act]
@@ -622,6 +615,7 @@ def _refine_cells(
         )
         took = act[accept]
         x[took] = trial[accept]
+        gamma[took] = gamma_t[accept]
         res[took] = res_t[accept]
         jac[took] = jac_t[accept]
         cost[took] = cost_t[accept]
@@ -629,7 +623,7 @@ def _refine_cells(
             damping[act] * np.where(accept, _LM_SHRINK, _LM_GROW), _LM_MIN_DAMPING
         )
         act = act[~done]
-    return [(x[i], float(cost[i]), int(iterations[i])) for i in range(len(x))]
+    return x, gamma, cost, iterations
 
 
 def estimate(
@@ -649,65 +643,70 @@ def estimate_trials(
 
     A coarse (theta, phi) grid per trial, then one box-constrained LM refine
     of every trial's best cells with gamma solved at every point, and one
-    arbitration of the refined solutions and their half-turn azimuth twins
-    by phase misfit and corrected power, probed at the tensors' antennas.
-    The tensors hold the same antenna labels (ValueError otherwise) and
-    equally many subcarriers.  A noise failure ends only its own trial and
-    is returned in its place.
+    arbitration of the refined cells and their half-turn azimuth twins by
+    phase misfit and corrected power, probed at every antenna of the
+    tensors.  The tensors hold the same antenna and mode labels (ValueError
+    otherwise), read by one lookup, and equally many subcarriers.  A noise
+    failure ends only its own trial and is returned in its place.
     """
-    if any(not np.array_equal(t.antennas, tensors[0].antennas) for t in tensors):
-        raise ValueError("the tensors of one batch must hold the same antenna labels")
+    if len({(tuple(t.antennas), t.modes) for t in tensors}) > 1:
+        raise ValueError("a batch's tensors must hold the same antenna labels and modes")
     _validate_config(config, scenario.rx.n_elements)
-    terms, results = _phase_sets(tensors, config, scenario.rx.n_elements)
+    rows, cols = _positions(tensors[0], config.antennas, config.modes)
+    terms, results = _phase_sets(
+        np.stack([t.values[np.ix_(rows, cols)] for t in tensors]),
+        config, scenario.rx.n_elements,
+    )
     live = [i for i, failure in enumerate(results) if failure is None]
     if not live:
         return results
     terms = terms.rows(live)
+    # The power probes read a few subcarriers spread over each trial's: the
+    # grid's at the fitted antennas, the arbitration's at every antenna.
+    n_sub = len(tensors[0].subcarriers_hz)
+    picks = np.linspace(0, n_sub - 1, min(n_sub, _POWER_GRID_MAX_SUBCARRIERS), dtype=int)
+    ks = wavenumber(np.stack([tensors[i].subcarriers_hz[picks] for i in live]))
+    probed = np.stack([tensors[i].values[:, cols][..., picks] for i in live])
     cells = [
-        _coarse_candidates(terms.rows([n]), config, tensors[i], scenario)
-        for n, i in enumerate(live)
+        _coarse_candidates(terms.rows([n]), config, probed[n, rows], ks[n], scenario)
+        for n in range(len(live))
     ]
-    owner = np.repeat(np.arange(len(live)), [len(c) for c in cells])
-    refined = _refine_cells([c for cs in cells for c in cs], terms.rows(owner))
+    edges = np.cumsum([0, *map(len, cells)])
+    owner = np.repeat(np.arange(len(live)), np.diff(edges))
+    flat = [c for cs in cells for c in cs]
+    x, gamma, cost, iterations = _refine_cells(flat, terms.rows(owner))
 
-    # The loss cannot distinguish phi from phi + pi (gamma absorbs the half
-    # turn), so every refined candidate enters the pool with its half-turn
-    # twin and the twin's own gamma.  One joint likelihood score arbitrates:
-    # the cross-modal phase misfit (inverse-variance weighted, which the
-    # measured amplitudes supply) plus the corrected matched-power deficit;
-    # both scale with 1/noise, so the noise level cancels from the ranking
-    # and the twin comparison is exactly the higher-corrected-power rule.
-    # Even pool rows hold the refined candidates, odd rows their twins.
-    pool = np.repeat(np.array([x for x, _f, _n in refined]), 2, axis=0)
-    pool[1::2, 1] = np.angle(np.exp(1j * (pool[1::2, 1] + np.pi)))
-    pool_gamma = _profiled(pool, terms.rows(np.repeat(owner, 2)))[0]
-    model = _model(np.column_stack([pool, pool_gamma]), terms)
-    antennas = tensors[0].antennas
-    ring = scenario.rx.element_azimuths[antennas]
-    geometry = farfield_geometry(pool[:, 0], pool[:, 1], ring, config.modes)
-    powers = _matched_power(
-        [tensors[i] for i in live], config.modes, antennas,
-        [2 * len(c) for c in cells], geometry, scenario,
-    )
-    start = 0
-    for n, (i, trial_cells) in enumerate(zip(live, cells)):
-        stop = start + 2 * len(trial_cells)
-        power = powers[start:stop]
-        misfits = np.abs(terms.target[n] - model[start:stop]) ** 2 @ terms.inv_var[n]
-        best = int(np.argmin(misfits + (power.max() - power)))
-        _x, residual, n_iter = refined[start // 2 + best // 2]
+    # The loss cannot distinguish phi from phi + pi: delta moves by a half
+    # turn, which leaves e^{2i dl delta}, gamma and the phase misfit as they
+    # are.  So a cell has one misfit (inverse-variance weighted, which the
+    # measured amplitudes supply) and a corrected matched power at phi and at
+    # its twin.  The cell of the lowest misfit plus power deficit of its
+    # better twin wins, and the estimate is that twin, so the kept twin has
+    # the higher corrected power.  Both terms scale with 1/noise, so the
+    # noise level cancels from the ranking.
+    model = _model(np.column_stack([x, gamma]), terms)
+    phis = np.column_stack([x[:, 1], np.angle(np.exp(1j * (x[:, 1] + np.pi)))])
+    ring = scenario.rx.element_azimuths[tensors[0].antennas]
+    geometry = farfield_geometry(np.repeat(x[:, 0], 2), phis.ravel(), ring, config.modes)
+    power = _matched_power(
+        probed, ks, 2 * np.diff(edges), config.modes, geometry, scenario
+    ).reshape(-1, 2)  # (cell, twin)
+    twin, better = np.argmax(power, axis=1), np.max(power, axis=1)
+    for n, (i, a, b) in enumerate(zip(live, edges, edges[1:])):
+        misfits = np.abs(terms.target[n] - model[a:b]) ** 2 @ terms.inv_var[n]
+        best = a + int(np.argmin(misfits + (better[a:b].max() - better[a:b])))
+        kept = twin[best]
         results[i] = MisalignmentEstimate(
-            theta=float(np.clip(pool[start + best, 0], 0.0, np.pi / 2 - 1e-12)),
-            phi=float(np.angle(np.exp(1j * pool[start + best, 1]))),
-            gamma=float(pool_gamma[start + best]),
-            residual=residual,
+            theta=float(x[best, 0]),
+            phi=float(np.angle(np.exp(1j * phis[best, kept]))),
+            gamma=float(gamma[best]),
+            residual=float(cost[best]),
             diagnostics={
-                "grid_theta": trial_cells[best // 2][0],
-                "grid_phi": trial_cells[best // 2][1],
-                "refine_iterations": n_iter,
-                "corrected_power_kept": float(power[best]),
-                "corrected_power_rejected": float(power[best ^ 1]),
+                "grid_theta": flat[best][0],
+                "grid_phi": flat[best][1],
+                "refine_iterations": int(iterations[best]),
+                "corrected_power_kept": float(power[best, kept]),
+                "corrected_power_rejected": float(power[best, 1 - kept]),
             },
         )
-        start = stop
     return results

@@ -59,15 +59,6 @@ from .geometry import (
     tilt_for_angles,
 )
 
-EXPERIMENT_KINDS = (
-    "angle-sweep",
-    "ccdf",
-    "subcarrier-sweep",
-    "antenna-sweep",
-    "imi-demo",
-    "validate-model",
-)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
@@ -248,7 +239,7 @@ def load_spec(
     model: str | None = None,
 ) -> ExperimentSpec:
     """Build an ExperimentSpec from defaults, a JSON config, and overrides."""
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     user = None
     if config_path is not None:
@@ -864,7 +855,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="vortex-align",
         description="Misaligned OAM link simulator and alignment experiments",
     )
-    parser.add_argument("kind", choices=EXPERIMENT_KINDS, help="experiment to run")
+    parser.add_argument("kind", choices=RUNNERS, help="experiment to run")
     parser.add_argument("--config", help="JSON config file (defaults used if omitted)")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--out", default="vortex_results", help="output directory")

@@ -152,7 +152,9 @@ class TestPowerProbeMatchesChannel:
         theta, phi = misalignment_angles(pose)
         ring = scen.rx.element_azimuths[list(config.antennas)]
         geometry = farfield_geometry(np.array([theta]), np.array([phi]), ring, modes)
-        got = _matched_power([tensor], modes, config.antennas, [1], geometry, scen)
+        block = tensor.values[list(config.antennas)][None]
+        ks = wavenumber(tensor.subcarriers_hz)[None]
+        got = _matched_power(block, ks, [1], modes, geometry, scen)
         want = np.sum(np.abs(tensor.values[list(config.antennas)]) ** 2)
         np.testing.assert_allclose(got, [want], rtol=1e-12)
 

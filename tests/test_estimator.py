@@ -82,7 +82,8 @@ class TestCrossModalPhase:
         scen, pose, tensor, config = make_setup(27.0, -133.0)
         theta, phi = misalignment_angles(pose)
         phases = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
-        np.testing.assert_array_equal(phases.antenna, config.antennas)
+        np.testing.assert_array_equal(
+            phases.azimuth, scen.rx.element_azimuths[list(config.antennas)])
         expected = phases.dl * (delta(theta, phi, phases.azimuth) + gamma(pose))
         # Equality holds on the doubled phase (u is known modulo pi).
         assert np.all(circ_err(np.angle(phases.target), 2 * expected) < 1e-9)
@@ -131,10 +132,9 @@ class TestCrossModalPhase:
 
         expected = [term(m, li, lj) for m in config.antennas for li, lj in pairs]
         np.testing.assert_array_equal(phases.target[0], expected)
-        np.testing.assert_array_equal(phases.antenna, np.repeat(config.antennas, 3))
         np.testing.assert_array_equal(phases.dl, np.tile([1, 2, 1], 12))
         np.testing.assert_array_equal(
-            phases.azimuth, scen.rx.element_azimuths[phases.antenna])
+            phases.azimuth, scen.rx.element_azimuths[np.repeat(config.antennas, 3)])
 
     def test_subcarrier_averaging_reduces_spread(self):
         # Monte Carlo: the circular spread of the doubled phase shrinks
@@ -231,7 +231,7 @@ class TestLoss:
     def test_opposed_phase_contributes_four_lambda(self):
         # One term whose measured and modeled doubled phases differ by pi.
         phases = CrossModalPhaseSet(
-            antenna=np.array([0]), azimuth=np.array([0.0]), dl=np.array([1]),
+            azimuth=np.array([0.0]), dl=np.array([1]),
             target=np.exp(2j * np.array([np.pi / 4])), weight=np.array([2.5]),
             inv_var=np.array([1.0]))
         # model angle: dl*(delta+gamma) with delta(0, phi=0, az=0)=0
@@ -386,11 +386,24 @@ class TestEstimate:
             estimate(zeros, scen, config)
 
 
+def probed(tensor, config):
+    """The fitted samples at the power probes' subcarriers, and their wavenumbers.
+
+    The probes read at most four subcarriers, spread over the tensor's.
+    """
+    n_sub = len(tensor.subcarriers_hz)
+    picks = np.linspace(0, n_sub - 1, min(n_sub, 4)).astype(int)
+    rows = [tensor.antenna_index(m) for m in config.antennas]
+    cols = [tensor.mode_index(l) for l in config.modes]
+    return (tensor.values[np.ix_(rows, cols, picks)],
+            wavenumber(tensor.subcarriers_hz[picks]))
+
+
 def _terms_and_cells(theta_deg, phi_deg, snr_db):
     scen, pose, tensor, config = make_setup(theta_deg, phi_deg, snr_db=snr_db,
                                             seed=3)
     terms = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
-    cells = _coarse_candidates(terms, config, tensor, scen)
+    cells = _coarse_candidates(terms, config, *probed(tensor, config), scen)
     return pose, config, terms, cells
 
 
@@ -401,7 +414,6 @@ class TestBatchedRefine:
         antenna = rng.integers(0, 20, n_terms)
         az = 2 * np.pi * antenna / 20
         terms = CrossModalPhaseSet(
-            antenna=antenna,
             azimuth=az,
             dl=rng.choice([-2, 2, 4], n_terms),
             target=np.exp(2j * rng.uniform(-np.pi / 2, np.pi / 2, n_terms)),
@@ -435,7 +447,7 @@ class TestBatchedRefine:
         n_terms = 12
         az = 2 * np.pi * rng.integers(0, 20, n_terms) / 20
         terms = CrossModalPhaseSet(
-            antenna=np.zeros(n_terms), azimuth=az,
+            azimuth=az,
             dl=np.resize(dls, n_terms),
             target=np.exp(2j * rng.uniform(-np.pi / 2, np.pi / 2, n_terms)),
             weight=rng.uniform(0.2, 2.0, n_terms), inv_var=np.ones(n_terms))
@@ -481,9 +493,11 @@ class TestBatchedRefine:
     def test_batch_matches_single_cells(self):
         _pose, _config, terms, cells = _terms_and_cells(30.0, -120.0, 10.0)
         batch = _refine_cells(cells, terms.rows([0] * len(cells)))
-        for cell, (x, cost, n_iter) in zip(cells, batch):
-            x1, cost1, n_iter1 = _refine_cells([cell], terms)[0]
+        for n, cell in enumerate(cells):
+            x, gamma_n, cost, n_iter = (out[n] for out in batch)
+            x1, gamma1, cost1, n_iter1 = (out[0] for out in _refine_cells([cell], terms))
             np.testing.assert_allclose(x, x1, rtol=0, atol=1e-15)
+            assert circ_err(4 * gamma_n, 4 * gamma1) < 1e-12
             assert cost == pytest.approx(cost1, rel=1e-12, abs=1e-300)
             assert n_iter == n_iter1
 
@@ -494,11 +508,10 @@ class TestBatchedRefine:
         g = np.deg2rad(estimator_module._GRID_DEG)
         for sign in (-1.0, 1.0):
             start = truth + sign * g
-            x, cost, _n = _refine_cells([tuple(start)], terms)[0]
+            (x,), (gamma_hat,), (cost,), _n = _refine_cells([tuple(start)], terms)
             assert np.max(np.abs(np.angle(np.exp(1j * (x - truth))))) < 1e-6
             assert cost < 1e-20
             # Modes +-1: gamma is known modulo pi/2.
-            gamma_hat = _profiled(x[None, :], terms)[0][0]
             assert circ_err(4 * gamma_hat, 4 * gamma(pose)) < 1e-6
 
 
@@ -598,7 +611,7 @@ def full_coarse_candidates(terms, config, tensor, scen):
 def check_coarse_grid(scen, tensor, config):
     """``_coarse_candidates`` against ``full_coarse_candidates``."""
     terms = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
-    got = _coarse_candidates(terms, config, tensor, scen)
+    got = _coarse_candidates(terms, config, *probed(tensor, config), scen)
     want, (thetas, phis, gammas, losses) = full_coarse_candidates(
         terms, config, tensor, scen
     )
@@ -671,7 +684,7 @@ class TestCoarseGrid:
             k = wavenumber(tensor.subcarriers_hz[ki])
             for li, pattern in enumerate(farfield_pattern(geometry, modes, k, *link)):
                 want += np.abs(np.conj(pattern) @ tensor.values[rows, li, ki]) ** 2
-        got = _grid_power(tensor, config, scen, table, gather)
+        got = _grid_power(*probed(tensor, config), modes, scen, table, gather)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         pair_dl = np.array([li - lj for li, lj in _mode_pairs(modes)])
         full_spin = np.exp(-2j * geometry[0][:, :, None] * pair_dl)
@@ -781,6 +794,32 @@ class TestProfileGamma:
                     loss(th[i, 0], ph[i, 0], got_gamma[i], terms), abs=1e-12)
 
 
+class TestTwinInvariance:
+    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1), (-2, -1, 1, 2)])
+    def test_half_turn_twin_shares_gamma_and_misfit(self, modes):
+        # delta(theta, phi + pi) = delta +- pi leaves e^{2i dl delta} as it
+        # is, so the arbitration takes a cell's gamma and misfit for its twin.
+        rng = np.random.default_rng(12)
+        for snr_db, seed in [(None, 0), (10.0, 1)]:
+            scen, _pose, tensor, config = make_setup(
+                27.0, -133.0, modes=modes, snr_db=snr_db, seed=seed)
+            terms = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
+            x = np.column_stack([rng.uniform(1e-6, np.pi / 2 - 1e-6, 200),
+                                 rng.uniform(-np.pi, np.pi, 200)])
+            twin = x + [0.0, np.pi]
+            gam, gam_twin = _profiled(x, terms)[0], _profiled(twin, terms)[0]
+            # One dl solves gamma in closed form; several end six Newton
+            # steps short of convergence, about 1e-8 rad in 2 g gamma.
+            g = np.gcd.reduce(np.unique(terms.dl))
+            tol = 1e-9 if len(np.unique(terms.dl)) == 1 else 1e-7
+            assert np.all(circ_err(2 * g * gam, 2 * g * gam_twin) < tol)
+            misfit, misfit_twin = (
+                np.abs(terms.target - estimator_module._model(
+                    np.column_stack([points, gam]), terms)) ** 2 @ terms.inv_var[0]
+                for points in (x, twin))
+            np.testing.assert_allclose(misfit_twin, misfit, rtol=1e-12, atol=0)
+
+
 class TestBatchedEstimate:
     def test_batch_matches_single_trial_calls(self):
         # Mixed poses, four subcarriers drawn per trial, and one trial whose
@@ -812,6 +851,15 @@ class TestBatchedEstimate:
                     getattr(want, name), rel=0, abs=1e-12)
             assert (got.diagnostics["refine_iterations"]
                     == want.diagnostics["refine_iterations"])
+            # The kept twin has the higher corrected power, the residual is
+            # the loss at the estimate, and the winning cell is a candidate.
+            d = got.diagnostics
+            assert d["corrected_power_kept"] >= d["corrected_power_rejected"]
+            phases = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
+            assert got.residual == pytest.approx(
+                loss(got.theta, got.phi, got.gamma, phases), rel=0, abs=1e-12)
+            cells = _coarse_candidates(phases, config, *probed(tensor, config), scen)
+            assert (d["grid_theta"], d["grid_phi"]) in cells
 
     def test_batch_rejects_mixed_settings(self):
         # Every subcarrier of a tensor is pooled, so a batch cannot mix counts.
@@ -833,6 +881,18 @@ class TestBatchedEstimate:
         tensors = [(full, subset)[i] for i in order]
         with pytest.raises(ValueError, match="same antenna labels"):
             estimate_trials(tensors, scen, config)
+
+    def test_batch_rejects_mixed_mode_order(self):
+        # The batch reads every tensor at the columns of the first one's
+        # modes, so a tensor holding the same modes in another order cannot
+        # join it, though each tensor alone gives the same estimate.
+        scen, _pose, tensor, config = make_setup(30.0, -120.0)
+        swapped = SampleTensor(tensor.values[:, ::-1], tensor.antennas,
+                               tensor.modes[::-1], tensor.subcarriers_hz)
+        want, got = (estimate(t, scen, config) for t in (tensor, swapped))
+        assert (got.theta, got.phi) == (want.theta, want.phi)
+        with pytest.raises(ValueError, match="same antenna labels and modes"):
+            estimate_trials([tensor, swapped], scen, config)
 
     def test_permuted_batch_permutes_results(self):
         poses = [(18.0, -150.0), (33.0, -110.0), (47.0, 40.0), (62.0, 170.0)]
