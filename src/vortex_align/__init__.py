@@ -6,7 +6,6 @@ from .channel import (
     GeometryOverlapError,
     NoiseSpec,
     SampleTensor,
-    bessel_j,
     delta,
     farfield_antenna_vector,
     farfield_received_signal,

@@ -4,8 +4,8 @@ Two models generate the complex sample at each receive element for a
 transmitted vortex mode ``l`` and wavenumber ``k``:
 
 * ``exact_received_signals`` is the ground-truth oracle: spherical waves
-  from every transmit element over exact 3-D distances, built once per
-  call, with the propagation once per k; valid unless elements overlap.
+  from every transmit element over exact 3-D distances, an exponential per
+  distinct k gap and a multiply per k; valid unless elements overlap.
 * ``farfield_received_signal`` is the closed-form model, valid when the
   link distance dominates both apertures: (1/k) * (exp(-i k r)/r) * N_t *
   exp(i l gamma) times ``farfield_pattern``, which the estimator's power
@@ -61,20 +61,8 @@ def wavenumber(freq_hz: float) -> float:
     return 2.0 * np.pi * freq_hz / SPEED_OF_LIGHT
 
 
-def bessel_j(order: int, x) -> float | np.ndarray:
-    """Bessel function of the first kind for integer orders.
-
-    Orders 0 and +-1 use the Cephes j0 / j1, as accurate as jv and far
-    faster; negative orders follow J_{-l}(x) = (-1)^l J_l(x) exactly.
-    """
-    if order != int(order):
-        raise ValueError(f"order must be an integer, got {order}")
-    out = _bessel((int(order),), x)[0]
-    return float(out) if np.isscalar(x) else out
-
-
 def _bessel(modes, x) -> list[np.ndarray]:
-    """``bessel_j`` of each of ``modes`` at ``x``, one evaluation per |l|."""
+    """J_l(x) of each l in ``modes``, once per |l|: Cephes j0 / j1 (fast), jv above."""
     orders = {abs(l) for l in modes}
     by_order = {n: (j0, j1)[n](x) if n < 2 else jv(n, x) for n in orders}
     return [-by_order[abs(l)] if l < 0 and l % 2 else by_order[abs(l)] for l in modes]
@@ -103,8 +91,11 @@ def exact_received_signals(scenario: Scenario, pose: RxPose, modes, ks) -> np.nd
     """Exact point-source sums at every receive element, (N_r, modes, ks).
 
     s_m = (1/k) * sum_n exp(i l phi_n) exp(-i k d_mn) / d_mn over exact
-    distances d_mn; one call builds them once and the propagation once per k.
+    distances d_mn, built once per call; exp(-i k d) at the first k, then a
+    multiply per k by exp(-i gap d), one exponential per distinct k gap.
     """
+    if not len(ks):
+        raise ValueError("no wavenumber given")
     if not np.all(np.asarray(ks) > 0):
         raise ValueError("wavenumber k must be > 0")
     tx_pos = element_positions_tx(scenario.tx)
@@ -115,9 +106,12 @@ def exact_received_signals(scenario: Scenario, pose: RxPose, modes, ks) -> np.nd
             f"element separation {dist.min():.3e} m below {MIN_SEPARATION_M} m"
         )
     tx_phases = [np.exp(1j * l * scenario.tx.element_azimuths) for l in modes]
+    gaps, gap_of = np.unique(np.diff(ks), return_inverse=True)
+    steps = np.exp(-1j * gaps[:, None, None] * dist)
     out = np.empty((len(rx_pos), len(tx_phases), len(ks)), dtype=complex)
     for ki, k in enumerate(ks):
-        prop = (1.0 / k) * (np.exp(-1j * k * dist) / dist)
+        wave = wave * steps[gap_of[ki - 1]] if ki else np.exp(-1j * k * dist)
+        prop = (1.0 / k) * (wave / dist)
         # One product per mode: a single product over all modes rounds differently.
         for li, tx_phase in enumerate(tx_phases):
             out[:, li, ki] = prop @ tx_phase
@@ -280,14 +274,17 @@ def simulate_measurement(
 ) -> SampleTensor:
     """Simulate the measurement tensor y = s + n over (antenna, mode, subcarrier).
 
-    The exact oracle builds the distances once per call and the propagation
-    once per subcarrier.  Noise draws are circularly-symmetric complex
-    Gaussian, independent per sample, and deterministic given ``noise.seed``.
+    The exact oracle builds the distances once per call, an exponential per
+    distinct subcarrier gap and a multiply per subcarrier.  Noise draws are
+    circularly-symmetric complex Gaussian, independent per sample, and
+    deterministic given ``noise.seed``.
     """
     modes = tuple(int(l) for l in modes)
     if len(set(modes)) != len(modes):
         raise ValueError("modes must be distinct")
     sub = np.atleast_1d(np.asarray(subcarriers_hz, dtype=float))
+    if sub.size == 0:
+        raise ValueError("no subcarrier given")
     on_grid = np.isclose(scenario.subcarriers_hz, sub[:, None], rtol=1e-12).any(axis=1)
     if not on_grid.all():
         first = sub[np.argmin(on_grid)]

@@ -63,10 +63,11 @@ _LOSS_CANDIDATES = 4
 _SHORTLIST_SPACING = 3
 
 # Several distinct l_i - l_j (see ``_profile_gamma``): Newton starts and
-# ranking samples per period and unit of max(l_i - l_j) / gcd, Newton steps,
-# and the grid cells solved to the end.
+# ranking samples per period and unit of max(l_i - l_j) / gcd, Newton steps
+# on the grid and in the refine, and the grid cells solved to the end.
 _GAMMA_STARTS = 2
 _GAMMA_NEWTON_STEPS = 6
+_GAMMA_REFINE_STEPS = 30
 _GAMMA_SAMPLES = 32
 _POLISHED_CELLS = 200
 
@@ -365,7 +366,7 @@ def _leading(values: np.ndarray, count: int) -> np.ndarray:
 
 
 def _profile_gamma(
-    spin: np.ndarray, terms: CrossModalPhaseSet, samples: int = 0
+    spin: np.ndarray, terms: CrossModalPhaseSet, samples=0, steps=_GAMMA_NEWTON_STEPS
 ) -> tuple[np.ndarray, np.ndarray]:
     """The gamma that minimises the loss at n points, and the loss there.
 
@@ -374,11 +375,12 @@ def _profile_gamma(
     loss is 2 sum(lambda) - 2 f(gamma), f(gamma) = Re sum_d c_d e^{-2i d
     gamma} over the distinct dl, c_d = sum of lambda e^{2iu} spin over the
     terms of that dl; f has period pi/g, g = gcd(dl).  One dl: f peaks at
-    |c| at gamma = arg(c) / (2 dl).  Several: safeguarded Newton steps from
-    ``_GAMMA_STARTS`` max(dl)/g starts per period, the best end kept; with
+    |c| at gamma = arg(c) / (2 dl).  Several: ``steps`` safeguarded Newton
+    steps from ``_GAMMA_STARTS`` max(dl)/g starts per period, past
+    ``_GAMMA_NEWTON_STEPS`` from the best start only, the best end kept; with
     ``samples``, the best of that many unpolished samples per unit of
-    max(dl)/g, an upper bound of the loss for ranking.  gamma is returned
-    as the canonical copy in (-pi/(2g), pi/(2g)].
+    max(dl)/g, an upper bound of the loss for ranking.  gamma is returned as
+    the canonical copy in (-pi/(2g), pi/(2g)].
     """
     dls = np.unique(terms.dl)
     g = np.gcd.reduce(dls)
@@ -398,7 +400,9 @@ def _profile_gamma(
         gam = step_to = np.broadcast_to(starts, fs.shape)
         # |f''| never exceeds bound, so slope / bound is a safe ascent step.
         bound = np.abs(c) @ (4.0 * dls**2)
-        for _ in range(0 if samples else _GAMMA_NEWTON_STEPS + 1):
+        for n in range(0 if samples else steps + 1):
+            if n == _GAMMA_NEWTON_STEPS + 1:  # polish each point's best start
+                step_to = np.take_along_axis(step_to, fs.argmax(1)[:, None], 1)
             gam = step_to
             wave = c[:, None, :] * np.exp(-2j * gam[..., None] * dls)
             fs = wave.real.sum(axis=-1)
@@ -544,7 +548,7 @@ def _profiled(
     at gamma*, J_p^T r is the exact gradient of the profiled cost.
     """
     spin = np.exp(-2j * terms.dl * delta(x[:, 0:1], x[:, 1:2], terms.azimuth))
-    gamma, _loss = _profile_gamma(spin, terms)
+    gamma, _loss = _profile_gamma(spin, terms, steps=_GAMMA_REFINE_STEPS)
     res, jac = _residuals(np.column_stack([x, gamma]), terms)
     j_a, j_g = jac[..., :2], jac[..., 2:]
     proj = np.sum(j_g * j_a, axis=1, keepdims=True) / np.sum(j_g**2, axis=1)[..., None]

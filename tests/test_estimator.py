@@ -10,8 +10,8 @@ import pytest
 from vortex_align.channel import (
     NoiseSpec,
     SampleTensor,
+    _bessel,
     delta,
-    bessel_j,
     farfield_geometry,
     farfield_pattern,
     rho,
@@ -595,7 +595,7 @@ def full_coarse_candidates(terms, config, tensor, scen):
             profile = (
                 np.exp(1j * k * a_r * np.sin(th) * np.cos(ph - az))
                 * np.exp(1j * l * d)
-                * bessel_j(l, k * a_r * a_t * rho(th, ph, az) / r)
+                * _bessel((l,), k * a_r * a_t * rho(th, ph, az) / r)[0]
             )
             y = tensor.values[rows, tensor.mode_index(l), ki]
             power += np.abs(np.conj(profile) @ y) ** 2
@@ -808,16 +808,60 @@ class TestTwinInvariance:
                                  rng.uniform(-np.pi, np.pi, 200)])
             twin = x + [0.0, np.pi]
             gam, gam_twin = _profiled(x, terms)[0], _profiled(twin, terms)[0]
-            # One dl solves gamma in closed form; several end six Newton
-            # steps short of convergence, about 1e-8 rad in 2 g gamma.
+            # One dl solves gamma in closed form; several converge in the
+            # refine's thirty Newton steps (six stop up to 1e-8 rad short).
             g = np.gcd.reduce(np.unique(terms.dl))
-            tol = 1e-9 if len(np.unique(terms.dl)) == 1 else 1e-7
-            assert np.all(circ_err(2 * g * gam, 2 * g * gam_twin) < tol)
+            assert np.all(circ_err(2 * g * gam, 2 * g * gam_twin) < 1e-9)
             misfit, misfit_twin = (
                 np.abs(terms.target - estimator_module._model(
                     np.column_stack([points, gam]), terms)) ** 2 @ terms.inv_var[0]
                 for points in (x, twin))
             np.testing.assert_allclose(misfit_twin, misfit, rtol=1e-12, atol=0)
+
+
+def pointing(theta, phi):
+    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.cos(theta)])
+
+
+class TestRingRotation:
+    @pytest.mark.parametrize("rx_n, snr_db, shifts", [(20, 15.0, (3, 13)),
+                                                      (16, None, (2, 10))])
+    def test_rolled_ring_turns_the_estimate(self, rx_n, snr_db, shifts):
+        # Rolling a tensor's rows by s, and the fitted antennas with them,
+        # turns the receiver by 2 pi s / N: the estimate turns by as much in
+        # phi and keeps theta and gamma.  Pointing vectors are compared, as
+        # phi is a tie-break on the theta = 0 bound.  Each turn is a whole
+        # number of 3-degree grid columns: 18 degrees an element on the
+        # 20-element ring, 45 degrees for two on the 16-element one.
+        rng = np.random.default_rng(7)
+        for n_tones in range(1, 5):
+            tensors = []
+            for n in range(3):
+                subs = np.sort(rng.choice(SUBS, n_tones, replace=False))
+                scen, _pose, tensor, config = make_setup(
+                    rng.uniform(1.0, 40.0), rng.uniform(-180.0, 180.0),
+                    subcarriers=subs, snr_db=snr_db, seed=10 * n_tones + n,
+                    rx_n=rx_n)
+                tensors.append(tensor)
+            original = estimate_trials(tensors, scen, config)
+            for s in shifts:
+                turned = estimate_trials(
+                    [replace(t, values=np.roll(t.values, s, axis=0)) for t in tensors],
+                    scen,
+                    replace(config, antennas=[(a + s) % rx_n for a in config.antennas]),
+                )
+                turn = 2 * np.pi * s / rx_n
+                for got, want in zip(turned, original):
+                    gap = pointing(got.theta, got.phi) - pointing(want.theta,
+                                                                  want.phi + turn)
+                    assert np.max(np.abs(gap)) < 1e-8
+                    # Modes -1/+1 fix e^{4i gamma}; on the theta = 0 bound,
+                    # where delta = phi - phi_m, they fix only phi + gamma.
+                    on_bound = want.theta == 0.0
+                    assert circ_err(4 * (got.gamma + on_bound * got.phi),
+                                    4 * (want.gamma + on_bound * (want.phi + turn))
+                                    ) < 1e-8
 
 
 class TestBatchedEstimate:
