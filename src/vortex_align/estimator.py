@@ -439,27 +439,30 @@ def _coarse_candidates(
         near = _leading(loss_by_cell, _POLISHED_CELLS)[:_POLISHED_CELLS]
         loss_by_cell = np.full(len(loss_by_cell), np.inf)
         loss_by_cell[near] = _profile_gamma(spin[near], terms)[1]
-    n_phi = len(phis)
-
-    def diverse_walk(score: np.ndarray, count: int) -> list[tuple[int, int]]:
-        # Each of the first count - 1 kept cells rules out at most its block of
-        # (2 spacing - 1)^2 cells, so the walk reads at most 1 + that many.
-        kept: list[tuple[int, int]] = []
-        for flat in _leading(score, 1 + (count - 1) * (2 * _SHORTLIST_SPACING - 1) ** 2):
-            it, ip = divmod(int(flat), n_phi)
-            if all(
-                max(abs(it - jt), min(abs(ip - jp), n_phi - abs(ip - jp)))
-                >= _SHORTLIST_SPACING for jt, jp in kept
-            ):
-                kept.append((it, ip))
-                if len(kept) >= count:
-                    break
-        return kept
-
+    shape = (len(thetas), len(phis))
     power_map = _grid_power(block, ks, config.modes, scenario, table, gather)
-    cells = diverse_walk(-power_map, _POWER_CANDIDATES)
-    cells += [c for c in diverse_walk(loss_by_cell, _LOSS_CANDIDATES) if c not in cells]
+    cells = _walk(-power_map.reshape(shape), _POWER_CANDIDATES)
+    cells += [c for c in _walk(loss_by_cell.reshape(shape), _LOSS_CANDIDATES)
+              if c not in cells]
     return [(float(thetas[it]), float(phis[ip])) for it, ip in cells]
+
+
+def _walk(score: np.ndarray, count: int) -> list[tuple[int, int]]:
+    """The ``count`` lowest cells of a (theta, phi) ``score`` map, each kept
+    cell masking its block of (2 spacing - 1)^2 cells from the next picks.
+
+    The lowest unmasked cell, the first on ties, is kept at each step, so the
+    cells come in stable ranking order.  phi wraps at the map's width; theta
+    is clipped at its edges.
+    """
+    score, n_phi = score.copy(), score.shape[1]
+    reach = np.arange(1 - _SHORTLIST_SPACING, _SHORTLIST_SPACING)
+    kept: list[tuple[int, int]] = []
+    for _ in range(count):
+        it, ip = divmod(int(np.argmin(score)), n_phi)
+        kept.append((it, ip))
+        score[max(it + reach[0], 0) : it + _SHORTLIST_SPACING, (ip + reach) % n_phi] = np.inf
+    return kept
 
 
 def _grid_power(block, ks, modes, scenario: Scenario, table, gather) -> np.ndarray:
@@ -656,6 +659,8 @@ def estimate_trials(
     if len({(tuple(t.antennas), t.modes) for t in tensors}) > 1:
         raise ValueError("a batch's tensors must hold the same antenna labels and modes")
     _validate_config(config, scenario.rx.n_elements)
+    if not tensors:
+        return []
     rows, cols = _positions(tensors[0], config.antennas, config.modes)
     terms, results = _phase_sets(
         np.stack([t.values[np.ix_(rows, cols)] for t in tensors]),

@@ -146,11 +146,10 @@ def gamma(pose: RxPose) -> float:
 
     Returns 0.0 by convention when z' is parallel to z (aligned degenerate).
     """
-    z_local = pose.rotation[:, 2]
-    w = np.cross(z_local, np.array([0.0, 0.0, 1.0]))
-    if np.linalg.norm(w) < ALIGNED_TOL:
+    x, y = pose.rotation[:2, 2]  # w = (y, -x, 0)
+    if np.hypot(x, y) < ALIGNED_TOL:
         return 0.0
-    return float(np.arctan2(w[1], w[0]))
+    return float(np.arctan2(-x, y))
 
 
 def tilt_for_angles(theta: float, phi: float) -> tuple[float, float]:

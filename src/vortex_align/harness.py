@@ -26,10 +26,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields
+from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -193,12 +195,6 @@ class ResultRow:
     capacity_before: float
     capacity_after: float
     capacity_ratio: float
-
-    def as_list(self) -> list:
-        return [getattr(self, name) for name in self.FIELDS]
-
-
-ResultRow.FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -378,6 +374,8 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"seed must be >= 0, got {spec.master_seed}")
     if spec.kind == "validate-model" and not (spec.validate_modes and spec.rings):
         raise ConfigError("validate-model needs nonempty validate_modes and rings")
+    if spec.kind == "imi-demo" and len(set(spec.demo_modes)) < len(spec.demo_modes):
+        raise ConfigError(f"demo_modes must be distinct, got {spec.demo_modes}")
     try:
         if spec.kind == "imi-demo":
             check_decodable(spec.demo_modes, spec.scenario.rx.n_elements)
@@ -466,23 +464,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], spec_hash: str) -> None:
+def _write_csv(path: Path, rows: Iterable[dict], spec_hash: str) -> None:
+    """Write dict ``rows`` under a spec-hash line; the first row's keys are the
+    header.  Raises ValueError when there is no row."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        raise ValueError(f"no rows to write to {path}")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# spec_hash={spec_hash}\n")
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(first)
+        for row in itertools.chain([first], rows):
+            writer.writerow([_fmt(v) for v in row.values()])
 
 
 def _write_results(spec: ExperimentSpec, rows: list[ResultRow]) -> None:
-    _write_csv(
-        spec.out_dir / "results.csv",
-        list(ResultRow.FIELDS),
-        [r.as_list() for r in rows],
-        spec.config_hash,
-    )
+    _write_csv(spec.out_dir / "results.csv", map(vars, rows), spec.config_hash)
 
 
 def _write_summary(spec: ExperimentSpec, summary: dict) -> None:
@@ -571,41 +570,28 @@ def run_angle_sweep(spec: ExperimentSpec) -> dict:
         sel = [r for r in rows if r.point_index == point]
         if not sel:
             continue
-        per_pose.append(
-            [
-                point,
-                sel[0].theta_true_deg,
-                sel[0].phi_true_deg,
-                float(np.mean([r.theta_est_deg for r in sel])),
-                float(np.std([r.theta_est_deg for r in sel])),
-                float(np.mean([r.phi_est_deg for r in sel])),
-                float(np.std([r.phi_est_deg for r in sel])),
-            ]
-        )
+        per_pose.append({
+            "point_index": point,
+            "theta_true_deg": sel[0].theta_true_deg,
+            "phi_true_deg": sel[0].phi_true_deg,
+            "theta_est_mean_deg": float(np.mean([r.theta_est_deg for r in sel])),
+            "theta_est_std_deg": float(np.std([r.theta_est_deg for r in sel])),
+            "phi_est_mean_deg": float(np.mean([r.phi_est_deg for r in sel])),
+            "phi_est_std_deg": float(np.std([r.phi_est_deg for r in sel])),
+        })
     _write_results(spec, rows)
-    _write_csv(
-        spec.out_dir / "angle_sweep_curve.csv",
-        [
-            "point_index",
-            "theta_true_deg",
-            "phi_true_deg",
-            "theta_est_mean_deg",
-            "theta_est_std_deg",
-            "phi_est_mean_deg",
-            "phi_est_std_deg",
-        ],
-        per_pose,
-        spec.config_hash,
-    )
+    _write_csv(spec.out_dir / "angle_sweep_curve.csv", per_pose, spec.config_hash)
     summary = _estimation_summary(rows, failures)
     _write_summary(spec, summary)
     return summary
 
 
-def _ccdf_pairs(values: list[float]) -> list[list[float]]:
+def _ccdf_pairs(name: str, values: list[float]) -> list[dict]:
+    """The empirical CCDF of ``values``: rows of the value, as ``name``, and
+    the share of values above it."""
     ordered = sorted(values)
     n = len(ordered)
-    return [[v, (n - i - 1) / n] for i, v in enumerate(ordered)]
+    return [{name: v, "ccdf": (n - i - 1) / n} for i, v in enumerate(ordered)]
 
 
 def run_ccdf(spec: ExperimentSpec) -> dict:
@@ -614,18 +600,10 @@ def run_ccdf(spec: ExperimentSpec) -> dict:
     gains = [r.sir_gain_db for r in rows]
     ratios = [r.capacity_ratio for r in rows]
     _write_results(spec, rows)
-    _write_csv(
-        spec.out_dir / "ccdf_sir_gain.csv",
-        ["sir_gain_db", "ccdf"],
-        _ccdf_pairs(gains),
-        spec.config_hash,
-    )
-    _write_csv(
-        spec.out_dir / "ccdf_capacity_gain.csv",
-        ["capacity_ratio", "ccdf"],
-        _ccdf_pairs(ratios),
-        spec.config_hash,
-    )
+    _write_csv(spec.out_dir / "ccdf_sir_gain.csv", _ccdf_pairs("sir_gain_db", gains),
+               spec.config_hash)
+    _write_csv(spec.out_dir / "ccdf_capacity_gain.csv",
+               _ccdf_pairs("capacity_ratio", ratios), spec.config_hash)
     summary = {
         **_estimation_summary(rows, failures),
         "mean_capacity_ratio": float(np.mean(ratios)),
@@ -646,37 +624,23 @@ def _sweep(spec: ExperimentSpec, axis: str, counts) -> dict:
         rows.extend(sel)
         failed += failures
         stats = _estimation_summary(sel, failures)
-        table.append(
-            [
-                value,
-                stats["trials"],
-                stats["mae_theta_deg"],
-                float(np.std([r.theta_err_deg for r in sel]) / np.sqrt(len(sel))),
-                stats["mae_phi_deg"],
-                float(np.std([r.phi_err_deg for r in sel]) / np.sqrt(len(sel))),
-                stats["mean_sir_gain_db"],
-            ]
-        )
+        root_n = np.sqrt(len(sel))
+        table.append({
+            axis: value,
+            "trials": stats["trials"],
+            "mae_theta_deg": stats["mae_theta_deg"],
+            "se_theta_deg": float(np.std([r.theta_err_deg for r in sel]) / root_n),
+            "mae_phi_deg": stats["mae_phi_deg"],
+            "se_phi_deg": float(np.std([r.phi_err_deg for r in sel]) / root_n),
+            "mean_sir_gain_db": stats["mean_sir_gain_db"],
+        })
     _write_results(spec, rows)
-    header = [
-        axis,
-        "trials",
-        "mae_theta_deg",
-        "se_theta_deg",
-        "mae_phi_deg",
-        "se_phi_deg",
-        "mean_sir_gain_db",
-    ]
     name = spec.kind.replace("-", "_") + ".csv"
-    _write_csv(spec.out_dir / name, header, table, spec.config_hash)
+    _write_csv(spec.out_dir / name, table, spec.config_hash)
     summary = {
         "counts": list(counts),
-        "mae_theta_deg": [row[2] for row in table],
-        "se_theta_deg": [row[3] for row in table],
-        "mae_phi_deg": [row[4] for row in table],
-        "se_phi_deg": [row[5] for row in table],
-        "mean_sir_gain_db": [row[6] for row in table],
-        "trials_per_count": [row[1] for row in table],
+        **{c: [row[c] for row in table] for c in table[0] if c not in (axis, "trials")},
+        "trials_per_count": [row["trials"] for row in table],
         "failed_trials": failed.total(),
         "failed_by_error": dict(failed),
     }
@@ -718,8 +682,8 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
         # Rows are decoded modes, columns transmitted modes.
         _write_csv(
             spec.out_dir / f"imi_{label}.csv",
-            ["decoded\\transmitted", *imi.modes],
-            [[l, *row] for l, row in zip(imi.modes, imi.power)],
+            ({"decoded\\transmitted": l, **dict(zip(imi.modes, row))}
+             for l, row in zip(imi.modes, imi.power)),
             spec.config_hash,
         )
 
@@ -747,7 +711,7 @@ def validate_model(spec: ExperimentSpec) -> dict:
     r = scenario.pose.distance_m
     modes = spec.validate_modes
     corr_rows = []
-    phase_rows = []
+    phase_lists = []  # (pose, ring, azimuths, exact and model phases by mode)
     min_corr = 1.0
     for pose_idx, (ry, rx_deg) in enumerate(spec.poses):
         pose = RxPose.from_tilt(r, np.deg2rad(ry), np.deg2rad(rx_deg))
@@ -765,11 +729,11 @@ def validate_model(spec: ExperimentSpec) -> dict:
                 received_signals(ring_scenario, pose, modes, [k], name)[:, :, 0].T
                 for name in ("exact", "farfield")
             )
-            azimuths = np.rad2deg(ring.element_azimuths).tolist()
-            for mode, exact, model, exact_phase, model_phase in zip(
-                modes, exact_all, model_all,
+            phase_lists.append((
+                pose_idx, ring_idx, np.rad2deg(ring.element_azimuths).tolist(),
                 np.angle(exact_all).tolist(), np.angle(model_all).tolist(),
-            ):
+            ))
+            for mode, exact, model in zip(modes, exact_all, model_all):
                 corr = abs(np.vdot(exact, model)) / (
                     np.linalg.norm(exact) * np.linalg.norm(model)
                 )
@@ -778,55 +742,27 @@ def validate_model(spec: ExperimentSpec) -> dict:
                 phase_err = np.angle(exact * np.conj(model))
                 phase_err -= np.angle(np.sum(exact * np.conj(model)))
                 phase_err = np.angle(np.exp(1j * phase_err))
-                corr_rows.append(
-                    [
-                        pose_idx,
-                        float(np.rad2deg(theta_t)),
-                        float(np.rad2deg(phi_t)),
-                        ring_idx,
-                        radius,
-                        count,
-                        mode,
-                        float(corr),
-                        float(np.max(np.abs(phase_err))),
-                    ]
-                )
-                phase_rows += (
-                    [pose_idx, ring_idx, mode, m_idx, *values]
-                    for m_idx, values in enumerate(
-                        zip(azimuths, exact_phase, model_phase)
-                    )
-                )
-    _write_csv(
-        spec.out_dir / "validate_correlations.csv",
-        [
-            "pose_index",
-            "theta_true_deg",
-            "phi_true_deg",
-            "ring_index",
-            "ring_radius_m",
-            "ring_elements",
-            "mode",
-            "correlation",
-            "max_centered_phase_err_rad",
-        ],
-        corr_rows,
-        spec.config_hash,
+                corr_rows.append({
+                    "pose_index": pose_idx,
+                    "theta_true_deg": float(np.rad2deg(theta_t)),
+                    "phi_true_deg": float(np.rad2deg(phi_t)),
+                    "ring_index": ring_idx,
+                    "ring_radius_m": radius,
+                    "ring_elements": count,
+                    "mode": mode,
+                    "correlation": float(corr),
+                    "max_centered_phase_err_rad": float(np.max(np.abs(phase_err))),
+                })
+    _write_csv(spec.out_dir / "validate_correlations.csv", corr_rows, spec.config_hash)
+    # Streamed: the phase rows are never all held at once.
+    phase_rows = (
+        {"pose_index": pose_idx, "ring_index": ring_idx, "mode": mode, "antenna": antenna,
+         "azimuth_deg": azimuth, "exact_phase_rad": exact, "model_phase_rad": model}
+        for pose_idx, ring_idx, azimuths, exact_by_mode, model_by_mode in phase_lists
+        for mode, exact_row, model_row in zip(modes, exact_by_mode, model_by_mode)
+        for antenna, (azimuth, exact, model) in enumerate(zip(azimuths, exact_row, model_row))
     )
-    _write_csv(
-        spec.out_dir / "validate_phases.csv",
-        [
-            "pose_index",
-            "ring_index",
-            "mode",
-            "antenna",
-            "azimuth_deg",
-            "exact_phase_rad",
-            "model_phase_rad",
-        ],
-        phase_rows,
-        spec.config_hash,
-    )
+    _write_csv(spec.out_dir / "validate_phases.csv", phase_rows, spec.config_hash)
     aperture = max(
         scenario.tx.radius_m, max(radius for radius, _count in spec.rings)
     )

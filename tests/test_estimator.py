@@ -45,6 +45,7 @@ from vortex_align.estimator import (
     _profiled,
     _refine_cells,
     _residuals,
+    _walk,
 )
 from vortex_align.geometry import (
     RxPose,
@@ -634,12 +635,6 @@ def check_coarse_grid(scen, tensor, config):
             loss(thetas[it], phis[ip], gammas[cell], terms), abs=1e-12)
 
 
-def walk_reads(ranking, count, n_phi, spacing=3):
-    """How many entries of ``ranking`` ``_diverse_walk`` reads."""
-    cells = _diverse_walk(ranking, count, n_phi, spacing)
-    return 1 + list(ranking).index(cells[-1][0] * n_phi + cells[-1][1])
-
-
 class TestCoarseGrid:
     @pytest.mark.parametrize("model", ["farfield", "exact"])
     @pytest.mark.parametrize("p", [1, 64])
@@ -714,9 +709,6 @@ def tied_map(rng, edge_tie):
 
 
 class TestLeadingRanking:
-    # A diverse walk for 4 cells at spacing 3 reads at most 1 + 3 * 25 entries.
-    READS = 1 + 3 * (2 * estimator_module._SHORTLIST_SPACING - 1) ** 2
-
     @pytest.mark.parametrize("count", [1, 30, 31, 76, 150, 151, 200])
     def test_keeps_a_whole_tie_at_the_edge(self, count):
         # 30 leading cells, then a 120-way exact tie (a theta = 0 row), then
@@ -745,21 +737,22 @@ class TestLeadingRanking:
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("edge_tie", [False, True])
-    def test_walks_never_read_past_the_leading_cells(self, seed, edge_tie):
-        # On maps built to make the walk read the most, and on coarse random
-        # maps full of ties, the walk over the full stable ranking reads at
-        # most READS entries and keeps the cells it keeps over the leading
-        # cells alone.
-        assert self.READS == 76
+    def test_walk_matches_the_diverse_walk(self, seed, edge_tie):
+        # Masking each kept cell's block keeps the cells that a walk over
+        # the full stable ranking keeps, in its order: on a map built to
+        # make the walk read the most, on coarse maps full of ties, and on
+        # an inf tail after 200 cells.
+        assert estimator_module._SHORTLIST_SPACING == 3
         rng = np.random.default_rng(seed)
-        maps = [tied_map(rng, edge_tie), rng.integers(0, 8, 3600).astype(float)]
+        inf_tail = np.full(3600, np.inf)
+        inf_tail[rng.choice(3600, 200, replace=False)] = rng.integers(0, 40, 200)
+        maps = [tied_map(rng, edge_tie), rng.integers(0, 8, 3600).astype(float), inf_tail]
         for values in maps:
             for score in (values, -values):
-                full = np.argsort(score, kind="stable")
-                lead = _leading(score, self.READS)
-                assert walk_reads(full, 4, 120) <= self.READS <= len(lead)
-                assert _diverse_walk(lead, 4, 120) == _diverse_walk(full, 4, 120)
-        assert walk_reads(np.argsort(maps[0], kind="stable"), 4, 120) == self.READS
+                ranking = np.argsort(score, kind="stable")
+                for count in (1, 2, 4):
+                    want = _diverse_walk(ranking, count, 120)
+                    assert _walk(score.reshape(30, 120), count) == want
 
 
 class TestProfileGamma:
@@ -904,6 +897,10 @@ class TestBatchedEstimate:
                 loss(got.theta, got.phi, got.gamma, phases), rel=0, abs=1e-12)
             cells = _coarse_candidates(phases, config, *probed(tensor, config), scen)
             assert (d["grid_theta"], d["grid_phi"]) in cells
+
+    def test_empty_batch_estimates_nothing(self):
+        scen, _pose, _tensor, config = make_setup(30.0, -120.0)
+        assert estimate_trials([], scen, config) == []
 
     def test_batch_rejects_mixed_settings(self):
         # Every subcarrier of a tensor is pooled, so a batch cannot mix counts.

@@ -172,6 +172,19 @@ class TestGamma:
         assert np.allclose(w / np.linalg.norm(w), [0, 1, 0], atol=1e-12)
         assert np.isclose(gamma(pose), np.pi / 2)
 
+    def test_matches_cross_product(self):
+        # atan2(w2, w1) of w = z' x z, bit for bit, on random and tilt poses.
+        rng = np.random.default_rng(5)
+        rotations = [*Rotation.random(200, random_state=rng).as_matrix(),
+                     *(rotation_yx(ry, rx) @ ALIGNED_ROTATION
+                       for ry, rx in rng.uniform(-1.2, 1.2, (200, 2))),
+                     ALIGNED_ROTATION, rotation_yx(0.3, 0.0) @ ALIGNED_ROTATION,
+                     rotation_yx(0.0, -0.4) @ ALIGNED_ROTATION]
+        for rot in rotations:
+            w = np.cross(rot[:, 2], [0.0, 0.0, 1.0])
+            want = 0.0 if np.linalg.norm(w) < 1e-12 else float(np.arctan2(w[1], w[0]))
+            assert gamma(RxPose(1.0, rot)) == want
+
     def test_range(self):
         rng = np.random.default_rng(31)
         for _ in range(20):

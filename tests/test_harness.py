@@ -14,8 +14,8 @@ from vortex_align.harness import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
-    ResultRow,
     _ccdf_pairs,
+    _write_csv,
     load_spec,
     main,
     run_angle_sweep,
@@ -156,13 +156,84 @@ class TestSeeds:
 
 class TestCcdf:
     def test_step_function_on_identical_values(self):
-        pairs = _ccdf_pairs([5.0, 5.0, 5.0])
-        assert pairs == [[5.0, 2 / 3], [5.0, 1 / 3], [5.0, 0.0]]
+        pairs = _ccdf_pairs("gain", [5.0, 5.0, 5.0])
+        assert pairs == [{"gain": 5.0, "ccdf": 2 / 3}, {"gain": 5.0, "ccdf": 1 / 3},
+                         {"gain": 5.0, "ccdf": 0.0}]
 
     def test_sorted_output(self):
-        pairs = _ccdf_pairs([3.0, 1.0, 2.0])
-        assert [p[0] for p in pairs] == [1.0, 2.0, 3.0]
-        assert [p[1] for p in pairs] == [2 / 3, 1 / 3, 0.0]
+        pairs = _ccdf_pairs("gain", [3.0, 1.0, 2.0])
+        assert [p["gain"] for p in pairs] == [1.0, 2.0, 3.0]
+        assert [p["ccdf"] for p in pairs] == [2 / 3, 1 / 3, 0.0]
+
+
+RESULTS_HEADER = (
+    "kind,point_index,trial_index,trial_seed,p,q,u,theta_true_deg,phi_true_deg,"
+    "theta_est_deg,phi_est_deg,theta_err_deg,phi_err_deg,residual,sir_before_db,"
+    "sir_after_db,sir_gain_db,sir_gain_true_db,capacity_before,capacity_after,"
+    "capacity_ratio"
+)
+SWEEP_COLUMNS = "trials,mae_theta_deg,se_theta_deg,mae_phi_deg,se_phi_deg,mean_sir_gain_db"
+IMI_HEADER = "decoded\\transmitted,-2,-1,0,1,2"
+
+# Every CSV file each kind writes, with its header line, on a small config.
+HEADERS = {
+    "angle-sweep": ({}, {
+        "results.csv": RESULTS_HEADER,
+        "angle_sweep_curve.csv": "point_index,theta_true_deg,phi_true_deg,"
+        "theta_est_mean_deg,theta_est_std_deg,phi_est_mean_deg,phi_est_std_deg",
+    }),
+    "ccdf": ({}, {
+        "results.csv": RESULTS_HEADER,
+        "ccdf_sir_gain.csv": "sir_gain_db,ccdf",
+        "ccdf_capacity_gain.csv": "capacity_ratio,ccdf",
+    }),
+    "subcarrier-sweep": ({"subcarrier_counts": [1, 2]}, {
+        "results.csv": RESULTS_HEADER,
+        "subcarrier_sweep.csv": "p," + SWEEP_COLUMNS,
+    }),
+    "antenna-sweep": ({"antenna_counts": [4, 6]}, {
+        "results.csv": RESULTS_HEADER,
+        "antenna_sweep.csv": "q," + SWEEP_COLUMNS,
+    }),
+    "imi-demo": ({}, {
+        "imi_aligned.csv": IMI_HEADER,
+        "imi_misaligned.csv": IMI_HEADER,
+        "imi_corrected.csv": IMI_HEADER,
+    }),
+    "validate-model": ({"rings": [{"radius_m": 0.02, "n": 12}]}, {
+        "validate_correlations.csv": "pose_index,theta_true_deg,phi_true_deg,"
+        "ring_index,ring_radius_m,ring_elements,mode,correlation,"
+        "max_centered_phase_err_rad",
+        "validate_phases.csv": "pose_index,ring_index,mode,antenna,azimuth_deg,"
+        "exact_phase_rad,model_phase_rad",
+    }),
+}
+
+
+class TestCsvFiles:
+    @pytest.mark.parametrize("kind", HEADERS)
+    def test_every_file_and_header(self, tmp_path, kind):
+        extra, headers = HEADERS[kind]
+        path = tiny_config(tmp_path, **extra)
+        assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        written = sorted(f.name for f in (tmp_path / "out").glob("*.csv"))
+        assert written == sorted(headers)
+        for name, header in headers.items():
+            lines = (tmp_path / "out" / name).read_text().splitlines()
+            assert lines[0].startswith("# spec_hash=")
+            assert lines[1] == header, name
+            assert len(lines) > 2, name
+
+    def test_rows_write_under_their_keys(self, tmp_path):
+        rows = ({"a": n, "b": n / 4} for n in range(3))
+        _write_csv(tmp_path / "t.csv", rows, "abc")
+        assert (tmp_path / "t.csv").read_text().splitlines() == [
+            "# spec_hash=abc", "a,b", "0,0", "1,0.25", "2,0.5"]
+
+    def test_no_rows_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="no rows"):
+            _write_csv(tmp_path / "t.csv", iter([]), "abc")
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestRunners:
@@ -175,7 +246,7 @@ class TestRunners:
         assert summary["mae_phi_deg"] < 0.1
         results = (tmp_path / "out" / "results.csv").read_text().splitlines()
         assert results[0] == f"# spec_hash={spec.config_hash}"
-        assert results[1].split(",") == list(ResultRow.FIELDS)
+        assert results[1] == RESULTS_HEADER
         assert len(results) == 3
         assert (tmp_path / "out" / "angle_sweep_curve.csv").exists()
         saved = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -398,6 +469,8 @@ class TestFailures:
         ("imi-demo", {"demo_modes": [-12, 12]}),
         ("ccdf", {"estimation": {"p": 72}}),
         ("ccdf", {"estimation": {"modes": [-10, 10]}}),
+        # Each mode heads one column and one row of the power matrix.
+        ("imi-demo", {"demo_modes": [1, 1, 2]}),
     ])
     def test_invalid_setup_exit_config(self, tmp_path, capsys, kind, cfg):
         # Settings the estimator or the decoder would reject fail at load.
