@@ -100,7 +100,12 @@ def exact_received_signals(scenario: Scenario, pose: RxPose, modes, ks) -> np.nd
         raise ValueError("wavenumber k must be > 0")
     tx_pos = element_positions_tx(scenario.tx)
     rx_pos = element_positions_rx(scenario.rx, pose)
-    dist = np.linalg.norm(rx_pos[:, None, :] - tx_pos[None, :, :], axis=2)
+    # Summed per coordinate: the same sums as a norm over the length-3 axis,
+    # in the same order, without a reduction per (rx, tx) pair.  The squares
+    # are three times the size of dist, so they go before the tone loop.
+    sq = (rx_pos[:, None, :] - tx_pos[None, :, :]) ** 2
+    dist = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    del sq
     if dist.min() < MIN_SEPARATION_M:
         raise GeometryOverlapError(
             f"element separation {dist.min():.3e} m below {MIN_SEPARATION_M} m"

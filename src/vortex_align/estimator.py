@@ -658,6 +658,9 @@ def estimate_trials(
     """
     if len({(tuple(t.antennas), t.modes) for t in tensors}) > 1:
         raise ValueError("a batch's tensors must hold the same antenna labels and modes")
+    tones = sorted({len(t.subcarriers_hz) for t in tensors})
+    if len(tones) > 1:
+        raise ValueError(f"a batch's tensors must hold equally many subcarriers, got {tones}")
     _validate_config(config, scenario.rx.n_elements)
     if not tensors:
         return []

@@ -31,7 +31,7 @@ import json
 import sys
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +165,7 @@ class ExperimentSpec:
     antenna_counts: tuple[int, ...]
     demo_tilt_deg: float
     demo_modes: tuple[int, ...]
-    rings: tuple[tuple[float, int], ...]
+    rings: tuple[UcaGeometry, ...]
     validate_modes: tuple[int, ...]
     config_hash: str
 
@@ -310,8 +310,8 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
             demo_tilt_deg=_real(cfg["demo_tilt_deg"], "demo_tilt_deg"),
             demo_modes=_integers(cfg["demo_modes"], "demo_modes"),
             rings=tuple(
-                (_real(r["radius_m"], f"rings[{i}].radius_m"),
-                 _integer(r["n"], f"rings[{i}].n"))
+                UcaGeometry(_integer(r["n"], f"rings[{i}].n"),
+                            _real(r["radius_m"], f"rings[{i}].radius_m"))
                 for i, r in enumerate(cfg["rings"])
             ),
             validate_modes=_integers(cfg["validate_modes"], "validate_modes"),
@@ -374,8 +374,9 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise ConfigError(f"seed must be >= 0, got {spec.master_seed}")
     if spec.kind == "validate-model" and not (spec.validate_modes and spec.rings):
         raise ConfigError("validate-model needs nonempty validate_modes and rings")
-    if spec.kind == "imi-demo" and len(set(spec.demo_modes)) < len(spec.demo_modes):
-        raise ConfigError(f"demo_modes must be distinct, got {spec.demo_modes}")
+    listed = {"imi-demo": "demo_modes", "validate-model": "validate_modes"}.get(spec.kind)
+    if listed and len(set(getattr(spec, listed))) < len(getattr(spec, listed)):
+        raise ConfigError(f"{listed} must be distinct, got {getattr(spec, listed)}")
     try:
         if spec.kind == "imi-demo":
             check_decodable(spec.demo_modes, spec.scenario.rx.n_elements)
@@ -458,30 +459,39 @@ def _score_trial(
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 def _write_csv(path: Path, rows: Iterable[dict], spec_hash: str) -> None:
     """Write dict ``rows`` under a spec-hash line; the first row's keys are the
-    header.  Raises ValueError when there is no row."""
+    header.  Raises ValueError when there is no row.
+
+    One %-template built from the first row's values writes every row: a
+    float (numpy's float64 too) as ``%.12g``, anything else as ``str``, so
+    each column keeps the kind of its first row's value.  A str column is
+    quoted as csv.writer quotes.
+    """
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
         raise ValueError(f"no rows to write to {path}")
+    kinds = [type(v) for v in first.values()]
+    line = ",".join("%.12g" if issubclass(k, float) else "%s" for k in kinds) + "\r\n"
+    text = [i for i, k in enumerate(kinds) if issubclass(k, str)]
+    cells = (tuple(row.values()) for row in itertools.chain([first], rows))
+    if text:
+        cells = (_quoted(c, text) for c in cells)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# spec_hash={spec_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(first)
-        for row in itertools.chain([first], rows):
-            writer.writerow([_fmt(v) for v in row.values()])
+        csv.writer(fh).writerow(first)
+        fh.writelines(line % c for c in cells)
 
 
-def _write_results(spec: ExperimentSpec, rows: list[ResultRow]) -> None:
-    _write_csv(spec.out_dir / "results.csv", map(vars, rows), spec.config_hash)
+def _quoted(cells: tuple, text: list[int]) -> tuple:
+    """``cells`` with each str cell at ``text`` quoted as csv.writer quotes it."""
+    cells = list(cells)
+    for i in text:
+        if any(c in cells[i] for c in ',"\r\n'):
+            cells[i] = '"%s"' % cells[i].replace('"', '""')
+    return tuple(cells)
 
 
 def _write_summary(spec: ExperimentSpec, summary: dict) -> None:
@@ -579,7 +589,7 @@ def run_angle_sweep(spec: ExperimentSpec) -> dict:
             "phi_est_mean_deg": float(np.mean([r.phi_est_deg for r in sel])),
             "phi_est_std_deg": float(np.std([r.phi_est_deg for r in sel])),
         })
-    _write_results(spec, rows)
+    _write_csv(spec.out_dir / "results.csv", map(vars, rows), spec.config_hash)
     _write_csv(spec.out_dir / "angle_sweep_curve.csv", per_pose, spec.config_hash)
     summary = _estimation_summary(rows, failures)
     _write_summary(spec, summary)
@@ -599,7 +609,7 @@ def run_ccdf(spec: ExperimentSpec) -> dict:
     rows, failures = _trial_rows(spec, spec.p, spec.q)
     gains = [r.sir_gain_db for r in rows]
     ratios = [r.capacity_ratio for r in rows]
-    _write_results(spec, rows)
+    _write_csv(spec.out_dir / "results.csv", map(vars, rows), spec.config_hash)
     _write_csv(spec.out_dir / "ccdf_sir_gain.csv", _ccdf_pairs("sir_gain_db", gains),
                spec.config_hash)
     _write_csv(spec.out_dir / "ccdf_capacity_gain.csv",
@@ -634,7 +644,7 @@ def _sweep(spec: ExperimentSpec, axis: str, counts) -> dict:
             "se_phi_deg": float(np.std([r.phi_err_deg for r in sel]) / root_n),
             "mean_sir_gain_db": stats["mean_sir_gain_db"],
         })
-    _write_results(spec, rows)
+    _write_csv(spec.out_dir / "results.csv", map(vars, rows), spec.config_hash)
     name = spec.kind.replace("-", "_") + ".csv"
     _write_csv(spec.out_dir / name, table, spec.config_hash)
     summary = {
@@ -716,15 +726,8 @@ def validate_model(spec: ExperimentSpec) -> dict:
     for pose_idx, (ry, rx_deg) in enumerate(spec.poses):
         pose = RxPose.from_tilt(r, np.deg2rad(ry), np.deg2rad(rx_deg))
         theta_t, phi_t = misalignment_angles(pose)
-        for ring_idx, (radius, count) in enumerate(spec.rings):
-            ring = UcaGeometry(count, radius)
-            ring_scenario = Scenario(
-                tx=scenario.tx,
-                rx=ring,
-                pose=pose,
-                carrier_hz=scenario.carrier_hz,
-                subcarriers_hz=np.array([scenario.carrier_hz]),
-            )
+        for ring_idx, ring in enumerate(spec.rings):
+            ring_scenario = replace(scenario, rx=ring, pose=pose)
             exact_all, model_all = (
                 received_signals(ring_scenario, pose, modes, [k], name)[:, :, 0].T
                 for name in ("exact", "farfield")
@@ -739,16 +742,15 @@ def validate_model(spec: ExperimentSpec) -> dict:
                 )
                 min_corr = min(min_corr, float(corr))
                 # Phase error after removing the common (bulk) offset.
-                phase_err = np.angle(exact * np.conj(model))
-                phase_err -= np.angle(np.sum(exact * np.conj(model)))
-                phase_err = np.angle(np.exp(1j * phase_err))
+                cross = exact * np.conj(model)
+                phase_err = np.angle(np.exp(1j * (np.angle(cross) - np.angle(np.sum(cross)))))
                 corr_rows.append({
                     "pose_index": pose_idx,
                     "theta_true_deg": float(np.rad2deg(theta_t)),
                     "phi_true_deg": float(np.rad2deg(phi_t)),
                     "ring_index": ring_idx,
-                    "ring_radius_m": radius,
-                    "ring_elements": count,
+                    "ring_radius_m": ring.radius_m,
+                    "ring_elements": ring.n_elements,
                     "mode": mode,
                     "correlation": float(corr),
                     "max_centered_phase_err_rad": float(np.max(np.abs(phase_err))),
@@ -763,13 +765,11 @@ def validate_model(spec: ExperimentSpec) -> dict:
         for antenna, (azimuth, exact, model) in enumerate(zip(azimuths, exact_row, model_row))
     )
     _write_csv(spec.out_dir / "validate_phases.csv", phase_rows, spec.config_hash)
-    aperture = max(
-        scenario.tx.radius_m, max(radius for radius, _count in spec.rings)
-    )
+    aperture = max(scenario.tx.radius_m, *(ring.radius_m for ring in spec.rings))
     summary = {
         "min_correlation": min_corr,
         "farfield_marginal": bool(r < 100.0 * aperture),
-        "rings": [[radius, count] for radius, count in spec.rings],
+        "rings": [[ring.radius_m, ring.n_elements] for ring in spec.rings],
         "modes": list(modes),
     }
     _write_summary(spec, summary)

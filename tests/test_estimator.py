@@ -903,11 +903,13 @@ class TestBatchedEstimate:
         assert estimate_trials([], scen, config) == []
 
     def test_batch_rejects_mixed_settings(self):
-        # Every subcarrier of a tensor is pooled, so a batch cannot mix counts.
-        scen, _pose, one, config = make_setup(30.0, -120.0)
-        two = make_setup(30.0, -120.0, subcarriers=SUBS[:2])[2]
-        with pytest.raises(ValueError, match="same shape"):
-            estimate_trials([one, two], scen, config)
+        # Every subcarrier of a tensor is pooled, so a batch cannot mix
+        # counts; the error names them.
+        scen, _pose, _tensor, config = make_setup(30.0, -120.0)
+        for counts, named in [((1, 2), r"\[1, 2\]"), ((3, 2), r"\[2, 3\]")]:
+            tensors = [make_setup(30.0, -120.0, subcarriers=SUBS[:n])[2] for n in counts]
+            with pytest.raises(ValueError, match="equally many subcarriers, got " + named):
+                estimate_trials(tensors, scen, config)
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_batch_rejects_mixed_antenna_labels(self, order):

@@ -230,6 +230,38 @@ class TestCsvFiles:
         assert (tmp_path / "t.csv").read_text().splitlines() == [
             "# spec_hash=abc", "a,b", "0,0", "1,0.25", "2,0.5"]
 
+    def test_bytes_match_csv_writer_over_str_and_12g(self, tmp_path):
+        # One %-template per file writes what csv.writer wrote over values
+        # formatted one by one: floats with ".12g", all else with str(), and
+        # str values with a comma, a quote or a line end quoted.
+        values = {
+            "decoded\\transmitted": [0.1, 1 / 3, -0.0, 1e-300, float("inf")],
+            "x64": [np.float64(2.5e-7), np.float64(-0.0), np.float64(1e300),
+                    np.float64(np.nan), np.float64(123456789.123456789)],
+            "n": [0, -7, 2**40, 3, 12],
+            "i64": [np.int64(5), np.int64(-2**63), np.int64(0), np.int64(1), np.int64(9)],
+            "seed": [trial_seed(42, 3, 7), 2**64 - 1, 0, 1, 18446744073709551557],
+            "flag": [True, False, True, False, True],
+            "none": [None] * 5,
+            "label": ["ccdf", "a,b", 'say "hi"', "two\nlines", "cr\rend"],
+        }
+        rows = [dict(zip(values, cells)) for cells in zip(*values.values())]
+        _write_csv(tmp_path / "new.csv", rows, "abc")
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            fh.write("# spec_hash=abc\n")
+            writer = csv.writer(fh)
+            writer.writerow(rows[0])
+            for row in rows:
+                writer.writerow([format(v, ".12g") if isinstance(v, float) else str(v)
+                                 for v in row.values()])
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "old.csv").read_bytes()
+        assert written.count(b"\r\n") == 6
+        assert b'"a,b"' in written and b'"say ""hi"""' in written
+        with open(tmp_path / "new.csv", newline="") as fh:
+            read = list(csv.reader(fh))[2:]
+        assert [row[-1] for row in read] == values["label"]
+
     def test_no_rows_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no rows"):
             _write_csv(tmp_path / "t.csv", iter([]), "abc")
@@ -471,6 +503,11 @@ class TestFailures:
         ("ccdf", {"estimation": {"modes": [-10, 10]}}),
         # Each mode heads one column and one row of the power matrix.
         ("imi-demo", {"demo_modes": [1, 1, 2]}),
+        # A repeated mode repeated its rows in both validate files.
+        ("validate-model", {"validate_modes": [0, 0]}),
+        # Each ring is built at load, as scenario.rx is: these exited 3.
+        ("validate-model", {"rings": [{"radius_m": 0.0, "n": 16}]}),
+        ("validate-model", {"rings": [{"radius_m": 0.02, "n": 0}]}),
     ])
     def test_invalid_setup_exit_config(self, tmp_path, capsys, kind, cfg):
         # Settings the estimator or the decoder would reject fail at load.
