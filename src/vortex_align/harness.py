@@ -170,33 +170,6 @@ class ExperimentSpec:
     config_hash: str
 
 
-@dataclass
-class ResultRow:
-    """One estimation trial: ground truth, estimate, errors, and gains."""
-
-    kind: str
-    point_index: int
-    trial_index: int
-    trial_seed: int
-    p: int
-    q: int
-    u: int
-    theta_true_deg: float
-    phi_true_deg: float
-    theta_est_deg: float
-    phi_est_deg: float
-    theta_err_deg: float
-    phi_err_deg: float
-    residual: float
-    sir_before_db: float
-    sir_after_db: float
-    sir_gain_db: float
-    sir_gain_true_db: float
-    capacity_before: float
-    capacity_after: float
-    capacity_ratio: float
-
-
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -204,25 +177,11 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             raise ConfigError(f"unknown config key {path + key!r}")
         if isinstance(base[key], dict) and isinstance(value, dict):
             out[key] = _merge(base[key], value, path + key + ".")
+        elif isinstance(base[key], dict):
+            raise ConfigError(f"{path + key} must be an object, got {value!r}")
         else:
             out[key] = value
     return out
-
-
-def _resolve_config(kind: str, user: dict | None, overrides: dict) -> dict:
-    defaults = json.loads(json.dumps(_merge(BASE_DEFAULTS, KIND_DEFAULTS.get(kind, {}))))
-    if defaults.get("poses") is None:
-        defaults["poses"] = _default_pose_grid()
-    merged = _merge(defaults, user or {})
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key == "snr_db":
-            merged["noise"]["snr_db"] = value
-        else:
-            merged[key] = value
-    merged["kind"] = kind
-    return merged
 
 
 def load_spec(
@@ -248,9 +207,15 @@ def load_spec(
             raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
-    merged = _resolve_config(
-        kind, user, {"seed": seed, "trials": trials, "snr_db": snr_db, "model": model}
-    )
+    defaults = json.loads(json.dumps(_merge(BASE_DEFAULTS, KIND_DEFAULTS.get(kind, {}))))
+    if defaults["poses"] is None:
+        defaults["poses"] = _default_pose_grid()
+    merged = _merge(defaults, user or {})
+    overrides = {"seed": seed, "trials": trials, "model": model}
+    merged.update((key, value) for key, value in overrides.items() if value is not None)
+    if snr_db is not None:
+        merged["noise"]["snr_db"] = snr_db
+    merged["kind"] = kind
     return _spec_from_dict(merged, out_dir)
 
 
@@ -263,25 +228,17 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
         start, step = (_real(sub[k], f"scenario.subcarriers.{k}")
                        for k in ("start_hz", "step_hz"))
         subcarriers = start + step * np.arange(count)
-        tx = UcaGeometry(_integer(sc["tx"]["n"], "scenario.tx.n"),
-                         _real(sc["tx"]["radius_m"], "scenario.tx.radius_m"))
-        rx = UcaGeometry(_integer(sc["rx"]["n"], "scenario.rx.n"),
-                         _real(sc["rx"]["radius_m"], "scenario.rx.radius_m"))
         poses = [
             tuple(_real(p[a], f"poses[{i}].{a}") for a in ("rot_y_deg", "rot_x_deg"))
             for i, p in enumerate(cfg["poses"])
         ]
         if not poses:
             raise ConfigError("pose grid must be nonempty")
-        first_pose = RxPose.from_tilt(
-            _real(sc["distance_m"], "scenario.distance_m"),
-            np.deg2rad(poses[0][0]),
-            np.deg2rad(poses[0][1]),
-        )
+        # The nominal pose carries the link distance; each trial's tilt is its own.
         scenario = Scenario(
-            tx=tx,
-            rx=rx,
-            pose=first_pose,
+            tx=_uca(sc["tx"], "scenario.tx"),
+            rx=_uca(sc["rx"], "scenario.rx"),
+            pose=RxPose(_real(sc["distance_m"], "scenario.distance_m")),
             carrier_hz=_real(sc["carrier_hz"], "scenario.carrier_hz"),
             subcarriers_hz=subcarriers,
         )
@@ -309,11 +266,7 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
             antenna_counts=_integers(cfg["antenna_counts"], "antenna_counts"),
             demo_tilt_deg=_real(cfg["demo_tilt_deg"], "demo_tilt_deg"),
             demo_modes=_integers(cfg["demo_modes"], "demo_modes"),
-            rings=tuple(
-                UcaGeometry(_integer(r["n"], f"rings[{i}].n"),
-                            _real(r["radius_m"], f"rings[{i}].radius_m"))
-                for i, r in enumerate(cfg["rings"])
-            ),
+            rings=tuple(_uca(ring, f"rings[{i}]") for i, ring in enumerate(cfg["rings"])),
             validate_modes=_integers(cfg["validate_modes"], "validate_modes"),
             config_hash=hashlib.sha256(
                 json.dumps(cfg, sort_keys=True).encode()
@@ -328,18 +281,31 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
 
 
 def _integer(value, key: str) -> int:
-    """``value`` as an int; a float that is not whole is an error naming ``key``."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value}")
+    """``value`` as an int; a bool, a str or a float that is not whole is an
+    error naming ``key``."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
 def _real(value, key: str) -> float:
-    """``value`` as a float; NaN or an infinity is an error naming ``key``."""
+    """``value`` as a float; a bool, a str, NaN or an infinity is an error
+    naming ``key``."""
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     value = float(value)
     if not np.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value}")
     return value
+
+
+def _uca(ring: dict, key: str) -> UcaGeometry:
+    """The ring ``{"n": ..., "radius_m": ...}`` at config ``key``."""
+    n, radius = _integer(ring["n"], f"{key}.n"), _real(ring["radius_m"], f"{key}.radius_m")
+    try:
+        return UcaGeometry(n, radius)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _integers(values, key: str) -> tuple[int, ...]:
@@ -412,10 +378,9 @@ def _circular_err_deg(a_deg: float, b_deg: float) -> float:
     )
 
 
-def _score_trial(
-    spec: ExperimentSpec, est: MisalignmentEstimate, item: tuple, p: int, q: int
-) -> ResultRow:
-    """The row of trial ``item``, (pose, point index, trial index, seed)."""
+def _score_trial(spec: ExperimentSpec, est: MisalignmentEstimate, item: tuple) -> dict:
+    """The ``results.csv`` row of trial ``item``, (pose, point index, trial
+    index, seed): ground truth, estimate, errors and gains."""
     pose, point_index, trial_index, seed = item
     scenario = spec.scenario
     theta_t, phi_t = misalignment_angles(pose)
@@ -432,31 +397,30 @@ def _score_trial(
     sir_after = sir(after)[1]
     cap_before = capacity(before)
     cap_after = capacity(after)
-    return ResultRow(
-        kind=spec.kind,
-        point_index=point_index,
-        trial_index=trial_index,
-        trial_seed=seed,
-        p=p,
-        q=q,
-        u=len(spec.modes),
-        theta_true_deg=float(np.rad2deg(theta_t)),
-        phi_true_deg=float(np.rad2deg(phi_t)),
-        theta_est_deg=float(np.rad2deg(est.theta)),
-        phi_est_deg=float(np.rad2deg(est.phi)),
-        theta_err_deg=abs(float(np.rad2deg(est.theta - theta_t))),
-        phi_err_deg=_circular_err_deg(
-            float(np.rad2deg(est.phi)), float(np.rad2deg(phi_t))
-        ),
-        residual=est.residual,
-        sir_before_db=sir_before,
-        sir_after_db=sir_after,
-        sir_gain_db=sir_after - sir_before,
-        sir_gain_true_db=sir(after_true)[1] - sir_before,
-        capacity_before=cap_before,
-        capacity_after=cap_after,
-        capacity_ratio=cap_after / cap_before,
-    )
+    phi_true, phi_est = float(np.rad2deg(phi_t)), float(np.rad2deg(est.phi))
+    return {
+        "kind": spec.kind,
+        "point_index": point_index,
+        "trial_index": trial_index,
+        "trial_seed": seed,
+        "p": spec.p,
+        "q": spec.q,
+        "u": len(spec.modes),
+        "theta_true_deg": float(np.rad2deg(theta_t)),
+        "phi_true_deg": phi_true,
+        "theta_est_deg": float(np.rad2deg(est.theta)),
+        "phi_est_deg": phi_est,
+        "theta_err_deg": abs(float(np.rad2deg(est.theta - theta_t))),
+        "phi_err_deg": _circular_err_deg(phi_est, phi_true),
+        "residual": est.residual,
+        "sir_before_db": sir_before,
+        "sir_after_db": sir_after,
+        "sir_gain_db": sir_after - sir_before,
+        "sir_gain_true_db": sir(after_true)[1] - sir_before,
+        "capacity_before": cap_before,
+        "capacity_after": cap_after,
+        "capacity_ratio": cap_after / cap_before,
+    }
 
 
 def _write_csv(path: Path, rows: Iterable[dict], spec_hash: str) -> None:
@@ -511,16 +475,14 @@ NOISE_FAILURES = (ZeroPowerError, NoPowerError, ZeroSignalError)
 _BATCH_TRIALS = 128
 
 
-def _trial_rows(
-    spec: ExperimentSpec, p: int, q: int, value: int | None = None
-) -> tuple[list[ResultRow], Counter]:
-    """Every pose x trial at (p, q); a sweep's axis ``value`` joins the seed.
+def _trial_rows(spec: ExperimentSpec, value: int | None = None) -> tuple[list[dict], Counter]:
+    """Every pose x trial of ``spec``; a sweep's axis ``value`` joins the seed.
 
     Returns the completed rows and the failed trials per exception class.
     """
     axis_value = () if value is None else (value,)
     scenario = spec.scenario
-    config = _estimation_config(spec, q)
+    config = _estimation_config(spec, spec.q)
     pool = scenario.subcarriers_hz
     poses = [
         RxPose.from_tilt(scenario.pose.distance_m, *np.deg2rad(tilt))
@@ -531,16 +493,16 @@ def _trial_rows(
         for point, pose in enumerate(poses)
         for t in range(spec.trials)
     ]
-    rows: list[ResultRow] = []
+    rows: list[dict] = []
     failures: Counter = Counter()
     for start in range(0, len(items), _BATCH_TRIALS):
         # Simulate a batch of trials, then estimate them in one call.
         batch, tensors = items[start : start + _BATCH_TRIALS], []
         for pose, _point, _t, seed in batch:
             subcarriers = pool
-            if p < len(pool):
+            if spec.p < len(pool):
                 rng = np.random.default_rng(seed)
-                subcarriers = np.sort(rng.choice(pool, size=p, replace=False))
+                subcarriers = np.sort(rng.choice(pool, size=spec.p, replace=False))
             tensors.append(simulate_measurement(
                 scenario, pose, spec.modes, subcarriers,
                 NoiseSpec(snr_db=spec.snr_db, seed=seed), spec.model,
@@ -549,7 +511,7 @@ def _trial_rows(
             try:
                 if isinstance(est, NOISE_FAILURES):
                     raise est
-                rows.append(_score_trial(spec, est, item, p, q))
+                rows.append(_score_trial(spec, est, item))
             except NOISE_FAILURES as exc:
                 failures[type(exc).__name__] += 1
                 last = exc
@@ -559,13 +521,13 @@ def _trial_rows(
     return rows, failures
 
 
-def _estimation_summary(rows: list[ResultRow], failures: Counter) -> dict:
+def _estimation_summary(rows: list[dict], failures: Counter) -> dict:
     """Accuracy, mean SIR gains and trial counts of completed ``rows``."""
     return {
-        "mae_theta_deg": float(np.mean([r.theta_err_deg for r in rows])),
-        "mae_phi_deg": float(np.mean([r.phi_err_deg for r in rows])),
-        "mean_sir_gain_db": float(np.mean([r.sir_gain_db for r in rows])),
-        "mean_sir_gain_true_db": float(np.mean([r.sir_gain_true_db for r in rows])),
+        "mae_theta_deg": float(np.mean([r["theta_err_deg"] for r in rows])),
+        "mae_phi_deg": float(np.mean([r["phi_err_deg"] for r in rows])),
+        "mean_sir_gain_db": float(np.mean([r["sir_gain_db"] for r in rows])),
+        "mean_sir_gain_true_db": float(np.mean([r["sir_gain_true_db"] for r in rows])),
         "trials": len(rows),
         "failed_trials": failures.total(),
         "failed_by_error": dict(failures),
@@ -574,22 +536,22 @@ def _estimation_summary(rows: list[ResultRow], failures: Counter) -> dict:
 
 def run_angle_sweep(spec: ExperimentSpec) -> dict:
     """Estimate every pose; report per-pose statistics and overall MAEs."""
-    rows, failures = _trial_rows(spec, spec.p, spec.q)
+    rows, failures = _trial_rows(spec)
     per_pose = []
     for point in range(len(spec.poses)):
-        sel = [r for r in rows if r.point_index == point]
+        sel = [r for r in rows if r["point_index"] == point]
         if not sel:
             continue
         per_pose.append({
             "point_index": point,
-            "theta_true_deg": sel[0].theta_true_deg,
-            "phi_true_deg": sel[0].phi_true_deg,
-            "theta_est_mean_deg": float(np.mean([r.theta_est_deg for r in sel])),
-            "theta_est_std_deg": float(np.std([r.theta_est_deg for r in sel])),
-            "phi_est_mean_deg": float(np.mean([r.phi_est_deg for r in sel])),
-            "phi_est_std_deg": float(np.std([r.phi_est_deg for r in sel])),
+            "theta_true_deg": sel[0]["theta_true_deg"],
+            "phi_true_deg": sel[0]["phi_true_deg"],
+            "theta_est_mean_deg": float(np.mean([r["theta_est_deg"] for r in sel])),
+            "theta_est_std_deg": float(np.std([r["theta_est_deg"] for r in sel])),
+            "phi_est_mean_deg": float(np.mean([r["phi_est_deg"] for r in sel])),
+            "phi_est_std_deg": float(np.std([r["phi_est_deg"] for r in sel])),
         })
-    _write_csv(spec.out_dir / "results.csv", map(vars, rows), spec.config_hash)
+    _write_csv(spec.out_dir / "results.csv", rows, spec.config_hash)
     _write_csv(spec.out_dir / "angle_sweep_curve.csv", per_pose, spec.config_hash)
     summary = _estimation_summary(rows, failures)
     _write_summary(spec, summary)
@@ -606,10 +568,10 @@ def _ccdf_pairs(name: str, values: list[float]) -> list[dict]:
 
 def run_ccdf(spec: ExperimentSpec) -> dict:
     """Distributions of SIR gain and capacity gain using estimated angles."""
-    rows, failures = _trial_rows(spec, spec.p, spec.q)
-    gains = [r.sir_gain_db for r in rows]
-    ratios = [r.capacity_ratio for r in rows]
-    _write_csv(spec.out_dir / "results.csv", map(vars, rows), spec.config_hash)
+    rows, failures = _trial_rows(spec)
+    gains = [r["sir_gain_db"] for r in rows]
+    ratios = [r["capacity_ratio"] for r in rows]
+    _write_csv(spec.out_dir / "results.csv", rows, spec.config_hash)
     _write_csv(spec.out_dir / "ccdf_sir_gain.csv", _ccdf_pairs("sir_gain_db", gains),
                spec.config_hash)
     _write_csv(spec.out_dir / "ccdf_capacity_gain.csv",
@@ -624,13 +586,11 @@ def run_ccdf(spec: ExperimentSpec) -> dict:
 
 def _sweep(spec: ExperimentSpec, axis: str, counts) -> dict:
     """Run every count of axis ``p`` or ``q``; write rows, table and summary."""
-    rows: list[ResultRow] = []
+    rows: list[dict] = []
     table = []
     failed: Counter = Counter()
     for value in counts:
-        p = value if axis == "p" else spec.p
-        q = value if axis == "q" else spec.q
-        sel, failures = _trial_rows(spec, p, q, value)
+        sel, failures = _trial_rows(replace(spec, **{axis: value}), value)
         rows.extend(sel)
         failed += failures
         stats = _estimation_summary(sel, failures)
@@ -639,12 +599,12 @@ def _sweep(spec: ExperimentSpec, axis: str, counts) -> dict:
             axis: value,
             "trials": stats["trials"],
             "mae_theta_deg": stats["mae_theta_deg"],
-            "se_theta_deg": float(np.std([r.theta_err_deg for r in sel]) / root_n),
+            "se_theta_deg": float(np.std([r["theta_err_deg"] for r in sel]) / root_n),
             "mae_phi_deg": stats["mae_phi_deg"],
-            "se_phi_deg": float(np.std([r.phi_err_deg for r in sel]) / root_n),
+            "se_phi_deg": float(np.std([r["phi_err_deg"] for r in sel]) / root_n),
             "mean_sir_gain_db": stats["mean_sir_gain_db"],
         })
-    _write_csv(spec.out_dir / "results.csv", map(vars, rows), spec.config_hash)
+    _write_csv(spec.out_dir / "results.csv", rows, spec.config_hash)
     name = spec.kind.replace("-", "_") + ".csv"
     _write_csv(spec.out_dir / name, table, spec.config_hash)
     summary = {
@@ -722,12 +682,11 @@ def validate_model(spec: ExperimentSpec) -> dict:
     modes = spec.validate_modes
     corr_rows = []
     phase_lists = []  # (pose, ring, azimuths, exact and model phases by mode)
-    min_corr = 1.0
     for pose_idx, (ry, rx_deg) in enumerate(spec.poses):
         pose = RxPose.from_tilt(r, np.deg2rad(ry), np.deg2rad(rx_deg))
         theta_t, phi_t = misalignment_angles(pose)
         for ring_idx, ring in enumerate(spec.rings):
-            ring_scenario = replace(scenario, rx=ring, pose=pose)
+            ring_scenario = replace(scenario, rx=ring)
             exact_all, model_all = (
                 received_signals(ring_scenario, pose, modes, [k], name)[:, :, 0].T
                 for name in ("exact", "farfield")
@@ -740,7 +699,6 @@ def validate_model(spec: ExperimentSpec) -> dict:
                 corr = abs(np.vdot(exact, model)) / (
                     np.linalg.norm(exact) * np.linalg.norm(model)
                 )
-                min_corr = min(min_corr, float(corr))
                 # Phase error after removing the common (bulk) offset.
                 cross = exact * np.conj(model)
                 phase_err = np.angle(np.exp(1j * (np.angle(cross) - np.angle(np.sum(cross)))))
@@ -767,7 +725,7 @@ def validate_model(spec: ExperimentSpec) -> dict:
     _write_csv(spec.out_dir / "validate_phases.csv", phase_rows, spec.config_hash)
     aperture = max(scenario.tx.radius_m, *(ring.radius_m for ring in spec.rings))
     summary = {
-        "min_correlation": min_corr,
+        "min_correlation": min(row["correlation"] for row in corr_rows),
         "farfield_marginal": bool(r < 100.0 * aperture),
         "rings": [[ring.radius_m, ring.n_elements] for ring in spec.rings],
         "modes": list(modes),

@@ -93,6 +93,17 @@ class TestLoadSpec:
         with pytest.raises(ConfigError):
             load_spec("angle-sweep", config_path=str(path))
 
+    @pytest.mark.parametrize("cfg, flags, key", [
+        ({"noise": None}, ["--snr-db", "10"], "noise"),
+        ({"scenario": {"rx": 5}}, [], "scenario.rx"),
+    ])
+    def test_section_must_be_object(self, tmp_path, capsys, cfg, flags, key):
+        # The first ended in a TypeError traceback (exit 1), the second named no key.
+        path = tiny_config(tmp_path, **cfg)
+        code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out"), *flags])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key} must be an object" in capsys.readouterr().err
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             load_spec("beam-scan")
@@ -318,6 +329,24 @@ class TestRunners:
         assert [int(row[0]) for row in rows] == list(spec.demo_modes)
         np.testing.assert_allclose([[float(v) for v in row[1:]] for row in rows],
                                    expected.power, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("kind, cfg, swept, fixed", [
+        ("antenna-sweep", {"antenna_counts": [4, 6], "estimation": {"p": 2}},
+         "q", ("p", 2)),
+        ("subcarrier-sweep", {"subcarrier_counts": [1, 2], "estimation": {"q": 5}},
+         "p", ("q", 5)),
+    ])
+    def test_sweep_rows_carry_swept_and_fixed_counts(self, tmp_path, kind, cfg, swept,
+                                                      fixed):
+        path = tiny_config(tmp_path, trials=2, **cfg)
+        assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        counts = cfg["antenna_counts" if swept == "q" else "subcarrier_counts"]
+        assert [int(r[swept]) for r in rows] == [c for c in counts for _ in range(2)]
+        name, value = fixed
+        assert {int(r[name]) for r in rows} == {value}
 
     def test_subcarrier_sweep_noiseless_invariance(self, tmp_path):
         from vortex_align.harness import run_subcarrier_sweep
@@ -567,9 +596,13 @@ class TestFailures:
         ({"demo_modes": [-1, 0.5]}, "demo_modes[1]"),
         ({"rings": [{"radius_m": 0.02, "n": 16.5}]}, "rings[0].n"),
         ({"validate_modes": [-1, 1.25]}, "validate_modes[1]"),
+        # A bool is an int to Python and a str passes int(): these ran.
+        ({"trials": True}, "trials"),
+        ({"seed": False}, "seed"),
+        ({"estimation": {"q": "6"}}, "estimation.q"),
     ])
     def test_non_integral_setting_exit_config(self, tmp_path, capsys, cfg, key):
-        # Each was truncated to an integer and the run went on.
+        # Each was truncated or converted to an integer and the run went on.
         path = tiny_config(tmp_path, **cfg)
         code = main(["ccdf", "--config", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
@@ -596,6 +629,37 @@ class TestFailures:
         assert code == EXIT_CONFIG
         assert f"config error: {key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, cfg, key, value", [
+        ("ccdf", {"scenario": {"distance_m": "0.4"}}, "scenario.distance_m", "0.4"),
+        ("ccdf", {"poses": [{"rot_y_deg": True, "rot_x_deg": 0.0}]},
+         "poses[0].rot_y_deg", True),
+        ("ccdf", {"noise": {"snr_db": "25"}}, "noise.snr_db", "25"),
+        ("validate-model", {"rings": [{"radius_m": "0.02", "n": 16}]},
+         "rings[0].radius_m", "0.02"),
+    ])
+    def test_bool_or_str_real_setting_exit_config(self, tmp_path, capsys, kind, cfg, key,
+                                                  value):
+        # float() read each of these as a number and the run went on.
+        path = tiny_config(tmp_path, **cfg)
+        code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {key} must be a number, got {value!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, cfg, key", [
+        ("validate-model",
+         {"rings": [{"radius_m": 0.02, "n": 8}, {"radius_m": -1, "n": 8}]}, "rings[1]"),
+        ("ccdf", {"scenario": {"tx": {"n": 0, "radius_m": 0.03}}}, "scenario.tx"),
+        ("ccdf", {"scenario": {"rx": {"n": 20, "radius_m": 0.0}}}, "scenario.rx"),
+    ])
+    def test_bad_ring_names_its_key(self, tmp_path, capsys, kind, cfg, key):
+        # Every ring gave the same message, so the bad one of several was unknown.
+        path = tiny_config(tmp_path, **cfg)
+        code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key}: " in capsys.readouterr().err
 
     def test_one_zero_power_trial_leaves_the_others(self, tmp_path, monkeypatch):
         # The trials of a run are estimated as one batch; a noise failure in
