@@ -2,34 +2,31 @@
 
 Pipeline: extract the cross-modal phases at a handful of antennas into one
 per-term array record (``CrossModalPhaseSet``) that every later stage reads,
-search a coarse (theta, phi) grid of the weighted circular-distance loss
-with gamma profiled out, refine the best cells together in one batched,
-box-constrained Levenberg-Marquardt solve on the projected closed-form
-Jacobian, and arbitrate them and their half-turn azimuth twins by a joint
-phase-misfit / corrected-power score.
+search a coarse (theta, phi) grid of the weighted circular-distance loss with
+gamma profiled out, refine the best cells in one batched, box-constrained
+Levenberg-Marquardt solve on the projected closed-form Jacobian, and arbitrate
+them and their half-turn twins by phase misfit and corrected power.  Three
+structural facts shape it:
 
-Three structural facts shape the design:
-
-* The cross-modal phase u~ = 0.5 * angle[ sum_k (y_i y_j*)^2 ] determines
-  (l_i - l_j) * (delta_m + gamma) only modulo pi: squaring removes the sign
-  of the Bessel amplitudes but halves the usable phase range.  All phase
-  comparisons therefore happen on the doubled angle, |e^{2i u~} -
-  e^{2i (l_i-l_j)(delta_m + gamma)}|^2, which is exactly the distance
-  between the squared products and is insensitive to the per-antenna sign.
-* gamma is common to every antenna, so ``_profile_gamma`` solves it at each
-  (theta, phi) instead of searching it (variable projection, Golub & Pereyra
-  1973), in closed form for one distinct l_i - l_j.
+* The cross-modal phase u~ = 0.5 * angle[ sum_k (y_i y_j*)^2 ] fixes (l_i -
+  l_j) (delta_m + gamma) only modulo pi: squaring removes the sign of the
+  Bessel amplitudes.  Phases are therefore compared as |e^{2i u~} - e^{2i
+  (l_i-l_j)(delta_m + gamma)}|^2, the distance between the squared products.
+* gamma is common to every antenna, so ``_peak`` solves it at each (theta,
+  phi) instead of searching it (variable projection, Golub & Pereyra 1973),
+  in closed form for one distinct l_i - l_j.
 * The phase loss alone cannot settle phi against phi + pi (gamma absorbs
-  the half turn), and at noisy, weakly-conditioned poses it grows spurious
-  minima; the corrected matched power over the ring supplies the missing
+  the half turn) and grows spurious minima at noisy, weakly-conditioned
+  poses; the corrected matched power over the ring supplies the missing
   evidence, so candidate selection and the final arbitration combine both.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -59,17 +56,19 @@ _POWER_GRID_MAX_SUBCARRIERS = 4
 # the lowest-loss cells, each list kept spatially diverse by the minimum
 # cell (Chebyshev) separation below.
 _POWER_CANDIDATES = 4
-_LOSS_CANDIDATES = 4
+_LOSS_CANDIDATES = 2
 _SHORTLIST_SPACING = 3
 
-# Several distinct l_i - l_j (see ``_profile_gamma``): Newton starts and
+# Several distinct l_i - l_j (see ``_peak``): Newton starts and
 # ranking samples per period and unit of max(l_i - l_j) / gcd, Newton steps
 # on the grid and in the refine, and the grid cells solved to the end.
 _GAMMA_STARTS = 2
 _GAMMA_NEWTON_STEPS = 6
 _GAMMA_REFINE_STEPS = 30
 _GAMMA_SAMPLES = 32
-_POLISHED_CELLS = 200
+_POLISHED_CELLS = 100
+# Values per array of a block of the several-dl loss map: 1 MB of float64.
+_BLOCK_VALUES = 1 << 17
 
 # Levenberg-Marquardt refine: initial damping, its floor, its factors after
 # an accepted and a rejected step, the smallest step that continues, the
@@ -137,7 +136,8 @@ class CrossModalPhaseSet:
     Terms run antenna-major over ``_mode_pairs(config.modes)``.  The loss,
     the grid, the refine and the arbitration misfit all read these arrays.
     ``azimuth`` and ``dl`` are (terms,), shared by every trial; ``target``,
-    ``weight`` and ``inv_var`` are (T, terms), one row per trial.
+    ``weight`` and ``inv_var`` are (T, terms), one row per trial.  The fields
+    after them are derived on construction, once per batch: ``rows`` keeps them.
     """
 
     azimuth: np.ndarray  # element azimuth phi_m
@@ -145,11 +145,26 @@ class CrossModalPhaseSet:
     target: np.ndarray  # measured doubled phase as e^{2iu}
     weight: np.ndarray  # loss weight lambda_m of the term's antenna
     inv_var: np.ndarray  # inverse phase variance, up to the noise level
+    dls: np.ndarray = field(init=False, repr=False)  # distinct dl
+    g: int = field(init=False, repr=False)  # gcd of dls
+    one_hot: np.ndarray = field(init=False, repr=False)  # (terms, dls): term has dl
+    sqrt_w: np.ndarray = field(init=False, repr=False)  # sqrt(lambda), per row
+    coef: np.ndarray = field(init=False, repr=False)  # lambda e^{2iu}, per row
+
+    def __post_init__(self) -> None:
+        dls = np.unique(self.dl)
+        for name, value in [("dls", dls), ("g", np.gcd.reduce(dls)),
+                            ("one_hot", (self.dl[:, None] == dls).astype(float)),
+                            ("sqrt_w", np.sqrt(self.weight)),
+                            ("coef", self.weight * self.target)]:
+            object.__setattr__(self, name, value)
 
     def rows(self, index) -> CrossModalPhaseSet:
         """The set of the trial rows ``index`` picks, in that order."""
-        picked = ("target", "weight", "inv_var")
-        return replace(self, **{name: getattr(self, name)[index] for name in picked})
+        picked = copy.copy(self)
+        for name in ("target", "weight", "inv_var", "sqrt_w", "coef"):
+            object.__setattr__(picked, name, getattr(self, name)[index])
+        return picked
 
 
 @dataclass(frozen=True)
@@ -239,9 +254,7 @@ def _positions(tensor: SampleTensor, antennas, modes) -> tuple[list[int], list[i
 def _mode_pairs(modes) -> list[tuple[int, int]]:
     """All ordered pairs (l_i, l_j) with l_i > l_j, each unordered pair once."""
     srt = sorted(modes)
-    return [
-        (srt[b], srt[a]) for a in range(len(srt)) for b in range(a + 1, len(srt))
-    ]
+    return [(srt[b], srt[a]) for a in range(len(srt)) for b in range(a + 1, len(srt))]
 
 
 def weight(amplitudes) -> np.ndarray:
@@ -341,8 +354,9 @@ def _grid_tables(antenna_azimuths: tuple[float, ...], modes: tuple[int, ...]):
 
     A cell's far field depends on phi only through u = phi - phi_m: returns
     the grid axes, ``farfield_geometry`` on a (theta, u) table of the distinct
-    wrapped u, the flat table index of every (cell, antenna), and each cell's
-    spin exp(-2i dl delta), terms antenna-major over ``_mode_pairs(modes)``.
+    wrapped u, the flat table index of every (cell, antenna), and the spin
+    exp(-2i dl delta) of every cell of the half grid, phi in (-pi, 0], terms
+    antenna-major over ``_mode_pairs(modes)``.
     """
     step = np.deg2rad(_GRID_DEG)
     thetas = np.arange(0.0, np.pi / 2 - 1e-12, step)
@@ -352,10 +366,11 @@ def _grid_tables(antenna_azimuths: tuple[float, ...], modes: tuple[int, ...]):
     _, first, column = np.unique(np.round(u, 12), return_index=True, return_inverse=True)
     table = farfield_geometry(thetas, np.zeros_like(thetas), -u.ravel()[first], modes)
     offset = len(first) * np.arange(len(thetas))[:, None, None]
-    gather = (offset + column.reshape(u.shape)).reshape(-1, u.shape[1])
+    gather = offset + column.reshape(u.shape)  # (theta, phi, antenna)
+    half = gather[:, : len(phis) // 2].reshape(-1, u.shape[1])
     pair_dl = np.array([li - lj for li, lj in _mode_pairs(modes)])
-    spin = np.exp(-2j * table[0].ravel()[gather][:, :, None] * pair_dl)
-    return thetas, phis, table, gather, spin.reshape(len(gather), -1)
+    spin = np.exp(-2j * table[0].ravel()[half][:, :, None] * pair_dl)
+    return thetas, phis, table, gather.reshape(-1, u.shape[1]), spin.reshape(len(half), -1)
 
 
 def _leading(values: np.ndarray, count: int) -> np.ndarray:
@@ -365,30 +380,22 @@ def _leading(values: np.ndarray, count: int) -> np.ndarray:
     return lead[np.argsort(values[lead], kind="stable")]
 
 
-def _profile_gamma(
-    spin: np.ndarray, terms: CrossModalPhaseSet, samples=0, steps=_GAMMA_NEWTON_STEPS
-) -> tuple[np.ndarray, np.ndarray]:
-    """The gamma that minimises the loss at n points, and the loss there.
+def _peak(terms_c: np.ndarray, terms, samples=0, steps=_GAMMA_NEWTON_STEPS):
+    """The gamma that minimises the loss at n points, and f(gamma) there.
 
-    ``spin`` holds each term's e^{-2i dl delta} at the points, (n, T);
-    ``terms`` has one trial row per point, or one for all of them.  The
-    loss is 2 sum(lambda) - 2 f(gamma), f(gamma) = Re sum_d c_d e^{-2i d
-    gamma} over the distinct dl, c_d = sum of lambda e^{2iu} spin over the
-    terms of that dl; f has period pi/g, g = gcd(dl).  One dl: f peaks at
-    |c| at gamma = arg(c) / (2 dl).  Several: ``steps`` safeguarded Newton
-    steps from ``_GAMMA_STARTS`` max(dl)/g starts per period, past
-    ``_GAMMA_NEWTON_STEPS`` from the best start only, the best end kept; with
-    ``samples``, the best of that many unpolished samples per unit of
-    max(dl)/g, an upper bound of the loss for ranking.  gamma is returned as
-    the canonical copy in (-pi/(2g), pi/(2g)].
+    The loss is 2 sum(lambda) - 2 f, f(gamma) = Re sum_d c_d e^{-2i d gamma},
+    c_d the sum over the terms of dl d of ``terms_c`` (n, T), lambda e^{2iu}
+    e^{-2i dl delta}; f has period pi/g.  One dl: f peaks at |c| at gamma =
+    arg(c) / (2 dl).  Several: ``steps`` safeguarded Newton steps from
+    ``_GAMMA_STARTS`` max(dl)/g starts per period, past ``_GAMMA_NEWTON_STEPS``
+    from the best start only; with ``samples``, the best of that many samples
+    per unit of max(dl)/g, a loss bound for ranking.  gamma is the canonical
+    copy in (-pi/(2g), pi/(2g)].
     """
-    dls = np.unique(terms.dl)
-    g = np.gcd.reduce(dls)
+    dls, g = terms.dls, terms.g
     # Real matrix products, the sampled f as a single one: at these shapes
     # complex or very thin real products run several times slower.
-    terms_c = spin * (terms.weight * terms.target)
-    one_hot = (terms.dl[:, None] == dls).astype(float)
-    c_re, c_im = terms_c.real @ one_hot, terms_c.imag @ one_hot
+    c_re, c_im = terms_c.real @ terms.one_hot, terms_c.imag @ terms.one_hot
     c = c_re + 1j * c_im
     if len(dls) == 1:
         gamma, f = np.angle(c[:, 0]) / (2 * g), np.abs(c[:, 0])
@@ -412,54 +419,82 @@ def _profile_gamma(
         best = (np.arange(len(c)), np.argmax(fs, axis=1))
         gamma, f = gam[best], fs[best]
     half = np.pi / (2 * g)
-    return half - np.mod(half - gamma, 2 * half), 2.0 * (terms.weight.sum(axis=-1) - f)
+    return half - np.mod(half - gamma, 2 * half), f
 
 
-def _coarse_candidates(
-    terms: CrossModalPhaseSet, config: EstimationConfig, block, ks, scenario: Scenario
-) -> list[tuple[float, float]]:
-    """Coarse search: candidate cells from both the loss and the power map.
+def _loss_maps(spin: np.ndarray, terms: CrossModalPhaseSet) -> np.ndarray:
+    """The loss of every trial of ``terms`` at every cell of ``spin`` (cells, T),
+    gamma profiled out, (trials, cells).  One dl: one complex product.  Several:
+    ``_peak``'s sampled search at every (trial, cell), then its solve at each
+    trial's ``_POLISHED_CELLS`` leading cells (the rest are inf), in blocks."""
+    total = terms.weight.sum(axis=1)
+    if len(terms.dls) == 1:
+        return 2.0 * (total[:, None] - np.abs(terms.coef @ spin.T))
+    per_pair = max(_GAMMA_SAMPLES * terms.dls.max() // terms.g, 2 * spin.shape[1])
+    block = max(1, _BLOCK_VALUES // per_pair)
 
-    The phase-only loss develops spurious near-global minima at noisy,
-    weakly-conditioned poses (small elevations), while the corrected-power
-    map (the criterion that later settles the half-turn ambiguity, and
-    independent of gamma) is robust there but blurrier.  Candidates are the
-    spatially diverse best cells of each map; the refined solutions are
-    arbitrated jointly afterwards.  A cell's loss is minimised over gamma;
-    with several distinct dl only the cells that lead on sampled gamma are
-    solved to the end.  ``terms`` is one trial's set, and ``block`` its
-    samples at the fitted antennas and modes on the probed subcarriers of
-    wavenumbers ``ks``.  Returns (theta, phi).
+    def losses_at(pairs, **kwargs):  # flat trial * cells + cell indices
+        out = np.empty(len(pairs))
+        for a in range(0, len(pairs), block):
+            trial, cell = np.divmod(pairs[a : a + block], len(spin))
+            f = _peak(terms.coef[trial] * spin[cell], terms, **kwargs)[1]
+            out[a : a + block] = 2.0 * (total[trial] - f)
+        return out.reshape(len(total), -1)
+
+    sampled = losses_at(range(len(total) * len(spin)), samples=_GAMMA_SAMPLES)
+    near = [n * len(spin) + _leading(row, _POLISHED_CELLS)[:_POLISHED_CELLS]
+            for n, row in enumerate(sampled)]
+    losses = np.full(sampled.size, np.inf)
+    losses[np.ravel(near)] = losses_at(np.ravel(near)).ravel()
+    return losses.reshape(sampled.shape)
+
+
+def _coarse_candidates(terms, config: EstimationConfig, block, ks, scenario: Scenario):
+    """Each trial's candidate (theta, phi) cells from the loss and the power map.
+
+    The loss grows spurious minima at noisy, weakly-conditioned poses, where
+    the gamma-free corrected-power map is robust but blurrier; each map gives
+    its spatially diverse best cells.  ``terms`` has a row per trial, ``block``
+    their fitted samples (trial, antenna, mode, probed) at wavenumbers ``ks``
+    (trial, probed).  The loss is blind to phi -> phi + pi, so one
+    ``_loss_maps`` call solves the batch on the half grid, phi in (-pi, 0]:
+    no list keeps a theta > 0 cell with its half-turn copy.  The theta = 0
+    row is one point, whose cells are phi starts: it takes its lowest loss,
+    and its cells rank by the loss of the theta = 3 deg cell at their phi.
     """
-    thetas, phis, table, gather, spin = _grid_tables(
-        tuple(scenario.rx.element_azimuths[list(config.antennas)]), config.modes
-    )
-    _gamma, loss_by_cell = _profile_gamma(spin, terms, samples=_GAMMA_SAMPLES)
-    if len(np.unique(terms.dl)) > 1:
-        near = _leading(loss_by_cell, _POLISHED_CELLS)[:_POLISHED_CELLS]
-        loss_by_cell = np.full(len(loss_by_cell), np.inf)
-        loss_by_cell[near] = _profile_gamma(spin[near], terms)[1]
-    shape = (len(thetas), len(phis))
-    power_map = _grid_power(block, ks, config.modes, scenario, table, gather)
-    cells = _walk(-power_map.reshape(shape), _POWER_CANDIDATES)
-    cells += [c for c in _walk(loss_by_cell.reshape(shape), _LOSS_CANDIDATES)
-              if c not in cells]
-    return [(float(thetas[it]), float(phis[ip])) for it, ip in cells]
+    azimuths = tuple(scenario.rx.element_azimuths[list(config.antennas)])
+    thetas, phis, table, gather, spin = _grid_tables(azimuths, config.modes)
+    half = len(phis) // 2
+    losses = _loss_maps(spin, terms).reshape(len(block), len(thetas), half)
+    out = []
+    for loss, samples, k in zip(losses, block, ks):
+        power = _grid_power(samples, k, config.modes, scenario, table, gather)
+        loss[0], ties = loss[0].min(), np.zeros_like(loss)
+        ties[0] = loss[1]
+        picks = _walk(-power.reshape(len(thetas), -1), _POWER_CANDIDATES)
+        picks += _walk(loss, _LOSS_CANDIDATES, ties)
+        keys = [(it, ip % half if it else ip) for it, ip in picks]
+        out.append([(float(thetas[it]), float(phis[ip]))
+                    for n, (it, ip) in enumerate(picks) if keys[n] not in keys[:n]])
+    return out
 
 
-def _walk(score: np.ndarray, count: int) -> list[tuple[int, int]]:
+def _walk(score: np.ndarray, count: int, ties=None) -> list[tuple[int, int]]:
     """The ``count`` lowest cells of a (theta, phi) ``score`` map, each kept
     cell masking its block of (2 spacing - 1)^2 cells from the next picks.
 
-    The lowest unmasked cell, the first on ties, is kept at each step, so the
-    cells come in stable ranking order.  phi wraps at the map's width; theta
-    is clipped at its edges.
+    Equal scores go to the lowest of the map ``ties`` if given, then to the
+    first: stable ranking order.  phi wraps at the map's width; theta clips.
     """
     score, n_phi = score.copy(), score.shape[1]
     reach = np.arange(1 - _SHORTLIST_SPACING, _SHORTLIST_SPACING)
     kept: list[tuple[int, int]] = []
     for _ in range(count):
-        it, ip = divmod(int(np.argmin(score)), n_phi)
+        flat = int(np.argmin(score))
+        if ties is not None:
+            level = np.flatnonzero(score == score.flat[flat])
+            flat = int(level[np.argmin(ties.flat[level])])
+        it, ip = divmod(flat, n_phi)
         kept.append((it, ip))
         score[max(it + reach[0], 0) : it + _SHORTLIST_SPACING, (ip + reach) % n_phi] = np.inf
     return kept
@@ -503,88 +538,69 @@ def _matched_power(blocks, ks, counts, modes, geometry, scenario: Scenario):
     return power
 
 
-def _model(x: np.ndarray, terms: CrossModalPhaseSet) -> np.ndarray:
-    """Modeled e^{2i dl (delta_m + gamma)} for candidates ``x`` (n, 3): (n, T)."""
-    theta, phi, gamma = x[:, 0:1], x[:, 1:2], x[:, 2:3]
-    return np.exp(2j * terms.dl * (delta(theta, phi, terms.azimuth) + gamma))
+def _model(x: np.ndarray, terms, d=None) -> np.ndarray:
+    """Modeled e^{2i dl (delta_m + gamma)} at ``x`` (n, 3), delta_m ``d`` if known."""
+    d = delta(x[:, 0:1], x[:, 1:2], terms.azimuth) if d is None else d
+    return np.exp(2j * terms.dl * (d + x[:, 2:3]))
 
 
-def _residuals(
-    x: np.ndarray, terms: CrossModalPhaseSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refine residuals and their closed-form Jacobian at candidates ``x`` (n, 3).
+def _residuals(x: np.ndarray, terms, gamma=None) -> tuple[np.ndarray, ...]:
+    """gamma, the refine residuals and their closed-form Jacobian at (n, 2) ``x``.
 
-    Term t contributes r_t = sqrt(lambda_t) (e^{2iu_t} - e^{2i dl_t (delta_t +
-    gamma)}), real and imaginary parts stacked: r is (n, 2T) and dr/dx is
-    (n, 2T, 3).  With u = phi - phi_m and D = sin^2 u + cos^2 theta cos^2 u,
-    d delta/d theta = sin theta cos u sin u / D and d delta/d phi = cos theta / D.
+    gamma (n,) is solved unless given.  Term t contributes r_t = sqrt(lambda_t)
+    (e^{2iu_t} - e^{2i dl_t (delta_t + gamma)}), real and imaginary parts
+    stacked: r is (n, 2T), dr/d(theta, phi, gamma) (n, 2T, 3).  With u = phi
+    - phi_m and D = sin^2 u + cos^2 theta cos^2 u, d delta/d theta = sin theta
+    cos u sin u / D and d delta/d phi = cos theta / D; u, sin u, cos u and
+    delta are computed once.
     """
-    theta, phi = x[:, 0:1], x[:, 1:2]
-    u = phi - terms.azimuth
-    sin_u, cos_u = np.sin(u), np.cos(u)
-    den = sin_u**2 + (np.cos(theta) * cos_u) ** 2
-    d_delta = np.stack(
-        [
-            np.sin(theta) * cos_u * sin_u / den,
-            np.cos(theta) / den,
-            np.ones_like(den),
-        ],
-        axis=-1,
-    )
-    sqrt_w = np.sqrt(terms.weight)
-    model = _model(x, terms)
-    res = sqrt_w * (terms.target - model)
-    jac = (-2j * terms.dl * sqrt_w * model)[..., None] * d_delta
-    return (
-        np.concatenate([res.real, res.imag], axis=1),
-        np.concatenate([jac.real, jac.imag], axis=1),
-    )
+    u = x[:, 1:2] - terms.azimuth
+    sin_u, cos_u, cos_t = np.sin(u), np.cos(u), np.cos(x[:, 0:1])
+    d = np.arctan2(sin_u, cos_t * cos_u)  # delta_m, as ``channel.delta``
+    if gamma is None:
+        spin = np.exp(-2j * terms.dl * d)
+        gamma = _peak(spin * terms.coef, terms, steps=_GAMMA_REFINE_STEPS)[0]
+    den = sin_u**2 + (cos_t * cos_u) ** 2
+    d_delta = np.stack([np.sin(x[:, 0:1]) * cos_u * sin_u / den, cos_t / den,
+                        np.ones_like(den)], axis=-1)
+    model = _model(np.column_stack([x, gamma]), terms, d)
+    res = terms.sqrt_w * (terms.target - model)
+    jac = (-2j * terms.dl * terms.sqrt_w * model)[..., None] * d_delta
+    return gamma, np.hstack([res.real, res.imag]), np.hstack([jac.real, jac.imag])
 
 
-def _profiled(
-    x: np.ndarray, terms: CrossModalPhaseSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _profiled(x: np.ndarray, terms: CrossModalPhaseSet) -> tuple[np.ndarray, ...]:
     """gamma*, the residuals there and their projected Jacobian at (n, 2) ``x``.
 
     Kaufman's J_p = J_a - J_g (J_g . J_a) / (J_g . J_g), (n, 2T, 2), from the
     angle columns J_a and gamma column J_g of ``_residuals``; as J_g . r = 0
     at gamma*, J_p^T r is the exact gradient of the profiled cost.
     """
-    spin = np.exp(-2j * terms.dl * delta(x[:, 0:1], x[:, 1:2], terms.azimuth))
-    gamma, _loss = _profile_gamma(spin, terms, steps=_GAMMA_REFINE_STEPS)
-    res, jac = _residuals(np.column_stack([x, gamma]), terms)
+    gamma, res, jac = _residuals(x, terms)
     j_a, j_g = jac[..., :2], jac[..., 2:]
     proj = np.sum(j_g * j_a, axis=1, keepdims=True) / np.sum(j_g**2, axis=1)[..., None]
     return gamma, res, j_a - j_g * proj
 
 
-def _refine_cells(
-    cells: list[tuple[float, float]], terms: CrossModalPhaseSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _refine_cells(cells: list, terms: CrossModalPhaseSet) -> tuple[np.ndarray, ...]:
     """Box-constrained Levenberg-Marquardt refinement of all cells at once.
 
-    ``terms`` holds one trial row per cell: the cells of many trials refine
-    together, each on its own row with its own damping and stop rule.  The
-    refine runs in (theta, phi) on ``_profiled``, gamma solved at every
-    iterate.  Each cell is confined to a box of one grid step in theta and
-    phi around its candidate, a prior that keeps noisy, weakly-conditioned
-    fits out of the spurious phase-loss minima a few steps away.  A cell on
-    the theta = 0 row is the boresight, one point at every phi, so its box
-    spans the whole phi circle; the row stays in the grid because its cells
-    are the refine's phi starts.  Each iteration solves the Marquardt-scaled
-    damped 2 x 2 normal equations of every active cell; a gradient component
-    pushing out of the box at an active bound is dropped, and the trial
-    point is clipped into the box.
-    The damping shrinks after an accepted step, down to a floor, and grows
-    after a rejected one.  A cell stops when its step moves less than
-    ``_LM_MIN_MOVE`` rad, when an accepted step lowers its cost by no more
-    than ``_LM_TOL`` relative, or after ``_LM_MAX_ITER`` steps.  Returns
-    per cell, in order: (theta, phi) (n, 2), gamma there, cost and iterations.
+    ``terms`` holds one trial row per cell; each cell has its own damping and
+    stop rule, and refines in (theta, phi) on ``_profiled``.  A box of one
+    grid step around each cell keeps noisy, weakly-conditioned fits out of
+    spurious loss minima a few steps away; a theta = 0 cell, the boresight at
+    every phi, gets the whole phi circle.  Each iteration solves every active
+    cell's Marquardt-scaled damped 2 x 2 normal equations, without gradient
+    components that push out of the box at an active bound, and clips the
+    trial point into the box.  The damping shrinks after an accepted step,
+    down to a floor, and grows after a rejected one.  A cell stops when its
+    step moves less than ``_LM_MIN_MOVE`` rad, when an accepted step lowers
+    its cost by at most ``_LM_TOL`` relative, or after ``_LM_MAX_ITER`` steps.
+    Returns per cell (theta, phi), gamma, cost and iterations.
     """
     x = np.array(cells, dtype=float)
     reach = np.deg2rad(_GRID_DEG)
-    lower = x - reach
-    upper = x + reach
+    lower, upper = x - reach, x + reach
     lower[:, 0] = np.maximum(lower[:, 0], 0.0)
     upper[:, 0] = np.minimum(upper[:, 0], np.pi / 2 - 1e-12)
     axis = x[:, 0] == 0.0
@@ -600,35 +616,28 @@ def _refine_cells(
     iterations = np.zeros(len(x), dtype=int)
     act = np.arange(len(x))
     while act.size:
-        xa, ra, ja = x[act], res[act], jac[act]
+        xa, ra, ja, lo, hi = x[act], res[act], jac[act], lower[act], upper[act]
         grad = np.einsum("ntk,nt->nk", ja, ra)
         curv = np.einsum("ntk,ntk->nk", ja, ja)
-        free = ~(
-            ((xa <= lower[act]) & (grad > 0)) | ((xa >= upper[act]) & (grad < 0))
-        )
+        free = ~(((xa <= lo) & (grad > 0)) | ((xa >= hi) & (grad < 0)))
         jf = ja * free[:, None, :]
         scale = damping[act][:, None] * np.maximum(curv, scale_floor[act, None])
         lhs = np.einsum("ntj,ntk->njk", jf, jf) + scale[:, :, None] * np.eye(2)
         step = np.linalg.solve(lhs, -(grad * free)[..., None])[..., 0]
-        trial = np.clip(xa + step, lower[act], upper[act])
+        trial = np.minimum(np.maximum(xa + step, lo), hi)
         gamma_t, res_t, jac_t = _profiled(trial, terms.rows(act))
         cost_t = np.sum(res_t**2, axis=1)
         iterations[act] += 1
-        accept = cost_t < cost[act]
-        done = (
-            (np.abs(trial - xa).max(axis=1) < _LM_MIN_MOVE)
-            | (accept & (cost[act] - cost_t <= _LM_TOL * cost[act]))
-            | (iterations[act] >= _LM_MAX_ITER)
-        )
-        took = act[accept]
-        x[took] = trial[accept]
-        gamma[took] = gamma_t[accept]
-        res[took] = res_t[accept]
-        jac[took] = jac_t[accept]
-        cost[took] = cost_t[accept]
-        damping[act] = np.maximum(
-            damping[act] * np.where(accept, _LM_SHRINK, _LM_GROW), _LM_MIN_DAMPING
-        )
+        cost_a = cost[act]
+        accept = cost_t < cost_a
+        done = (np.abs(trial - xa).max(axis=1) < _LM_MIN_MOVE) | (
+            accept & (cost_a - cost_t <= _LM_TOL * cost_a)
+        ) | (iterations[act] >= _LM_MAX_ITER)
+        for held, new in zip((x, gamma, res, jac, cost),
+                             (trial, gamma_t, res_t, jac_t, cost_t)):
+            held[act[accept]] = new[accept]
+        factor = np.where(accept, _LM_SHRINK, _LM_GROW)
+        damping[act] = np.maximum(damping[act] * factor, _LM_MIN_DAMPING)
         act = act[~done]
     return x, gamma, cost, iterations
 
@@ -648,13 +657,13 @@ def estimate_trials(
 ) -> list[MisalignmentEstimate | NoPowerError | ZeroPowerError]:
     """Estimate (theta, phi, gamma) of every trial's tensor at once under ``config``.
 
-    A coarse (theta, phi) grid per trial, then one box-constrained LM refine
+    One coarse search (one loss map, a power map per trial), one LM refine
     of every trial's best cells with gamma solved at every point, and one
     arbitration of the refined cells and their half-turn azimuth twins by
-    phase misfit and corrected power, probed at every antenna of the
-    tensors.  The tensors hold the same antenna and mode labels (ValueError
-    otherwise), read by one lookup, and equally many subcarriers.  A noise
-    failure ends only its own trial and is returned in its place.
+    phase misfit and corrected power, probed at every antenna.  The tensors
+    hold the same antenna and mode labels (ValueError otherwise), read by one
+    lookup, and equally many subcarriers.  A noise failure ends only its own
+    trial and is returned in its place.
     """
     if len({(tuple(t.antennas), t.modes) for t in tensors}) > 1:
         raise ValueError("a batch's tensors must hold the same antenna labels and modes")
@@ -665,10 +674,8 @@ def estimate_trials(
     if not tensors:
         return []
     rows, cols = _positions(tensors[0], config.antennas, config.modes)
-    terms, results = _phase_sets(
-        np.stack([t.values[np.ix_(rows, cols)] for t in tensors]),
-        config, scenario.rx.n_elements,
-    )
+    fitted = np.stack([t.values[np.ix_(rows, cols)] for t in tensors])
+    terms, results = _phase_sets(fitted, config, scenario.rx.n_elements)
     live = [i for i, failure in enumerate(results) if failure is None]
     if not live:
         return results
@@ -679,30 +686,23 @@ def estimate_trials(
     picks = np.linspace(0, n_sub - 1, min(n_sub, _POWER_GRID_MAX_SUBCARRIERS), dtype=int)
     ks = wavenumber(np.stack([tensors[i].subcarriers_hz[picks] for i in live]))
     probed = np.stack([tensors[i].values[:, cols][..., picks] for i in live])
-    cells = [
-        _coarse_candidates(terms.rows([n]), config, probed[n, rows], ks[n], scenario)
-        for n in range(len(live))
-    ]
+    cells = _coarse_candidates(terms, config, probed[:, rows], ks, scenario)
     edges = np.cumsum([0, *map(len, cells)])
     owner = np.repeat(np.arange(len(live)), np.diff(edges))
     flat = [c for cs in cells for c in cs]
     x, gamma, cost, iterations = _refine_cells(flat, terms.rows(owner))
 
-    # The loss cannot distinguish phi from phi + pi: delta moves by a half
-    # turn, which leaves e^{2i dl delta}, gamma and the phase misfit as they
-    # are.  So a cell has one misfit (inverse-variance weighted, which the
-    # measured amplitudes supply) and a corrected matched power at phi and at
-    # its twin.  The cell of the lowest misfit plus power deficit of its
-    # better twin wins, and the estimate is that twin, so the kept twin has
-    # the higher corrected power.  Both terms scale with 1/noise, so the
-    # noise level cancels from the ranking.
+    # A half turn in phi moves delta by pi, leaving e^{2i dl delta}, gamma and
+    # the phase misfit as they are: a cell has one (inverse-variance weighted)
+    # misfit and a corrected matched power at phi and at its twin.  The cell of
+    # the lowest misfit plus power deficit of its better twin wins, as that
+    # twin.  Both terms scale with 1/noise, which cancels from the ranking.
     model = _model(np.column_stack([x, gamma]), terms)
     phis = np.column_stack([x[:, 1], np.angle(np.exp(1j * (x[:, 1] + np.pi)))])
     ring = scenario.rx.element_azimuths[tensors[0].antennas]
     geometry = farfield_geometry(np.repeat(x[:, 0], 2), phis.ravel(), ring, config.modes)
-    power = _matched_power(
-        probed, ks, 2 * np.diff(edges), config.modes, geometry, scenario
-    ).reshape(-1, 2)  # (cell, twin)
+    power = _matched_power(probed, ks, 2 * np.diff(edges), config.modes, geometry,
+                           scenario).reshape(-1, 2)  # (cell, twin)
     twin, better = np.argmax(power, axis=1), np.max(power, axis=1)
     for n, (i, a, b) in enumerate(zip(live, edges, edges[1:])):
         misfits = np.abs(terms.target[n] - model[a:b]) ** 2 @ terms.inv_var[n]

@@ -39,11 +39,11 @@ import numpy as np
 from .channel import NoiseSpec, received_signals, simulate_measurement, wavenumber
 from .correction import (
     ZeroSignalError,
-    capacity,
     check_decodable,
     imi_matrices,
     phase_mask,
     sir,
+    sir_capacity,
 )
 from .estimator import (
     EstimationConfig,
@@ -229,7 +229,8 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
                        for k in ("start_hz", "step_hz"))
         subcarriers = start + step * np.arange(count)
         poses = [
-            tuple(_real(p[a], f"poses[{i}].{a}") for a in ("rot_y_deg", "rot_x_deg"))
+            tuple(_real(_entry(p, a, f"poses[{i}]"), f"poses[{i}].{a}")
+                  for a in ("rot_y_deg", "rot_x_deg"))
             for i, p in enumerate(cfg["poses"])
         ]
         if not poses:
@@ -280,6 +281,15 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
     return spec
 
 
+def _entry(entry: dict, name: str, key: str):
+    """``entry[name]``; a list entry is not merged with defaults, so a missing
+    name is an error naming the entry's ``key``."""
+    try:
+        return entry[name]
+    except KeyError:
+        raise ConfigError(f"{key} is missing {name!r}") from None
+
+
 def _integer(value, key: str) -> int:
     """``value`` as an int; a bool, a str or a float that is not whole is an
     error naming ``key``."""
@@ -301,7 +311,8 @@ def _real(value, key: str) -> float:
 
 def _uca(ring: dict, key: str) -> UcaGeometry:
     """The ring ``{"n": ..., "radius_m": ...}`` at config ``key``."""
-    n, radius = _integer(ring["n"], f"{key}.n"), _real(ring["radius_m"], f"{key}.radius_m")
+    n = _integer(_entry(ring, "n", key), f"{key}.n")
+    radius = _real(_entry(ring, "radius_m", key), f"{key}.radius_m")
     try:
         return UcaGeometry(n, radius)
     except ValueError as exc:
@@ -393,10 +404,8 @@ def _score_trial(spec: ExperimentSpec, est: MisalignmentEstimate, item: tuple) -
     before, after, after_true = imi_matrices(
         scenario, pose, spec.modes, masks, spec.model, k_c
     )
-    sir_before = sir(before)[1]
-    sir_after = sir(after)[1]
-    cap_before = capacity(before)
-    cap_after = capacity(after)
+    (modes_before, sir_before), (modes_after, sir_after) = sir(before), sir(after)
+    cap_before, cap_after = sir_capacity(modes_before), sir_capacity(modes_after)
     phi_true, phi_est = float(np.rad2deg(phi_t)), float(np.rad2deg(est.phi))
     return {
         "kind": spec.kind,

@@ -41,7 +41,7 @@ from vortex_align.estimator import (
     _grid_tables,
     _leading,
     _mode_pairs,
-    _profile_gamma,
+    _peak,
     _profiled,
     _refine_cells,
     _residuals,
@@ -400,11 +400,17 @@ def probed(tensor, config):
             wavenumber(tensor.subcarriers_hz[picks]))
 
 
+def coarse(terms, config, tensor, scen):
+    """``_coarse_candidates`` of a one-trial batch."""
+    block, ks = probed(tensor, config)
+    return _coarse_candidates(terms, config, block[None], ks[None], scen)[0]
+
+
 def _terms_and_cells(theta_deg, phi_deg, snr_db):
     scen, pose, tensor, config = make_setup(theta_deg, phi_deg, snr_db=snr_db,
                                             seed=3)
     terms = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
-    cells = _coarse_candidates(terms, config, *probed(tensor, config), scen)
+    cells = coarse(terms, config, tensor, scen)
     return pose, config, terms, cells
 
 
@@ -429,13 +435,16 @@ class TestBatchedRefine:
         x[:10, 0] = rng.uniform(1e-5, 1e-3, 10)  # theta near 0
         # u = phi - phi_m near +-pi/2 for the first term
         x[10:20, 1] = az[0] + np.pi / 2 * rng.choice([-1, 1], 10) + 1e-4
-        _res, jac = _residuals(x, terms)
+
+        def residuals(points):
+            return _residuals(points[:, :2], terms, points[:, 2])
+
+        _gamma, _res, jac = residuals(x)
         h = 1e-6
         for k in range(3):
             dx = np.zeros(3)
             dx[k] = h
-            numeric = (_residuals(x + dx, terms)[0]
-                       - _residuals(x - dx, terms)[0]) / (2 * h)
+            numeric = (residuals(x + dx)[1] - residuals(x - dx)[1]) / (2 * h)
             np.testing.assert_allclose(
                 jac[..., k], numeric, rtol=1e-6,
                 atol=1e-6 * np.abs(jac[..., k]).max())
@@ -457,7 +466,8 @@ class TestBatchedRefine:
 
         def profiled_cost(points):
             spin = np.exp(-2j * terms.dl * delta(points[:, :1], points[:, 1:], az))
-            return _profile_gamma(spin, terms)[1]
+            f = _peak(terms.weight * terms.target * spin, terms)[1]
+            return 2.0 * (terms.weight.sum() - f)
 
         _gamma, res, jac_p = _profiled(x, terms)
         np.testing.assert_allclose(np.sum(res**2, axis=1), profiled_cost(x),
@@ -470,6 +480,33 @@ class TestBatchedRefine:
             numeric = (profiled_cost(x + dx) - profiled_cost(x - dx)) / (2 * h)
             np.testing.assert_allclose(grad[:, k], numeric, rtol=1e-5,
                                        atol=1e-6 * np.abs(grad).max())
+
+    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1)])
+    def test_profiled_is_the_residual_function_at_its_gamma(self, modes):
+        # The refine's iterate solves gamma and evaluates the residuals and
+        # Jacobian in one pass; evaluated directly at (x, gamma*) through the
+        # same function they are equal bit for bit, and J_p is Kaufman's
+        # projection of that Jacobian.
+        rng = np.random.default_rng(13)
+        scen, _pose, tensor, config = make_setup(27.0, -133.0, modes=modes,
+                                                 snr_db=10.0, seed=1)
+        terms = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
+        x = np.column_stack([rng.uniform(0.0, np.pi / 2, 50),
+                             rng.uniform(-np.pi, np.pi, 50)])
+        x[:5, 0] = rng.uniform(1e-6, 1e-3, 5)
+        cells = terms.rows([0] * len(x))
+        gamma, res, jac_p = _profiled(x, cells)
+        gamma_d, res_d, jac_d = _residuals(x, cells, gamma)
+        assert gamma_d is gamma
+        np.testing.assert_array_equal(res, res_d)
+        j_a, j_g = jac_d[..., :2], jac_d[..., 2:]
+        proj = np.sum(j_g * j_a, axis=1, keepdims=True) / np.sum(j_g**2, axis=1)[..., None]
+        np.testing.assert_array_equal(jac_p, j_a - j_g * proj)
+        # The model the arbitration reads agrees with the residuals too.
+        model = estimator_module._model(np.column_stack([x, gamma]), cells)
+        np.testing.assert_array_equal(
+            res, np.hstack([(cells.sqrt_w * (cells.target - model)).real,
+                            (cells.sqrt_w * (cells.target - model)).imag]))
 
     def test_iterates_stay_in_box(self, monkeypatch):
         _pose, _config, terms, cells = _terms_and_cells(30.0, -120.0, 5.0)
@@ -601,10 +638,23 @@ def full_coarse_candidates(terms, config, tensor, scen):
             y = tensor.values[rows, tensor.mode_index(l), ki]
             power += np.abs(np.conj(profile) @ y) ** 2
 
+    # Power: the full grid.  Loss: the half grid, phi in (-pi, 0], where
+    # phi wraps at pi; the theta = 0 row is one point at its lowest loss,
+    # its cells ranked by the loss of the theta = 3 deg cell at their phi.
     n_phi = len(phis)
-    cells = _diverse_walk(np.argsort(-power.ravel(), kind="stable"), 4, n_phi)
-    by_loss = np.argsort(losses, kind="stable")
-    cells += [c for c in _diverse_walk(by_loss, 4, n_phi) if c not in cells]
+    half = n_phi // 2
+    by_power = _diverse_walk(np.argsort(-power.ravel(), kind="stable"), 4, n_phi)
+    half_map = losses.reshape(len(thetas), n_phi)[:, :half].copy()
+    half_map[0] = half_map[0].min()
+    ties = np.zeros_like(half_map)
+    ties[0] = half_map[1]
+    by_loss = _diverse_walk(np.lexsort((ties.ravel(), half_map.ravel())), 2, half)
+    # No theta > 0 cell joins with its half-turn copy.
+    cells = []
+    for it, ip in by_power + by_loss:
+        if all((it, ip % half if it else ip) != (jt, jp % half if jt else jp)
+               for jt, jp in cells):
+            cells.append((it, ip))
     out = [(thetas[it], phis[ip]) for it, ip in cells]
     return out, (thetas, phis, gammas, losses)
 
@@ -612,21 +662,16 @@ def full_coarse_candidates(terms, config, tensor, scen):
 def check_coarse_grid(scen, tensor, config):
     """``_coarse_candidates`` against ``full_coarse_candidates``."""
     terms = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
-    got = _coarse_candidates(terms, config, *probed(tensor, config), scen)
+    got = coarse(terms, config, tensor, scen)
     want, (thetas, phis, gammas, losses) = full_coarse_candidates(
         terms, config, tensor, scen
     )
     assert len(np.unique(terms.dl)) == len(config.modes) - 1
-    # The same cells in the same order.  The loss of (theta, phi + pi)
-    # equals that of (theta, phi), so the order within such a pair is
-    # decided by rounding, and the cells are compared modulo that turn.
-    # With one distinct dl the loss ranking is exact; with several it
-    # is checked for these setups.
-    def key(cell):
-        return round(np.rad2deg(cell[0]), 9), round(np.rad2deg(cell[1]) % 180, 9)
-
-    assert [key(c) for c in got] == [key(c) for c in want]
-    assert got[:4] == want[:4]
+    # The same cells in the same order.  The loss list walks the half grid,
+    # so no pair of cells ties by the half-turn symmetry and the cells are
+    # compared exactly.  With one distinct dl the loss ranking is exact;
+    # with several it is checked for these setups.
+    assert got == want
     # The searched loss is the weighted loss at its gamma, cell by cell.
     n_phi = len(phis)
     for it, ip in [(0, 0), (7, 50), (29, 119)]:
@@ -682,10 +727,85 @@ class TestCoarseGrid:
         got = _grid_power(*probed(tensor, config), modes, scen, table, gather)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         pair_dl = np.array([li - lj for li, lj in _mode_pairs(modes)])
+        # The loss spin covers the half grid, phi in (-pi, 0].
         full_spin = np.exp(-2j * geometry[0][:, :, None] * pair_dl)
-        np.testing.assert_allclose(spin, full_spin.reshape(len(th), -1),
+        half_spin = full_spin.reshape(len(thetas), len(phis), -1)[:, :len(phis) // 2]
+        np.testing.assert_allclose(spin, half_spin.reshape(len(spin), -1),
                                    rtol=0, atol=1e-12)
         assert table[0].shape == (len(thetas), {20: 120, 16: 240}[rx_n])
+
+
+def noisy_batch(modes, silenced=1):
+    """Four trials of mixed poses at 12 dB, one silenced into a noise failure."""
+    poses = [(18.0, -150.0), (33.0, -110.0), (47.0, 40.0), (62.0, 170.0)]
+    tensors = []
+    for n, (theta_deg, phi_deg) in enumerate(poses):
+        scen, _pose, tensor, config = make_setup(
+            theta_deg, phi_deg, subcarriers=SUBS[:2], modes=modes, snr_db=12.0, seed=n)
+        tensors.append(tensor)
+    tensors[silenced].values[config.antennas[1], 1] = 0.0
+    return scen, tensors, config
+
+
+class TestBatchedCoarse:
+    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1)])
+    def test_half_grid_batch_matches_each_trial_on_the_full_grid(self, modes,
+                                                                 monkeypatch):
+        # The loss map of a batch's live trials, solved once on the half
+        # grid, against each trial's own gamma solve over the full grid: a
+        # cell and its half-turn copy both read the half-grid value.  With
+        # several dl only the polished cells are finite.
+        scen, tensors, config = noisy_batch(modes)
+        seen = []
+
+        def recording(spin, terms, _inner=estimator_module._loss_maps):
+            seen.append((terms, _inner(spin, terms)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(estimator_module, "_loss_maps", recording)
+        results = estimate_trials(tensors, scen, config)
+        assert isinstance(results[1], ZeroPowerError)
+        ((terms, batch),) = seen
+        assert batch.shape == (3, 1800)
+        az = scen.rx.element_azimuths[list(config.antennas)]
+        thetas, phis, *_ = _grid_tables(tuple(az), config.modes)
+        th, ph = (a.reshape(-1, 1) for a in np.meshgrid(thetas, phis, indexing="ij"))
+        pair_dl = np.array([li - lj for li, lj in _mode_pairs(config.modes)])
+        full_spin = np.exp(-2j * np.repeat(delta(th, ph, az), len(pair_dl), axis=1)
+                           * np.tile(pair_dl, len(az)))
+        for n, got in enumerate(batch):
+            one = terms.rows([n])
+            want = 2.0 * (one.weight.sum() - _peak(one.coef * full_spin, one)[1])
+            want = want.reshape(len(thetas), 2, len(phis) // 2)
+            finite = np.isfinite(got)
+            assert finite.sum() == (1800 if len(modes) == 2 else 100)
+            for copy in (0, 1):
+                np.testing.assert_allclose(
+                    got[finite], want[:, copy].ravel()[finite], rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1)])
+    def test_no_list_holds_a_half_turn_copy(self, modes):
+        # The loss list walks the half grid and no cell joins with its
+        # half-turn copy, so no theta > 0 cell is refined twice.
+        rng = np.random.default_rng(17)
+        tensors = []
+        for n in range(16):
+            scen, _pose, tensor, config = make_setup(
+                rng.uniform(1.0, 75.0), rng.uniform(-180.0, 180.0), modes=modes,
+                subcarriers=SUBS[:2], snr_db=float(rng.choice([5.0, 15.0])), seed=n)
+            tensors.append(tensor)
+        rows = [tensors[0].antenna_index(m) for m in config.antennas]
+        terms, failed = estimator_module._phase_sets(
+            np.stack([t.values[rows] for t in tensors]), config, scen.rx.n_elements)
+        assert not any(failed)
+        block = np.stack([probed(t, config)[0] for t in tensors])
+        ks = np.stack([probed(t, config)[1] for t in tensors])
+        for cells in _coarse_candidates(terms, config, block, ks, scen):
+            assert 2 <= len(cells) <= 6
+            turns = [(round(np.rad2deg(t), 9), round(np.rad2deg(p) % 180.0, 9))
+                     for t, p in cells if t > 0.0]
+            assert len(turns) == len(set(turns))
+            assert len(set(cells)) == len(cells)
 
 
 def tied_map(rng, edge_tie):
@@ -768,7 +888,8 @@ class TestProfileGamma:
             th = rng.uniform(0.0, np.pi / 2, (300, 1))
             ph = rng.uniform(-np.pi, np.pi, (300, 1))
             spin = np.exp(-2j * terms.dl * delta(th, ph, terms.azimuth))
-            got_gamma, got_loss = _profile_gamma(spin, terms)
+            got_gamma, got_f = _peak(terms.weight * terms.target * spin, terms)
+            got_loss = 2.0 * (terms.weight.sum() - got_f)
 
             dls, c = gamma_sums(terms, spin)
             half = np.pi / (2 * np.gcd.reduce(dls))
@@ -895,7 +1016,7 @@ class TestBatchedEstimate:
             phases = cross_modal_phase_set(tensor, config, scen.rx.n_elements)
             assert got.residual == pytest.approx(
                 loss(got.theta, got.phi, got.gamma, phases), rel=0, abs=1e-12)
-            cells = _coarse_candidates(phases, config, *probed(tensor, config), scen)
+            cells = coarse(phases, config, tensor, scen)
             assert (d["grid_theta"], d["grid_phi"]) in cells
 
     def test_empty_batch_estimates_nothing(self):

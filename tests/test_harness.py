@@ -661,6 +661,23 @@ class TestFailures:
         assert code == EXIT_CONFIG
         assert f"config error: {key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, cfg, key, name", [
+        ("validate-model", {"rings": [{"radius_m": 0.02}]}, "rings[0]", "n"),
+        ("validate-model", {"rings": [{"radius_m": 0.02, "n": 8}, {"n": 8}]},
+         "rings[1]", "radius_m"),
+        ("ccdf", {"poses": [{"rot_y_deg": 20.0}]}, "poses[0]", "rot_x_deg"),
+        ("ccdf", {"poses": [{"rot_y_deg": 20.0, "rot_x_deg": 0.0}, {"rot_x_deg": 5.0}]},
+         "poses[1]", "rot_y_deg"),
+    ])
+    def test_missing_list_key_names_its_entry(self, tmp_path, capsys, kind, cfg, key, name):
+        # List entries are not merged with defaults, and a missing key printed
+        # only its bare name ("invalid configuration: 'n'").
+        path = tiny_config(tmp_path, **cfg)
+        code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key} is missing {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_one_zero_power_trial_leaves_the_others(self, tmp_path, monkeypatch):
         # The trials of a run are estimated as one batch; a noise failure in
         # one of them drops that row only.
