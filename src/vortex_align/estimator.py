@@ -41,8 +41,6 @@ _POWER_FLOOR = 1e-150
 # Accumulator magnitudes below this are treated as exactly zero power.
 _ACCUMULATOR_FLOOR = 1e-300
 
-_DIAMETRIC_TOL = 1e-9
-
 _WEIGHT_FLOOR = 1e-12
 
 # Coarse (theta, phi) grid step and refine-box half-width, in degrees.
@@ -286,12 +284,14 @@ def loss(theta: float, phi: float, gamma: float, phases: CrossModalPhaseSet) -> 
 def select_antennas(n_rx: int, q: int) -> list[int]:
     """Maximally spread subset of ``q`` of ``n_rx`` ring elements.
 
-    Starts from an evenly spread base set, then repeatedly advances the
-    later index of any diametrically opposed pair by one position until no
-    pair sits exactly half a turn apart.  When the ring cannot host ``q``
-    elements without a diametric pair (q > n_rx/2 on an even ring) the
-    evenly spread base set is returned unrepaired; the redundancy of q > 3
-    keeps the fit overdetermined regardless.
+    Diametric partners duplicate the cross-modal phase (it depends on the
+    element azimuth modulo pi).  An even ring with q > n_rx/2 cannot avoid
+    them: it takes the whole first half ring, then spreads the remaining
+    elements evenly over the second half; the redundancy of q > 3 keeps the
+    fit overdetermined regardless.  Otherwise it returns the evenly spread
+    base set, with its later half (positions j >= ceil(q/2)) moved one label
+    on when the set holds a diametric pair; that parts every pair (checked
+    exhaustively for n_rx <= 64).
     """
     if n_rx < 3 or q < 3:
         raise InfeasibleSelectionError(
@@ -305,32 +305,20 @@ def select_antennas(n_rx: int, q: int) -> list[int]:
     else:
         base = [(j * n_rx) // q for j in range(q)]
     if n_rx % 2 == 0 and q > n_rx // 2:
-        # Diametric partners duplicate the cross-modal phase (it depends on
-        # the element azimuth modulo pi), so fill the distinct half-ring
-        # first and only then reuse opposite elements.
         half = n_rx // 2
         extras = [half + (j * half) // (q - half) for j in range(q - half)]
         return list(range(half)) + extras
-
-    selected = list(base)
-    for _ in range(n_rx * q):
-        pair = _diametric_pair(selected, n_rx)
-        if pair is None:
-            return selected
-        pos = pair[1]
-        nxt = (selected[pos] + 1) % n_rx
-        while nxt in selected:
-            nxt = (nxt + 1) % n_rx
-        selected[pos] = nxt
-    return base
+    if _diametric_pair(base, n_rx) is None:
+        return base
+    later = math.ceil(q / 2)
+    return base[:later] + [label + 1 for label in base[later:]]
 
 
 def _diametric_pair(labels, n_rx: int) -> tuple[int, int] | None:
-    """Positions (a, b), a < b, of the first two labels half a turn apart."""
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            gap = abs(np.angle(np.exp(2j * np.pi * (labels[a] - labels[b]) / n_rx)))
-            if abs(gap - np.pi) < _DIAMETRIC_TOL:
+    """The first two of ``labels`` that sit half a turn apart on the ring."""
+    for n, a in enumerate(labels):
+        for b in labels[n + 1 :]:
+            if 2 * ((a - b) % n_rx) == n_rx:
                 return a, b
     return None
 
@@ -344,8 +332,7 @@ def _validate_config(config: EstimationConfig, n_rx: int) -> None:
     # equations; with more antennas the redundancy absorbs it.
     pair = _diametric_pair(config.antennas, n_rx) if len(config.antennas) == 3 else None
     if pair is not None:
-        a, b = (config.antennas[p] for p in pair)
-        raise DegenerateGeometryError(f"antennas {a} and {b} are diametrically opposed")
+        raise DegenerateGeometryError("antennas %d and %d are diametrically opposed" % pair)
 
 
 @lru_cache(maxsize=8)

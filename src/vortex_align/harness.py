@@ -508,10 +508,8 @@ def _trial_rows(spec: ExperimentSpec, value: int | None = None) -> tuple[list[di
         # Simulate a batch of trials, then estimate them in one call.
         batch, tensors = items[start : start + _BATCH_TRIALS], []
         for pose, _point, _t, seed in batch:
-            subcarriers = pool
-            if spec.p < len(pool):
-                rng = np.random.default_rng(seed)
-                subcarriers = np.sort(rng.choice(pool, size=spec.p, replace=False))
+            rng = np.random.default_rng(seed)
+            subcarriers = np.sort(rng.choice(pool, size=spec.p, replace=False))
             tensors.append(simulate_measurement(
                 scenario, pose, spec.modes, subcarriers,
                 NoiseSpec(snr_db=spec.snr_db, seed=seed), spec.model,

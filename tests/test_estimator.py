@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -162,6 +163,32 @@ class TestCrossModalPhase:
         assert circ_spread(pooled) < circ_spread(singles)
 
 
+def repair_search(n_rx, q):
+    """The earlier selection: from the evenly spread base set, advance the
+    later label of the first diametric pair to the next free label, until
+    no pair is left (an even ring with q > n_rx/2 fills its first half ring,
+    then spreads the rest)."""
+    step = math.ceil(n_rx / q)
+    if (q - 1) * step <= n_rx - 1:
+        base = [j * step for j in range(q)]
+    else:
+        base = [(j * n_rx) // q for j in range(q)]
+    if n_rx % 2 == 0 and q > n_rx // 2:
+        half = n_rx // 2
+        return list(range(half)) + [half + (j * half) // (q - half) for j in range(q - half)]
+    selected = list(base)
+    for _ in range(n_rx * q):
+        pairs = [b for a in range(q) for b in range(a + 1, q)
+                 if 2 * ((selected[a] - selected[b]) % n_rx) == n_rx]
+        if not pairs:
+            return selected
+        nxt = (selected[pairs[0]] + 1) % n_rx
+        while nxt in selected:
+            nxt = (nxt + 1) % n_rx
+        selected[pairs[0]] = nxt
+    return base
+
+
 class TestSelectAntennas:
     def test_eleven_choose_three(self):
         assert select_antennas(11, 3) == [0, 4, 8]
@@ -184,10 +211,20 @@ class TestSelectAntennas:
                 assert abs(gap - np.pi) > 1e-9
 
     def test_oversubscribed_even_ring_falls_back(self):
-        # 12 of 20 cannot avoid a diametric pair; the spread base set is used.
+        # 12 of 20 cannot avoid a diametric pair: the first half ring is
+        # filled, then the rest spread over the second half.
         sel = select_antennas(20, 12)
         assert len(set(sel)) == 12
         assert all(0 <= m < 20 for m in sel)
+
+    def test_rule_matches_the_repair_search(self):
+        # The base set, with its later half moved one label on when it holds
+        # a diametric pair, is where the pair-by-pair repair search ends.
+        assert select_antennas(20, 5) == [0, 4, 8, 12, 16]
+        assert select_antennas(20, 12) == list(range(11)) + [15]
+        for n in range(3, 65):
+            for q in range(3, n + 1):
+                assert select_antennas(n, q) == repair_search(n, q), (n, q)
 
     def test_infeasible_inputs(self):
         with pytest.raises(InfeasibleSelectionError):
@@ -806,6 +843,41 @@ class TestBatchedCoarse:
                      for t, p in cells if t > 0.0]
             assert len(turns) == len(set(turns))
             assert len(set(cells)) == len(cells)
+
+
+class TestChainPhaseInvariance:
+    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1)])
+    def test_per_antenna_phasors_leave_the_phase_terms_and_loss_map(self, modes):
+        # A phase common to one antenna's RF chain, over all its modes and
+        # tones, cancels in y_i y_j* at that antenna: the phase terms and the
+        # coarse loss map read the same with each antenna's samples turned by
+        # its own unit phasor, drawn per trial.
+        rng = np.random.default_rng(29)
+        tensors = []
+        for n in range(4):
+            scen, _pose, tensor, config = make_setup(
+                rng.uniform(1.0, 75.0), rng.uniform(-180.0, 180.0), modes=modes,
+                subcarriers=SUBS[:3], snr_db=15.0, seed=n)
+            tensors.append(tensor)
+        at = np.ix_(*estimator_module._positions(tensors[0], config.antennas, config.modes))
+        block = np.stack([t.values[at] for t in tensors])
+        chains = np.exp(1j * rng.uniform(-np.pi, np.pi, block.shape[:2]))
+        (clean, _), (turned, _) = (
+            estimator_module._phase_sets(b, config, scen.rx.n_elements)
+            for b in (block, block * chains[:, :, None, None]))
+        for name in ("target", "weight", "inv_var"):
+            np.testing.assert_allclose(getattr(turned, name), getattr(clean, name),
+                                       rtol=1e-12, atol=1e-12)
+        az = scen.rx.element_azimuths[list(config.antennas)]
+        thetas, *_, spin = _grid_tables(tuple(az), config.modes)
+        got, want = (estimator_module._loss_maps(spin, terms).reshape(4, len(thetas), -1)
+                     for terms in (turned, clean))
+        # The theta = 0 row is one point, so its cells tie up to rounding:
+        # the grid reads only its lowest loss, and with several dl which of
+        # its cells are polished (the rest are inf) is a tie-break.
+        np.testing.assert_allclose(got[:, 0].min(axis=1), want[:, 0].min(axis=1),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-12, atol=1e-12)
 
 
 def tied_map(rng, edge_tie):
