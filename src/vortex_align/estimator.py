@@ -57,13 +57,11 @@ _POWER_CANDIDATES = 4
 _LOSS_CANDIDATES = 2
 _SHORTLIST_SPACING = 3
 
-# Several distinct l_i - l_j (see ``_peak``): Newton starts and
-# ranking samples per period and unit of max(l_i - l_j) / gcd, Newton steps
-# on the grid and in the refine, and the grid cells solved to the end.
-_GAMMA_STARTS = 2
-_GAMMA_NEWTON_STEPS = 6
-_GAMMA_REFINE_STEPS = 30
+# Several distinct l_i - l_j (see ``_peak``): samples of gamma per period
+# and unit of max(l_i - l_j) / gcd, Newton steps from each point's best
+# sample, and the grid cells per trial that take them.
 _GAMMA_SAMPLES = 32
+_GAMMA_NEWTON_STEPS = 6
 _POLISHED_CELLS = 100
 # Values per array of a block of the several-dl loss map: 1 MB of float64.
 _BLOCK_VALUES = 1 << 17
@@ -360,24 +358,16 @@ def _grid_tables(antenna_azimuths: tuple[float, ...], modes: tuple[int, ...]):
     return thetas, phis, table, gather.reshape(-1, u.shape[1]), spin.reshape(len(half), -1)
 
 
-def _leading(values: np.ndarray, count: int) -> np.ndarray:
-    """Every entry up to the ``count``-th smallest of ``values``, ties included,
-    in stable order: a prefix of np.argsort(values, kind="stable")."""
-    lead = np.flatnonzero(values <= np.partition(values, count - 1)[count - 1])
-    return lead[np.argsort(values[lead], kind="stable")]
-
-
-def _peak(terms_c: np.ndarray, terms, samples=0, steps=_GAMMA_NEWTON_STEPS):
+def _peak(terms_c: np.ndarray, terms, steps: int):
     """The gamma that minimises the loss at n points, and f(gamma) there.
 
     The loss is 2 sum(lambda) - 2 f, f(gamma) = Re sum_d c_d e^{-2i d gamma},
     c_d the sum over the terms of dl d of ``terms_c`` (n, T), lambda e^{2iu}
     e^{-2i dl delta}; f has period pi/g.  One dl: f peaks at |c| at gamma =
-    arg(c) / (2 dl).  Several: ``steps`` safeguarded Newton steps from
-    ``_GAMMA_STARTS`` max(dl)/g starts per period, past ``_GAMMA_NEWTON_STEPS``
-    from the best start only; with ``samples``, the best of that many samples
-    per unit of max(dl)/g, a loss bound for ranking.  gamma is the canonical
-    copy in (-pi/(2g), pi/(2g)].
+    arg(c) / (2 dl).  Several: each point's best of ``_GAMMA_SAMPLES`` samples
+    per unit of max(dl)/g over one period, then ``steps`` safeguarded Newton
+    steps from it; with no step, the sampled f bounds the loss from above.
+    gamma is the canonical copy in (-pi/(2g), pi/(2g)].
     """
     dls, g = terms.dls, terms.g
     # Real matrix products, the sampled f as a single one: at these shapes
@@ -387,24 +377,21 @@ def _peak(terms_c: np.ndarray, terms, samples=0, steps=_GAMMA_NEWTON_STEPS):
     if len(dls) == 1:
         gamma, f = np.angle(c[:, 0]) / (2 * g), np.abs(c[:, 0])
     else:
-        spacing = np.pi / ((samples or _GAMMA_STARTS) * dls.max())
-        starts = spacing * np.arange(round(np.pi / g / spacing))
-        phase = 2.0 * np.outer(dls, starts)
+        spacing = np.pi / (_GAMMA_SAMPLES * dls.max())
+        samples = spacing * np.arange(round(np.pi / g / spacing))
+        phase = 2.0 * np.outer(dls, samples)
         fs = np.hstack([c_re, c_im]) @ np.vstack([np.cos(phase), np.sin(phase)])
-        gam = step_to = np.broadcast_to(starts, fs.shape)
+        best = np.argmax(fs, axis=1)
+        gamma, f = samples[best], fs[np.arange(len(c)), best]
         # |f''| never exceeds bound, so slope / bound is a safe ascent step.
         bound = np.abs(c) @ (4.0 * dls**2)
-        for n in range(0 if samples else steps + 1):
-            if n == _GAMMA_NEWTON_STEPS + 1:  # polish each point's best start
-                step_to = np.take_along_axis(step_to, fs.argmax(1)[:, None], 1)
-            gam = step_to
-            wave = c[:, None, :] * np.exp(-2j * gam[..., None] * dls)
-            fs = wave.real.sum(axis=-1)
+        for _ in range(steps):
+            wave = c * np.exp(-2j * gamma[:, None] * dls)
             slope, curv = wave.imag @ (2.0 * dls), wave.real @ (4.0 * dls**2)
-            step = slope / np.where(curv > 0, curv, bound[:, None])
-            step_to = gam + np.clip(step, -spacing / 2, spacing / 2)
-        best = (np.arange(len(c)), np.argmax(fs, axis=1))
-        gamma, f = gam[best], fs[best]
+            step = slope / np.where(curv > 0, curv, bound)
+            gamma = gamma + np.clip(step, -spacing / 2, spacing / 2)
+        if steps:
+            f = np.real(c * np.exp(-2j * gamma[:, None] * dls)).sum(axis=1)
     half = np.pi / (2 * g)
     return half - np.mod(half - gamma, 2 * half), f
 
@@ -412,28 +399,27 @@ def _peak(terms_c: np.ndarray, terms, samples=0, steps=_GAMMA_NEWTON_STEPS):
 def _loss_maps(spin: np.ndarray, terms: CrossModalPhaseSet) -> np.ndarray:
     """The loss of every trial of ``terms`` at every cell of ``spin`` (cells, T),
     gamma profiled out, (trials, cells).  One dl: one complex product.  Several:
-    ``_peak``'s sampled search at every (trial, cell), then its solve at each
-    trial's ``_POLISHED_CELLS`` leading cells (the rest are inf), in blocks."""
+    ``_peak``'s sampled bound at every (trial, cell), then its Newton solve at
+    each trial's ``_POLISHED_CELLS`` lowest cells, in blocks."""
     total = terms.weight.sum(axis=1)
     if len(terms.dls) == 1:
         return 2.0 * (total[:, None] - np.abs(terms.coef @ spin.T))
     per_pair = max(_GAMMA_SAMPLES * terms.dls.max() // terms.g, 2 * spin.shape[1])
     block = max(1, _BLOCK_VALUES // per_pair)
 
-    def losses_at(pairs, **kwargs):  # flat trial * cells + cell indices
+    def losses_at(pairs, steps):  # flat trial * cells + cell indices
         out = np.empty(len(pairs))
         for a in range(0, len(pairs), block):
             trial, cell = np.divmod(pairs[a : a + block], len(spin))
-            f = _peak(terms.coef[trial] * spin[cell], terms, **kwargs)[1]
+            f = _peak(terms.coef[trial] * spin[cell], terms, steps)[1]
             out[a : a + block] = 2.0 * (total[trial] - f)
-        return out.reshape(len(total), -1)
+        return out
 
-    sampled = losses_at(range(len(total) * len(spin)), samples=_GAMMA_SAMPLES)
-    near = [n * len(spin) + _leading(row, _POLISHED_CELLS)[:_POLISHED_CELLS]
-            for n, row in enumerate(sampled)]
-    losses = np.full(sampled.size, np.inf)
-    losses[np.ravel(near)] = losses_at(np.ravel(near)).ravel()
-    return losses.reshape(sampled.shape)
+    losses = losses_at(np.arange(len(total) * len(spin)), 0).reshape(len(total), -1)
+    near = np.argsort(losses, axis=1, kind="stable")[:, :_POLISHED_CELLS]
+    near = (near + len(spin) * np.arange(len(total))[:, None]).ravel()
+    losses.flat[near] = losses_at(near, _GAMMA_NEWTON_STEPS)
+    return losses
 
 
 def _coarse_candidates(terms, config: EstimationConfig, block, ks, scenario: Scenario):
@@ -546,7 +532,7 @@ def _residuals(x: np.ndarray, terms, gamma=None) -> tuple[np.ndarray, ...]:
     d = np.arctan2(sin_u, cos_t * cos_u)  # delta_m, as ``channel.delta``
     if gamma is None:
         spin = np.exp(-2j * terms.dl * d)
-        gamma = _peak(spin * terms.coef, terms, steps=_GAMMA_REFINE_STEPS)[0]
+        gamma = _peak(spin * terms.coef, terms, _GAMMA_NEWTON_STEPS)[0]
     den = sin_u**2 + (cos_t * cos_u) ** 2
     d_delta = np.stack([np.sin(x[:, 0:1]) * cos_u * sin_u / den, cos_t / den,
                         np.ones_like(den)], axis=-1)
