@@ -451,11 +451,16 @@ def _write_csv(path: Path, rows: Iterable[dict], spec_hash: str) -> None:
     cells = (tuple(row.values()) for row in itertools.chain([first], rows))
     if text:
         cells = (_quoted(c, text) for c in cells)
+    _write_lines(path, first, (line % c for c in cells), spec_hash)
+
+
+def _write_lines(path: Path, header: Iterable, lines: Iterable[str], spec_hash: str) -> None:
+    """Write the spec-hash line, the csv ``header`` row, then ``lines`` as they are."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# spec_hash={spec_hash}\n")
-        csv.writer(fh).writerow(first)
-        fh.writelines(line % c for c in cells)
+        csv.writer(fh).writerow(header)
+        fh.writelines(lines)
 
 
 def _quoted(cells: tuple, text: list[int]) -> tuple:
@@ -688,7 +693,7 @@ def validate_model(spec: ExperimentSpec) -> dict:
     r = scenario.pose.distance_m
     modes = spec.validate_modes
     corr_rows = []
-    phase_lists = []  # (pose, ring, azimuths, exact and model phases by mode)
+    phase_lists = []  # (pose, ring, interleaved exact and model phases by mode)
     for pose_idx, (ry, rx_deg) in enumerate(spec.poses):
         pose = RxPose.from_tilt(r, np.deg2rad(ry), np.deg2rad(rx_deg))
         theta_t, phi_t = misalignment_angles(pose)
@@ -698,10 +703,8 @@ def validate_model(spec: ExperimentSpec) -> dict:
                 received_signals(ring_scenario, pose, modes, [k], name)[:, :, 0].T
                 for name in ("exact", "farfield")
             )
-            phase_lists.append((
-                pose_idx, ring_idx, np.rad2deg(ring.element_azimuths).tolist(),
-                np.angle(exact_all).tolist(), np.angle(model_all).tolist(),
-            ))
+            phases = np.stack([np.angle(exact_all), np.angle(model_all)], axis=-1)
+            phase_lists.append((pose_idx, ring_idx, phases.reshape(len(modes), -1).tolist()))
             for mode, exact, model in zip(modes, exact_all, model_all):
                 corr = abs(np.vdot(exact, model)) / (
                     np.linalg.norm(exact) * np.linalg.norm(model)
@@ -721,15 +724,10 @@ def validate_model(spec: ExperimentSpec) -> dict:
                     "max_centered_phase_err_rad": float(np.max(np.abs(phase_err))),
                 })
     _write_csv(spec.out_dir / "validate_correlations.csv", corr_rows, spec.config_hash)
-    # Streamed: the phase rows are never all held at once.
-    phase_rows = (
-        {"pose_index": pose_idx, "ring_index": ring_idx, "mode": mode, "antenna": antenna,
-         "azimuth_deg": azimuth, "exact_phase_rad": exact, "model_phase_rad": model}
-        for pose_idx, ring_idx, azimuths, exact_by_mode, model_by_mode in phase_lists
-        for mode, exact_row, model_row in zip(modes, exact_by_mode, model_by_mode)
-        for antenna, (azimuth, exact, model) in enumerate(zip(azimuths, exact_row, model_row))
-    )
-    _write_csv(spec.out_dir / "validate_phases.csv", phase_rows, spec.config_hash)
+    header = ("pose_index", "ring_index", "mode", "antenna", "azimuth_deg",
+              "exact_phase_rad", "model_phase_rad")
+    _write_lines(spec.out_dir / "validate_phases.csv", header,
+                 _phase_blocks(spec.rings, modes, phase_lists), spec.config_hash)
     aperture = max(scenario.tx.radius_m, *(ring.radius_m for ring in spec.rings))
     summary = {
         "min_correlation": min(row["correlation"] for row in corr_rows),
@@ -739,6 +737,22 @@ def validate_model(spec: ExperimentSpec) -> dict:
     }
     _write_summary(spec, summary)
     return summary
+
+
+def _phase_blocks(rings, modes, phase_lists):
+    """``validate_phases.csv``'s rows as one string per (pose, ring, mode) block.
+
+    A block is one %-template, with its ring's ``antenna,azimuth_deg,`` cells
+    formatted once, filled with its (exact, model) phase pairs; floats are
+    ``%.12g``, as ``_write_csv`` writes them."""
+    ring_rows = [["%d,%.12g,%%.12g,%%.12g\r\n" % cell
+                  for cell in enumerate(np.rad2deg(ring.element_azimuths).tolist())]
+                 for ring in rings]
+    for pose_idx, ring_idx, pairs_by_mode in phase_lists:
+        for mode, pairs in zip(modes, pairs_by_mode):
+            prefix = f"{pose_idx},{ring_idx},{mode},"
+            # The prefix opens the block and every row after its first.
+            yield (prefix + prefix.join(ring_rows[ring_idx])) % tuple(pairs)
 
 
 RUNNERS = {

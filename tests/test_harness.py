@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -426,6 +427,48 @@ class TestRunners:
         for name, values in fields.items():
             assert [row[name] for row in block] == [
                 format(float(v), ".12g") for v in values.ravel()], name
+
+    def test_validate_phases_bytes_match_dict_rows(self, tmp_path):
+        # The phase table, written per (pose, ring, mode) block, has the bytes
+        # that one dict row per antenna through _write_csv writes.
+        rings = [{"radius_m": 0.02, "n": 12}, {"radius_m": 0.03, "n": 16}]
+        modes = [-2, 0, 1]
+        poses = [{"rot_y_deg": 0.0, "rot_x_deg": 0.0},
+                 {"rot_y_deg": 14.0, "rot_x_deg": -9.0}]
+        path = tiny_config(tmp_path, rings=rings, validate_modes=modes, poses=poses)
+        spec = load_spec("validate-model", config_path=path,
+                         out_dir=str(tmp_path / "out"))
+        validate_model(spec)
+
+        scen = spec.scenario
+        ks = [wavenumber(scen.carrier_hz)]
+        phase_lists = []
+        for pose_idx, (ry, rx_deg) in enumerate(spec.poses):
+            pose = RxPose.from_tilt(scen.pose.distance_m, np.deg2rad(ry),
+                                    np.deg2rad(rx_deg))
+            for ring_idx, ring in enumerate(spec.rings):
+                exact_all, model_all = (
+                    received_signals(replace(scen, rx=ring), pose, modes, ks, name)[:, :, 0].T
+                    for name in ("exact", "farfield")
+                )
+                phase_lists.append((
+                    pose_idx, ring_idx, np.rad2deg(ring.element_azimuths).tolist(),
+                    np.angle(exact_all).tolist(), np.angle(model_all).tolist(),
+                ))
+        phase_rows = (
+            {"pose_index": pose_idx, "ring_index": ring_idx, "mode": mode, "antenna": antenna,
+             "azimuth_deg": azimuth, "exact_phase_rad": exact, "model_phase_rad": model}
+            for pose_idx, ring_idx, azimuths, exact_by_mode, model_by_mode in phase_lists
+            for mode, exact_row, model_row in zip(modes, exact_by_mode, model_by_mode)
+            for antenna, (azimuth, exact, model) in enumerate(zip(azimuths, exact_row, model_row))
+        )
+        _write_csv(tmp_path / "rows.csv", phase_rows, spec.config_hash)
+
+        written = (tmp_path / "out" / "validate_phases.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        # The header and every row end in \r\n; 22.5 degrees is off the integers.
+        assert written.count(b"\r\n") == 1 + len(poses) * (12 + 16) * len(modes)
+        assert b",22.5," in written
 
 
 class TestFailures:
