@@ -58,11 +58,10 @@ _LOSS_CANDIDATES = 2
 _SHORTLIST_SPACING = 3
 
 # Several distinct l_i - l_j (see ``_peak``): samples of gamma per period
-# and unit of max(l_i - l_j) / gcd, Newton steps from each point's best
-# sample, and the grid cells per trial that take them.
+# and unit of max(l_i - l_j) / gcd, and the refine's Newton steps from each
+# point's best sample.
 _GAMMA_SAMPLES = 32
 _GAMMA_NEWTON_STEPS = 6
-_POLISHED_CELLS = 100
 # Values per array of a block of the several-dl loss map: 1 MB of float64.
 _BLOCK_VALUES = 1 << 17
 
@@ -399,27 +398,18 @@ def _peak(terms_c: np.ndarray, terms, steps: int):
 def _loss_maps(spin: np.ndarray, terms: CrossModalPhaseSet) -> np.ndarray:
     """The loss of every trial of ``terms`` at every cell of ``spin`` (cells, T),
     gamma profiled out, (trials, cells).  One dl: one complex product.  Several:
-    ``_peak``'s sampled bound at every (trial, cell), then its Newton solve at
-    each trial's ``_POLISHED_CELLS`` lowest cells, in blocks."""
+    ``_peak``'s sampled bound at every (trial, cell), in blocks."""
     total = terms.weight.sum(axis=1)
     if len(terms.dls) == 1:
         return 2.0 * (total[:, None] - np.abs(terms.coef @ spin.T))
     per_pair = max(_GAMMA_SAMPLES * terms.dls.max() // terms.g, 2 * spin.shape[1])
     block = max(1, _BLOCK_VALUES // per_pair)
-
-    def losses_at(pairs, steps):  # flat trial * cells + cell indices
-        out = np.empty(len(pairs))
-        for a in range(0, len(pairs), block):
-            trial, cell = np.divmod(pairs[a : a + block], len(spin))
-            f = _peak(terms.coef[trial] * spin[cell], terms, steps)[1]
-            out[a : a + block] = 2.0 * (total[trial] - f)
-        return out
-
-    losses = losses_at(np.arange(len(total) * len(spin)), 0).reshape(len(total), -1)
-    near = np.argsort(losses, axis=1, kind="stable")[:, :_POLISHED_CELLS]
-    near = (near + len(spin) * np.arange(len(total))[:, None]).ravel()
-    losses.flat[near] = losses_at(near, _GAMMA_NEWTON_STEPS)
-    return losses
+    losses = np.empty(len(total) * len(spin))
+    for a in range(0, len(losses), block):
+        trial, cell = np.divmod(np.arange(a, min(a + block, len(losses))), len(spin))
+        f = _peak(terms.coef[trial] * spin[cell], terms, 0)[1]
+        losses[a : a + block] = 2.0 * (total[trial] - f)
+    return losses.reshape(len(total), -1)
 
 
 def _coarse_candidates(terms, config: EstimationConfig, block, ks, scenario: Scenario):
@@ -486,26 +476,22 @@ def _grid_power(block, ks, modes, scenario: Scenario, table, gather) -> np.ndarr
     return power
 
 
-def _matched_power(blocks, ks, counts, modes, geometry, scenario: Scenario):
+def _matched_power(samples, ks, modes, geometry, scenario: Scenario):
     """Corrected matched energy |<p, y>|^2 / |p|^2 of candidate angle pairs.
 
     The probe a receiver makes after a candidate correction mask and
     mode-matched combining over ring elements, matched to the far-field
     pattern p of each of ``modes``; ``geometry`` is ``farfield_geometry`` of
-    the candidates at those elements.  Candidates fall into consecutive
-    groups of ``counts``, group g probing ``blocks[g]``: its samples at those
-    elements, (antenna, mode, probed subcarrier), of wavenumbers ``ks[g]``.
+    the candidates at those elements.  Candidate n probes ``samples[n]``: its
+    samples at those elements, (antenna, mode, probed subcarrier), of
+    wavenumbers ``ks[n]``.
     """
-    power = np.zeros(geometry[0].shape[0])
-    edges = np.cumsum([0, *counts])
+    power = np.zeros(len(samples))
     link = (scenario.pose.distance_m, scenario.tx, scenario.rx)
-    for j, k in enumerate(np.repeat(ks, counts, axis=0).T[..., None]):
+    for j, k in enumerate(ks.T[..., None]):
         # The pattern's spatial phase is the conjugate of the candidate mask.
         for i, profile in enumerate(farfield_pattern(geometry, modes, k, *link)):
-            combined = np.concatenate([
-                np.conj(profile[a:b]) @ block[:, i, j]
-                for block, a, b in zip(blocks, edges, edges[1:])
-            ])
+            combined = np.einsum("nq,nq->n", np.conj(profile), samples[:, :, i, j])
             norm = np.sum(np.abs(profile) ** 2, axis=1)
             power += np.abs(combined) ** 2 / np.maximum(norm, 1e-300)
     return power
@@ -674,7 +660,8 @@ def estimate_trials(
     phis = np.column_stack([x[:, 1], np.angle(np.exp(1j * (x[:, 1] + np.pi)))])
     ring = scenario.rx.element_azimuths[tensors[0].antennas]
     geometry = farfield_geometry(np.repeat(x[:, 0], 2), phis.ravel(), ring, config.modes)
-    power = _matched_power(probed, ks, 2 * np.diff(edges), config.modes, geometry,
+    twins = np.repeat(owner, 2)
+    power = _matched_power(probed[twins], ks[twins], config.modes, geometry,
                            scenario).reshape(-1, 2)  # (cell, twin)
     twin, better = np.argmax(power, axis=1), np.max(power, axis=1)
     for n, (i, a, b) in enumerate(zip(live, edges, edges[1:])):

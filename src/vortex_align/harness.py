@@ -324,16 +324,15 @@ def _integers(values, key: str) -> tuple[int, ...]:
 
 
 def _validate_spec(spec: ExperimentSpec) -> None:
-    for ry, rx_deg in spec.poses:
-        pose = RxPose.from_tilt(
-            spec.scenario.pose.distance_m, np.deg2rad(ry), np.deg2rad(rx_deg)
-        )
+    tilts = [(f"pose (rot_y={ry} deg, rot_x={rx_deg} deg)", ry, rx_deg)
+             for ry, rx_deg in spec.poses]
+    if spec.kind == "imi-demo":
+        tilts.append((f"demo_tilt_deg={spec.demo_tilt_deg}", spec.demo_tilt_deg, 0.0))
+    for name, ry, rx_deg in tilts:
+        pose = RxPose.from_tilt(spec.scenario.pose.distance_m, *np.deg2rad([ry, rx_deg]))
         theta, _ = misalignment_angles(pose)
         if theta >= np.pi / 2:
-            raise ConfigError(
-                f"pose (rot_y={ry} deg, rot_x={rx_deg} deg) turns the receiver "
-                "away from the transmitter"
-            )
+            raise ConfigError(f"{name} turns the receiver away from the transmitter")
     n_sub = len(spec.scenario.subcarriers_hz)
     reads_p = spec.kind in ("angle-sweep", "ccdf", "antenna-sweep")
     if reads_p and not 1 <= spec.p <= n_sub:

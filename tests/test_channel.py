@@ -180,7 +180,7 @@ class TestPowerProbeMatchesChannel:
         geometry = farfield_geometry(np.array([theta]), np.array([phi]), ring, modes)
         block = tensor.values[list(config.antennas)][None]
         ks = wavenumber(tensor.subcarriers_hz)[None]
-        got = _matched_power(block, ks, [1], modes, geometry, scen)
+        got = _matched_power(block, ks, modes, geometry, scen)
         want = np.sum(np.abs(tensor.values[list(config.antennas)]) ** 2)
         np.testing.assert_allclose(got, [want], rtol=1e-12)
 

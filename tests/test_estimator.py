@@ -39,7 +39,6 @@ from vortex_align import estimator as estimator_module
 from vortex_align.estimator import (
     _GAMMA_NEWTON_STEPS,
     _GAMMA_SAMPLES,
-    _POLISHED_CELLS,
     _coarse_candidates,
     _grid_power,
     _grid_tables,
@@ -641,11 +640,31 @@ def brute_profile(terms, spin, n_fine=512):
     return out, 2.0 * terms.weight.sum() - 2.0 * best
 
 
+def sampled_profile(terms, spin):
+    """The loss at each point's best gamma sample: (gamma, loss) per point.
+
+    The samples are the ones the grid searches for several dl,
+    ``_GAMMA_SAMPLES`` per unit of max(dl)/g over one period pi/g, and
+    f(gamma) = Re sum_d c_d e^{-2i d gamma} is summed from complex
+    exponentials.  gamma is returned in (-pi/(2g), pi/(2g)].
+    """
+    dls, c = gamma_sums(terms, spin)
+    g = np.gcd.reduce(dls)
+    n = _GAMMA_SAMPLES * dls.max() // g
+    samples = np.arange(n) * (np.pi / (g * n))
+    f = (c @ np.exp(-2j * np.outer(dls, samples))).real
+    best = np.argmax(f, axis=1)
+    half = np.pi / (2 * g)
+    out = half - np.mod(half - samples[best], 2 * half)
+    return out, 2.0 * terms.weight.sum() - 2.0 * f[np.arange(len(c)), best]
+
+
 def full_coarse_candidates(terms, config, tensor, scen):
     """The coarse search built in full, without the estimator's tables.
 
-    Minimises the loss over gamma in every (theta, phi) cell by search
-    (``brute_profile``), and builds the matched-power map from the profile
+    Minimises the loss over gamma in every (theta, phi) cell, by search with
+    one distinct dl (``brute_profile``) and at the best gamma sample with
+    several (``sampled_profile``), and builds the matched-power map from the profile
     of every cell at every probed subcarrier and mode.  Also returns the
     grid axes and the per-cell gamma and loss.
     """
@@ -657,7 +676,8 @@ def full_coarse_candidates(terms, config, tensor, scen):
     d = delta(th, ph, az)
     pair_dl = np.array([li - lj for li, lj in _mode_pairs(config.modes)])
     spin = np.exp(-2j * d[..., None] * pair_dl).reshape(len(thetas) * len(phis), -1)
-    gammas, losses = brute_profile(terms, spin)
+    profile = brute_profile if len(np.unique(terms.dl)) == 1 else sampled_profile
+    gammas, losses = profile(terms, spin)
 
     rows = [tensor.antenna_index(m) for m in config.antennas]
     n_sub = len(tensor.subcarriers_hz)
@@ -709,7 +729,7 @@ def check_coarse_grid(scen, tensor, config):
     # The same cells in the same order.  The loss list walks the half grid,
     # so no pair of cells ties by the half-turn symmetry and the cells are
     # compared exactly.  With one distinct dl the loss ranking is exact;
-    # with several it is checked for these setups.
+    # with several it ranks each cell's best gamma sample, for these setups.
     assert got == want
     # The searched loss is the weighted loss at its gamma, cell by cell.
     n_phi = len(phis)
@@ -722,7 +742,7 @@ def check_coarse_grid(scen, tensor, config):
 class TestCoarseGrid:
     @pytest.mark.parametrize("model", ["farfield", "exact"])
     @pytest.mark.parametrize("p", [1, 64])
-    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1)])
+    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1), (-2, 0, 2)])
     def test_matches_full_loss_cube_and_power_profiles(self, model, p, modes):
         scen, _pose, tensor, config = make_setup(
             30.0, -120.0, subcarriers=tuple(SUBS[:p]), modes=modes, snr_db=10.0,
@@ -787,14 +807,13 @@ def noisy_batch(modes, silenced=1):
 
 
 class TestBatchedCoarse:
-    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1)])
+    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1), (-2, 0, 2)])
     def test_half_grid_batch_matches_each_trial_on_the_full_grid(self, modes,
                                                                  monkeypatch):
         # The loss map of a batch's live trials, solved once on the half
         # grid, against each trial's own gamma solve over the full grid: a
-        # cell and its half-turn copy both read the half-grid value.  With
-        # several dl that holds at each trial's lowest cells, the polished
-        # ones; every other cell holds the sampled bound, at or above it.
+        # theta > 0 cell and its half-turn copy both read the half-grid
+        # value.  The theta = 0 row is one point, read by its lowest loss.
         scen, tensors, config = noisy_batch(modes)
         seen = []
 
@@ -813,17 +832,13 @@ class TestBatchedCoarse:
         pair_dl = np.array([li - lj for li, lj in _mode_pairs(config.modes)])
         full_spin = np.exp(-2j * np.repeat(delta(th, ph, az), len(pair_dl), axis=1)
                            * np.tile(pair_dl, len(az)))
-        for n, got in enumerate(batch):
+        for n, got in enumerate(batch.reshape(3, len(thetas), -1)):
             one = terms.rows([n])
-            f = _peak(one.coef * full_spin, one, _GAMMA_NEWTON_STEPS)[1]
+            f = _peak(one.coef * full_spin, one, 0)[1]
             want = (2.0 * (one.weight.sum() - f)).reshape(len(thetas), 2, len(phis) // 2)
-            polished = 1800 if len(modes) == 2 else _POLISHED_CELLS
-            lowest = np.argsort(got, kind="stable")[:polished]
-            rest = np.setdiff1d(np.arange(1800), lowest)
             for copy in (0, 1):
-                np.testing.assert_allclose(
-                    got[lowest], want[:, copy].ravel()[lowest], rtol=1e-11, atol=0)
-                assert np.all(got[rest] >= want[:, copy].ravel()[rest])
+                np.testing.assert_allclose(got[1:], want[1:, copy], rtol=1e-11, atol=0)
+                assert got[0].min() == pytest.approx(want[0, copy].min(), rel=1e-11)
 
     @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1)])
     def test_no_list_holds_a_half_turn_copy(self, modes):
@@ -877,13 +892,7 @@ class TestChainPhaseInvariance:
         thetas, *_, spin = _grid_tables(tuple(az), config.modes)
         got, want = (estimator_module._loss_maps(spin, terms).reshape(4, len(thetas), -1)
                      for terms in (turned, clean))
-        # The theta = 0 row is one point, so its cells tie up to rounding:
-        # the grid reads only its lowest loss, and with several dl which of
-        # its cells are polished (the rest hold the sampled bound) is a
-        # tie-break.
-        np.testing.assert_allclose(got[:, 0].min(axis=1), want[:, 0].min(axis=1),
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def tied_map(rng, edge_tie):
@@ -928,7 +937,7 @@ class TestLeadingRanking:
 
 
 class TestProfileGamma:
-    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1), (-2, -1, 1, 2)])
+    @pytest.mark.parametrize("modes", [(-1, 1), (-1, 0, 1), (-2, -1, 1, 2), (-2, 0, 2)])
     def test_matches_dense_gamma_search(self, modes):
         # 40,001 gamma per period against the closed form (one dl) or, for
         # several, the Newton solve from each point's best sample and that

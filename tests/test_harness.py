@@ -580,6 +580,9 @@ class TestFailures:
         # Each ring is built at load, as scenario.rx is: these exited 3.
         ("validate-model", {"rings": [{"radius_m": 0.0, "n": 16}]}),
         ("validate-model", {"rings": [{"radius_m": 0.02, "n": 0}]}),
+        # A demo tilt that turns the receiver away exited 3 mid-run.
+        ("imi-demo", {"demo_tilt_deg": 120}),
+        ("imi-demo", {"demo_tilt_deg": -95}),
     ])
     def test_invalid_setup_exit_config(self, tmp_path, capsys, kind, cfg):
         # Settings the estimator or the decoder would reject fail at load.
@@ -587,6 +590,13 @@ class TestFailures:
         code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_demo_tilt_away_names_its_key(self, tmp_path):
+        # Only imi-demo reads demo_tilt_deg, so only it rejects the tilt.
+        path = tiny_config(tmp_path, demo_tilt_deg=120)
+        with pytest.raises(ConfigError, match="demo_tilt_deg=120.0 turns the receiver"):
+            load_spec("imi-demo", config_path=path)
+        load_spec("ccdf", config_path=path)
 
     @pytest.mark.parametrize("kind", ["imi-demo", "validate-model"])
     def test_kinds_without_p_ignore_it(self, tmp_path, kind):
