@@ -16,7 +16,6 @@ from .channel import (
 from .correction import (
     ImiMatrix,
     PhaseMask,
-    capacity,
     decode_modes,
     imi_matrices,
     phase_mask,
@@ -26,9 +25,7 @@ from .estimator import (
     CrossModalPhaseSet,
     EstimationConfig,
     MisalignmentEstimate,
-    cross_modal_phase_set,
     estimate,
-    loss,
     select_antennas,
     weight,
 )

@@ -144,11 +144,7 @@ def sir(imi: ImiMatrix) -> tuple[dict[int, float], float]:
     return per_mode, float(np.mean(list(per_mode.values())))
 
 
-def capacity(imi: ImiMatrix) -> float:
-    """Interference-limited Shannon sum over transmitted modes, bits/s/Hz."""
-    return sir_capacity(sir(imi)[0])
-
-
 def sir_capacity(per_mode: dict[int, float]) -> float:
-    """``capacity`` from the per-mode SIRs in dB that ``sir`` returns."""
+    """Interference-limited Shannon sum over transmitted modes, bits/s/Hz, of
+    the per-mode SIRs in dB that ``sir`` returns."""
     return float(sum(np.log2(1.0 + 10.0 ** (v / 10.0)) for v in per_mode.values()))

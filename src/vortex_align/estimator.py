@@ -177,20 +177,6 @@ class MisalignmentEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def cross_modal_phase_set(
-    tensor: SampleTensor, config: EstimationConfig, n_elements: int
-) -> CrossModalPhaseSet:
-    """Every cross-modal phase term of ``config``, with its weight and variance.
-
-    The single-trial call of ``_phase_sets``; raises its noise failure.
-    """
-    block = tensor.values[np.ix_(*_positions(tensor, config.antennas, config.modes))]
-    phases, (failure,) = _phase_sets(block[None], config, n_elements)
-    if failure is not None:
-        raise failure
-    return phases
-
-
 def _phase_sets(
     block: np.ndarray, config: EstimationConfig, n_elements: int
 ) -> tuple[CrossModalPhaseSet, list[ValueError | None]]:
@@ -267,17 +253,6 @@ def weight(amplitudes) -> np.ndarray:
     return np.maximum(out, _WEIGHT_FLOOR)
 
 
-def loss(theta: float, phi: float, gamma: float, phases: CrossModalPhaseSet) -> float:
-    """Weighted circular distance between measured and modeled phases.
-
-    Each term of the single trial of ``phases`` is weighted by
-    ``phases.weight``.  Comparison is on the doubled phases (see module
-    docstring), so per-term values range in [0, 4 * lambda_m].
-    """
-    x = np.array([[theta, phi, gamma]], dtype=float)
-    return float(np.sum(np.abs(phases.target - _model(x, phases)) ** 2 * phases.weight))
-
-
 def select_antennas(n_rx: int, q: int) -> list[int]:
     """Maximally spread subset of ``q`` of ``n_rx`` ring elements.
 
@@ -285,10 +260,10 @@ def select_antennas(n_rx: int, q: int) -> list[int]:
     element azimuth modulo pi).  An even ring with q > n_rx/2 cannot avoid
     them: it takes the whole first half ring, then spreads the remaining
     elements evenly over the second half; the redundancy of q > 3 keeps the
-    fit overdetermined regardless.  Otherwise it returns the evenly spread
-    base set, with its later half (positions j >= ceil(q/2)) moved one label
-    on when the set holds a diametric pair; that parts every pair (checked
-    exhaustively for n_rx <= 64).
+    fit overdetermined regardless, and q = 3 (n_rx = 4) raises.  Otherwise
+    it returns the evenly spread base set, with its later half (positions j
+    >= ceil(q/2)) moved one label on when the set holds a diametric pair;
+    that parts every pair (checked exhaustively for n_rx <= 64).
     """
     if n_rx < 3 or q < 3:
         raise InfeasibleSelectionError(
@@ -302,6 +277,8 @@ def select_antennas(n_rx: int, q: int) -> list[int]:
     else:
         base = [(j * n_rx) // q for j in range(q)]
     if n_rx % 2 == 0 and q > n_rx // 2:
+        if q == 3:
+            raise InfeasibleSelectionError("q=3 of 4 elements always holds a diametric pair")
         half = n_rx // 2
         extras = [half + (j * half) // (q - half) for j in range(q - half)]
         return list(range(half)) + extras

@@ -180,13 +180,12 @@ class Scenario:
             raise ValueError("carrier_hz must be > 0")
         sub = np.atleast_1d(np.asarray(self.subcarriers_hz, dtype=float))
         if sub.size == 0:
-            raise ValueError("subcarrier list must be nonempty")
+            raise ValueError("subcarriers must be nonempty")
         if np.any(sub <= 0.0):
-            raise ValueError("all subcarrier frequencies must be > 0")
+            raise ValueError("all subcarriers must be > 0 Hz")
         if (sub.max() - sub.min()) / self.carrier_hz > _MAX_FRACTIONAL_BANDWIDTH:
-            raise ValueError(
-                "fractional bandwidth too large for the flat-gain assumption"
-            )
+            raise ValueError("fractional bandwidth of the subcarriers too large "
+                             "for the flat-gain assumption")
         sub = sub.copy()
         sub.flags.writeable = False
         object.__setattr__(self, "subcarriers_hz", sub)

@@ -36,7 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import NoiseSpec, received_signals, simulate_measurement, wavenumber
+from .channel import FARFIELD_HARD_FACTOR, FARFIELD_WARN_FACTOR, NoiseSpec
+from .channel import received_signals, simulate_measurement, wavenumber
 from .correction import (
     ZeroSignalError,
     check_decodable,
@@ -234,7 +235,7 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
             for i, p in enumerate(cfg["poses"])
         ]
         if not poses:
-            raise ConfigError("pose grid must be nonempty")
+            raise ConfigError("poses must be nonempty")
         # The nominal pose carries the link distance; each trial's tilt is its own.
         scenario = Scenario(
             tx=_uca(sc["tx"], "scenario.tx"),
@@ -324,8 +325,8 @@ def _integers(values, key: str) -> tuple[int, ...]:
 
 
 def _validate_spec(spec: ExperimentSpec) -> None:
-    tilts = [(f"pose (rot_y={ry} deg, rot_x={rx_deg} deg)", ry, rx_deg)
-             for ry, rx_deg in spec.poses]
+    tilts = [(f"poses[{i}] (rot_y_deg={ry}, rot_x_deg={rx_deg})", ry, rx_deg)
+             for i, (ry, rx_deg) in enumerate(spec.poses)]
     if spec.kind == "imi-demo":
         tilts.append((f"demo_tilt_deg={spec.demo_tilt_deg}", spec.demo_tilt_deg, 0.0))
     for name, ry, rx_deg in tilts:
@@ -337,31 +338,39 @@ def _validate_spec(spec: ExperimentSpec) -> None:
     reads_p = spec.kind in ("angle-sweep", "ccdf", "antenna-sweep")
     if reads_p and not 1 <= spec.p <= n_sub:
         raise ConfigError(f"estimation.p must lie in 1..{n_sub}, got {spec.p}")
-    if spec.kind == "subcarrier-sweep":
-        ps = spec.subcarrier_counts
-        if not ps or min(ps) < 1 or max(ps) > n_sub:
-            raise ConfigError(f"subcarrier_counts must lie in 1..{n_sub}, got {ps}")
-    qs = spec.antenna_counts if spec.kind == "antenna-sweep" else (spec.q,)
-    if not qs:
-        raise ConfigError("antenna_counts must be nonempty")
-    if len(spec.modes) < 2:
-        raise ConfigError("estimation needs at least two modes")
+    # The lists a kind runs over.
+    lists = {"imi-demo": ["demo_modes"], "validate-model": ["validate_modes", "rings"],
+             "subcarrier-sweep": ["subcarrier_counts"], "antenna-sweep": ["antenna_counts"]}
+    for key in lists.get(spec.kind, []):
+        values = getattr(spec, key)
+        if not values or len(set(values)) < len(values):
+            raise ConfigError(f"{key} must be nonempty and distinct, got {list(values)}")
+    ps = spec.subcarrier_counts
+    if spec.kind == "subcarrier-sweep" and (min(ps) < 1 or max(ps) > n_sub):
+        raise ConfigError(f"subcarrier_counts must lie in 1..{n_sub}, got {ps}")
     if spec.master_seed < 0:
         raise ConfigError(f"seed must be >= 0, got {spec.master_seed}")
-    if spec.kind == "validate-model" and not (spec.validate_modes and spec.rings):
-        raise ConfigError("validate-model needs nonempty validate_modes and rings")
-    listed = {"imi-demo": "demo_modes", "validate-model": "validate_modes"}.get(spec.kind)
-    if listed and len(set(getattr(spec, listed))) < len(getattr(spec, listed)):
-        raise ConfigError(f"{listed} must be distinct, got {getattr(spec, listed)}")
+    r, tx = spec.scenario.pose.distance_m, spec.scenario.tx
+    links = [("scenario.rx", spec.scenario.rx)] if spec.model == "farfield" else []
+    if spec.kind == "validate-model":  # it runs both models on every ring
+        links = [(f"rings[{i}]", ring) for i, ring in enumerate(spec.rings)]
+    for key, rx in links:  # the far-field model's hard limit
+        radius, name = max((tx.radius_m, "scenario.tx"), (rx.radius_m, key))
+        if r <= FARFIELD_HARD_FACTOR * radius:
+            raise ConfigError(f"scenario.distance_m={r} is within {FARFIELD_HARD_FACTOR}x "
+                              f"{name}.radius_m={radius}, too short for the far-field model")
     try:
         if spec.kind == "imi-demo":
             check_decodable(spec.demo_modes, spec.scenario.rx.n_elements)
         elif spec.kind != "validate-model":
+            if len(spec.modes) < 2:
+                raise ConfigError("needs at least two modes")
             check_decodable(spec.modes, spec.scenario.rx.n_elements)
-            for q in qs:
+            for q in spec.antenna_counts if spec.kind == "antenna-sweep" else (spec.q,):
                 _estimation_config(spec, q)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        key = "demo_modes" if spec.kind == "imi-demo" else "estimation"
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _estimation_config(spec: ExperimentSpec, q: int) -> EstimationConfig:
@@ -705,9 +714,9 @@ def validate_model(spec: ExperimentSpec) -> dict:
             phases = np.stack([np.angle(exact_all), np.angle(model_all)], axis=-1)
             phase_lists.append((pose_idx, ring_idx, phases.reshape(len(modes), -1).tolist()))
             for mode, exact, model in zip(modes, exact_all, model_all):
-                corr = abs(np.vdot(exact, model)) / (
-                    np.linalg.norm(exact) * np.linalg.norm(model)
-                )
+                # A mode that the model or the oracle gives no power matches nothing.
+                norms = np.linalg.norm(exact) * np.linalg.norm(model)
+                corr = abs(np.vdot(exact, model)) / norms if norms > 0 else 0.0
                 # Phase error after removing the common (bulk) offset.
                 cross = exact * np.conj(model)
                 phase_err = np.angle(np.exp(1j * (np.angle(cross) - np.angle(np.sum(cross)))))
@@ -730,7 +739,7 @@ def validate_model(spec: ExperimentSpec) -> dict:
     aperture = max(scenario.tx.radius_m, *(ring.radius_m for ring in spec.rings))
     summary = {
         "min_correlation": min(row["correlation"] for row in corr_rows),
-        "farfield_marginal": bool(r < 100.0 * aperture),
+        "farfield_marginal": bool(r < FARFIELD_WARN_FACTOR * aperture),
         "rings": [[ring.radius_m, ring.n_elements] for ring in spec.rings],
         "modes": list(modes),
     }

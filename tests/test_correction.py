@@ -14,11 +14,11 @@ from vortex_align.correction import (
     ImiMatrix,
     SIR_CAP_DB,
     ZeroSignalError,
-    capacity,
     decode_modes,
     imi_matrices,
     phase_mask,
     sir,
+    sir_capacity,
 )
 from vortex_align.geometry import (
     RxPose,
@@ -254,13 +254,13 @@ class TestSirGain:
 class TestCapacity:
     def test_unit_sir(self):
         imi = ImiMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]), (-1, 1))
-        assert capacity(imi) == pytest.approx(2.0)
+        assert sir_capacity(sir(imi)[0]) == pytest.approx(2.0)
 
     def test_capped_diagonal(self):
         imi = ImiMatrix(np.diag([1.0, 1.0]), (-1, 1))
         expected = 2 * np.log2(1 + 10 ** (SIR_CAP_DB / 10))
-        assert capacity(imi) == pytest.approx(expected)
-        assert capacity(imi) == pytest.approx(132.877, abs=1e-3)
+        assert sir_capacity(sir(imi)[0]) == pytest.approx(expected)
+        assert sir_capacity(sir(imi)[0]) == pytest.approx(132.877, abs=1e-3)
 
 
 class TestCorrectionInvariants:

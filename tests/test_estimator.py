@@ -28,10 +28,8 @@ from vortex_align.estimator import (
     MissingSamplesError,
     NoPowerError,
     ZeroPowerError,
-    cross_modal_phase_set,
     estimate,
     estimate_trials,
-    loss,
     select_antennas,
     weight,
 )
@@ -40,13 +38,18 @@ from vortex_align.estimator import (
     _GAMMA_NEWTON_STEPS,
     _GAMMA_SAMPLES,
     _coarse_candidates,
+    _diametric_pair,
     _grid_power,
     _grid_tables,
     _mode_pairs,
+    _model,
     _peak,
+    _phase_sets,
+    _positions,
     _profiled,
     _refine_cells,
     _residuals,
+    _validate_config,
     _walk,
 )
 from vortex_align.geometry import (
@@ -225,7 +228,24 @@ class TestSelectAntennas:
         assert select_antennas(20, 12) == list(range(11)) + [15]
         for n in range(3, 65):
             for q in range(3, n + 1):
+                if (n, q) == (4, 3):
+                    # The repair search ends on a diametric pair there; the
+                    # rule raises instead (next test).
+                    assert _diametric_pair(repair_search(n, q), n) is not None
+                    continue
                 assert select_antennas(n, q) == repair_search(n, q), (n, q)
+
+    def test_every_selection_is_accepted_by_the_estimator(self):
+        # q = 3 of a 4-element ring was returned as [0, 1, 2], which holds a
+        # diametric pair, so every run with it exited 3 at its first batch.
+        for n in range(3, 65):
+            for q in range(3, n + 1):
+                try:
+                    antennas = tuple(select_antennas(n, q))
+                except InfeasibleSelectionError:
+                    assert (n, q) == (4, 3)
+                    continue
+                _validate_config(EstimationConfig(modes=(-1, 1), antennas=antennas), n)
 
     def test_infeasible_inputs(self):
         with pytest.raises(InfeasibleSelectionError):
@@ -601,6 +621,31 @@ def _diverse_walk(ranking, count, n_phi, spacing=3):
             if len(kept) == count:
                 break
     return kept
+
+
+def cross_modal_phase_set(
+    tensor: SampleTensor, config: EstimationConfig, n_elements: int
+) -> CrossModalPhaseSet:
+    """Every cross-modal phase term of ``config``, with its weight and variance.
+
+    The single-trial call of ``_phase_sets``; raises its noise failure.
+    """
+    block = tensor.values[np.ix_(*_positions(tensor, config.antennas, config.modes))]
+    phases, (failure,) = _phase_sets(block[None], config, n_elements)
+    if failure is not None:
+        raise failure
+    return phases
+
+
+def loss(theta: float, phi: float, gamma: float, phases: CrossModalPhaseSet) -> float:
+    """Weighted circular distance between measured and modeled phases.
+
+    Each term of the single trial of ``phases`` is weighted by
+    ``phases.weight``.  Comparison is on the doubled phases (see the
+    estimator's module docstring), so per-term values range in [0, 4 * lambda_m].
+    """
+    x = np.array([[theta, phi, gamma]], dtype=float)
+    return float(np.sum(np.abs(phases.target - _model(x, phases)) ** 2 * phases.weight))
 
 
 def gamma_sums(terms, spin):

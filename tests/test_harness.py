@@ -387,6 +387,19 @@ class TestRunners:
         assert near_summary["farfield_marginal"] is True
         assert near_summary["min_correlation"] < far_summary["min_correlation"]
 
+    def test_validate_model_mode_without_power_reads_zero(self, tmp_path):
+        # At 100 m, J_60 of this ring's 1.5e-5 argument underflows to 0, so
+        # the far-field model gives mode 60 no power; its correlation read
+        # NaN or inf, and the run exited 0 with that in its summary.
+        path = tiny_config(tmp_path, validate_modes=[0, 60],
+                           rings=[{"radius_m": 0.02, "n": 200}])
+        summary = validate_model(load_spec("validate-model", config_path=path,
+                                           out_dir=str(tmp_path / "out")))
+        assert summary["min_correlation"] == 0.0
+        rows = (tmp_path / "out" / "validate_correlations.csv").read_text().splitlines()
+        assert [float(r.split(",")[7]) for r in rows[2:]][1] == 0.0
+        assert float(rows[2].split(",")[7]) > 0.99
+
     def test_validate_phases_rows(self, tmp_path):
         rings = [{"radius_m": 0.02, "n": 12}, {"radius_m": 0.03, "n": 16}]
         modes = [-1, 0, 2]
@@ -472,14 +485,38 @@ class TestRunners:
 
 
 class TestFailures:
-    def test_farfield_violation_exits_runtime(self, tmp_path, capsys):
-        # Every trial breaks the far-field bound: the run fails loudly
-        # instead of exiting 0 with NaN in its summary.
+    def test_farfield_violation_exits_config(self, tmp_path, capsys):
+        # Every trial would break the far-field bound: the run fails at load
+        # (it exited 3 mid-run) instead of exiting 0 with NaN in its summary.
         path = tiny_config(tmp_path, scenario={"distance_m": 0.2})
         code = main(["angle-sweep", "--config", path, "--out", str(tmp_path / "out")])
-        assert code == EXIT_RUNTIME
-        assert "aperture" in capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "scenario.distance_m=0.2" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("kind, cfg, key", [
+        ("ccdf", {"scenario": {"distance_m": 0.2}}, "scenario.tx.radius_m=0.03"),
+        ("validate-model", {"scenario": {"distance_m": 0.2}}, "scenario.tx.radius_m=0.03"),
+        ("angle-sweep", {"scenario": {"rx": {"radius_m": 0.05}}}, "scenario.rx.radius_m=0.05"),
+        ("validate-model", {"rings": [{"radius_m": 0.02, "n": 16}, {"radius_m": 11, "n": 16}]},
+         "rings[1].radius_m=11.0"),
+        ("imi-demo", {"scenario": {"distance_m": 0.2}, "model": "farfield"},
+         "scenario.tx.radius_m=0.03"),
+    ])
+    def test_farfield_violation_names_its_keys(self, tmp_path, kind, cfg, key):
+        # Each kind that feeds the far-field model its link checks the
+        # model's hard limit at load; these all exited 3 mid-run.
+        path = tiny_config(tmp_path, **cfg)
+        with pytest.raises(ConfigError, match=r"^scenario\.distance_m=") as err:
+            load_spec(kind, config_path=path)
+        assert key in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["imi-demo", "ccdf"])
+    def test_exact_model_at_short_range_runs(self, tmp_path, kind):
+        # Only the far-field model has the hard limit; the exact oracle,
+        # imi-demo's default, holds at any range (criterion 10 relies on it).
+        path = tiny_config(tmp_path, scenario={"distance_m": 0.2}, model="exact")
+        assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_noise_failures_counted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "estimate_trials", failing_every_other_call())
@@ -545,7 +582,8 @@ class TestFailures:
     @pytest.mark.parametrize("kind, key", [("subcarrier-sweep", "subcarrier_counts"),
                                            ("antenna-sweep", "antenna_counts"),
                                            ("validate-model", "validate_modes"),
-                                           ("validate-model", "rings")])
+                                           ("validate-model", "rings"),
+                                           ("imi-demo", "demo_modes")])
     def test_empty_kind_list_exit_config(self, tmp_path, kind, key):
         # Every setting is checked when the spec loads, before any trial runs.
         path = tiny_config(tmp_path, **{key: []})
@@ -583,6 +621,13 @@ class TestFailures:
         # A demo tilt that turns the receiver away exited 3 mid-run.
         ("imi-demo", {"demo_tilt_deg": 120}),
         ("imi-demo", {"demo_tilt_deg": -95}),
+        # Every three of a 4-element ring hold a diametric pair: these exited 3.
+        ("ccdf", {"scenario": {"rx": {"n": 4}}, "estimation": {"q": 3}}),
+        ("antenna-sweep", {"scenario": {"rx": {"n": 4}}, "antenna_counts": [3]}),
+        # A repeated count or ring repeated its rows, as a repeated mode did.
+        ("subcarrier-sweep", {"subcarrier_counts": [1, 1]}),
+        ("antenna-sweep", {"antenna_counts": [3, 3]}),
+        ("validate-model", {"rings": [{"radius_m": 0.02, "n": 16}] * 2}),
     ])
     def test_invalid_setup_exit_config(self, tmp_path, capsys, kind, cfg):
         # Settings the estimator or the decoder would reject fail at load.
@@ -590,6 +635,13 @@ class TestFailures:
         code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_pose_turned_away_names_its_index(self, tmp_path):
+        path = tiny_config(tmp_path, poses=[{"rot_y_deg": 25.0, "rot_x_deg": 0.0},
+                                            {"rot_y_deg": 120.0, "rot_x_deg": 0.0}])
+        with pytest.raises(ConfigError, match=r"^poses\[1\] \(rot_y_deg=120.0, "
+                                              r"rot_x_deg=0.0\) turns the receiver"):
+            load_spec("ccdf", config_path=path)
 
     def test_demo_tilt_away_names_its_key(self, tmp_path):
         # Only imi-demo reads demo_tilt_deg, so only it rejects the tilt.
@@ -604,6 +656,10 @@ class TestFailures:
         path = tiny_config(tmp_path, estimation={"p": 4}, validate_modes=[-1, 1],
                            rings=[{"radius_m": 0.02, "n": 16}])
         assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        # Nor do they read estimation.modes, which exited 2 when given one mode.
+        path = tiny_config(tmp_path, estimation={"modes": [1]}, validate_modes=[-1, 1],
+                           rings=[{"radius_m": 0.02, "n": 16}])
+        assert main([kind, "--config", path, "--out", str(tmp_path / "out1")]) == EXIT_OK
 
     @pytest.mark.parametrize("estimation", [
         {"tol": 1e-8},
@@ -778,11 +834,14 @@ class TestCli:
         assert main(["angle-sweep", "--config", str(tmp_path / "missing.json")
                      ]) == EXIT_CONFIG
 
-    def test_runtime_error_exit(self, tmp_path):
-        # The far-field model refuses a 20 cm link: a simulation error.
-        cfg = {"scenario": {"distance_m": 0.2}, "model": "farfield"}
-        path = tmp_path / "farfield.json"
-        path.write_text(json.dumps(cfg))
-        code = main(["imi-demo", "--config", str(path),
-                     "--out", str(tmp_path / "x")])
+    def test_runtime_error_exit(self, tmp_path, monkeypatch, capsys):
+        # An error after the spec has loaded is a simulation error.  The load
+        # checks leave no config that reaches one (tests/test_config_fuzz.py),
+        # so a stand-in for the channel raises it.
+        def refuse(*_args):
+            raise ValueError("the channel refuses this link")
+
+        monkeypatch.setattr(harness, "imi_matrices", refuse)
+        code = main(["imi-demo", "--out", str(tmp_path / "x")])
         assert code == EXIT_RUNTIME
+        assert "simulation error: the channel refuses this link" in capsys.readouterr().err
