@@ -32,7 +32,7 @@ ALIGNED_TOL = 1e-12
 _ROTATION_TOL = 1e-9
 
 # Fractional bandwidth above which the flat-gain subcarrier assumption is
-# no longer defensible.
+# no longer defensible; no tone may lie farther from the carrier either.
 _MAX_FRACTIONAL_BANDWIDTH = 0.1
 
 
@@ -167,7 +167,10 @@ def tilt_for_angles(theta: float, phi: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulated link: arrays, nominal pose, and frequency plan."""
+    """One simulated link: arrays, nominal pose, and frequency plan.
+
+    A ValueError's message opens with the field at fault: ``carrier_hz`` or
+    ``subcarriers``."""
 
     tx: UcaGeometry
     rx: UcaGeometry
@@ -177,15 +180,20 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if not self.carrier_hz > 0.0:
-            raise ValueError("carrier_hz must be > 0")
+            raise ValueError(f"carrier_hz must be > 0, got {self.carrier_hz}")
         sub = np.atleast_1d(np.asarray(self.subcarriers_hz, dtype=float))
         if sub.size == 0:
             raise ValueError("subcarriers must be nonempty")
         if np.any(sub <= 0.0):
-            raise ValueError("all subcarriers must be > 0 Hz")
+            raise ValueError("subcarriers must all be > 0 Hz")
         if (sub.max() - sub.min()) / self.carrier_hz > _MAX_FRACTIONAL_BANDWIDTH:
-            raise ValueError("fractional bandwidth of the subcarriers too large "
+            raise ValueError("subcarriers span a fractional bandwidth too large "
                              "for the flat-gain assumption")
+        # Trials are estimated at the tones and scored at the carrier: keep them close.
+        far = float(np.max(np.abs(sub - self.carrier_hz)))
+        if far > _MAX_FRACTIONAL_BANDWIDTH * self.carrier_hz:
+            raise ValueError(f"carrier_hz={self.carrier_hz:g} lies {far:g} Hz from a "
+                             f"subcarrier, beyond {_MAX_FRACTIONAL_BANDWIDTH:g} x carrier_hz")
         sub = sub.copy()
         sub.flags.writeable = False
         object.__setattr__(self, "subcarriers_hz", sub)

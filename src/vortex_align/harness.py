@@ -87,6 +87,7 @@ def _default_pose_grid() -> list[dict]:
     return [_pose_for_targets(th, ph) for th, ph in zip(thetas, phis)]
 
 
+# Every setting and its default, whose type is the setting's type (``_typed``).
 BASE_DEFAULTS: dict = {
     "scenario": {
         "tx": {"n": 160, "radius_m": 0.03},
@@ -95,7 +96,7 @@ BASE_DEFAULTS: dict = {
         "carrier_hz": 120e9,
         "subcarriers": {"start_hz": 119.5e9, "step_hz": 10e6, "count": 71},
     },
-    "poses": None,  # filled per kind
+    "poses": _default_pose_grid(),
     "estimation": {
         "modes": [-1, 1],
         "q": 6,
@@ -115,7 +116,8 @@ BASE_DEFAULTS: dict = {
     "validate_modes": [-2, -1, 0, 1, 2],
 }
 
-# Only what differs from BASE_DEFAULTS; nested dicts merge into it.
+# Only what differs from BASE_DEFAULTS; nested dicts merge into it, and
+# every value takes the type of the default that it replaces.
 KIND_DEFAULTS: dict = {
     "imi-demo": {
         "scenario": {
@@ -171,20 +173,6 @@ class ExperimentSpec:
     config_hash: str
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if key not in base:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, path + key + ".")
-        elif isinstance(base[key], dict):
-            raise ConfigError(f"{path + key} must be an object, got {value!r}")
-        else:
-            out[key] = value
-    return out
-
-
 def load_spec(
     kind: str,
     config_path: str | None = None,
@@ -194,10 +182,12 @@ def load_spec(
     snr_db: float | None = None,
     model: str | None = None,
 ) -> ExperimentSpec:
-    """Build an ExperimentSpec from defaults, a JSON config, and overrides."""
+    """Build an ExperimentSpec from defaults, a JSON config, and overrides:
+    each layer is typed against the one before it (``_typed``), and the spec
+    hash is taken over the result, so equal settings share a hash."""
     if kind not in RUNNERS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    user = None
+    user = {}
     if config_path is not None:
         try:
             with open(config_path) as fh:
@@ -208,120 +198,128 @@ def load_spec(
             raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
-    defaults = json.loads(json.dumps(_merge(BASE_DEFAULTS, KIND_DEFAULTS.get(kind, {}))))
-    if defaults["poses"] is None:
-        defaults["poses"] = _default_pose_grid()
-    merged = _merge(defaults, user or {})
-    overrides = {"seed": seed, "trials": trials, "model": model}
-    merged.update((key, value) for key, value in overrides.items() if value is not None)
+    flags = {"seed": seed, "trials": trials, "model": model}
+    flags = {key: value for key, value in flags.items() if value is not None}
     if snr_db is not None:
-        merged["noise"]["snr_db"] = snr_db
-    merged["kind"] = kind
-    return _spec_from_dict(merged, out_dir)
+        flags["noise"] = {"snr_db": snr_db}
+    cfg = BASE_DEFAULTS
+    for layer in (KIND_DEFAULTS.get(kind, {}), user, flags):
+        cfg = _typed(cfg, layer)
+    return _spec_from_dict({**cfg, "kind": kind}, out_dir)
+
+
+# The keys of each entry of a list of objects; every other list holds ints.
+_ENTRY_KEYS = {
+    "poses": {"rot_y_deg": 0.0, "rot_x_deg": 0.0},
+    "rings": {"n": 0, "radius_m": 0.0},
+}
+
+
+def _typed(default, value, key: str = "", entry: bool = False):
+    """``value``, the setting at config ``key``, checked against and converted
+    to the type of its ``default``.
+
+    An object merges into its default and holds no other key; a list
+    ``entry`` holds exactly its keys. A list replaces its default and holds
+    the objects of ``_ENTRY_KEYS[key]``, or else ints. A float default takes
+    a finite number (``_real``), an int default a whole one (``_integer``),
+    a str default a str; ``noise.snr_db`` may also be None (no noise)."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be an object, got {value!r}")
+        prefix = key + "." if key else ""
+        for name in value:
+            if name not in default:
+                raise ConfigError(f"unknown config key {prefix + name!r}")
+        missing = [name for name in default if name not in value] if entry else []
+        if missing:
+            raise ConfigError(f"{key} is missing {missing[0]!r}")
+        return {name: _typed(d, value.get(name, d), prefix + name)
+                for name, d in default.items()}
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        item = _ENTRY_KEYS.get(key, 0)
+        return [_typed(item, v, f"{key}[{i}]", entry=True) for i, v in enumerate(value)]
+    if key == "noise.snr_db":
+        return None if value is None else _real(value, key)
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+        return value
+    return _real(value, key) if isinstance(default, float) else _integer(value, key)
 
 
 def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
-    kind = cfg["kind"]
+    """The spec of typed config ``cfg``; each constructor's ValueError is a
+    ConfigError that names the key it read."""
+    sc, est, sub = cfg["scenario"], cfg["estimation"], cfg["scenario"]["subcarriers"]
     try:
-        sc = cfg["scenario"]
-        sub = sc["subcarriers"]
-        count = _integer(sub["count"], "scenario.subcarriers.count")
-        start, step = (_real(sub[k], f"scenario.subcarriers.{k}")
-                       for k in ("start_hz", "step_hz"))
-        subcarriers = start + step * np.arange(count)
-        poses = [
-            tuple(_real(_entry(p, a, f"poses[{i}]"), f"poses[{i}].{a}")
-                  for a in ("rot_y_deg", "rot_x_deg"))
-            for i, p in enumerate(cfg["poses"])
-        ]
-        if not poses:
-            raise ConfigError("poses must be nonempty")
+        tones = sub["start_hz"] + sub["step_hz"] * np.arange(sub["count"])
+    except ValueError as exc:  # more tones than an array can hold
+        raise ConfigError(f"scenario.subcarriers.count={sub['count']}: {exc}") from exc
+    tx, rx = _uca(sc["tx"], "scenario.tx"), _uca(sc["rx"], "scenario.rx")
+    try:
         # The nominal pose carries the link distance; each trial's tilt is its own.
-        scenario = Scenario(
-            tx=_uca(sc["tx"], "scenario.tx"),
-            rx=_uca(sc["rx"], "scenario.rx"),
-            pose=RxPose(_real(sc["distance_m"], "scenario.distance_m")),
-            carrier_hz=_real(sc["carrier_hz"], "scenario.carrier_hz"),
-            subcarriers_hz=subcarriers,
-        )
-        est = cfg["estimation"]
-        trials = _integer(cfg["trials"], "trials")
-        if trials < 1:
-            raise ConfigError("trials must be >= 1")
-        snr_db = cfg["noise"]["snr_db"]
-        snr_db = None if snr_db is None else _real(snr_db, "noise.snr_db")
-        if cfg["model"] not in ("exact", "farfield"):
-            raise ConfigError(f"unknown model {cfg['model']!r}")
-        spec = ExperimentSpec(
-            kind=kind,
-            scenario=scenario,
-            poses=poses,
-            trials=trials,
-            master_seed=_integer(cfg["seed"], "seed"),
-            out_dir=Path(out_dir),
-            model=cfg["model"],
-            snr_db=snr_db,
-            modes=_integers(est["modes"], "estimation.modes"),
-            q=_integer(est["q"], "estimation.q"),
-            p=_integer(est["p"], "estimation.p"),
-            subcarrier_counts=_integers(cfg["subcarrier_counts"], "subcarrier_counts"),
-            antenna_counts=_integers(cfg["antenna_counts"], "antenna_counts"),
-            demo_tilt_deg=_real(cfg["demo_tilt_deg"], "demo_tilt_deg"),
-            demo_modes=_integers(cfg["demo_modes"], "demo_modes"),
-            rings=tuple(_uca(ring, f"rings[{i}]") for i, ring in enumerate(cfg["rings"])),
-            validate_modes=_integers(cfg["validate_modes"], "validate_modes"),
-            config_hash=hashlib.sha256(
-                json.dumps(cfg, sort_keys=True).encode()
-            ).hexdigest()[:16],
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+        scenario = Scenario(tx, rx, RxPose(sc["distance_m"]), sc["carrier_hz"], tones)
+    except ValueError as exc:  # its message opens with the scenario key at fault
+        raise ConfigError(f"scenario.{exc}") from exc
+    poses = [(pose["rot_y_deg"], pose["rot_x_deg"]) for pose in cfg["poses"]]
+    if not poses:
+        raise ConfigError("poses must be nonempty")
+    if cfg["trials"] < 1:
+        raise ConfigError("trials must be >= 1")
+    if cfg["model"] not in ("exact", "farfield"):
+        raise ConfigError(f"unknown model {cfg['model']!r}")
+    spec = ExperimentSpec(
+        kind=cfg["kind"],
+        scenario=scenario,
+        poses=poses,
+        trials=cfg["trials"],
+        master_seed=cfg["seed"],
+        out_dir=Path(out_dir),
+        model=cfg["model"],
+        snr_db=cfg["noise"]["snr_db"],
+        modes=tuple(est["modes"]),
+        q=est["q"],
+        p=est["p"],
+        subcarrier_counts=tuple(cfg["subcarrier_counts"]),
+        antenna_counts=tuple(cfg["antenna_counts"]),
+        demo_tilt_deg=cfg["demo_tilt_deg"],
+        demo_modes=tuple(cfg["demo_modes"]),
+        rings=tuple(_uca(ring, f"rings[{i}]") for i, ring in enumerate(cfg["rings"])),
+        validate_modes=tuple(cfg["validate_modes"]),
+        config_hash=hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16],
+    )
     _validate_spec(spec)
     return spec
 
 
-def _entry(entry: dict, name: str, key: str):
-    """``entry[name]``; a list entry is not merged with defaults, so a missing
-    name is an error naming the entry's ``key``."""
-    try:
-        return entry[name]
-    except KeyError:
-        raise ConfigError(f"{key} is missing {name!r}") from None
-
-
 def _integer(value, key: str) -> int:
-    """``value`` as an int; a bool, a str or a float that is not whole is an
-    error naming ``key``."""
-    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
+    """``value`` as an int; anything but an int or a whole float (a bool, a
+    str, None, a list) is an error naming ``key``."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
 def _real(value, key: str) -> float:
-    """``value`` as a float; a bool, a str, NaN or an infinity is an error
-    naming ``key``."""
-    if isinstance(value, (bool, str)):
+    """``value`` as a float; anything but an int or a float (a bool, a str,
+    None, a list), NaN or an infinity is an error naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int beyond it
         raise ConfigError(f"{key} must be finite, got {value}")
-    return value
+    return float(value)
 
 
 def _uca(ring: dict, key: str) -> UcaGeometry:
-    """The ring ``{"n": ..., "radius_m": ...}`` at config ``key``."""
-    n = _integer(_entry(ring, "n", key), f"{key}.n")
-    radius = _real(_entry(ring, "radius_m", key), f"{key}.radius_m")
+    """The typed ring ``{"n": ..., "radius_m": ...}`` at config ``key``."""
     try:
-        return UcaGeometry(n, radius)
+        return UcaGeometry(ring["n"], ring["radius_m"])
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _integers(values, key: str) -> tuple[int, ...]:
-    return tuple(_integer(v, f"{key}[{i}]") for i, v in enumerate(values))
 
 
 def _validate_spec(spec: ExperimentSpec) -> None:

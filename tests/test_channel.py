@@ -441,7 +441,10 @@ class TestSampleTensor:
         # A tensor's subcarrier axis is the requested tones, each of which must
         # sit on the scenario grid; the error names the first one that does
         # not, and a tone within 1e-11 relative of a grid entry is still off it.
-        scen, pose = make_scenario(subcarriers=[1e9, 4e9])
+        # The lookup reads only the grid. A Scenario rejects a 1-4 GHz grid under
+        # its 120 GHz carrier, so the grid is set on a legal one.
+        scen, pose = make_scenario()
+        object.__setattr__(scen, "subcarriers_hz", np.array([1e9, 4e9]))
         message = re.escape(f"subcarrier {first} Hz is not on the scenario grid")
         with pytest.raises(ValueError, match=message):
             simulate_measurement(scen, pose, [1], freqs)

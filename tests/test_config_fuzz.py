@@ -6,7 +6,7 @@ key; it never exits 3 after the spec has loaded.  The configs set keys of
 ``BASE_DEFAULTS`` and ``KIND_DEFAULTS`` to edge values from ``EDGES``: each
 value alone on every kind, then 1-3 keys at a time on a drawn kind, drawn
 by a fixed-seed ``random.Random``.  Each run is one trial at one pose,
-through ``main`` in-process: about 570 runs in 2-4 s.
+through ``main`` in-process: about 650 runs in 2-4 s.
 """
 
 import json
@@ -33,26 +33,27 @@ EDGES = {
     ("scenario.rx.n", "estimation.q"): [(4, 3), (3, 3), (16, 8)],
     "scenario.rx.n": [1, 4, 5],
     "scenario.rx.radius_m": [-0.008, 1e-4, 0.05],
-    "scenario.distance_m": [0.0, 0.1, 0.2, 1e4],
-    "scenario.carrier_hz": [0.0, 1e9, INF],
+    "scenario.distance_m": [0.0, 0.1, 0.2, 1e4, None, [0.4]],
+    "scenario.carrier_hz": [0.0, 1e9, INF, 2e12, 1e308],
     "scenario.subcarriers.start_hz": [0.0, NAN, "1e11"],
     "scenario.subcarriers.step_hz": [0.0, -1e7, 1e10],
     "scenario.subcarriers.count": [0, 1, True],
     "poses": [[], [pose(0.0)], [pose(89.0)], [pose(120.0)], [pose(NAN)],
-              [{"rot_y_deg": 10.0}]],
-    "estimation.modes": [[], [1], [1, 1], [-10, 10], [-2, 0, 2], [0, 1.5]],
+              [{"rot_y_deg": 10.0}], 5],
+    "estimation.modes": [[], [1], [1, 1], [-10, 10], [-2, 0, 2], [0, 1.5], 5],
     "estimation.q": [2, 3, 20, 21],
     "estimation.p": [0, 1, 71, 72],
-    "noise.snr_db": [None, -10.0, 300.0, -INF],
+    "noise.snr_db": [None, -10.0, 300.0, -INF, [25.0]],
     "trials": [0, True, 1.5],
-    "seed": [-1, 0, 2**63],
+    "seed": [-1, 0, 2**63, None, [42]],
     "model": ["exact", "farfield", "magic"],
     "subcarrier_counts": [[], [0], [1, 1], [71], [72]],
-    "antenna_counts": [[], [2], [3, 3], [3, 20], [21]],
+    "antenna_counts": [[], [2], [3, 3], [3, 20], [21], 5],
     "demo_tilt_deg": [0.0, 89.0, 120.0, -95.0],
     "demo_modes": [[], [0], [1, 1], [-12, 12]],
     "rings": [[], [{"radius_m": 0.02, "n": 4}], [{"radius_m": 11.0, "n": 16}],
-              [{"radius_m": 0.02}], [{"radius_m": 0.02, "n": 8}] * 2],
+              [{"radius_m": 0.02}], [{"radius_m": 0.02, "n": 8}] * 2, [5],
+              [{"radius_m": 0.02, "n": 8, "extra": 1}]],
     "validate_modes": [[], [0], [0, 0], [-100, 100]],
 }
 # The cheapest run of every kind: one trial at one pose, two sweep counts.
@@ -130,11 +131,23 @@ def test_edge_table_covers_every_config_key():
 def test_edge_table_holds_the_holes_mended_last():
     # Each exited 3 mid-run: a far-field link too short for the model, three
     # antennas of a 4-element ring, and an empty demo mode list.
-    assert {0.1, 0.2} <= set(EDGES["scenario.distance_m"])
+    assert 0.1 in EDGES["scenario.distance_m"] and 0.2 in EDGES["scenario.distance_m"]
     assert (4, 3) in EDGES[("scenario.rx.n", "estimation.q")]
     assert all([] in EDGES[key] for key in ("demo_modes", "validate_modes", "poses",
                                             "estimation.modes", "subcarrier_counts",
                                             "antenna_counts", "rings"))
+
+
+def test_edge_table_holds_wrong_shapes():
+    # Each ended in a message that named no key, or loaded: None or a list for
+    # a number, a number for a list, a ring entry that is a number or holds an
+    # extra key, and a carrier far from its tones (exit 0 at 2 THz, exit 3 at
+    # 1e308 Hz).
+    for key in ("seed", "noise.snr_db", "scenario.distance_m"):
+        assert None in EDGES[key] and any(isinstance(v, list) for v in EDGES[key])
+    assert all(5 in EDGES[key] for key in ("estimation.modes", "poses", "antenna_counts"))
+    assert [5] in EDGES["rings"] and [{"radius_m": 0.02, "n": 8, "extra": 1}] in EDGES["rings"]
+    assert 2e12 in EDGES["scenario.carrier_hz"] and 1e308 in EDGES["scenario.carrier_hz"]
 
 
 def test_every_config_exits_ok_or_config(tmp_path, capsys):

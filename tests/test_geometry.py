@@ -258,3 +258,16 @@ class TestScenario:
         with pytest.raises(ValueError, match="bandwidth"):
             Scenario(tx, rx, RxPose.from_tilt(1.0, 0.0, 0.0), 120e9,
                      np.array([60e9, 120e9]))
+
+    @pytest.mark.parametrize("carrier_hz, tones", [
+        (2e12, 119.5e9 + 1e7 * np.arange(71)),  # a narrow band, far from its carrier
+        (1e9, np.array([119.5e9])),  # one tone: no spread at all
+        (120e9, np.array([107.9e9])),  # just beyond a tenth of the carrier
+    ])
+    def test_rejects_carrier_far_from_tones(self, carrier_hz, tones):
+        # Only the spread of the tones was checked, so each of these held.
+        tx, rx = self._geom()
+        with pytest.raises(ValueError, match=r"^carrier_hz=\S+ lies .* from a subcarrier"):
+            Scenario(tx, rx, RxPose.from_tilt(1.0, 0.0, 0.0), carrier_hz, tones)
+        # A tone a tenth of the carrier away still holds.
+        Scenario(tx, rx, RxPose.from_tilt(1.0, 0.0, 0.0), 120e9, np.array([108e9]))

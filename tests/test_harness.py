@@ -134,6 +134,36 @@ class TestLoadSpec:
         assert a.config_hash == b.config_hash
         assert a.config_hash != c.config_hash
 
+    @pytest.mark.parametrize("kind, cfg, flags, spec_hash", [
+        ("ccdf", None, {}, "571164f74d4383b7"),
+        ("angle-sweep", None, {}, "5cb432748b20b985"),
+        ("imi-demo", None, {}, "72ece754782b9876"),
+        ("validate-model", None, {}, "07eb52bf6bc1b1df"),
+        ("subcarrier-sweep", None, {}, "249af3997d238f23"),
+        ("antenna-sweep", None, {}, "e1e701bcc9e1dc66"),
+        ("ccdf", {"estimation": {"modes": [-1, 0, 1]}}, {}, "1ffc76cad626103d"),
+        ("angle-sweep", {"estimation": {"p": 64, "q": 12}},
+         {"model": "exact", "snr_db": 10.0}, "68b5dac2b8b6333e"),
+    ])
+    def test_spec_hash_pinned(self, tmp_path, kind, cfg, flags, spec_hash):
+        # Every CSV and summary carries this hash; a change to how a config
+        # resolves, or hashes, moves it.
+        path = None
+        if cfg is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(cfg))
+        assert load_spec(kind, config_path=path, **flags).config_hash == spec_hash
+
+    def test_hash_of_resolved_config(self, tmp_path):
+        # The hash is taken over the typed config, so an int written for a
+        # float setting resolves, and hashes, as that float.
+        hashes = set()
+        for distance in (1, 1.0):
+            path = tmp_path / f"config{distance!r}.json"
+            path.write_text(json.dumps({"scenario": {"distance_m": distance}}))
+            hashes.add(load_spec("ccdf", config_path=str(path)).config_hash)
+        assert len(hashes) == 1
+
 
 class TestSeeds:
     def test_deterministic(self):
@@ -730,6 +760,8 @@ class TestFailures:
         ("ccdf", {"scenario": {"tx": {"radius_m": INF}}}, "scenario.tx.radius_m"),
         ("imi-demo", {"demo_tilt_deg": NAN}, "demo_tilt_deg"),
         ("validate-model", {"rings": [{"radius_m": INF, "n": 16}]}, "rings[0].radius_m"),
+        # An int beyond the float range raised OverflowError past main.
+        ("ccdf", {"scenario": {"distance_m": 10**400}}, "scenario.distance_m"),
     ])
     def test_non_finite_setting_exit_config(self, tmp_path, capsys, kind, cfg, key):
         # Each loaded and ended the run with exit 3 once the simulation started.
@@ -785,6 +817,44 @@ class TestFailures:
         code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert f"config error: {key} is missing {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, cfg, key", [
+        ("validate-model", {"rings": [{"radius_m": 0.02, "n": 8, "extra": 1}]},
+         "rings[0].extra"),
+        ("ccdf", {"poses": [{"rot_y_deg": 20.0, "rot_x_deg": 0.0, "rot_z_deg": 5.0}]},
+         "poses[0].rot_z_deg"),
+    ])
+    def test_unknown_list_entry_key_exit_config(self, tmp_path, capsys, kind, cfg, key):
+        # A list entry's unknown key was accepted silently, and the run exited 0.
+        path = tiny_config(tmp_path, **cfg)
+        code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, cfg, message", [
+        ("ccdf", {"estimation": {"modes": 5}}, "estimation.modes must be a list, got 5"),
+        ("ccdf", {"poses": [5]}, "poses[0] must be an object, got 5"),
+        ("validate-model", {"rings": {"n": 3, "radius_m": 0.02}}, "rings must be a list"),
+        ("ccdf", {"seed": None}, "seed must be an integer, got None"),
+        ("ccdf", {"noise": {"snr_db": [1]}}, "noise.snr_db must be a number, got [1]"),
+        ("ccdf", {"model": 5}, "model must be a string, got 5"),
+        ("ccdf", {"scenario": {"subcarriers": {"count": 0}}},
+         "scenario.subcarriers must be nonempty"),
+        ("ccdf", {"scenario": {"subcarriers": {"count": 1e30}}},
+         "scenario.subcarriers.count=1000000000000000019884624838656: "),
+        ("ccdf", {"scenario": {"distance_m": -1}}, "scenario.distance_m must be > 0"),
+        ("ccdf", {"scenario": {"carrier_hz": 2e12}}, "scenario.carrier_hz=2e+12 lies"),
+        ("imi-demo", {"scenario": {"carrier_hz": 1e25}}, "scenario.carrier_hz=1e+25 lies"),
+    ])
+    def test_wrong_shape_names_its_key(self, tmp_path, capsys, kind, cfg, message):
+        # Each printed a bare Python error ("'int' object is not iterable"),
+        # or ran: a carrier at 2 THz estimated at 120 GHz and scored at 2 THz.
+        path = tiny_config(tmp_path, **cfg)
+        code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_one_zero_power_trial_leaves_the_others(self, tmp_path, monkeypatch):
