@@ -6,14 +6,17 @@ transmitted vortex mode ``l`` and wavenumber ``k``:
 * ``exact_received_signals`` is the ground-truth oracle: spherical waves
   from every transmit element over exact 3-D distances, an exponential per
   distinct k gap and a multiply per k; valid unless elements overlap.
-* ``farfield_received_signal`` is the closed-form model, valid when the
-  link distance dominates both apertures: (1/k) * (exp(-i k r)/r) * N_t *
+* ``farfield_signals`` is the closed-form model, valid when the link
+  distance dominates both apertures: (1/k) * (exp(-i k r)/r) * N_t *
   exp(i l gamma) times ``farfield_pattern``, which the estimator's power
   probe reads too; the correction mask is minus its spatial phase.  It
-  takes the same arguments and returns the same shape as the oracle.
+  takes T poses' (theta, phi, gamma) at once; ``farfield_received_signal``
+  is its one-pose call, with the oracle's arguments and shape.
 
-``received_signals`` picks either model by name;
-``simulate_measurement`` adds seeded circularly-symmetric complex noise.
+``received_signals`` picks either model by name for one pose, and
+``trial_signals`` for T trials; ``simulate_trials`` adds each trial's
+seeded circularly-symmetric complex noise, and ``simulate_measurement`` is
+its one-trial call.
 """
 
 from __future__ import annotations
@@ -145,10 +148,13 @@ def farfield_geometry(theta: np.ndarray, phi: np.ndarray, phi_m: np.ndarray, mod
     and rho_m (n, Q), sin(theta) (n, 1), cos(phi - phi_m) (n, Q) and the
     twist e^{il delta_m} of each of ``modes``, (n_modes, n, Q).
     """
-    th, ph = theta[:, None], phi[:, None]
-    d_m = delta(th, ph, phi_m)
+    th = theta[:, None]
+    u = phi[:, None] - phi_m
+    sin_u, cos_u, cos_t = np.sin(u), np.cos(u), np.cos(th)
+    # ``delta`` and ``rho``, sharing one sine and cosine of u.
+    d_m = np.arctan2(sin_u, cos_t * cos_u)
     twist = np.exp(1j * np.asarray(modes)[:, None, None] * d_m)
-    return d_m, rho(th, ph, phi_m), np.sin(th), np.cos(ph - phi_m), twist
+    return d_m, np.sqrt(cos_t**2 * cos_u**2 + sin_u**2), np.sin(th), cos_u, twist
 
 
 def farfield_spatial_phase(sin_theta, cos_u, k, rx: UcaGeometry) -> np.ndarray:
@@ -163,7 +169,8 @@ def farfield_pattern(
 
     exp(i k a_r sin(theta) cos(phi - phi_m)) * exp(i l delta_m) * J_l(k a_r
     a_t rho_m / r) over ``farfield_geometry`` of the same modes, k a scalar
-    or (n, 1).  gamma is left out: it is common to every element of a mode.
+    or (n, 1), ``r`` a float or (n, 1).  gamma is left out: it is common to
+    every element of a mode.
     """
     _d_m, rho_m, sin_th, cos_u, twist = geometry
     spatial = np.exp(1j * farfield_spatial_phase(sin_th, cos_u, k, rx))
@@ -171,32 +178,47 @@ def farfield_pattern(
     return [spatial * tw * j_l for tw, j_l in zip(twist, bessel)]
 
 
-def farfield_received_signal(scenario: Scenario, pose: RxPose, modes, ks) -> np.ndarray:
-    """Closed-form far-field samples at every receive element, (N_r, modes, ks).
+def farfield_signals(angles, modes, ks, r, tx: UcaGeometry, rx: UcaGeometry) -> np.ndarray:
+    """Closed-form far-field samples of T poses at every receive element, (T, N_r, modes, p).
 
-    s_m = (1/k) * (exp(-i k r)/r) * N_t * exp(i l gamma) times
-    ``farfield_pattern``; one call builds the pose angles, gamma and the
-    geometry once, and the pattern once per k.
+    Pose t has (theta, phi, gamma) ``angles[t]`` (``pose_angles``),
+    wavenumbers ``ks[t]`` and link distance ``r``, one float or one per
+    pose: s_m = (1/k) * (exp(-i k r)/r) * N_t * exp(i l gamma) times
+    ``farfield_pattern``.  The geometry is built once, and the pattern once
+    per column of ``ks``.
     """
-    theta, phi = misalignment_angles(pose)
-    if not 0.0 <= theta < np.pi / 2:
-        raise ValueError(f"theta must be in [0, pi/2), got {theta}")
-    tx, rx, r = scenario.tx, scenario.rx, pose.distance_m
-    _check_farfield(r, tx, rx)
-    geometry = farfield_geometry(
-        np.array([theta]), np.array([phi]), rx.element_azimuths, modes
-    )
-    helix = np.exp(1j * np.asarray(modes) * pose_gamma(pose))
-    out = np.empty((rx.n_elements, len(modes), len(ks)), dtype=complex)
-    for ki, k in enumerate(ks):
-        scale = (1.0 / k) * (np.exp(-1j * k * r) / r) * tx.n_elements
-        pattern = farfield_pattern(geometry, modes, k, r, tx, rx)
-        # scale * e^{il gamma} stays a scalar product: numpy's array complex
-        # multiply may fuse it (FMA) and round differently.
-        out[:, :, ki] = np.column_stack(
-            [scale * h * p[0] for h, p in zip(helix, pattern)]
-        )
+    theta, phi, gamma = np.asarray(angles, dtype=float).T
+    bad = [th for th in theta.tolist() if not 0.0 <= th < np.pi / 2]
+    if bad:
+        raise ValueError(f"theta must be in [0, pi/2), got {bad[0]}")
+    for dist in set(np.ravel(r).tolist()):
+        _check_farfield(dist, tx, rx)
+    ks, r = np.asarray(ks, dtype=float), np.reshape(r, (-1, 1))
+    geometry = farfield_geometry(theta, phi, rx.element_azimuths, modes)
+    helix = np.exp(1j * np.asarray(modes) * gamma[:, None])
+    scale = (1.0 / ks) * (np.exp(-1j * ks * r) / r) * tx.n_elements
+    out = np.empty((len(theta), rx.n_elements, len(modes), ks.shape[1]), dtype=complex)
+    # scale * e^{il gamma} stays a scalar product: numpy's array complex
+    # multiply may fuse it (FMA) and round differently.
+    factor = np.array([[[s * h for h in hs] for s in ss]
+                       for ss, hs in zip(scale.tolist(), helix.tolist())])
+    for j in range(ks.shape[1]):
+        pattern = farfield_pattern(geometry, modes, ks[:, j : j + 1], r, tx, rx)
+        for li, p in enumerate(pattern):
+            np.multiply(factor[:, j, li, None], p, out=out[:, :, li, j])
     return out
+
+
+def pose_angles(pose: RxPose) -> tuple[float, float, float]:
+    """(theta, phi, gamma) of ``pose``: all that the far-field model reads of it."""
+    return (*misalignment_angles(pose), pose_gamma(pose))
+
+
+def farfield_received_signal(scenario: Scenario, pose: RxPose, modes, ks) -> np.ndarray:
+    """Closed-form far-field samples at every receive element, (N_r, modes, ks):
+    ``farfield_signals`` of one pose."""
+    link = (pose.distance_m, scenario.tx, scenario.rx)
+    return farfield_signals([pose_angles(pose)], modes, [ks], *link)[0]
 
 
 def farfield_antenna_vector(
@@ -212,6 +234,22 @@ def received_signals(scenario: Scenario, pose: RxPose, modes, ks, model: str):
         return exact_received_signals(scenario, pose, modes, ks)
     if model == "farfield":
         return farfield_received_signal(scenario, pose, modes, ks)
+    raise ValueError(f"unknown model {model!r}")
+
+
+def trial_signals(scenario: Scenario, poses, angles, modes, ks, model: str) -> np.ndarray:
+    """``received_signals`` of T trials at once, (T, N_r, modes, p).
+
+    Trial t is at ``poses[t]``, of ``pose_angles`` ``angles[t]``, and at
+    wavenumbers ``ks[t]``.  The far-field model makes one call for every
+    trial; the exact oracle one call per trial.
+    """
+    if model == "exact":
+        return np.stack([exact_received_signals(scenario, pose, modes, k)
+                         for pose, k in zip(poses, ks)])
+    if model == "farfield":
+        r = [pose.distance_m for pose in poses]
+        return farfield_signals(angles, modes, ks, r, scenario.tx, scenario.rx)
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -269,6 +307,39 @@ class SampleTensor:
             raise KeyError(f"mode {mode} not present in tensor") from None
 
 
+def simulate_trials(
+    scenario: Scenario, poses, angles, modes, subcarriers_hz, noises, model: str = "farfield"
+) -> list[SampleTensor]:
+    """Simulate the measurement tensors y = s + n of T trials over (antenna, mode, subcarrier).
+
+    Trial t is at ``poses[t]``, of ``pose_angles`` ``angles[t]``, on the
+    subcarriers ``subcarriers_hz[t]`` (equally many per trial), with noise
+    ``noises[t]``.  One ``trial_signals`` call simulates every trial.  Noise
+    draws are circularly-symmetric complex Gaussian, independent per sample,
+    and deterministic given each trial's own ``noise.seed``.
+    """
+    modes = tuple(int(l) for l in modes)
+    if len(set(modes)) != len(modes):
+        raise ValueError("modes must be distinct")
+    sub = np.asarray(subcarriers_hz, dtype=float)
+    if sub.size == 0:
+        raise ValueError("no subcarrier given")
+    on_grid = np.isclose(scenario.subcarriers_hz, sub[..., None], rtol=1e-12).any(axis=-1)
+    if not on_grid.all():
+        raise ValueError(f"subcarrier {sub[~on_grid][0]} Hz is not on the scenario grid")
+    tensors = []
+    for s, tones, noise in zip(
+        trial_signals(scenario, poses, angles, modes, wavenumber(sub), model), sub, noises
+    ):
+        if noise.snr_db is not None:
+            sigma2 = float(np.mean(np.abs(s) ** 2)) * 10.0 ** (-noise.snr_db / 10.0)
+            rng = np.random.default_rng(noise.seed)
+            scale = np.sqrt(sigma2 / 2.0)
+            s = s + scale * (rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape))
+        tensors.append(SampleTensor(s, np.arange(scenario.rx.n_elements), modes, tones))
+    return tensors
+
+
 def simulate_measurement(
     scenario: Scenario,
     pose: RxPose,
@@ -277,36 +348,9 @@ def simulate_measurement(
     noise: NoiseSpec = NoiseSpec(),
     model: str = "farfield",
 ) -> SampleTensor:
-    """Simulate the measurement tensor y = s + n over (antenna, mode, subcarrier).
-
-    The exact oracle builds the distances once per call, an exponential per
-    distinct subcarrier gap and a multiply per subcarrier.  Noise draws are
-    circularly-symmetric complex Gaussian, independent per sample, and
-    deterministic given ``noise.seed``.
-    """
-    modes = tuple(int(l) for l in modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError("modes must be distinct")
+    """Simulate the measurement tensor y = s + n of one trial: ``simulate_trials``
+    of one trial."""
     sub = np.atleast_1d(np.asarray(subcarriers_hz, dtype=float))
-    if sub.size == 0:
-        raise ValueError("no subcarrier given")
-    on_grid = np.isclose(scenario.subcarriers_hz, sub[:, None], rtol=1e-12).any(axis=1)
-    if not on_grid.all():
-        first = sub[np.argmin(on_grid)]
-        raise ValueError(f"subcarrier {first} Hz is not on the scenario grid")
-    s = received_signals(scenario, pose, modes, wavenumber(sub), model)
-
-    if noise.snr_db is not None:
-        sigma2 = float(np.mean(np.abs(s) ** 2)) * 10.0 ** (-noise.snr_db / 10.0)
-        rng = np.random.default_rng(noise.seed)
-        scale = np.sqrt(sigma2 / 2.0)
-        s = s + scale * (
-            rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
-        )
-
-    return SampleTensor(
-        values=s,
-        antennas=np.arange(scenario.rx.n_elements),
-        modes=modes,
-        subcarriers_hz=sub,
-    )
+    (tensor,) = simulate_trials(scenario, [pose], [pose_angles(pose)], modes, [sub],
+                                [noise], model)
+    return tensor

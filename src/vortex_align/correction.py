@@ -54,7 +54,8 @@ class PhaseMask:
 
 @dataclass
 class ImiMatrix:
-    """Decoded power per (decode slot, transmitted mode), both over ``modes``."""
+    """Decoded power per (decode slot, transmitted mode), both over ``modes``,
+    under any leading batch axes."""
 
     power: np.ndarray
     modes: tuple[int, ...]
@@ -63,18 +64,21 @@ class ImiMatrix:
         self.power = np.asarray(self.power, dtype=float)
         self.modes = tuple(int(l) for l in self.modes)
         expected = (len(self.modes), len(self.modes))
-        if self.power.shape != expected:
-            raise ValueError(f"power shape {self.power.shape} != {expected}")
+        if self.power.shape[-2:] != expected:
+            raise ValueError(f"power shape {self.power.shape} does not end in {expected}")
         if not np.all(np.isfinite(self.power)) or np.any(self.power < 0):
             raise ValueError("power entries must be finite and >= 0")
 
 
-def phase_mask(theta: float, phi: float, k: float, rx: UcaGeometry) -> PhaseMask:
-    """Correction phases: minus the far-field spatial phase, in (-pi, pi]."""
-    if not 0.0 <= theta < np.pi / 2:
-        raise ValueError(f"theta must be in [0, pi/2), got {theta}")
-    cos_u = np.cos(phi - rx.element_azimuths)
-    spatial = farfield_spatial_phase(np.sin(theta), cos_u, k, rx)
+def phase_mask(theta, phi, k: float, rx: UcaGeometry) -> PhaseMask:
+    """Correction phases: minus the far-field spatial phase, in (-pi, pi];
+    (..., N_r) for angles of any shape (..., ``theta`` and ``phi`` alike)."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    bad = ~((0.0 <= theta) & (theta < np.pi / 2))
+    if bad.any():
+        raise ValueError(f"theta must be in [0, pi/2), got {theta[bad][0]}")
+    cos_u = np.cos(phi[..., None] - rx.element_azimuths)
+    spatial = farfield_spatial_phase(np.sin(theta)[..., None], cos_u, k, rx)
     return PhaseMask(values=np.angle(np.exp(-1j * spatial)))
 
 
@@ -92,19 +96,27 @@ def decode_modes(samples: np.ndarray, mask: PhaseMask | None, modes) -> np.ndarr
     """Project per-antenna samples onto each decode slot, one row per mode.
 
     ``samples`` holds the full receive ring (one row per element, in azimuth
-    order), as a vector or with one column per signal; every column is
-    decoded at once.  Mask phases default to zero.
+    order), as a vector or as (..., N_r, cols) with one column per signal
+    and any leading batch axes; every column is decoded at once.  The mask's
+    phases, (..., N_r), broadcast over those batch axes; they default to zero.
     """
     y = np.asarray(samples, dtype=complex)
-    n = y.shape[0]
+    n = y.shape[-2] if y.ndim > 1 else len(y)
     modes = [int(l) for l in modes]
     check_decodable(modes, n)
     if mask is not None:
-        if mask.values.shape[0] != n:
+        if mask.values.shape[-1] != n:
             raise ValueError("mask length does not match sample count")
-        y = y * np.exp(1j * mask.values).reshape((n,) + (1,) * (y.ndim - 1))
+        turn = np.exp(1j * mask.values)
+        y = y * (turn[..., None] if y.ndim > 1 else turn)
     phi_m = 2.0 * np.pi * np.arange(n) / n
     return np.exp(1j * np.outer(modes, phi_m)) @ y / n
+
+
+def imi_matrix(fields: np.ndarray, mask: PhaseMask | None, modes) -> ImiMatrix:
+    """Decoded power of noiseless ``fields`` (..., N_r, modes), one column per
+    transmitted mode, under ``mask``, into the slots of the same ``modes``."""
+    return ImiMatrix(np.abs(decode_modes(fields, mask, modes)) ** 2, modes)
 
 
 def imi_matrices(
@@ -117,34 +129,37 @@ def imi_matrices(
     """
     modes = tuple(int(l) for l in modes)
     fields = received_signals(scenario, pose, modes, [k], model)[:, :, 0]
-    return [ImiMatrix(np.abs(decode_modes(fields, mask, modes)) ** 2, modes)
-            for mask in masks]
+    return [imi_matrix(fields, mask, modes) for mask in masks]
 
 
-def _capped_db(ratio_num: float, ratio_den: float) -> float:
-    if ratio_den <= 0.0:
-        return SIR_CAP_DB
-    return min(10.0 * np.log10(ratio_num / ratio_den), SIR_CAP_DB)
-
-
-def sir(imi: ImiMatrix) -> tuple[dict[int, float], float]:
-    """Per-mode SIR in dB and the arithmetic mean of the dB values.
+def sir(imi: ImiMatrix) -> tuple[dict, float | np.ndarray]:
+    """Per-mode SIR in dB and the arithmetic mean of the dB values, over the
+    batch axes of ``imi``: floats for one matrix.
 
     For mode ``l`` the signal is the diagonal entry power[l][l] and the
     interference is the power other transmitted modes leak into decode slot
-    ``l`` (row sum).  Infinite ratios are capped at ``SIR_CAP_DB``.
+    ``l`` (row sum).  Infinite ratios are capped at ``SIR_CAP_DB``.  A zero
+    signal anywhere raises ``ZeroSignalError``.
     """
-    per_mode: dict[int, float] = {}
-    for i, mode in enumerate(imi.modes):
-        signal = imi.power[i, i]
-        if signal == 0.0:
-            raise ZeroSignalError(f"zero diagonal power for mode {mode}")
-        interference = imi.power[i, :].sum() - signal
-        per_mode[mode] = _capped_db(signal, interference)
-    return per_mode, float(np.mean(list(per_mode.values())))
+    signal = np.diagonal(imi.power, axis1=-2, axis2=-1)
+    zero = np.flatnonzero(signal == 0.0)
+    if zero.size:
+        mode = imi.modes[zero[0] % len(imi.modes)]
+        raise ZeroSignalError(f"zero diagonal power for mode {mode}")
+    interference = imi.power.sum(axis=-1) - signal
+    with np.errstate(divide="ignore"):
+        ratio_db = 10.0 * np.log10(signal / interference)
+    db = np.where(interference > 0.0, np.minimum(ratio_db, SIR_CAP_DB), SIR_CAP_DB)
+    return dict(zip(imi.modes, np.moveaxis(db, -1, 0))), db.mean(axis=-1)
 
 
-def sir_capacity(per_mode: dict[int, float]) -> float:
+def sir_capacity(per_mode: dict) -> float | np.ndarray:
     """Interference-limited Shannon sum over transmitted modes, bits/s/Hz, of
-    the per-mode SIRs in dB that ``sir`` returns."""
-    return float(sum(np.log2(1.0 + 10.0 ** (v / 10.0)) for v in per_mode.values()))
+    the per-mode SIRs in dB that ``sir`` returns, over their batch axes.
+
+    10 ** (v / 10) and its log2 are taken one scalar at a time: numpy's array
+    power and log2 round differently from its scalar ones."""
+    db = np.stack(list(per_mode.values()), axis=-1)
+    bits = np.reshape([sum(np.log2(1.0 + 10.0 ** (v / 10.0)) for v in row)
+                       for row in db.reshape(-1, db.shape[-1])], db.shape[:-1])
+    return float(bits) if bits.ndim == 0 else bits

@@ -186,6 +186,10 @@ class Scenario:
             raise ValueError("subcarriers must be nonempty")
         if np.any(sub <= 0.0):
             raise ValueError("subcarriers must all be > 0 Hz")
+        distinct = len(set(sub.tolist()))
+        if distinct < sub.size:
+            raise ValueError(f"subcarriers must be distinct, got {distinct} distinct "
+                             f"of {sub.size} tones")
         if (sub.max() - sub.min()) / self.carrier_hz > _MAX_FRACTIONAL_BANDWIDTH:
             raise ValueError("subcarriers span a fractional bandwidth too large "
                              "for the flat-gain assumption")

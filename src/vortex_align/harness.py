@@ -36,21 +36,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import FARFIELD_HARD_FACTOR, FARFIELD_WARN_FACTOR, NoiseSpec
-from .channel import received_signals, simulate_measurement, wavenumber
-from .correction import (
-    ZeroSignalError,
-    check_decodable,
-    imi_matrices,
-    phase_mask,
-    sir,
-    sir_capacity,
-)
+from .channel import FARFIELD_HARD_FACTOR, FARFIELD_WARN_FACTOR, NoiseSpec, pose_angles
+from .channel import simulate_trials, trial_signals, wavenumber
+from .correction import ImiMatrix, ZeroSignalError, check_decodable, imi_matrices
+from .correction import imi_matrix, phase_mask, sir, sir_capacity
 from .estimator import (
     EstimationConfig,
     MisalignmentEstimate,
-    NoPowerError,
-    ZeroPowerError,
     estimate_trials,
     select_antennas,
 )
@@ -395,47 +387,61 @@ def _circular_err_deg(a_deg: float, b_deg: float) -> float:
     )
 
 
-def _score_trial(spec: ExperimentSpec, est: MisalignmentEstimate, item: tuple) -> dict:
-    """The ``results.csv`` row of trial ``item``, (pose, point index, trial
-    index, seed): ground truth, estimate, errors and gains."""
-    pose, point_index, trial_index, seed = item
-    scenario = spec.scenario
-    theta_t, phi_t = misalignment_angles(pose)
+def _score_trials(spec: ExperimentSpec, batch: list, truths: list, results: list) -> list:
+    """The ``results.csv`` row of each trial of ``batch``, (point index, trial
+    index, seed), of pose and ``pose_angles`` ``truths`` and estimate ``results``:
+    ground truth, estimate, errors and gains.  A noise failure in ``results``
+    keeps its place, and so does a ZeroSignalError.  One channel call at the
+    carrier covers every trial's true pose, and one decode the three masks of
+    every trial: none, the estimate's, the truth's."""
+    scenario, results = spec.scenario, list(results)
+    live = [n for n, est in enumerate(results) if isinstance(est, MisalignmentEstimate)]
+    if not live:
+        return results
     k_c = wavenumber(scenario.carrier_hz)
-    masks = [
-        None,
-        phase_mask(est.theta, est.phi, k_c, scenario.rx),
-        phase_mask(theta_t, phi_t, k_c, scenario.rx),
-    ]
-    before, after, after_true = imi_matrices(
-        scenario, pose, spec.modes, masks, spec.model, k_c
-    )
-    (modes_before, sir_before), (modes_after, sir_after) = sir(before), sir(after)
-    cap_before, cap_after = sir_capacity(modes_before), sir_capacity(modes_after)
-    phi_true, phi_est = float(np.rad2deg(phi_t)), float(np.rad2deg(est.phi))
-    return {
-        "kind": spec.kind,
-        "point_index": point_index,
-        "trial_index": trial_index,
-        "trial_seed": seed,
-        "p": spec.p,
-        "q": spec.q,
-        "u": len(spec.modes),
-        "theta_true_deg": float(np.rad2deg(theta_t)),
-        "phi_true_deg": phi_true,
-        "theta_est_deg": float(np.rad2deg(est.theta)),
-        "phi_est_deg": phi_est,
-        "theta_err_deg": abs(float(np.rad2deg(est.theta - theta_t))),
-        "phi_err_deg": _circular_err_deg(phi_est, phi_true),
-        "residual": est.residual,
-        "sir_before_db": sir_before,
-        "sir_after_db": sir_after,
-        "sir_gain_db": sir_after - sir_before,
-        "sir_gain_true_db": sir(after_true)[1] - sir_before,
-        "capacity_before": cap_before,
-        "capacity_after": cap_after,
-        "capacity_ratio": cap_after / cap_before,
-    }
+    poses, truth = zip(*(truths[n] for n in live))
+    fields = trial_signals(scenario, poses, truth, spec.modes,
+                           np.full((len(live), 1), k_c), spec.model)[..., 0]
+    # Zero phases decode as no mask does, bit for bit.
+    aims = np.array([[(0.0, 0.0), (results[n].theta, results[n].phi), t[:2]]
+                     for n, t in zip(live, truth)])
+    masks = phase_mask(aims[..., 0], aims[..., 1], k_c, scenario.rx)
+    power = imi_matrix(fields[:, None], masks, spec.modes).power
+    kept = np.diagonal(power, axis1=-2, axis2=-1).all(axis=(1, 2))
+    for n in np.compress(~kept, live):
+        results[n] = ZeroSignalError("zero decoded signal power")
+    per_mode, sirs = sir(ImiMatrix(power[kept], spec.modes))
+    caps = sir_capacity({l: db[:, :2] for l, db in per_mode.items()})
+    live, truth = np.compress(kept, live), np.compress(kept, truth, axis=0)
+    for j, n in enumerate(live):
+        est, (point_index, trial_index, seed) = results[n], batch[n]
+        (theta_t, phi_t, _), (sir_before, sir_after, sir_true) = truth[j], sirs[j]
+        cap_before, cap_after = caps[j]
+        phi_true, phi_est = float(np.rad2deg(phi_t)), float(np.rad2deg(est.phi))
+        results[n] = {
+            "kind": spec.kind,
+            "point_index": point_index,
+            "trial_index": trial_index,
+            "trial_seed": seed,
+            "p": spec.p,
+            "q": spec.q,
+            "u": len(spec.modes),
+            "theta_true_deg": float(np.rad2deg(theta_t)),
+            "phi_true_deg": phi_true,
+            "theta_est_deg": float(np.rad2deg(est.theta)),
+            "phi_est_deg": phi_est,
+            "theta_err_deg": abs(float(np.rad2deg(est.theta - theta_t))),
+            "phi_err_deg": _circular_err_deg(phi_est, phi_true),
+            "residual": est.residual,
+            "sir_before_db": sir_before,
+            "sir_after_db": sir_after,
+            "sir_gain_db": sir_after - sir_before,
+            "sir_gain_true_db": sir_true - sir_before,
+            "capacity_before": cap_before,
+            "capacity_after": cap_after,
+            "capacity_ratio": cap_after / cap_before,
+        }
+    return results
 
 
 def _write_csv(path: Path, rows: Iterable[dict], spec_hash: str) -> None:
@@ -486,11 +492,7 @@ def _write_summary(spec: ExperimentSpec, summary: dict) -> None:
         fh.write("\n")
 
 
-# The failures a noise draw can cause; any other error is a fault of the
-# setup or the code, and ends the run.
-NOISE_FAILURES = (ZeroPowerError, NoPowerError, ZeroSignalError)
-
-# Trials simulated and estimated together: a batch's per-trial cost is
+# Trials simulated, estimated and scored together: a batch's per-trial cost is
 # near its floor from a few dozen trials on, and its memory grows with it.
 _BATCH_TRIALS = 128
 
@@ -504,35 +506,30 @@ def _trial_rows(spec: ExperimentSpec, value: int | None = None) -> tuple[list[di
     scenario = spec.scenario
     config = _estimation_config(spec, spec.q)
     pool = scenario.subcarriers_hz
-    poses = [
-        RxPose.from_tilt(scenario.pose.distance_m, *np.deg2rad(tilt))
-        for tilt in spec.poses
-    ]
-    items = [
-        (pose, point, t, trial_seed(spec.master_seed, *axis_value, point, t))
-        for point, pose in enumerate(poses)
-        for t in range(spec.trials)
-    ]
+    poses = [RxPose.from_tilt(scenario.pose.distance_m, *np.deg2rad(tilt))
+             for tilt in spec.poses]
+    angles = [pose_angles(pose) for pose in poses]
+    items = [(point, t, trial_seed(spec.master_seed, *axis_value, point, t))
+             for point in range(len(poses)) for t in range(spec.trials)]
     rows: list[dict] = []
     failures: Counter = Counter()
     for start in range(0, len(items), _BATCH_TRIALS):
-        # Simulate a batch of trials, then estimate them in one call.
-        batch, tensors = items[start : start + _BATCH_TRIALS], []
-        for pose, _point, _t, seed in batch:
-            rng = np.random.default_rng(seed)
-            subcarriers = np.sort(rng.choice(pool, size=spec.p, replace=False))
-            tensors.append(simulate_measurement(
-                scenario, pose, spec.modes, subcarriers,
-                NoiseSpec(snr_db=spec.snr_db, seed=seed), spec.model,
-            ))
-        for item, est in zip(batch, estimate_trials(tensors, scenario, config)):
-            try:
-                if isinstance(est, NOISE_FAILURES):
-                    raise est
-                rows.append(_score_trial(spec, est, item))
-            except NOISE_FAILURES as exc:
-                failures[type(exc).__name__] += 1
-                last = exc
+        # Simulate a batch of trials, estimate it and score it, one call each.
+        batch = items[start : start + _BATCH_TRIALS]
+        truths = [(poses[point], angles[point]) for point, _t, _seed in batch]
+        tones = [np.sort(np.random.default_rng(seed).choice(pool, size=spec.p, replace=False))
+                 for *_, seed in batch]
+        tensors = simulate_trials(
+            scenario, *zip(*truths), spec.modes, tones,
+            [NoiseSpec(snr_db=spec.snr_db, seed=seed) for *_, seed in batch], spec.model,
+        )
+        estimates = estimate_trials(tensors, scenario, config)
+        for result in _score_trials(spec, batch, truths, estimates):
+            if isinstance(result, dict):
+                rows.append(result)
+            else:
+                failures[type(result).__name__] += 1
+                last = result
     if not rows:
         total = failures.total()
         raise RuntimeError(f"all {total} trials failed; last: {last!r}") from last
@@ -657,14 +654,8 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
     theta_t, phi_t = misalignment_angles(tilted_pose)
 
     aligned = imi_matrices(scenario, aligned_pose, modes, [None], spec.model, k)[0]
-    tilted, corrected = imi_matrices(
-        scenario,
-        tilted_pose,
-        modes,
-        [None, phase_mask(theta_t, phi_t, k, scenario.rx)],
-        spec.model,
-        k,
-    )
+    mask = phase_mask(theta_t, phi_t, k, scenario.rx)
+    tilted, corrected = imi_matrices(scenario, tilted_pose, modes, [None, mask], spec.model, k)
     matrices = {"aligned": aligned, "misaligned": tilted, "corrected": corrected}
     for label, imi in matrices.items():
         # Rows are decoded modes, columns transmitted modes.
@@ -702,11 +693,12 @@ def validate_model(spec: ExperimentSpec) -> dict:
     phase_lists = []  # (pose, ring, interleaved exact and model phases by mode)
     for pose_idx, (ry, rx_deg) in enumerate(spec.poses):
         pose = RxPose.from_tilt(r, np.deg2rad(ry), np.deg2rad(rx_deg))
-        theta_t, phi_t = misalignment_angles(pose)
+        angles = pose_angles(pose)
+        theta_t, phi_t, _ = angles
         for ring_idx, ring in enumerate(spec.rings):
             ring_scenario = replace(scenario, rx=ring)
             exact_all, model_all = (
-                received_signals(ring_scenario, pose, modes, [k], name)[:, :, 0].T
+                trial_signals(ring_scenario, [pose], [angles], modes, [[k]], name)[0, ..., 0].T
                 for name in ("exact", "farfield")
             )
             phases = np.stack([np.angle(exact_all), np.angle(model_all)], axis=-1)

@@ -16,9 +16,12 @@ from vortex_align.channel import (
     farfield_antenna_vector,
     farfield_geometry,
     farfield_received_signal,
+    pose_angles,
     received_signals,
     rho,
     simulate_measurement,
+    simulate_trials,
+    trial_signals,
     wavenumber,
 )
 from vortex_align.correction import imi_matrices
@@ -407,6 +410,53 @@ class TestSimulateMeasurement:
             received_signals(scen, pose, [1], [K_CARRIER], "hybrid")
         with pytest.raises(ValueError, match=message):
             imi_matrices(scen, pose, [1], [None], "hybrid", K_CARRIER)
+
+
+class TestSimulateTrials:
+    @pytest.mark.parametrize("model", ["farfield", "exact"])
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("snr_db", [None, 10.0])
+    def test_batch_matches_one_trial_calls_bitwise(self, model, p, snr_db):
+        # One batch of mixed poses, two of them taken twice, each trial on its
+        # own tones and noise seed: every tensor is, bit for bit, what one
+        # simulate_measurement call gives for that trial alone.
+        scen, _pose = make_scenario(distance=0.4, subcarriers=GRID_HZ)
+        rng = np.random.default_rng(3)
+        poses = [RxPose.from_tilt(0.4, *rng.uniform(-0.6, 0.6, 2)) for _ in range(5)]
+        poses += poses[:2]
+        tones = [np.sort(rng.choice(GRID_HZ, p, replace=False)) for _ in poses]
+        noises = [NoiseSpec(snr_db, seed) for seed in range(len(poses))]
+        modes = (-1, 0, 1)
+        angles = [pose_angles(pose) for pose in poses]
+        batch = simulate_trials(scen, poses, angles, modes, tones, noises, model)
+        assert len(batch) == len(poses)
+        for tensor, pose, sub, noise in zip(batch, poses, tones, noises):
+            one = simulate_measurement(scen, pose, modes, sub, noise, model)
+            assert tensor.values.tobytes() == one.values.tobytes()
+            assert np.array_equal(tensor.subcarriers_hz, sub)
+            assert tensor.modes == modes and np.array_equal(tensor.antennas, np.arange(20))
+
+    @pytest.mark.parametrize("model", ["farfield", "exact"])
+    def test_trial_signals_match_one_pose_calls_bitwise(self, model):
+        # The batched far-field kernel, and the oracle's call per trial, give
+        # each pose what received_signals gives it alone, at every tone.
+        scen, _pose = make_scenario(distance=0.4, subcarriers=GRID_HZ)
+        rng = np.random.default_rng(4)
+        poses = [RxPose.from_tilt(0.4, *rng.uniform(-0.6, 0.6, 2)) for _ in range(6)]
+        ks = wavenumber(np.stack([rng.choice(GRID_HZ, 3, replace=False) for _ in poses]))
+        got = trial_signals(scen, poses, [pose_angles(pose) for pose in poses], (-2, 1),
+                            ks, model)
+        assert got.shape == (6, 20, 2, 3)
+        for fields, pose, k in zip(got, poses, ks):
+            alone = received_signals(scen, pose, (-2, 1), k, model)
+            assert fields.tobytes() == alone.tobytes()
+
+    def test_rejects_off_grid_tone_of_any_trial(self):
+        scen, pose = make_scenario(subcarriers=GRID_HZ)
+        tones = [GRID_HZ[:2], [GRID_HZ[0], 119.905e9]]
+        with pytest.raises(ValueError, match=re.escape("subcarrier 119905000000.0 Hz")):
+            simulate_trials(scen, [pose] * 2, [pose_angles(pose)] * 2, (-1, 1), tones,
+                            [NoiseSpec()] * 2)
 
 
 class TestSampleTensor:

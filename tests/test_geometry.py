@@ -259,6 +259,18 @@ class TestScenario:
             Scenario(tx, rx, RxPose.from_tilt(1.0, 0.0, 0.0), 120e9,
                      np.array([60e9, 120e9]))
 
+    @pytest.mark.parametrize("tones", [
+        119.5e9 + 0.0 * np.arange(4),  # a zero step: four "distinct" tones, one frequency
+        119.5e9 + 1e-9 * np.arange(71),  # a step below float64 resolution at 119.5 GHz
+        np.array([120e9, 119.9e9, 120e9]),  # a repeat that sorting brings together
+    ])
+    def test_rejects_repeated_tones(self, tones):
+        # A trial drew p "distinct" tones that were one frequency, and ran to exit 0.
+        tx, rx = self._geom()
+        message = r"^subcarriers must be distinct, got \d+ distinct of \d+ tones$"
+        with pytest.raises(ValueError, match=message):
+            Scenario(tx, rx, RxPose.from_tilt(1.0, 0.0, 0.0), 120e9, tones)
+
     @pytest.mark.parametrize("carrier_hz, tones", [
         (2e12, 119.5e9 + 1e7 * np.arange(71)),  # a narrow band, far from its carrier
         (1e9, np.array([119.5e9])),  # one tone: no spread at all

@@ -847,6 +847,10 @@ class TestFailures:
         ("ccdf", {"scenario": {"distance_m": -1}}, "scenario.distance_m must be > 0"),
         ("ccdf", {"scenario": {"carrier_hz": 2e12}}, "scenario.carrier_hz=2e+12 lies"),
         ("imi-demo", {"scenario": {"carrier_hz": 1e25}}, "scenario.carrier_hz=1e+25 lies"),
+        ("ccdf", {"scenario": {"subcarriers": {"step_hz": 0.0}}, "estimation": {"p": 4}},
+         "scenario.subcarriers must be distinct, got 1 distinct of 71 tones"),
+        ("ccdf", {"scenario": {"subcarriers": {"step_hz": 1e-9}}, "estimation": {"p": 4}},
+         "scenario.subcarriers must be distinct, got 1 distinct of 71 tones"),
     ])
     def test_wrong_shape_names_its_key(self, tmp_path, capsys, kind, cfg, message):
         # Each printed a bare Python error ("'int' object is not iterable"),
@@ -866,17 +870,15 @@ class TestFailures:
         ])
         clean = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "clean"))
         assert run_ccdf(clean)["failed_trials"] == 0
-        calls = []
-        real_simulate = harness.simulate_measurement
+        real_simulate = harness.simulate_trials
 
         def silence_fourth(*args):
-            tensor = real_simulate(*args)
-            calls.append(None)
-            if len(calls) == 4:  # point 1, trial 0: one mode vanishes at antenna 0
-                tensor.values[0, 0] = 0.0
-            return tensor
+            tensors = real_simulate(*args)
+            # Point 1, trial 0: one mode vanishes at antenna 0.
+            tensors[3].values[0, 0] = 0.0
+            return tensors
 
-        monkeypatch.setattr(harness, "simulate_measurement", silence_fourth)
+        monkeypatch.setattr(harness, "simulate_trials", silence_fourth)
         forced = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "forced"))
         summary = run_ccdf(forced)
         assert summary["failed_by_error"] == {"ZeroPowerError": 1}
@@ -889,6 +891,54 @@ class TestFailures:
         kept = [r for r in rows("clean") if not r.startswith("ccdf,1,0,")]
         assert len(kept) == 5
         assert rows("forced") == kept
+
+
+class TestBatchScoring:
+    @pytest.mark.parametrize("model", ["farfield", "exact"])
+    def test_row_does_not_depend_on_its_scoring_batch(self, tmp_path, monkeypatch, model):
+        # A run's 120 trials are estimated in one batch; scored again in
+        # batches of 1, 7 or 128, every trial gets the same row, bit for bit.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"trials": 8, "model": model, "noise": {"snr_db": 10.0}}))
+        score, seen = harness._score_trials, []
+
+        def recording(*args):
+            seen.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(harness, "_score_trials", recording)
+        run_ccdf(load_spec("ccdf", config_path=str(path), out_dir=str(tmp_path / "out")))
+        [(spec, batch, truths, results)] = seen
+        whole = score(spec, batch, truths, results)
+        assert len(whole) == 120 and all(isinstance(row, dict) for row in whole)
+        for size in (1, 7, 128):
+            rows = [row for i in range(0, len(batch), size)
+                    for row in score(spec, batch[i:i + size], truths[i:i + size],
+                                     results[i:i + size])]
+            assert rows == whole
+
+    def test_zero_decoded_signal_fails_its_trial_only(self, tmp_path, monkeypatch):
+        # A trial whose decoded signal vanishes under one of its masks counts
+        # as a ZeroSignalError; the other trials of its batch keep their rows.
+        path = tiny_config(tmp_path, trials=3)
+        clean = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "clean"))
+        assert run_ccdf(clean)["failed_trials"] == 0
+        real_imi_matrix = harness.imi_matrix
+
+        def silence_second(fields, mask, modes):
+            imi = real_imi_matrix(fields, mask, modes)
+            imi.power[1, 1, 0, 0] = 0.0  # trial 1, the estimate's mask, mode slot 0
+            return imi
+
+        monkeypatch.setattr(harness, "imi_matrix", silence_second)
+        forced = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "forced"))
+        summary = run_ccdf(forced)
+        assert summary["failed_by_error"] == {"ZeroSignalError": 1}
+
+        def rows(name):
+            return (tmp_path / name / "results.csv").read_text().splitlines()[2:]
+
+        assert rows("forced") == [r for r in rows("clean") if not r.startswith("ccdf,0,1,")]
 
 
 class TestCli:
