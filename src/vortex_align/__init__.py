@@ -9,6 +9,7 @@ from .channel import (
     delta,
     farfield_antenna_vector,
     farfield_received_signal,
+    pose_angles,
     rho,
     simulate_measurement,
     wavenumber,

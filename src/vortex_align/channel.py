@@ -13,10 +13,10 @@ transmitted vortex mode ``l`` and wavenumber ``k``:
   takes T poses' (theta, phi, gamma) at once; ``farfield_received_signal``
   is its one-pose call, with the oracle's arguments and shape.
 
-``received_signals`` picks either model by name for one pose, and
-``trial_signals`` for T trials; ``simulate_trials`` adds each trial's
-seeded circularly-symmetric complex noise, and ``simulate_measurement`` is
-its one-trial call.
+``trial_signals`` picks either model by name for T trials;
+``simulate_trials`` adds each trial's seeded circularly-symmetric complex
+noise and returns one ``SampleTensor`` with a leading trial axis, and
+``simulate_measurement`` is its one-trial call.
 """
 
 from __future__ import annotations
@@ -228,17 +228,8 @@ def farfield_antenna_vector(
     return farfield_received_signal(scenario, pose, (mode,), [k])[:, 0, 0]
 
 
-def received_signals(scenario: Scenario, pose: RxPose, modes, ks, model: str):
-    """Noiseless samples (N_r, modes, ks) of the ``"exact"`` or ``"farfield"`` model."""
-    if model == "exact":
-        return exact_received_signals(scenario, pose, modes, ks)
-    if model == "farfield":
-        return farfield_received_signal(scenario, pose, modes, ks)
-    raise ValueError(f"unknown model {model!r}")
-
-
 def trial_signals(scenario: Scenario, poses, angles, modes, ks, model: str) -> np.ndarray:
-    """``received_signals`` of T trials at once, (T, N_r, modes, p).
+    """Noiseless samples (T, N_r, modes, p) of the ``"exact"`` or ``"farfield"`` model.
 
     Trial t is at ``poses[t]``, of ``pose_angles`` ``angles[t]``, and at
     wavenumbers ``ks[t]``.  The far-field model makes one call for every
@@ -269,8 +260,11 @@ class NoiseSpec:
 class SampleTensor:
     """Complex received samples indexed [antenna m][mode l][subcarrier k].
 
-    ``antennas`` holds the ring-element label of each row of ``values``; a
-    tensor may hold any subset of the ring, so labels are not positions.
+    A batch of T trials adds a leading trial axis: ``values`` (T, N_r,
+    modes, p) on ``subcarriers_hz`` (T, p), one row of tones per trial,
+    under the one ``antennas`` and ``modes`` of the whole batch.
+    ``antennas`` holds the ring-element label of each antenna row; a tensor
+    may hold any subset of the ring, so labels are not positions.
     """
 
     values: np.ndarray
@@ -285,7 +279,8 @@ class SampleTensor:
         self.subcarriers_hz = np.asarray(self.subcarriers_hz, dtype=float)
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("mode list entries must be distinct")
-        expected = (len(self.antennas), len(self.modes), len(self.subcarriers_hz))
+        *trials, p = self.subcarriers_hz.shape
+        expected = (*trials, len(self.antennas), len(self.modes), p)
         if self.values.shape != expected:
             raise ValueError(
                 f"values shape {self.values.shape} does not match index sets {expected}"
@@ -294,7 +289,7 @@ class SampleTensor:
             raise ValueError("sample tensor contains non-finite values")
 
     def antenna_index(self, antenna: int) -> int:
-        """Row of ``values`` that holds ring element ``antenna`` (a label)."""
+        """Antenna row of ``values`` that holds ring element ``antenna`` (a label)."""
         try:
             return self.antennas.tolist().index(antenna)
         except ValueError:
@@ -309,8 +304,8 @@ class SampleTensor:
 
 def simulate_trials(
     scenario: Scenario, poses, angles, modes, subcarriers_hz, noises, model: str = "farfield"
-) -> list[SampleTensor]:
-    """Simulate the measurement tensors y = s + n of T trials over (antenna, mode, subcarrier).
+) -> SampleTensor:
+    """Simulate the measurement tensor y = s + n of T trials, (T, antenna, mode, subcarrier).
 
     Trial t is at ``poses[t]``, of ``pose_angles`` ``angles[t]``, on the
     subcarriers ``subcarriers_hz[t]`` (equally many per trial), with noise
@@ -327,17 +322,14 @@ def simulate_trials(
     on_grid = np.isclose(scenario.subcarriers_hz, sub[..., None], rtol=1e-12).any(axis=-1)
     if not on_grid.all():
         raise ValueError(f"subcarrier {sub[~on_grid][0]} Hz is not on the scenario grid")
-    tensors = []
-    for s, tones, noise in zip(
-        trial_signals(scenario, poses, angles, modes, wavenumber(sub), model), sub, noises
-    ):
+    values = trial_signals(scenario, poses, angles, modes, wavenumber(sub), model)
+    for s, noise in zip(values, noises):
         if noise.snr_db is not None:
             sigma2 = float(np.mean(np.abs(s) ** 2)) * 10.0 ** (-noise.snr_db / 10.0)
             rng = np.random.default_rng(noise.seed)
             scale = np.sqrt(sigma2 / 2.0)
-            s = s + scale * (rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape))
-        tensors.append(SampleTensor(s, np.arange(scenario.rx.n_elements), modes, tones))
-    return tensors
+            s += scale * (rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape))
+    return SampleTensor(values, np.arange(scenario.rx.n_elements), modes, sub)
 
 
 def simulate_measurement(
@@ -349,8 +341,7 @@ def simulate_measurement(
     model: str = "farfield",
 ) -> SampleTensor:
     """Simulate the measurement tensor y = s + n of one trial: ``simulate_trials``
-    of one trial."""
+    of one trial, without the trial axis."""
     sub = np.atleast_1d(np.asarray(subcarriers_hz, dtype=float))
-    (tensor,) = simulate_trials(scenario, [pose], [pose_angles(pose)], modes, [sub],
-                                [noise], model)
-    return tensor
+    batch = simulate_trials(scenario, [pose], [pose_angles(pose)], modes, [sub], [noise], model)
+    return SampleTensor(batch.values[0], batch.antennas, batch.modes, batch.subcarriers_hz[0])

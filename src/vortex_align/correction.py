@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import farfield_spatial_phase, received_signals
-from .geometry import RxPose, Scenario, UcaGeometry
+from .channel import farfield_spatial_phase, trial_signals
+from .geometry import Scenario, UcaGeometry
 
 # Sentinel for infinite SIR (zero interference); keeps capacity finite.
 SIR_CAP_DB = 200.0
@@ -120,16 +120,16 @@ def imi_matrix(fields: np.ndarray, mask: PhaseMask | None, modes) -> ImiMatrix:
 
 
 def imi_matrices(
-    scenario: Scenario, pose: RxPose, modes, masks, model: str, k: float
-) -> list[ImiMatrix]:
-    """Decoded power of each of ``modes`` in each slot, one matrix per mask.
-
-    Simulates all of ``modes`` in one noiseless channel call and decodes
-    them under every mask in ``masks`` (``None``: no mask) into the same slots.
-    """
-    modes = tuple(int(l) for l in modes)
-    fields = received_signals(scenario, pose, modes, [k], model)[:, :, 0]
-    return [imi_matrix(fields, mask, modes) for mask in masks]
+    scenario: Scenario, poses, angles, modes, masks: PhaseMask, model: str, k: float
+) -> ImiMatrix:
+    """Decoded power (T, masks, modes, modes) of each of ``modes`` in each
+    slot at pose ``poses[t]``, of ``pose_angles`` ``angles[t]``, under each
+    of its masks ``masks.values[t]``, (T, masks, N_r): one ``trial_signals``
+    call at wavenumber ``k`` and one ``imi_matrix`` decode.  Zero phases
+    decode as no mask does, bit for bit."""
+    ks = np.full((len(poses), 1), k)
+    fields = trial_signals(scenario, poses, angles, modes, ks, model)[..., 0]
+    return imi_matrix(fields[:, None], masks, modes)
 
 
 def sir(imi: ImiMatrix) -> tuple[dict, float | np.ndarray]:

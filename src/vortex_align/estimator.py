@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import copy
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -581,36 +580,37 @@ def _refine_cells(cells: list, terms: CrossModalPhaseSet) -> tuple[np.ndarray, .
 def estimate(
     tensor: SampleTensor, scenario: Scenario, config: EstimationConfig
 ) -> MisalignmentEstimate:
-    """Estimate (theta, phi, gamma) as ``estimate_trials`` of one trial; raises."""
-    (result,) = estimate_trials([tensor], scenario, config)
+    """Estimate (theta, phi, gamma) of one trial's ``tensor`` as ``estimate_trials``
+    of a one-trial batch; raises."""
+    batch = SampleTensor(tensor.values[None], tensor.antennas, tensor.modes,
+                         tensor.subcarriers_hz[None])
+    (result,) = estimate_trials(batch, scenario, config)
     if not isinstance(result, MisalignmentEstimate):
         raise result
     return result
 
 
 def estimate_trials(
-    tensors: Sequence[SampleTensor], scenario: Scenario, config: EstimationConfig
+    tensor: SampleTensor, scenario: Scenario, config: EstimationConfig
 ) -> list[MisalignmentEstimate | NoPowerError | ZeroPowerError]:
-    """Estimate (theta, phi, gamma) of every trial's tensor at once under ``config``.
+    """Estimate (theta, phi, gamma) of every trial of batch ``tensor`` at once
+    under ``config``.
 
     One coarse search (one loss map, a power map per trial), one LM refine
     of every trial's best cells with gamma solved at every point, and one
     arbitration of the refined cells and their half-turn azimuth twins by
-    phase misfit and corrected power, probed at every antenna.  The tensors
-    hold the same antenna and mode labels (ValueError otherwise), read by one
-    lookup, and equally many subcarriers.  A noise failure ends only its own
-    trial and is returned in its place.
+    phase misfit and corrected power, probed at every antenna.  The batch's
+    one set of antenna and mode labels is read by one lookup.  A noise
+    failure ends only its own trial and is returned in its place.
     """
-    if len({(tuple(t.antennas), t.modes) for t in tensors}) > 1:
-        raise ValueError("a batch's tensors must hold the same antenna labels and modes")
-    tones = sorted({len(t.subcarriers_hz) for t in tensors})
-    if len(tones) > 1:
-        raise ValueError(f"a batch's tensors must hold equally many subcarriers, got {tones}")
     _validate_config(config, scenario.rx.n_elements)
-    if not tensors:
+    values = tensor.values
+    n_trials, n_ant, _n_modes, n_sub = values.shape
+    if not n_trials:
         return []
-    rows, cols = _positions(tensors[0], config.antennas, config.modes)
-    fitted = np.stack([t.values[np.ix_(rows, cols)] for t in tensors])
+    rows, cols = _positions(tensor, config.antennas, config.modes)
+    # np.ix_ over every axis gives C-ordered copies: numpy sums round by memory order.
+    fitted = values[np.ix_(range(n_trials), rows, cols, range(n_sub))]
     terms, results = _phase_sets(fitted, config, scenario.rx.n_elements)
     live = [i for i, failure in enumerate(results) if failure is None]
     if not live:
@@ -618,10 +618,9 @@ def estimate_trials(
     terms = terms.rows(live)
     # The power probes read a few subcarriers spread over each trial's: the
     # grid's at the fitted antennas, the arbitration's at every antenna.
-    n_sub = len(tensors[0].subcarriers_hz)
     picks = np.linspace(0, n_sub - 1, min(n_sub, _POWER_GRID_MAX_SUBCARRIERS), dtype=int)
-    ks = wavenumber(np.stack([tensors[i].subcarriers_hz[picks] for i in live]))
-    probed = np.stack([tensors[i].values[:, cols][..., picks] for i in live])
+    ks = wavenumber(tensor.subcarriers_hz[np.ix_(live, picks)])
+    probed = values[np.ix_(live, range(n_ant), cols, picks)]
     cells = _coarse_candidates(terms, config, probed[:, rows], ks, scenario)
     edges = np.cumsum([0, *map(len, cells)])
     owner = np.repeat(np.arange(len(live)), np.diff(edges))
@@ -635,7 +634,7 @@ def estimate_trials(
     # twin.  Both terms scale with 1/noise, which cancels from the ranking.
     model = _model(np.column_stack([x, gamma]), terms)
     phis = np.column_stack([x[:, 1], np.angle(np.exp(1j * (x[:, 1] + np.pi)))])
-    ring = scenario.rx.element_azimuths[tensors[0].antennas]
+    ring = scenario.rx.element_azimuths[tensor.antennas]
     geometry = farfield_geometry(np.repeat(x[:, 0], 2), phis.ravel(), ring, config.modes)
     twins = np.repeat(owner, 2)
     power = _matched_power(probed[twins], ks[twins], config.modes, geometry,

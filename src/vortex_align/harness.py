@@ -39,7 +39,7 @@ import numpy as np
 from .channel import FARFIELD_HARD_FACTOR, FARFIELD_WARN_FACTOR, NoiseSpec, pose_angles
 from .channel import simulate_trials, trial_signals, wavenumber
 from .correction import ImiMatrix, ZeroSignalError, check_decodable, imi_matrices
-from .correction import imi_matrix, phase_mask, sir, sir_capacity
+from .correction import phase_mask, sir, sir_capacity
 from .estimator import (
     EstimationConfig,
     MisalignmentEstimate,
@@ -247,6 +247,9 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
     ConfigError that names the key it read."""
     sc, est, sub = cfg["scenario"], cfg["estimation"], cfg["scenario"]["subcarriers"]
     try:
+        # np.arange(2**63) is empty, not refused: a count beyond intp is refused here.
+        if sub["count"] > np.iinfo(np.intp).max:
+            raise ValueError("more tones than an array can hold")
         tones = sub["start_hz"] + sub["step_hz"] * np.arange(sub["count"])
     except ValueError as exc:  # more tones than an array can hold
         raise ConfigError(f"scenario.subcarriers.count={sub['count']}: {exc}") from exc
@@ -391,22 +394,19 @@ def _score_trials(spec: ExperimentSpec, batch: list, truths: list, results: list
     """The ``results.csv`` row of each trial of ``batch``, (point index, trial
     index, seed), of pose and ``pose_angles`` ``truths`` and estimate ``results``:
     ground truth, estimate, errors and gains.  A noise failure in ``results``
-    keeps its place, and so does a ZeroSignalError.  One channel call at the
-    carrier covers every trial's true pose, and one decode the three masks of
-    every trial: none, the estimate's, the truth's."""
+    keeps its place, and so does a ZeroSignalError.  One ``imi_matrices``
+    call at the carrier scores every trial's true pose under its three masks:
+    none (zero phases), the estimate's, the truth's."""
     scenario, results = spec.scenario, list(results)
     live = [n for n, est in enumerate(results) if isinstance(est, MisalignmentEstimate)]
     if not live:
         return results
     k_c = wavenumber(scenario.carrier_hz)
     poses, truth = zip(*(truths[n] for n in live))
-    fields = trial_signals(scenario, poses, truth, spec.modes,
-                           np.full((len(live), 1), k_c), spec.model)[..., 0]
-    # Zero phases decode as no mask does, bit for bit.
     aims = np.array([[(0.0, 0.0), (results[n].theta, results[n].phi), t[:2]]
                      for n, t in zip(live, truth)])
     masks = phase_mask(aims[..., 0], aims[..., 1], k_c, scenario.rx)
-    power = imi_matrix(fields[:, None], masks, spec.modes).power
+    power = imi_matrices(scenario, poses, truth, spec.modes, masks, spec.model, k_c).power
     kept = np.diagonal(power, axis1=-2, axis2=-1).all(axis=(1, 2))
     for n in np.compress(~kept, live):
         results[n] = ZeroSignalError("zero decoded signal power")
@@ -519,11 +519,11 @@ def _trial_rows(spec: ExperimentSpec, value: int | None = None) -> tuple[list[di
         truths = [(poses[point], angles[point]) for point, _t, _seed in batch]
         tones = [np.sort(np.random.default_rng(seed).choice(pool, size=spec.p, replace=False))
                  for *_, seed in batch]
-        tensors = simulate_trials(
+        tensor = simulate_trials(
             scenario, *zip(*truths), spec.modes, tones,
             [NoiseSpec(snr_db=spec.snr_db, seed=seed) for *_, seed in batch], spec.model,
         )
-        estimates = estimate_trials(tensors, scenario, config)
+        estimates = estimate_trials(tensor, scenario, config)
         for result in _score_trials(spec, batch, truths, estimates):
             if isinstance(result, dict):
                 rows.append(result)
@@ -649,14 +649,15 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
     modes = spec.demo_modes
     k = wavenumber(scenario.carrier_hz)
     r = scenario.pose.distance_m
-    aligned_pose = RxPose.from_tilt(r, 0.0, 0.0)
-    tilted_pose = RxPose.from_tilt(r, np.deg2rad(spec.demo_tilt_deg), 0.0)
-    theta_t, phi_t = misalignment_angles(tilted_pose)
-
-    aligned = imi_matrices(scenario, aligned_pose, modes, [None], spec.model, k)[0]
-    mask = phase_mask(theta_t, phi_t, k, scenario.rx)
-    tilted, corrected = imi_matrices(scenario, tilted_pose, modes, [None, mask], spec.model, k)
-    matrices = {"aligned": aligned, "misaligned": tilted, "corrected": corrected}
+    tilted = RxPose.from_tilt(r, np.deg2rad(spec.demo_tilt_deg), 0.0)
+    poses = [RxPose.from_tilt(r, 0.0, 0.0), tilted, tilted]
+    angles = [pose_angles(pose) for pose in poses]
+    # Aligned and tilted under zero phases (no mask), then tilted under the true mask.
+    aims = np.array([[0.0, 0.0], [0.0, 0.0], angles[2][:2]])
+    masks = phase_mask(aims[:, :1], aims[:, 1:], k, scenario.rx)
+    power = imi_matrices(scenario, poses, angles, modes, masks, spec.model, k).power[:, 0]
+    matrices = {label: ImiMatrix(p, modes)
+                for label, p in zip(("aligned", "misaligned", "corrected"), power)}
     for label, imi in matrices.items():
         # Rows are decoded modes, columns transmitted modes.
         _write_csv(
@@ -666,9 +667,7 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
             spec.config_hash,
         )
 
-    diag_al, diag_ti, diag_co = (
-        10.0 * np.log10(np.diag(m.power)) for m in (aligned, tilted, corrected)
-    )
+    diag_al, diag_ti, diag_co = (10.0 * np.log10(np.diag(m.power)) for m in matrices.values())
     dominance = {label: sir(m)[0] for label, m in matrices.items()}
     summary = {
         "modes": list(modes),

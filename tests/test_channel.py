@@ -17,14 +17,13 @@ from vortex_align.channel import (
     farfield_geometry,
     farfield_received_signal,
     pose_angles,
-    received_signals,
     rho,
     simulate_measurement,
     simulate_trials,
     trial_signals,
     wavenumber,
 )
-from vortex_align.correction import imi_matrices
+from vortex_align.correction import imi_matrices, phase_mask
 from vortex_align.estimator import EstimationConfig, _matched_power, select_antennas
 from vortex_align.geometry import (
     RxPose,
@@ -297,7 +296,7 @@ class TestFarfieldModel:
                                    subcarriers=GRID_HZ)
         modes = (-2, -1, 0, 1, 2)
         ks = wavenumber(GRID_HZ[[0, 35, 70]])
-        got = received_signals(scen, pose, modes, ks, "farfield")
+        got = farfield_received_signal(scen, pose, modes, ks)
         assert got.shape == (scen.rx.n_elements, len(modes), len(ks))
         np.testing.assert_allclose(got, reference_farfield(scen, pose, modes, ks),
                                    rtol=1e-12, atol=0)
@@ -407,9 +406,11 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError, match=message):
             simulate_measurement(scen, pose, [1], [F_CARRIER], model="hybrid")
         with pytest.raises(ValueError, match=message):
-            received_signals(scen, pose, [1], [K_CARRIER], "hybrid")
+            trial_signals(scen, [pose], [pose_angles(pose)], [1], [[K_CARRIER]], "hybrid")
+        no_mask = phase_mask([[0.0]], [[0.0]], K_CARRIER, scen.rx)
         with pytest.raises(ValueError, match=message):
-            imi_matrices(scen, pose, [1], [None], "hybrid", K_CARRIER)
+            imi_matrices(scen, [pose], [pose_angles(pose)], [1], no_mask, "hybrid",
+                         K_CARRIER)
 
 
 class TestSimulateTrials:
@@ -418,8 +419,8 @@ class TestSimulateTrials:
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     def test_batch_matches_one_trial_calls_bitwise(self, model, p, snr_db):
         # One batch of mixed poses, two of them taken twice, each trial on its
-        # own tones and noise seed: every tensor is, bit for bit, what one
-        # simulate_measurement call gives for that trial alone.
+        # own tones and noise seed: every trial of the one batch tensor is, bit
+        # for bit, what one simulate_measurement call gives for that trial alone.
         scen, _pose = make_scenario(distance=0.4, subcarriers=GRID_HZ)
         rng = np.random.default_rng(3)
         poses = [RxPose.from_tilt(0.4, *rng.uniform(-0.6, 0.6, 2)) for _ in range(5)]
@@ -429,17 +430,17 @@ class TestSimulateTrials:
         modes = (-1, 0, 1)
         angles = [pose_angles(pose) for pose in poses]
         batch = simulate_trials(scen, poses, angles, modes, tones, noises, model)
-        assert len(batch) == len(poses)
-        for tensor, pose, sub, noise in zip(batch, poses, tones, noises):
+        assert batch.values.shape == (len(poses), 20, len(modes), p)
+        assert np.array_equal(batch.subcarriers_hz, tones)
+        assert batch.modes == modes and np.array_equal(batch.antennas, np.arange(20))
+        for values, pose, sub, noise in zip(batch.values, poses, tones, noises):
             one = simulate_measurement(scen, pose, modes, sub, noise, model)
-            assert tensor.values.tobytes() == one.values.tobytes()
-            assert np.array_equal(tensor.subcarriers_hz, sub)
-            assert tensor.modes == modes and np.array_equal(tensor.antennas, np.arange(20))
+            assert values.tobytes() == one.values.tobytes()
 
     @pytest.mark.parametrize("model", ["farfield", "exact"])
     def test_trial_signals_match_one_pose_calls_bitwise(self, model):
         # The batched far-field kernel, and the oracle's call per trial, give
-        # each pose what received_signals gives it alone, at every tone.
+        # each pose what the model's one-pose call gives it alone, at every tone.
         scen, _pose = make_scenario(distance=0.4, subcarriers=GRID_HZ)
         rng = np.random.default_rng(4)
         poses = [RxPose.from_tilt(0.4, *rng.uniform(-0.6, 0.6, 2)) for _ in range(6)]
@@ -447,9 +448,10 @@ class TestSimulateTrials:
         got = trial_signals(scen, poses, [pose_angles(pose) for pose in poses], (-2, 1),
                             ks, model)
         assert got.shape == (6, 20, 2, 3)
+        one_pose = {"exact": exact_received_signals,
+                    "farfield": farfield_received_signal}[model]
         for fields, pose, k in zip(got, poses, ks):
-            alone = received_signals(scen, pose, (-2, 1), k, model)
-            assert fields.tobytes() == alone.tobytes()
+            assert fields.tobytes() == one_pose(scen, pose, (-2, 1), k).tobytes()
 
     def test_rejects_off_grid_tone_of_any_trial(self):
         scen, pose = make_scenario(subcarriers=GRID_HZ)
@@ -463,6 +465,16 @@ class TestSampleTensor:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             SampleTensor(np.zeros((2, 2, 2)), np.arange(2), (1,), np.array([1e9]))
+
+    def test_batch_shape_validation(self):
+        # A batch's values and subcarriers share their leading trial axis; one
+        # antenna and mode list serves every trial.
+        batch = SampleTensor(np.zeros((3, 2, 1, 4)), np.arange(2), (1,), np.ones((3, 4)))
+        assert batch.values.shape == (3, 2, 1, 4)
+        for values, subs in [((3, 2, 1, 4), (2, 4)), ((2, 2, 1, 4), (3, 4)),
+                             ((3, 2, 1, 4), (4,)), ((2, 1, 4), (3, 4))]:
+            with pytest.raises(ValueError, match="does not match index sets"):
+                SampleTensor(np.zeros(values), np.arange(2), (1,), np.ones(subs))
 
     def test_finite_validation(self):
         bad = np.full((1, 1, 1), np.nan + 0j)

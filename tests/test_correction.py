@@ -6,16 +6,19 @@ import pytest
 from vortex_align.channel import (
     exact_received_signals,
     farfield_antenna_vector,
-    received_signals,
+    farfield_received_signal,
+    pose_angles,
     wavenumber,
 )
 from vortex_align.correction import (
     AliasedModeError,
     ImiMatrix,
+    PhaseMask,
     SIR_CAP_DB,
     ZeroSignalError,
     decode_modes,
     imi_matrices,
+    imi_matrix,
     phase_mask,
     sir,
     sir_capacity,
@@ -39,6 +42,15 @@ def make_scenario(theta_deg, phi_deg, tx=(160, 0.03), rx=(20, 0.008),
     scen = Scenario(UcaGeometry(*tx), UcaGeometry(*rx), pose, F_CARRIER,
                     np.array([F_CARRIER]))
     return scen, pose
+
+
+def pose_matrices(scen, pose, modes, masks, model):
+    """``imi_matrices`` of one pose, one matrix per mask of ``masks`` (None:
+    zero phases)."""
+    phases = [np.zeros(scen.rx.n_elements) if m is None else m.values for m in masks]
+    imi = imi_matrices(scen, [pose], [pose_angles(pose)], modes, PhaseMask([phases]),
+                       model, K_CARRIER)
+    return [ImiMatrix(power, modes) for power in imi.power[0]]
 
 
 class TestPhaseMask:
@@ -145,7 +157,7 @@ class TestImiMatrix:
     def test_aligned_diagonal_dominance(self):
         scen, pose = make_scenario(0.0, 0.0)
         modes = (-2, -1, 0, 1, 2)
-        [imi] = imi_matrices(scen, pose, modes, [None], "exact", K_CARRIER)
+        [imi] = pose_matrices(scen, pose, modes, [None], "exact")
         for j in range(len(modes)):
             diag = imi.power[j, j]
             col = [imi.power[i, j] for i in range(len(modes)) if i != j]
@@ -153,33 +165,37 @@ class TestImiMatrix:
 
     @pytest.mark.parametrize("model", ["exact", "farfield"])
     def test_matrices_match_per_mask_calls(self, model):
-        # One simulation of all modes, decoded under every mask, gives
-        # bitwise what one call per mask gives; entry (slot l, mode col) is
-        # |mean over the ring of y_col e^{i P_m} e^{i l phi_m}|^2, to 1e-12
-        # of the column's largest entry (round-off leakage sits near 1e-36).
-        scen, pose = make_scenario(20.0, -140.0)
-        theta, phi = misalignment_angles(pose)
+        # One simulation of all modes at every pose, decoded under each pose's
+        # masks, gives bitwise what one call per pose and mask gives; entry
+        # (slot l, mode col) is |mean over the ring of y_col e^{i P_m} e^{i l
+        # phi_m}|^2, to 1e-12 of the column's largest entry (round-off leakage
+        # sits near 1e-36).  Zero phases decode as no mask does, bit for bit.
+        poses = [make_scenario(20.0, -140.0)[1], make_scenario(35.0, 70.0)[1]]
+        scen = make_scenario(20.0, -140.0)[0]
+        angles = [pose_angles(pose) for pose in poses]
         modes = (-2, -1, 0, 1, 2)
-        masks = [
-            None,
-            phase_mask(theta, phi, K_CARRIER, scen.rx),
-            phase_mask(theta + 0.05, phi - 0.1, K_CARRIER, scen.rx),
-        ]
-        fields = received_signals(scen, pose, modes, [K_CARRIER], model)[:, :, 0]
-        batch = imi_matrices(scen, pose, modes, masks, model, K_CARRIER)
-        assert len(batch) == len(masks)
-        for imi, mask in zip(batch, masks):
-            [one] = imi_matrices(scen, pose, modes, [mask], model, K_CARRIER)
-            assert imi.modes == one.modes == modes
-            assert np.array_equal(imi.power, one.power)
-            n = len(fields)
-            phi_m = 2 * np.pi * np.arange(n) / n
-            p_m = np.zeros(n) if mask is None else mask.values
-            for col in range(len(modes)):
-                y = fields[:, col] * np.exp(1j * p_m)
-                expected = [abs(np.mean(y * np.exp(1j * l * phi_m))) ** 2 for l in modes]
-                np.testing.assert_allclose(imi.power[:, col], expected, rtol=1e-12,
-                                           atol=1e-12 * max(expected))
+        aims = np.array([[(0.0, 0.0), (theta, phi), (theta + 0.05, phi - 0.1)]
+                         for theta, phi, _gamma in angles])
+        masks = phase_mask(aims[..., 0], aims[..., 1], K_CARRIER, scen.rx)
+        batch = imi_matrices(scen, poses, angles, modes, masks, model, K_CARRIER)
+        assert batch.modes == modes and batch.power.shape == (2, 3, 5, 5)
+        one_pose = {"exact": exact_received_signals,
+                    "farfield": farfield_received_signal}[model]
+        for t, pose in enumerate(poses):
+            fields = one_pose(scen, pose, modes, [K_CARRIER])[:, :, 0]
+            assert np.array_equal(batch.power[t, 0], imi_matrix(fields, None, modes).power)
+            for m, p_m in enumerate(masks.values[t]):
+                one = imi_matrices(scen, [pose], [angles[t]], modes,
+                                   PhaseMask(p_m[None, None]), model, K_CARRIER)
+                assert np.array_equal(batch.power[t, m], one.power[0, 0])
+                n = len(fields)
+                phi_m = 2 * np.pi * np.arange(n) / n
+                for col in range(len(modes)):
+                    y = fields[:, col] * np.exp(1j * p_m)
+                    expected = [abs(np.mean(y * np.exp(1j * l * phi_m))) ** 2
+                                for l in modes]
+                    np.testing.assert_allclose(batch.power[t, m, :, col], expected,
+                                               rtol=1e-12, atol=1e-12 * max(expected))
 
     def test_true_mask_restores_diagonal(self):
         scen, pose = make_scenario(10.0, 180.0, rx=(20, 0.02), distance=4.0)
@@ -187,11 +203,9 @@ class TestImiMatrix:
         theta, phi = misalignment_angles(pose)
         aligned_scen, aligned_pose = make_scenario(0.0, 0.0, rx=(20, 0.02),
                                                    distance=4.0)
-        [aligned] = imi_matrices(aligned_scen, aligned_pose, modes, [None],
-                                 "exact", K_CARRIER)
-        [masked] = imi_matrices(scen, pose, modes,
-                                [phase_mask(theta, phi, K_CARRIER, scen.rx)],
-                                "exact", K_CARRIER)
+        [aligned] = pose_matrices(aligned_scen, aligned_pose, modes, [None], "exact")
+        [masked] = pose_matrices(scen, pose, modes,
+                                 [phase_mask(theta, phi, K_CARRIER, scen.rx)], "exact")
         for i in range(len(modes)):
             gap = abs(10 * np.log10(masked.power[i, i])
                       - 10 * np.log10(aligned.power[i, i]))
@@ -199,7 +213,7 @@ class TestImiMatrix:
 
     def test_single_mode_matrix(self):
         scen, pose = make_scenario(5.0, -120.0)
-        [imi] = imi_matrices(scen, pose, (1,), [None], "exact", K_CARRIER)
+        [imi] = pose_matrices(scen, pose, (1,), [None], "exact")
         s = exact_received_signals(scen, pose, [1], [K_CARRIER])[:, 0, 0]
         expected = abs(decode_modes(s, None, [1])[0]) ** 2
         assert imi.power.shape == (1, 1)
@@ -245,9 +259,10 @@ class TestSirGain:
     def test_zero_mask_equals_no_mask(self):
         scen, pose = make_scenario(10.0, 180.0)
         modes = (-1, 1)
-        no_mask, zero_mask = imi_matrices(
-            scen, pose, modes,
-            [None, phase_mask(0.0, 0.0, K_CARRIER, scen.rx)], "exact", K_CARRIER)
+        fields = exact_received_signals(scen, pose, modes, [K_CARRIER])[:, :, 0]
+        no_mask = imi_matrix(fields, None, modes)
+        [zero_mask] = pose_matrices(
+            scen, pose, modes, [phase_mask(0.0, 0.0, K_CARRIER, scen.rx)], "exact")
         assert sir(zero_mask)[1] == pytest.approx(sir(no_mask)[1], abs=1e-9)
 
 
@@ -286,10 +301,9 @@ class TestCorrectionInvariants:
         for theta_deg in (5.0, 15.0, 25.0, 35.0, 45.0):
             scen, pose = make_scenario(theta_deg, -140.0)
             theta, phi = misalignment_angles(pose)
-            before, after = imi_matrices(
+            before, after = pose_matrices(
                 scen, pose, modes,
-                [None, phase_mask(theta, phi, K_CARRIER, scen.rx)], "farfield",
-                K_CARRIER)
+                [None, phase_mask(theta, phi, K_CARRIER, scen.rx)], "farfield")
             assert sir(after)[1] >= sir(before)[1]
 
     def test_estimation_error_costs_under_3db(self):
@@ -302,9 +316,8 @@ class TestCorrectionInvariants:
             true_mask = phase_mask(theta, phi, K_CARRIER, scen.rx)
             off_mask = phase_mask(theta + np.deg2rad(2.4),
                                   phi + np.deg2rad(0.65), K_CARRIER, scen.rx)
-            before, true_fix, off_fix = imi_matrices(
-                scen, pose, modes, [None, true_mask, off_mask], "farfield",
-                K_CARRIER)
+            before, true_fix, off_fix = pose_matrices(
+                scen, pose, modes, [None, true_mask, off_mask], "farfield")
             gain_true = sir(true_fix)[1] - sir(before)[1]
             gain_off = sir(off_fix)[1] - sir(before)[1]
             assert gain_true - gain_off < 3.0

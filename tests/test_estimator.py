@@ -839,6 +839,12 @@ class TestCoarseGrid:
         assert table[0].shape == (len(thetas), {20: 120, 16: 240}[rx_n])
 
 
+def batch_of(tensors):
+    """The one batch tensor of one-trial ``tensors`` with the same labels."""
+    return SampleTensor(np.stack([t.values for t in tensors]), tensors[0].antennas,
+                        tensors[0].modes, np.stack([t.subcarriers_hz for t in tensors]))
+
+
 def noisy_batch(modes, silenced=1):
     """Four trials of mixed poses at 12 dB, one silenced into a noise failure."""
     poses = [(18.0, -150.0), (33.0, -110.0), (47.0, 40.0), (62.0, 170.0)]
@@ -867,7 +873,7 @@ class TestBatchedCoarse:
             return seen[-1][1]
 
         monkeypatch.setattr(estimator_module, "_loss_maps", recording)
-        results = estimate_trials(tensors, scen, config)
+        results = estimate_trials(batch_of(tensors), scen, config)
         assert isinstance(results[1], ZeroPowerError)
         ((terms, batch),) = seen
         assert batch.shape == (3, 1800)
@@ -1071,10 +1077,11 @@ class TestRingRotation:
                     subcarriers=subs, snr_db=snr_db, seed=10 * n_tones + n,
                     rx_n=rx_n)
                 tensors.append(tensor)
-            original = estimate_trials(tensors, scen, config)
+            batch = batch_of(tensors)
+            original = estimate_trials(batch, scen, config)
             for s in shifts:
                 turned = estimate_trials(
-                    [replace(t, values=np.roll(t.values, s, axis=0)) for t in tensors],
+                    replace(batch, values=np.roll(batch.values, s, axis=1)),
                     scen,
                     replace(config, antennas=[(a + s) % rx_n for a in config.antennas]),
                 )
@@ -1108,7 +1115,7 @@ class TestBatchedEstimate:
         assert len({tuple(t.subcarriers_hz) for t in tensors}) == len(poses)
         silenced = 2
         tensors[silenced].values[config.antennas[1], 1] = 0.0
-        batch = estimate_trials(tensors, scen, config)
+        batch = estimate_trials(batch_of(tensors), scen, config)
         for n, (tensor, got) in enumerate(zip(tensors, batch)):
             if n == silenced:
                 assert isinstance(got, ZeroPowerError)
@@ -1133,43 +1140,28 @@ class TestBatchedEstimate:
             assert (d["grid_theta"], d["grid_phi"]) in cells
 
     def test_empty_batch_estimates_nothing(self):
-        scen, _pose, _tensor, config = make_setup(30.0, -120.0)
-        assert estimate_trials([], scen, config) == []
+        scen, _pose, tensor, config = make_setup(30.0, -120.0)
+        empty = SampleTensor(np.zeros((0, *tensor.values.shape)), tensor.antennas,
+                             tensor.modes, np.zeros((0, 1)))
+        assert estimate_trials(empty, scen, config) == []
 
-    def test_batch_rejects_mixed_settings(self):
-        # Every subcarrier of a tensor is pooled, so a batch cannot mix
-        # counts; the error names them.
-        scen, _pose, _tensor, config = make_setup(30.0, -120.0)
-        for counts, named in [((1, 2), r"\[1, 2\]"), ((3, 2), r"\[2, 3\]")]:
-            tensors = [make_setup(30.0, -120.0, subcarriers=SUBS[:n])[2] for n in counts]
-            with pytest.raises(ValueError, match="equally many subcarriers, got " + named):
-                estimate_trials(tensors, scen, config)
-
-    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-    def test_batch_rejects_mixed_antenna_labels(self, order):
-        # The arbitration probes every trial at the batch's antennas, so a
-        # full-ring tensor and a subset tensor cannot share a batch, in
-        # either order.
+    def test_subset_label_tensor_estimates_alone(self):
+        # A tensor may hold only some of the ring, by label: the fitted
+        # antennas alone estimate as the full ring does.
         scen, _pose, full, config = make_setup(30.0, -120.0)
         rows = list(config.antennas)
         subset = SampleTensor(full.values[rows], rows, full.modes, full.subcarriers_hz)
         for tensor in (full, subset):
             assert isinstance(estimate(tensor, scen, config), MisalignmentEstimate)
-        tensors = [(full, subset)[i] for i in order]
-        with pytest.raises(ValueError, match="same antenna labels"):
-            estimate_trials(tensors, scen, config)
 
-    def test_batch_rejects_mixed_mode_order(self):
-        # The batch reads every tensor at the columns of the first one's
-        # modes, so a tensor holding the same modes in another order cannot
-        # join it, though each tensor alone gives the same estimate.
+    def test_mode_order_leaves_the_estimate(self):
+        # Modes are read by label, so a tensor holding the same modes in
+        # another order gives the same estimate.
         scen, _pose, tensor, config = make_setup(30.0, -120.0)
         swapped = SampleTensor(tensor.values[:, ::-1], tensor.antennas,
                                tensor.modes[::-1], tensor.subcarriers_hz)
         want, got = (estimate(t, scen, config) for t in (tensor, swapped))
         assert (got.theta, got.phi) == (want.theta, want.phi)
-        with pytest.raises(ValueError, match="same antenna labels and modes"):
-            estimate_trials([tensor, swapped], scen, config)
 
     def test_permuted_batch_permutes_results(self):
         poses = [(18.0, -150.0), (33.0, -110.0), (47.0, 40.0), (62.0, 170.0)]
@@ -1179,8 +1171,8 @@ class TestBatchedEstimate:
                 theta_deg, phi_deg, subcarriers=SUBS[:2], snr_db=12.0, seed=n)
             tensors.append(tensor)
         order = [2, 0, 3, 1]
-        forward = estimate_trials(tensors, scen, config)
-        permuted = estimate_trials([tensors[i] for i in order], scen, config)
+        forward = estimate_trials(batch_of(tensors), scen, config)
+        permuted = estimate_trials(batch_of([tensors[i] for i in order]), scen, config)
         for got, i in zip(permuted, order):
             for name in ("theta", "phi", "gamma"):
                 assert circ_err(getattr(got, name), getattr(forward[i], name)) < 1e-12

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from vortex_align import harness
-from vortex_align.channel import received_signals, wavenumber
-from vortex_align.correction import imi_matrices
+from vortex_align.channel import (
+    exact_received_signals,
+    farfield_received_signal,
+    pose_angles,
+    wavenumber,
+)
+from vortex_align.correction import imi_matrices, phase_mask
 from vortex_align.estimator import NoPowerError, ZeroPowerError
 from vortex_align.geometry import RxPose, Scenario, UcaGeometry
 from vortex_align.harness import (
@@ -50,8 +55,8 @@ def failing_every_other_call():
     calls = []
     real_estimate_trials = harness.estimate_trials
 
-    def estimate_trials(tensors, scenario, config):
-        out = real_estimate_trials(tensors, scenario, config)
+    def estimate_trials(tensor, scenario, config):
+        out = real_estimate_trials(tensor, scenario, config)
         for i in range(len(out)):
             calls.append(None)
             if len(calls) % 4 == 2:
@@ -353,13 +358,15 @@ class TestRunners:
         # Rows are decoded modes, columns transmitted modes.
         tilted = RxPose.from_tilt(spec.scenario.pose.distance_m,
                                   np.deg2rad(spec.demo_tilt_deg), 0.0)
-        [expected] = imi_matrices(spec.scenario, tilted, spec.demo_modes, [None],
-                                  spec.model, wavenumber(spec.scenario.carrier_hz))
+        k = wavenumber(spec.scenario.carrier_hz)
+        no_mask = phase_mask([[0.0]], [[0.0]], k, spec.scenario.rx)
+        expected = imi_matrices(spec.scenario, [tilted], [pose_angles(tilted)],
+                                spec.demo_modes, no_mask, spec.model, k).power[0, 0]
         with open(tmp_path / "imi" / "imi_misaligned.csv", newline="") as fh:
             rows = list(csv.reader(fh))[2:]
         assert [int(row[0]) for row in rows] == list(spec.demo_modes)
         np.testing.assert_allclose([[float(v) for v in row[1:]] for row in rows],
-                                   expected.power, rtol=1e-11, atol=0.0)
+                                   expected, rtol=1e-11, atol=0.0)
 
     @pytest.mark.parametrize("kind, cfg, swept, fixed", [
         ("antenna-sweep", {"antenna_counts": [4, 6], "estimation": {"p": 2}},
@@ -463,9 +470,9 @@ class TestRunners:
             "azimuth_deg": np.broadcast_to(np.rad2deg(ring.element_azimuths),
                                            (len(modes), 16)),
             "exact_phase_rad": np.angle(
-                received_signals(ring_scen, pose, modes, ks, "exact")[:, :, 0].T),
+                exact_received_signals(ring_scen, pose, modes, ks)[:, :, 0].T),
             "model_phase_rad": np.angle(
-                received_signals(ring_scen, pose, modes, ks, "farfield")[:, :, 0].T),
+                farfield_received_signal(ring_scen, pose, modes, ks)[:, :, 0].T),
         }
         for name, values in fields.items():
             assert [row[name] for row in block] == [
@@ -491,8 +498,8 @@ class TestRunners:
                                     np.deg2rad(rx_deg))
             for ring_idx, ring in enumerate(spec.rings):
                 exact_all, model_all = (
-                    received_signals(replace(scen, rx=ring), pose, modes, ks, name)[:, :, 0].T
-                    for name in ("exact", "farfield")
+                    one_pose(replace(scen, rx=ring), pose, modes, ks)[:, :, 0].T
+                    for one_pose in (exact_received_signals, farfield_received_signal)
                 )
                 phase_lists.append((
                     pose_idx, ring_idx, np.rad2deg(ring.element_azimuths).tolist(),
@@ -599,9 +606,9 @@ class TestFailures:
         assert summary["trials"] + summary["failed_trials"] == 15 * 6
 
     def test_no_successful_trial_exits_runtime(self, tmp_path, monkeypatch, capsys):
-        def no_power(tensors, _scenario, _config):
+        def no_power(tensor, _scenario, _config):
             return [NoPowerError("all selected antennas are below the power floor")
-                    for _tensor in tensors]
+                    for _values in tensor.values]
 
         monkeypatch.setattr(harness, "estimate_trials", no_power)
         path = tiny_config(tmp_path, trials=2)
@@ -851,6 +858,9 @@ class TestFailures:
          "scenario.subcarriers must be distinct, got 1 distinct of 71 tones"),
         ("ccdf", {"scenario": {"subcarriers": {"step_hz": 1e-9}}, "estimation": {"p": 4}},
          "scenario.subcarriers must be distinct, got 1 distinct of 71 tones"),
+        # np.arange(2**63) is an empty array, which read as an empty grid.
+        ("ccdf", {"scenario": {"subcarriers": {"count": 2**63}}},
+         "scenario.subcarriers.count=9223372036854775808: more tones than an array can hold"),
     ])
     def test_wrong_shape_names_its_key(self, tmp_path, capsys, kind, cfg, message):
         # Each printed a bare Python error ("'int' object is not iterable"),
@@ -873,10 +883,10 @@ class TestFailures:
         real_simulate = harness.simulate_trials
 
         def silence_fourth(*args):
-            tensors = real_simulate(*args)
+            tensor = real_simulate(*args)
             # Point 1, trial 0: one mode vanishes at antenna 0.
-            tensors[3].values[0, 0] = 0.0
-            return tensors
+            tensor.values[3, 0, 0] = 0.0
+            return tensor
 
         monkeypatch.setattr(harness, "simulate_trials", silence_fourth)
         forced = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "forced"))
@@ -923,14 +933,14 @@ class TestBatchScoring:
         path = tiny_config(tmp_path, trials=3)
         clean = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "clean"))
         assert run_ccdf(clean)["failed_trials"] == 0
-        real_imi_matrix = harness.imi_matrix
+        real_imi_matrices = harness.imi_matrices
 
-        def silence_second(fields, mask, modes):
-            imi = real_imi_matrix(fields, mask, modes)
+        def silence_second(*args):
+            imi = real_imi_matrices(*args)
             imi.power[1, 1, 0, 0] = 0.0  # trial 1, the estimate's mask, mode slot 0
             return imi
 
-        monkeypatch.setattr(harness, "imi_matrix", silence_second)
+        monkeypatch.setattr(harness, "imi_matrices", silence_second)
         forced = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "forced"))
         summary = run_ccdf(forced)
         assert summary["failed_by_error"] == {"ZeroSignalError": 1}
