@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.special import j0, j1, jv
 
 from .geometry import (
@@ -37,6 +36,9 @@ from .geometry import (
     gamma as pose_gamma,
     misalignment_angles,
 )
+
+# Speed of light in vacuum, m/s (SI, exact).
+SPEED_OF_LIGHT = 299_792_458.0
 
 # Any transmit/receive element pair closer than this is a degenerate layout.
 MIN_SEPARATION_M = 1e-9
@@ -79,15 +81,13 @@ def delta(theta, phi, phi_m):
     evaluated in the quadrant that keeps rho_m nonnegative.
     """
     u = np.asarray(phi) - np.asarray(phi_m)
-    out = np.arctan2(np.sin(u), np.cos(theta) * np.cos(u))
-    return float(out) if out.ndim == 0 else out
+    return np.arctan2(np.sin(u), np.cos(theta) * np.cos(u))
 
 
 def rho(theta, phi, phi_m):
     """Transverse foreshortening factor in [cos(theta), 1]."""
     u = np.asarray(phi) - np.asarray(phi_m)
-    out = np.sqrt(np.cos(theta) ** 2 * np.cos(u) ** 2 + np.sin(u) ** 2)
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt(np.cos(theta) ** 2 * np.cos(u) ** 2 + np.sin(u) ** 2)
 
 
 def exact_received_signals(scenario: Scenario, pose: RxPose, modes, ks) -> np.ndarray:
@@ -314,8 +314,6 @@ def simulate_trials(
     and deterministic given each trial's own ``noise.seed``.
     """
     modes = tuple(int(l) for l in modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError("modes must be distinct")
     sub = np.asarray(subcarriers_hz, dtype=float)
     if sub.size == 0:
         raise ValueError("no subcarrier given")

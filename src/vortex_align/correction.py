@@ -1,9 +1,10 @@
 """Phase-front correction, mode decoding, and interference metrics.
 
 The correction mask counteracts the tilt-induced spatial phase across the
-receive ring; decoding projects the (optionally masked) samples onto the
-helical patterns the receiver expects, one slot per mode.  The resulting
-inter-modal power matrix feeds SIR and interference-limited capacity.
+receive ring; decoding projects the masked samples (zero phases: no
+correction) onto the helical patterns the receiver expects, one slot per
+mode.  The resulting inter-modal power matrix feeds SIR and
+interference-limited capacity.
 
 Decode convention: an aligned, front-facing receiver observes a transmitted
 mode ``l`` with local phase progression ``-l * phi_m`` (facing the beam
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import farfield_spatial_phase, trial_signals
+from .channel import farfield_spatial_phase, trial_signals, wavenumber
 from .geometry import Scenario, UcaGeometry
 
 # Sentinel for infinite SIR (zero interference); keeps capacity finite.
@@ -92,44 +93,37 @@ def check_decodable(modes, n: int) -> None:
             )
 
 
-def decode_modes(samples: np.ndarray, mask: PhaseMask | None, modes) -> np.ndarray:
+def decode_modes(samples: np.ndarray, mask: PhaseMask, modes) -> np.ndarray:
     """Project per-antenna samples onto each decode slot, one row per mode.
 
-    ``samples`` holds the full receive ring (one row per element, in azimuth
-    order), as a vector or as (..., N_r, cols) with one column per signal
-    and any leading batch axes; every column is decoded at once.  The mask's
-    phases, (..., N_r), broadcast over those batch axes; they default to zero.
+    ``samples`` (..., N_r, cols) hold the full receive ring (one row per
+    element, in azimuth order), one column per signal, under any leading
+    batch axes; every column is decoded at once.  The mask's phases,
+    (..., N_r), broadcast over those batch axes.
     """
     y = np.asarray(samples, dtype=complex)
-    n = y.shape[-2] if y.ndim > 1 else len(y)
+    n = y.shape[-2]
     modes = [int(l) for l in modes]
     check_decodable(modes, n)
-    if mask is not None:
-        if mask.values.shape[-1] != n:
-            raise ValueError("mask length does not match sample count")
-        turn = np.exp(1j * mask.values)
-        y = y * (turn[..., None] if y.ndim > 1 else turn)
+    if mask.values.shape[-1] != n:
+        raise ValueError("mask length does not match sample count")
+    y = y * np.exp(1j * mask.values)[..., None]
     phi_m = 2.0 * np.pi * np.arange(n) / n
     return np.exp(1j * np.outer(modes, phi_m)) @ y / n
 
 
-def imi_matrix(fields: np.ndarray, mask: PhaseMask | None, modes) -> ImiMatrix:
-    """Decoded power of noiseless ``fields`` (..., N_r, modes), one column per
-    transmitted mode, under ``mask``, into the slots of the same ``modes``."""
-    return ImiMatrix(np.abs(decode_modes(fields, mask, modes)) ** 2, modes)
-
-
-def imi_matrices(
-    scenario: Scenario, poses, angles, modes, masks: PhaseMask, model: str, k: float
-) -> ImiMatrix:
+def imi_matrices(scenario: Scenario, poses, angles, modes, aims, model: str) -> ImiMatrix:
     """Decoded power (T, masks, modes, modes) of each of ``modes`` in each
-    slot at pose ``poses[t]``, of ``pose_angles`` ``angles[t]``, under each
-    of its masks ``masks.values[t]``, (T, masks, N_r): one ``trial_signals``
-    call at wavenumber ``k`` and one ``imi_matrix`` decode.  Zero phases
-    decode as no mask does, bit for bit."""
+    slot at pose ``poses[t]``, of ``pose_angles`` ``angles[t]``, under the
+    ``phase_mask`` of each of its (theta, phi) aims ``aims[t]``, (T, masks,
+    2), all at the carrier: one ``trial_signals`` call and one decode.  An
+    aim of (0, 0) has zero phases, which decode as no mask does, bit for bit."""
+    k = wavenumber(scenario.carrier_hz)
+    aims = np.asarray(aims, dtype=float)
+    masks = phase_mask(aims[..., 0], aims[..., 1], k, scenario.rx)
     ks = np.full((len(poses), 1), k)
     fields = trial_signals(scenario, poses, angles, modes, ks, model)[..., 0]
-    return imi_matrix(fields[:, None], masks, modes)
+    return ImiMatrix(np.abs(decode_modes(fields[:, None], masks, modes)) ** 2, modes)
 
 
 def sir(imi: ImiMatrix) -> tuple[dict, float | np.ndarray]:
@@ -153,13 +147,12 @@ def sir(imi: ImiMatrix) -> tuple[dict, float | np.ndarray]:
     return dict(zip(imi.modes, np.moveaxis(db, -1, 0))), db.mean(axis=-1)
 
 
-def sir_capacity(per_mode: dict) -> float | np.ndarray:
+def sir_capacity(per_mode: dict) -> np.ndarray:
     """Interference-limited Shannon sum over transmitted modes, bits/s/Hz, of
     the per-mode SIRs in dB that ``sir`` returns, over their batch axes.
 
     10 ** (v / 10) and its log2 are taken one scalar at a time: numpy's array
     power and log2 round differently from its scalar ones."""
     db = np.stack(list(per_mode.values()), axis=-1)
-    bits = np.reshape([sum(np.log2(1.0 + 10.0 ** (v / 10.0)) for v in row)
+    return np.reshape([sum(np.log2(1.0 + 10.0 ** (v / 10.0)) for v in row)
                        for row in db.reshape(-1, db.shape[-1])], db.shape[:-1])
-    return float(bits) if bits.ndim == 0 else bits

@@ -605,6 +605,9 @@ def estimate_trials(
     """
     _validate_config(config, scenario.rx.n_elements)
     values = tensor.values
+    if values.ndim != 4:
+        raise ValueError(f"estimate_trials takes a batch tensor (T, antennas, modes, p), got "
+                         f"values of shape {values.shape}; estimate takes one trial")
     n_trials, n_ant, _n_modes, n_sub = values.shape
     if not n_trials:
         return []

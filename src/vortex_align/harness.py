@@ -39,7 +39,7 @@ import numpy as np
 from .channel import FARFIELD_HARD_FACTOR, FARFIELD_WARN_FACTOR, NoiseSpec, pose_angles
 from .channel import simulate_trials, trial_signals, wavenumber
 from .correction import ImiMatrix, ZeroSignalError, check_decodable, imi_matrices
-from .correction import phase_mask, sir, sir_capacity
+from .correction import sir, sir_capacity
 from .estimator import (
     EstimationConfig,
     MisalignmentEstimate,
@@ -251,7 +251,7 @@ def _spec_from_dict(cfg: dict, out_dir: str) -> ExperimentSpec:
         if sub["count"] > np.iinfo(np.intp).max:
             raise ValueError("more tones than an array can hold")
         tones = sub["start_hz"] + sub["step_hz"] * np.arange(sub["count"])
-    except ValueError as exc:  # more tones than an array can hold
+    except (ValueError, MemoryError) as exc:  # more tones than an array or memory holds
         raise ConfigError(f"scenario.subcarriers.count={sub['count']}: {exc}") from exc
     tx, rx = _uca(sc["tx"], "scenario.tx"), _uca(sc["rx"], "scenario.rx")
     try:
@@ -395,18 +395,16 @@ def _score_trials(spec: ExperimentSpec, batch: list, truths: list, results: list
     index, seed), of pose and ``pose_angles`` ``truths`` and estimate ``results``:
     ground truth, estimate, errors and gains.  A noise failure in ``results``
     keeps its place, and so does a ZeroSignalError.  One ``imi_matrices``
-    call at the carrier scores every trial's true pose under its three masks:
-    none (zero phases), the estimate's, the truth's."""
+    call at the carrier scores every trial's true pose under its three aims:
+    (0, 0) (no mask), the estimate, the truth."""
     scenario, results = spec.scenario, list(results)
     live = [n for n, est in enumerate(results) if isinstance(est, MisalignmentEstimate)]
     if not live:
         return results
-    k_c = wavenumber(scenario.carrier_hz)
     poses, truth = zip(*(truths[n] for n in live))
-    aims = np.array([[(0.0, 0.0), (results[n].theta, results[n].phi), t[:2]]
-                     for n, t in zip(live, truth)])
-    masks = phase_mask(aims[..., 0], aims[..., 1], k_c, scenario.rx)
-    power = imi_matrices(scenario, poses, truth, spec.modes, masks, spec.model, k_c).power
+    aims = [[(0.0, 0.0), (results[n].theta, results[n].phi), t[:2]]
+            for n, t in zip(live, truth)]
+    power = imi_matrices(scenario, poses, truth, spec.modes, aims, spec.model).power
     kept = np.diagonal(power, axis1=-2, axis2=-1).all(axis=(1, 2))
     for n in np.compress(~kept, live):
         results[n] = ZeroSignalError("zero decoded signal power")
@@ -450,19 +448,15 @@ def _write_csv(path: Path, rows: Iterable[dict], spec_hash: str) -> None:
 
     One %-template built from the first row's values writes every row: a
     float (numpy's float64 too) as ``%.12g``, anything else as ``str``, so
-    each column keeps the kind of its first row's value.  A str column is
-    quoted as csv.writer quotes.
+    each column keeps the kind of its first row's value.  No cell is quoted:
+    the one str column, ``results.csv``'s ``kind``, holds a ``RUNNERS`` key.
     """
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
         raise ValueError(f"no rows to write to {path}")
-    kinds = [type(v) for v in first.values()]
-    line = ",".join("%.12g" if issubclass(k, float) else "%s" for k in kinds) + "\r\n"
-    text = [i for i, k in enumerate(kinds) if issubclass(k, str)]
+    line = ",".join("%.12g" if isinstance(v, float) else "%s" for v in first.values()) + "\r\n"
     cells = (tuple(row.values()) for row in itertools.chain([first], rows))
-    if text:
-        cells = (_quoted(c, text) for c in cells)
     _write_lines(path, first, (line % c for c in cells), spec_hash)
 
 
@@ -473,15 +467,6 @@ def _write_lines(path: Path, header: Iterable, lines: Iterable[str], spec_hash: 
         fh.write(f"# spec_hash={spec_hash}\n")
         csv.writer(fh).writerow(header)
         fh.writelines(lines)
-
-
-def _quoted(cells: tuple, text: list[int]) -> tuple:
-    """``cells`` with each str cell at ``text`` quoted as csv.writer quotes it."""
-    cells = list(cells)
-    for i in text:
-        if any(c in cells[i] for c in ',"\r\n'):
-            cells[i] = '"%s"' % cells[i].replace('"', '""')
-    return tuple(cells)
 
 
 def _write_summary(spec: ExperimentSpec, summary: dict) -> None:
@@ -647,15 +632,13 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
     """Aligned / tilted / corrected inter-modal power matrices."""
     scenario = spec.scenario
     modes = spec.demo_modes
-    k = wavenumber(scenario.carrier_hz)
     r = scenario.pose.distance_m
     tilted = RxPose.from_tilt(r, np.deg2rad(spec.demo_tilt_deg), 0.0)
     poses = [RxPose.from_tilt(r, 0.0, 0.0), tilted, tilted]
     angles = [pose_angles(pose) for pose in poses]
-    # Aligned and tilted under zero phases (no mask), then tilted under the true mask.
-    aims = np.array([[0.0, 0.0], [0.0, 0.0], angles[2][:2]])
-    masks = phase_mask(aims[:, :1], aims[:, 1:], k, scenario.rx)
-    power = imi_matrices(scenario, poses, angles, modes, masks, spec.model, k).power[:, 0]
+    # Aligned and tilted aimed at (0, 0) (no mask), then tilted at its true angles.
+    aims = [[(0.0, 0.0)], [(0.0, 0.0)], [angles[2][:2]]]
+    power = imi_matrices(scenario, poses, angles, modes, aims, spec.model).power[:, 0]
     matrices = {label: ImiMatrix(p, modes)
                 for label, p in zip(("aligned", "misaligned", "corrected"), power)}
     for label, imi in matrices.items():

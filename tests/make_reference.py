@@ -1,5 +1,5 @@
 """Pinned reference outputs: the summary and per-row estimates and gains of
-eight runs, kept in ``tests/reference/<case>.json``.
+nine runs, kept in ``tests/reference/<case>.json``.
 
     PYTHONPATH=src python tests/make_reference.py
 
@@ -46,6 +46,7 @@ CASES = {
     "antenna_sweep": ("antenna-sweep", {}, ["--trials", "1"]),
     "validate_model": ("validate-model", {}, []),
     "imi_demo": ("imi-demo", {}, []),
+    "imi_demo_farfield": ("imi-demo", {}, ["--model", "farfield"]),
 }
 
 KEPT = {

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +13,7 @@ from vortex_align.channel import (
     FarfieldViolationError,
     GeometryOverlapError,
     NoiseSpec,
+    SPEED_OF_LIGHT,
     SampleTensor,
     _bessel,
     delta,
@@ -23,7 +28,7 @@ from vortex_align.channel import (
     trial_signals,
     wavenumber,
 )
-from vortex_align.correction import imi_matrices, phase_mask
+from vortex_align.correction import imi_matrices
 from vortex_align.estimator import EstimationConfig, _matched_power, select_antennas
 from vortex_align.geometry import (
     RxPose,
@@ -407,10 +412,8 @@ class TestSimulateMeasurement:
             simulate_measurement(scen, pose, [1], [F_CARRIER], model="hybrid")
         with pytest.raises(ValueError, match=message):
             trial_signals(scen, [pose], [pose_angles(pose)], [1], [[K_CARRIER]], "hybrid")
-        no_mask = phase_mask([[0.0]], [[0.0]], K_CARRIER, scen.rx)
         with pytest.raises(ValueError, match=message):
-            imi_matrices(scen, [pose], [pose_angles(pose)], [1], no_mask, "hybrid",
-                         K_CARRIER)
+            imi_matrices(scen, [pose], [pose_angles(pose)], [1], [[(0.0, 0.0)]], "hybrid")
 
 
 class TestSimulateTrials:
@@ -542,3 +545,17 @@ class TestChannelInvariants:
         phases = np.angle(prod)
         spread = np.angle(np.exp(1j * (phases - phases[:, :1])))
         assert np.max(np.abs(spread)) < 1e-9
+
+
+class TestImports:
+    def test_speed_of_light_without_scipy_constants(self):
+        # The SI value, bit for bit scipy's; importing the package in a fresh
+        # interpreter leaves scipy.constants unloaded.
+        from scipy.constants import c
+
+        assert SPEED_OF_LIGHT == c
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "import sys, vortex_align; sys.exit('scipy.constants' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -18,7 +18,6 @@ from vortex_align.correction import (
     ZeroSignalError,
     decode_modes,
     imi_matrices,
-    imi_matrix,
     phase_mask,
     sir,
     sir_capacity,
@@ -44,13 +43,24 @@ def make_scenario(theta_deg, phi_deg, tx=(160, 0.03), rx=(20, 0.008),
     return scen, pose
 
 
-def pose_matrices(scen, pose, modes, masks, model):
-    """``imi_matrices`` of one pose, one matrix per mask of ``masks`` (None:
-    zero phases)."""
-    phases = [np.zeros(scen.rx.n_elements) if m is None else m.values for m in masks]
-    imi = imi_matrices(scen, [pose], [pose_angles(pose)], modes, PhaseMask([phases]),
-                       model, K_CARRIER)
+def pose_matrices(scen, pose, modes, aims, model):
+    """``imi_matrices`` of one pose, one matrix per (theta, phi) aim of
+    ``aims``; (0, 0) is no mask."""
+    imi = imi_matrices(scen, [pose], [pose_angles(pose)], modes, [aims], model)
     return [ImiMatrix(power, modes) for power in imi.power[0]]
+
+
+def zero_mask(n):
+    """Zero phases on an n-element ring: no correction."""
+    return PhaseMask(np.zeros(n))
+
+
+def unmasked_power(fields, modes):
+    """Decoded power of (N_r, modes) ``fields`` with no mask applied at all:
+    |mean over the ring of y e^{i l phi_m}|^2."""
+    n = len(fields)
+    phi_m = 2 * np.pi * np.arange(n) / n
+    return np.abs(np.exp(1j * np.outer(modes, phi_m)) @ fields / n) ** 2
 
 
 class TestPhaseMask:
@@ -94,8 +104,8 @@ class TestDecodeModes:
         n = 16
         phi_m = 2 * np.pi * np.arange(n) / n
         for l in (-3, 0, 2):
-            samples = np.exp(-1j * l * phi_m)
-            decoded = decode_modes(samples, None, range(-5, 6))
+            samples = np.exp(-1j * l * phi_m)[:, None]
+            decoded = decode_modes(samples, zero_mask(n), range(-5, 6))[:, 0]
             assert decoded.shape == (11,)
             for lp, val in zip(range(-5, 6), decoded):
                 expected = 1.0 if lp == l else 0.0
@@ -106,7 +116,7 @@ class TestDecodeModes:
         modes = (-2, 0, 1)
         fields = exact_received_signals(scen, pose, modes, [K_CARRIER])[:, :, 0]
         for l, s in zip(modes, fields.T):
-            decoded = decode_modes(s, None, range(-3, 4))
+            decoded = decode_modes(s[:, None], zero_mask(len(s)), range(-3, 4))[:, 0]
             co = abs(decoded[l + 3]) ** 2
             for lp, val in zip(range(-3, 4), decoded):
                 if lp != l:
@@ -114,19 +124,19 @@ class TestDecodeModes:
 
     def test_tilt_without_mask_leaks(self):
         scen, pose = make_scenario(10.0, 180.0)
-        s = exact_received_signals(scen, pose, [1], [K_CARRIER])[:, 0, 0]
-        decoded = decode_modes(s, None, range(-3, 4))
+        s = exact_received_signals(scen, pose, [1], [K_CARRIER])[:, 0]
+        decoded = decode_modes(s, zero_mask(len(s)), range(-3, 4))[:, 0]
         co = abs(decoded[4]) ** 2
         leak = max(abs(v) ** 2 for lp, v in zip(range(-3, 4), decoded) if lp != 1)
         assert leak > co * 0.1  # leakage within 10 dB of the wanted slot
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
-        y1 = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        y2 = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        d1 = decode_modes(y1, None, (-1, 0, 1))
-        d2 = decode_modes(y2, None, (-1, 0, 1))
-        d12 = decode_modes(y1 + y2, None, (-1, 0, 1))
+        y1 = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
+        y2 = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
+        d1 = decode_modes(y1, zero_mask(20), (-1, 0, 1))[:, 0]
+        d2 = decode_modes(y2, zero_mask(20), (-1, 0, 1))[:, 0]
+        d12 = decode_modes(y1 + y2, zero_mask(20), (-1, 0, 1))[:, 0]
         for i in range(3):
             assert np.isclose(d12[i], d1[i] + d2[i])
 
@@ -140,24 +150,24 @@ class TestDecodeModes:
         decoded = decode_modes(block, mask, modes)
         assert decoded.shape == (len(modes), 4)
         for col in range(4):
-            alone = decode_modes(block[:, col], mask, modes)
+            alone = decode_modes(block[:, col:col + 1], mask, modes)[:, 0]
             np.testing.assert_allclose(decoded[:, col], alone, rtol=1e-12)
 
     def test_alias_limit(self):
         with pytest.raises(AliasedModeError):
-            decode_modes(np.ones(8, dtype=complex), None, [4])
+            decode_modes(np.ones((8, 1), dtype=complex), zero_mask(8), [4])
 
     def test_mask_length_check(self):
         mask = phase_mask(0.1, 0.0, K_CARRIER, UcaGeometry(10, 0.008))
         with pytest.raises(ValueError):
-            decode_modes(np.ones(20, dtype=complex), mask, [1])
+            decode_modes(np.ones((20, 1), dtype=complex), mask, [1])
 
 
 class TestImiMatrix:
     def test_aligned_diagonal_dominance(self):
         scen, pose = make_scenario(0.0, 0.0)
         modes = (-2, -1, 0, 1, 2)
-        [imi] = pose_matrices(scen, pose, modes, [None], "exact")
+        [imi] = pose_matrices(scen, pose, modes, [(0.0, 0.0)], "exact")
         for j in range(len(modes)):
             diag = imi.power[j, j]
             col = [imi.power[i, j] for i in range(len(modes)) if i != j]
@@ -169,7 +179,8 @@ class TestImiMatrix:
         # masks, gives bitwise what one call per pose and mask gives; entry
         # (slot l, mode col) is |mean over the ring of y_col e^{i P_m} e^{i l
         # phi_m}|^2, to 1e-12 of the column's largest entry (round-off leakage
-        # sits near 1e-36).  Zero phases decode as no mask does, bit for bit.
+        # sits near 1e-36).  The aim (0, 0), of zero phases, decodes as no mask
+        # does, bit for bit.
         poses = [make_scenario(20.0, -140.0)[1], make_scenario(35.0, 70.0)[1]]
         scen = make_scenario(20.0, -140.0)[0]
         angles = [pose_angles(pose) for pose in poses]
@@ -177,16 +188,16 @@ class TestImiMatrix:
         aims = np.array([[(0.0, 0.0), (theta, phi), (theta + 0.05, phi - 0.1)]
                          for theta, phi, _gamma in angles])
         masks = phase_mask(aims[..., 0], aims[..., 1], K_CARRIER, scen.rx)
-        batch = imi_matrices(scen, poses, angles, modes, masks, model, K_CARRIER)
+        batch = imi_matrices(scen, poses, angles, modes, aims, model)
         assert batch.modes == modes and batch.power.shape == (2, 3, 5, 5)
         one_pose = {"exact": exact_received_signals,
                     "farfield": farfield_received_signal}[model]
         for t, pose in enumerate(poses):
             fields = one_pose(scen, pose, modes, [K_CARRIER])[:, :, 0]
-            assert np.array_equal(batch.power[t, 0], imi_matrix(fields, None, modes).power)
+            assert np.array_equal(batch.power[t, 0], unmasked_power(fields, modes))
             for m, p_m in enumerate(masks.values[t]):
-                one = imi_matrices(scen, [pose], [angles[t]], modes,
-                                   PhaseMask(p_m[None, None]), model, K_CARRIER)
+                one = imi_matrices(scen, [pose], [angles[t]], modes, aims[t, m][None, None],
+                                   model)
                 assert np.array_equal(batch.power[t, m], one.power[0, 0])
                 n = len(fields)
                 phi_m = 2 * np.pi * np.arange(n) / n
@@ -203,9 +214,8 @@ class TestImiMatrix:
         theta, phi = misalignment_angles(pose)
         aligned_scen, aligned_pose = make_scenario(0.0, 0.0, rx=(20, 0.02),
                                                    distance=4.0)
-        [aligned] = pose_matrices(aligned_scen, aligned_pose, modes, [None], "exact")
-        [masked] = pose_matrices(scen, pose, modes,
-                                 [phase_mask(theta, phi, K_CARRIER, scen.rx)], "exact")
+        [aligned] = pose_matrices(aligned_scen, aligned_pose, modes, [(0.0, 0.0)], "exact")
+        [masked] = pose_matrices(scen, pose, modes, [(theta, phi)], "exact")
         for i in range(len(modes)):
             gap = abs(10 * np.log10(masked.power[i, i])
                       - 10 * np.log10(aligned.power[i, i]))
@@ -213,9 +223,9 @@ class TestImiMatrix:
 
     def test_single_mode_matrix(self):
         scen, pose = make_scenario(5.0, -120.0)
-        [imi] = pose_matrices(scen, pose, (1,), [None], "exact")
-        s = exact_received_signals(scen, pose, [1], [K_CARRIER])[:, 0, 0]
-        expected = abs(decode_modes(s, None, [1])[0]) ** 2
+        [imi] = pose_matrices(scen, pose, (1,), [(0.0, 0.0)], "exact")
+        s = exact_received_signals(scen, pose, [1], [K_CARRIER])[:, 0]
+        expected = abs(decode_modes(s, zero_mask(len(s)), [1])[0, 0]) ** 2
         assert imi.power.shape == (1, 1)
         assert np.isclose(imi.power[0, 0], expected)
 
@@ -260,10 +270,9 @@ class TestSirGain:
         scen, pose = make_scenario(10.0, 180.0)
         modes = (-1, 1)
         fields = exact_received_signals(scen, pose, modes, [K_CARRIER])[:, :, 0]
-        no_mask = imi_matrix(fields, None, modes)
-        [zero_mask] = pose_matrices(
-            scen, pose, modes, [phase_mask(0.0, 0.0, K_CARRIER, scen.rx)], "exact")
-        assert sir(zero_mask)[1] == pytest.approx(sir(no_mask)[1], abs=1e-9)
+        no_mask = ImiMatrix(unmasked_power(fields, modes), modes)
+        [zero_phases] = pose_matrices(scen, pose, modes, [(0.0, 0.0)], "exact")
+        assert sir(zero_phases)[1] == pytest.approx(sir(no_mask)[1], abs=1e-9)
 
 
 class TestCapacity:
@@ -302,8 +311,7 @@ class TestCorrectionInvariants:
             scen, pose = make_scenario(theta_deg, -140.0)
             theta, phi = misalignment_angles(pose)
             before, after = pose_matrices(
-                scen, pose, modes,
-                [None, phase_mask(theta, phi, K_CARRIER, scen.rx)], "farfield")
+                scen, pose, modes, [(0.0, 0.0), (theta, phi)], "farfield")
             assert sir(after)[1] >= sir(before)[1]
 
     def test_estimation_error_costs_under_3db(self):
@@ -313,11 +321,9 @@ class TestCorrectionInvariants:
         for theta_deg in (45.0, 60.0):
             scen, pose = make_scenario(theta_deg, -125.0)
             theta, phi = misalignment_angles(pose)
-            true_mask = phase_mask(theta, phi, K_CARRIER, scen.rx)
-            off_mask = phase_mask(theta + np.deg2rad(2.4),
-                                  phi + np.deg2rad(0.65), K_CARRIER, scen.rx)
+            off = (theta + np.deg2rad(2.4), phi + np.deg2rad(0.65))
             before, true_fix, off_fix = pose_matrices(
-                scen, pose, modes, [None, true_mask, off_mask], "farfield")
+                scen, pose, modes, [(0.0, 0.0), (theta, phi), off], "farfield")
             gain_true = sir(true_fix)[1] - sir(before)[1]
             gain_off = sir(off_fix)[1] - sir(before)[1]
             assert gain_true - gain_off < 3.0

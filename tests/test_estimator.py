@@ -1145,6 +1145,15 @@ class TestBatchedEstimate:
                              tensor.modes, np.zeros((0, 1)))
         assert estimate_trials(empty, scen, config) == []
 
+    def test_one_trial_tensor_names_the_batch_shape(self):
+        # simulate_measurement's one-trial tensor raised a bare "not enough
+        # values to unpack (expected 4, got 3)".
+        scen, _pose, tensor, config = make_setup(30.0, -120.0)
+        message = (r"^estimate_trials takes a batch tensor \(T, antennas, modes, p\), got "
+                   r"values of shape \(20, 2, 1\); estimate takes one trial$")
+        with pytest.raises(ValueError, match=message):
+            estimate_trials(tensor, scen, config)
+
     def test_subset_label_tensor_estimates_alone(self):
         # A tensor may hold only some of the ring, by label: the fitted
         # antennas alone estimate as the full ring does.
