@@ -4,7 +4,6 @@ from .channel import (
     FarfieldRangeWarning,
     FarfieldViolationError,
     GeometryOverlapError,
-    NoiseSpec,
     SampleTensor,
     delta,
     farfield_antenna_vector,
@@ -15,8 +14,6 @@ from .channel import (
     wavenumber,
 )
 from .correction import (
-    ImiMatrix,
-    PhaseMask,
     decode_modes,
     imi_matrices,
     phase_mask,

@@ -15,8 +15,8 @@ transmitted vortex mode ``l`` and wavenumber ``k``:
 
 ``trial_signals`` picks either model by name for T trials;
 ``simulate_trials`` adds each trial's seeded circularly-symmetric complex
-noise and returns one ``SampleTensor`` with a leading trial axis, and
-``simulate_measurement`` is its one-trial call.
+noise at one SNR and returns one ``SampleTensor`` with a leading trial axis,
+and ``simulate_measurement`` is its one-trial call.
 """
 
 from __future__ import annotations
@@ -244,18 +244,6 @@ def trial_signals(scenario: Scenario, poses, angles, modes, ks, model: str) -> n
     raise ValueError(f"unknown model {model!r}")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive noise description: target SNR in dB, plus seed.
-
-    ``snr_db`` is measured against the mean signal power of the simulated
-    tensor.  With ``snr_db`` None the measurement is noiseless.
-    """
-
-    snr_db: float | None = None
-    seed: int = 0
-
-
 @dataclass
 class SampleTensor:
     """Complex received samples indexed [antenna m][mode l][subcarrier k].
@@ -279,6 +267,8 @@ class SampleTensor:
         self.subcarriers_hz = np.asarray(self.subcarriers_hz, dtype=float)
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("mode list entries must be distinct")
+        if len(set(self.antennas.tolist())) != len(self.antennas):
+            raise ValueError("antenna labels must be distinct")
         *trials, p = self.subcarriers_hz.shape
         expected = (*trials, len(self.antennas), len(self.modes), p)
         if self.values.shape != expected:
@@ -303,28 +293,36 @@ class SampleTensor:
 
 
 def simulate_trials(
-    scenario: Scenario, poses, angles, modes, subcarriers_hz, noises, model: str = "farfield"
+    scenario: Scenario, poses, angles, modes, subcarriers_hz, snr_db, seeds,
+    model: str = "farfield",
 ) -> SampleTensor:
     """Simulate the measurement tensor y = s + n of T trials, (T, antenna, mode, subcarrier).
 
     Trial t is at ``poses[t]``, of ``pose_angles`` ``angles[t]``, on the
-    subcarriers ``subcarriers_hz[t]`` (equally many per trial), with noise
-    ``noises[t]``.  One ``trial_signals`` call simulates every trial.  Noise
-    draws are circularly-symmetric complex Gaussian, independent per sample,
-    and deterministic given each trial's own ``noise.seed``.
+    subcarriers ``subcarriers_hz[t]`` (T, p), with noise seed ``seeds[t]``.
+    One ``trial_signals`` call simulates every trial.  Noise draws are
+    circularly-symmetric complex Gaussian, independent per sample, at
+    ``snr_db`` against the mean signal power of each trial (None: no noise),
+    and deterministic given the trial's seed.
     """
     modes = tuple(int(l) for l in modes)
     sub = np.asarray(subcarriers_hz, dtype=float)
+    if sub.ndim != 2:
+        raise ValueError(f"subcarriers_hz must be 2-D (trials, p), got shape {sub.shape}")
+    lengths = (len(poses), len(angles), len(sub), len(seeds))
+    if len(set(lengths)) > 1:
+        raise ValueError("poses, angles, subcarriers_hz and seeds differ in length: "
+                         "%d, %d, %d and %d" % lengths)
     if sub.size == 0:
         raise ValueError("no subcarrier given")
     on_grid = np.isclose(scenario.subcarriers_hz, sub[..., None], rtol=1e-12).any(axis=-1)
     if not on_grid.all():
         raise ValueError(f"subcarrier {sub[~on_grid][0]} Hz is not on the scenario grid")
     values = trial_signals(scenario, poses, angles, modes, wavenumber(sub), model)
-    for s, noise in zip(values, noises):
-        if noise.snr_db is not None:
-            sigma2 = float(np.mean(np.abs(s) ** 2)) * 10.0 ** (-noise.snr_db / 10.0)
-            rng = np.random.default_rng(noise.seed)
+    if snr_db is not None:
+        for s, seed in zip(values, seeds):
+            sigma2 = float(np.mean(np.abs(s) ** 2)) * 10.0 ** (-snr_db / 10.0)
+            rng = np.random.default_rng(seed)
             scale = np.sqrt(sigma2 / 2.0)
             s += scale * (rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape))
     return SampleTensor(values, np.arange(scenario.rx.n_elements), modes, sub)
@@ -335,11 +333,13 @@ def simulate_measurement(
     pose: RxPose,
     modes,
     subcarriers_hz,
-    noise: NoiseSpec = NoiseSpec(),
+    snr_db: float | None = None,
+    seed: int = 0,
     model: str = "farfield",
 ) -> SampleTensor:
     """Simulate the measurement tensor y = s + n of one trial: ``simulate_trials``
     of one trial, without the trial axis."""
     sub = np.atleast_1d(np.asarray(subcarriers_hz, dtype=float))
-    batch = simulate_trials(scenario, [pose], [pose_angles(pose)], modes, [sub], [noise], model)
+    batch = simulate_trials(scenario, [pose], [pose_angles(pose)], modes, [sub], snr_db,
+                            [seed], model)
     return SampleTensor(batch.values[0], batch.antennas, batch.modes, batch.subcarriers_hz[0])

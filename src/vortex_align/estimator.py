@@ -121,6 +121,8 @@ class EstimationConfig:
         object.__setattr__(self, "antennas", tuple(int(m) for m in self.antennas))
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("modes must be distinct")
+        if len(set(self.antennas)) != len(self.antennas):
+            raise ValueError("antennas must be distinct")
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import FARFIELD_HARD_FACTOR, FARFIELD_WARN_FACTOR, NoiseSpec, pose_angles
+from .channel import FARFIELD_HARD_FACTOR, FARFIELD_WARN_FACTOR, pose_angles
 from .channel import simulate_trials, trial_signals, wavenumber
-from .correction import ImiMatrix, ZeroSignalError, check_decodable, imi_matrices
-from .correction import sir, sir_capacity
+from .correction import ZeroSignalError, check_decodable, imi_matrices, sir, sir_capacity
 from .estimator import (
     EstimationConfig,
     MisalignmentEstimate,
@@ -404,12 +403,12 @@ def _score_trials(spec: ExperimentSpec, batch: list, truths: list, results: list
     poses, truth = zip(*(truths[n] for n in live))
     aims = [[(0.0, 0.0), (results[n].theta, results[n].phi), t[:2]]
             for n, t in zip(live, truth)]
-    power = imi_matrices(scenario, poses, truth, spec.modes, aims, spec.model).power
+    power = imi_matrices(scenario, poses, truth, spec.modes, aims, spec.model)
     kept = np.diagonal(power, axis1=-2, axis2=-1).all(axis=(1, 2))
     for n in np.compress(~kept, live):
         results[n] = ZeroSignalError("zero decoded signal power")
-    per_mode, sirs = sir(ImiMatrix(power[kept], spec.modes))
-    caps = sir_capacity({l: db[:, :2] for l, db in per_mode.items()})
+    per_mode, sirs = sir(power[kept], spec.modes)
+    caps = sir_capacity(per_mode[:, :2])
     live, truth = np.compress(kept, live), np.compress(kept, truth, axis=0)
     for j, n in enumerate(live):
         est, (point_index, trial_index, seed) = results[n], batch[n]
@@ -504,10 +503,8 @@ def _trial_rows(spec: ExperimentSpec, value: int | None = None) -> tuple[list[di
         truths = [(poses[point], angles[point]) for point, _t, _seed in batch]
         tones = [np.sort(np.random.default_rng(seed).choice(pool, size=spec.p, replace=False))
                  for *_, seed in batch]
-        tensor = simulate_trials(
-            scenario, *zip(*truths), spec.modes, tones,
-            [NoiseSpec(snr_db=spec.snr_db, seed=seed) for *_, seed in batch], spec.model,
-        )
+        tensor = simulate_trials(scenario, *zip(*truths), spec.modes, tones, spec.snr_db,
+                                 [seed for *_, seed in batch], spec.model)
         estimates = estimate_trials(tensor, scenario, config)
         for result in _score_trials(spec, batch, truths, estimates):
             if isinstance(result, dict):
@@ -638,26 +635,24 @@ def run_imi_demo(spec: ExperimentSpec) -> dict:
     angles = [pose_angles(pose) for pose in poses]
     # Aligned and tilted aimed at (0, 0) (no mask), then tilted at its true angles.
     aims = [[(0.0, 0.0)], [(0.0, 0.0)], [angles[2][:2]]]
-    power = imi_matrices(scenario, poses, angles, modes, aims, spec.model).power[:, 0]
-    matrices = {label: ImiMatrix(p, modes)
-                for label, p in zip(("aligned", "misaligned", "corrected"), power)}
-    for label, imi in matrices.items():
+    power = imi_matrices(scenario, poses, angles, modes, aims, spec.model)[:, 0]
+    dominance = sir(power, modes)[0].min(axis=-1)
+    for label, matrix in zip(("aligned", "misaligned", "corrected"), power):
         # Rows are decoded modes, columns transmitted modes.
         _write_csv(
             spec.out_dir / f"imi_{label}.csv",
-            ({"decoded\\transmitted": l, **dict(zip(imi.modes, row))}
-             for l, row in zip(imi.modes, imi.power)),
+            ({"decoded\\transmitted": l, **dict(zip(modes, row))}
+             for l, row in zip(modes, matrix)),
             spec.config_hash,
         )
 
-    diag_al, diag_ti, diag_co = (10.0 * np.log10(np.diag(m.power)) for m in matrices.values())
-    dominance = {label: sir(m)[0] for label, m in matrices.items()}
+    diag_al, diag_ti, diag_co = 10.0 * np.log10(np.diagonal(power, axis1=-2, axis2=-1))
     summary = {
         "modes": list(modes),
         "tilt_deg": spec.demo_tilt_deg,
-        "aligned_min_dominance_db": min(dominance["aligned"].values()),
-        "misaligned_min_dominance_db": min(dominance["misaligned"].values()),
-        "corrected_min_dominance_db": min(dominance["corrected"].values()),
+        "aligned_min_dominance_db": dominance[0],
+        "misaligned_min_dominance_db": dominance[1],
+        "corrected_min_dominance_db": dominance[2],
         "misaligned_max_diag_drop_db": float(np.max(diag_al - diag_ti)),
         "corrected_max_diag_gap_db": float(np.max(np.abs(diag_al - diag_co))),
     }

@@ -1,5 +1,5 @@
 """Pinned reference outputs: the summary and per-row estimates and gains of
-nine runs, kept in ``tests/reference/<case>.json``.
+ten runs, kept in ``tests/reference/<case>.json``.
 
     PYTHONPATH=src python tests/make_reference.py
 
@@ -38,6 +38,7 @@ REFERENCE = Path(__file__).resolve().parent / "reference"
 # case: (kind, config, extra CLI arguments)
 CASES = {
     "ccdf": ("ccdf", {}, []),
+    "ccdf_exact": ("ccdf", {"model": "exact"}, []),
     "ccdf_modes3": ("ccdf", {"estimation": {"modes": [-1, 0, 1]}}, ["--trials", "2"]),
     "angle_exact_p64": ("angle-sweep", {"model": "exact", "estimation": {"p": 64, "q": 12},
                                         "noise": {"snr_db": 10.0}}, ["--trials", "4"]),

@@ -12,7 +12,6 @@ from vortex_align.channel import (
     FarfieldRangeWarning,
     FarfieldViolationError,
     GeometryOverlapError,
-    NoiseSpec,
     SPEED_OF_LIGHT,
     SampleTensor,
     _bessel,
@@ -352,9 +351,8 @@ class TestSimulateMeasurement:
 
     def test_same_seed_identical(self):
         scen, pose = make_scenario(theta_deg=20.0, phi_deg=-100.0)
-        spec = NoiseSpec(snr_db=10.0, seed=77)
-        a = simulate_measurement(scen, pose, [-1, 1], [F_CARRIER], spec)
-        b = simulate_measurement(scen, pose, [-1, 1], [F_CARRIER], spec)
+        a = simulate_measurement(scen, pose, [-1, 1], [F_CARRIER], snr_db=10.0, seed=77)
+        b = simulate_measurement(scen, pose, [-1, 1], [F_CARRIER], snr_db=10.0, seed=77)
         assert np.array_equal(a.values, b.values)
 
     def test_noise_variance_matches_target(self):
@@ -362,8 +360,7 @@ class TestSimulateMeasurement:
         scen, pose = make_scenario(theta_deg=20.0, phi_deg=-100.0, subcarriers=subs)
         modes = [-2, -1, 0, 1, 2]
         clean = simulate_measurement(scen, pose, modes, subs)
-        noisy = simulate_measurement(scen, pose, modes, subs,
-                                     NoiseSpec(snr_db=20.0, seed=5))
+        noisy = simulate_measurement(scen, pose, modes, subs, snr_db=20.0, seed=5)
         sigma2 = np.mean(np.abs(clean.values) ** 2) * 10 ** (-2.0)
         err = noisy.values - clean.values
         assert err.size >= 7000
@@ -422,22 +419,23 @@ class TestSimulateTrials:
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     def test_batch_matches_one_trial_calls_bitwise(self, model, p, snr_db):
         # One batch of mixed poses, two of them taken twice, each trial on its
-        # own tones and noise seed: every trial of the one batch tensor is, bit
-        # for bit, what one simulate_measurement call gives for that trial alone.
+        # own tones and noise seed at one SNR: every trial of the one batch tensor
+        # is, bit for bit, what one simulate_measurement call gives for that
+        # trial alone.
         scen, _pose = make_scenario(distance=0.4, subcarriers=GRID_HZ)
         rng = np.random.default_rng(3)
         poses = [RxPose.from_tilt(0.4, *rng.uniform(-0.6, 0.6, 2)) for _ in range(5)]
         poses += poses[:2]
         tones = [np.sort(rng.choice(GRID_HZ, p, replace=False)) for _ in poses]
-        noises = [NoiseSpec(snr_db, seed) for seed in range(len(poses))]
+        seeds = list(range(len(poses)))
         modes = (-1, 0, 1)
         angles = [pose_angles(pose) for pose in poses]
-        batch = simulate_trials(scen, poses, angles, modes, tones, noises, model)
+        batch = simulate_trials(scen, poses, angles, modes, tones, snr_db, seeds, model)
         assert batch.values.shape == (len(poses), 20, len(modes), p)
         assert np.array_equal(batch.subcarriers_hz, tones)
         assert batch.modes == modes and np.array_equal(batch.antennas, np.arange(20))
-        for values, pose, sub, noise in zip(batch.values, poses, tones, noises):
-            one = simulate_measurement(scen, pose, modes, sub, noise, model)
+        for values, pose, sub, seed in zip(batch.values, poses, tones, seeds):
+            one = simulate_measurement(scen, pose, modes, sub, snr_db, seed, model)
             assert values.tobytes() == one.values.tobytes()
 
     @pytest.mark.parametrize("model", ["farfield", "exact"])
@@ -461,7 +459,23 @@ class TestSimulateTrials:
         tones = [GRID_HZ[:2], [GRID_HZ[0], 119.905e9]]
         with pytest.raises(ValueError, match=re.escape("subcarrier 119905000000.0 Hz")):
             simulate_trials(scen, [pose] * 2, [pose_angles(pose)] * 2, (-1, 1), tones,
-                            [NoiseSpec()] * 2)
+                            None, [0, 1])
+
+    def test_rejects_lengths_that_differ(self):
+        # A short seed list would leave the trials past its end without noise
+        # (zip stops at the shorter list); the error names every length.
+        scen, pose = make_scenario(subcarriers=GRID_HZ)
+        poses, angles, tones = [pose] * 2, [pose_angles(pose)] * 2, [GRID_HZ[:2]] * 2
+        for some_angles, some_tones, seeds, lengths in [
+            (angles, tones, [7], "2, 2, 2 and 1"),
+            (angles[:1], tones, [7, 8], "2, 1, 2 and 2"),
+            (angles, tones[:1], [7, 8], "2, 2, 1 and 2"),
+        ]:
+            message = f"^poses, angles, subcarriers_hz and seeds differ in length: {lengths}$"
+            with pytest.raises(ValueError, match=message):
+                simulate_trials(scen, poses, some_angles, (-1, 1), some_tones, 10.0, seeds)
+        with pytest.raises(ValueError, match=re.escape("must be 2-D (trials, p), got shape (2,)")):
+            simulate_trials(scen, poses, angles, (-1, 1), GRID_HZ[:2], 10.0, [7, 8])
 
 
 class TestSampleTensor:
@@ -488,6 +502,12 @@ class TestSampleTensor:
         with pytest.raises(ValueError):
             SampleTensor(np.zeros((1, 2, 1), dtype=complex), np.arange(1),
                          (1, 1), np.array([1e9]))
+
+    def test_duplicate_antenna_labels(self):
+        # antenna_index could find only the first of two rows with one label.
+        with pytest.raises(ValueError, match="^antenna labels must be distinct$"):
+            SampleTensor(np.zeros((3, 1, 1), dtype=complex), [0, 0, 1], (1,),
+                         np.array([1e9]))
 
     def test_lookup(self):
         tensor = SampleTensor(np.zeros((1, 2, 1), dtype=complex), np.arange(1),

@@ -12,10 +12,9 @@ from vortex_align.channel import (
 )
 from vortex_align.correction import (
     AliasedModeError,
-    ImiMatrix,
-    PhaseMask,
     SIR_CAP_DB,
     ZeroSignalError,
+    check_decodable,
     decode_modes,
     imi_matrices,
     phase_mask,
@@ -44,15 +43,14 @@ def make_scenario(theta_deg, phi_deg, tx=(160, 0.03), rx=(20, 0.008),
 
 
 def pose_matrices(scen, pose, modes, aims, model):
-    """``imi_matrices`` of one pose, one matrix per (theta, phi) aim of
+    """``imi_matrices`` of one pose, one power matrix per (theta, phi) aim of
     ``aims``; (0, 0) is no mask."""
-    imi = imi_matrices(scen, [pose], [pose_angles(pose)], modes, [aims], model)
-    return [ImiMatrix(power, modes) for power in imi.power[0]]
+    return list(imi_matrices(scen, [pose], [pose_angles(pose)], modes, [aims], model)[0])
 
 
 def zero_mask(n):
     """Zero phases on an n-element ring: no correction."""
-    return PhaseMask(np.zeros(n))
+    return np.zeros(n)
 
 
 def unmasked_power(fields, modes):
@@ -66,7 +64,7 @@ def unmasked_power(fields, modes):
 class TestPhaseMask:
     def test_zero_at_alignment(self):
         mask = phase_mask(0.0, 1.2, K_CARRIER, UcaGeometry(20, 0.008))
-        assert np.allclose(mask.values, 0.0)
+        assert np.allclose(mask, 0.0)
 
     def test_half_turn_negates(self):
         # Small k keeps raw phases inside (-pi, pi] so negation is exact.
@@ -74,14 +72,14 @@ class TestPhaseMask:
         k = 100.0
         a = phase_mask(np.deg2rad(25.0), 0.7, k, rx)
         b = phase_mask(np.deg2rad(25.0), 0.7 + np.pi, k, rx)
-        assert np.allclose(b.values, -a.values, atol=1e-12)
+        assert np.allclose(b, -a, atol=1e-12)
 
     def test_independent_scalar_evaluation(self):
         theta = np.deg2rad(14.3)
         phi = np.deg2rad(-134.7)
         rx = UcaGeometry(20, 0.008)
         mask = phase_mask(theta, phi, K_CARRIER, rx)
-        assert mask.values.shape == (20,)
+        assert mask.shape == (20,)
         for m in range(20):
             phi_m = 2 * math.pi * m / 20
             x = 0.008 * math.cos(phi_m)
@@ -90,11 +88,15 @@ class TestPhaseMask:
                 x * math.cos(phi) + y * math.sin(phi)
             )
             wrapped = math.atan2(math.sin(raw), math.cos(raw))
-            assert math.isclose(mask.values[m], wrapped, abs_tol=1e-12)
+            assert math.isclose(mask[m], wrapped, abs_tol=1e-12)
 
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
             phase_mask(np.pi / 2, 0.0, K_CARRIER, UcaGeometry(20, 0.008))
+
+    def test_rejects_non_finite_phases(self):
+        with pytest.raises(ValueError, match="mask phases must be finite"):
+            phase_mask(0.2, np.nan, K_CARRIER, UcaGeometry(20, 0.008))
 
 
 class TestDecodeModes:
@@ -162,15 +164,32 @@ class TestDecodeModes:
         with pytest.raises(ValueError):
             decode_modes(np.ones((20, 1), dtype=complex), mask, [1])
 
+    def test_rejects_non_finite_mask(self):
+        mask = zero_mask(20)
+        mask[3] = np.nan
+        with pytest.raises(ValueError, match="mask phases must be finite"):
+            decode_modes(np.ones((20, 1), dtype=complex), mask, [1])
+
+    def test_rejects_repeated_modes(self):
+        # A repeated mode would decode into two slots that sir cannot tell apart.
+        scen, pose = make_scenario(10.0, 180.0)
+        with pytest.raises(ValueError, match="^modes must be distinct$"):
+            check_decodable((1, 1, -1), 20)
+        with pytest.raises(ValueError, match="^modes must be distinct$"):
+            imi_matrices(scen, [pose], [pose_angles(pose)], (1, 1, -1), [[(0.0, 0.0)]],
+                         "farfield")
+        with pytest.raises(ValueError, match="^modes must be distinct$"):
+            decode_modes(np.ones((20, 1), dtype=complex), zero_mask(20), [0, 0])
+
 
 class TestImiMatrix:
     def test_aligned_diagonal_dominance(self):
         scen, pose = make_scenario(0.0, 0.0)
         modes = (-2, -1, 0, 1, 2)
-        [imi] = pose_matrices(scen, pose, modes, [(0.0, 0.0)], "exact")
+        [power] = pose_matrices(scen, pose, modes, [(0.0, 0.0)], "exact")
         for j in range(len(modes)):
-            diag = imi.power[j, j]
-            col = [imi.power[i, j] for i in range(len(modes)) if i != j]
+            diag = power[j, j]
+            col = [power[i, j] for i in range(len(modes)) if i != j]
             assert max(col) <= diag * 1e-3
 
     @pytest.mark.parametrize("model", ["exact", "farfield"])
@@ -189,23 +208,23 @@ class TestImiMatrix:
                          for theta, phi, _gamma in angles])
         masks = phase_mask(aims[..., 0], aims[..., 1], K_CARRIER, scen.rx)
         batch = imi_matrices(scen, poses, angles, modes, aims, model)
-        assert batch.modes == modes and batch.power.shape == (2, 3, 5, 5)
+        assert batch.shape == (2, 3, 5, 5)
         one_pose = {"exact": exact_received_signals,
                     "farfield": farfield_received_signal}[model]
         for t, pose in enumerate(poses):
             fields = one_pose(scen, pose, modes, [K_CARRIER])[:, :, 0]
-            assert np.array_equal(batch.power[t, 0], unmasked_power(fields, modes))
-            for m, p_m in enumerate(masks.values[t]):
+            assert np.array_equal(batch[t, 0], unmasked_power(fields, modes))
+            for m, p_m in enumerate(masks[t]):
                 one = imi_matrices(scen, [pose], [angles[t]], modes, aims[t, m][None, None],
                                    model)
-                assert np.array_equal(batch.power[t, m], one.power[0, 0])
+                assert np.array_equal(batch[t, m], one[0, 0])
                 n = len(fields)
                 phi_m = 2 * np.pi * np.arange(n) / n
                 for col in range(len(modes)):
                     y = fields[:, col] * np.exp(1j * p_m)
                     expected = [abs(np.mean(y * np.exp(1j * l * phi_m))) ** 2
                                 for l in modes]
-                    np.testing.assert_allclose(batch.power[t, m, :, col], expected,
+                    np.testing.assert_allclose(batch[t, m, :, col], expected,
                                                rtol=1e-12, atol=1e-12 * max(expected))
 
     def test_true_mask_restores_diagonal(self):
@@ -217,51 +236,51 @@ class TestImiMatrix:
         [aligned] = pose_matrices(aligned_scen, aligned_pose, modes, [(0.0, 0.0)], "exact")
         [masked] = pose_matrices(scen, pose, modes, [(theta, phi)], "exact")
         for i in range(len(modes)):
-            gap = abs(10 * np.log10(masked.power[i, i])
-                      - 10 * np.log10(aligned.power[i, i]))
+            gap = abs(10 * np.log10(masked[i, i])
+                      - 10 * np.log10(aligned[i, i]))
             assert gap < 3.0
 
     def test_single_mode_matrix(self):
         scen, pose = make_scenario(5.0, -120.0)
-        [imi] = pose_matrices(scen, pose, (1,), [(0.0, 0.0)], "exact")
+        [power] = pose_matrices(scen, pose, (1,), [(0.0, 0.0)], "exact")
         s = exact_received_signals(scen, pose, [1], [K_CARRIER])[:, 0]
         expected = abs(decode_modes(s, zero_mask(len(s)), [1])[0, 0]) ** 2
-        assert imi.power.shape == (1, 1)
-        assert np.isclose(imi.power[0, 0], expected)
+        assert power.shape == (1, 1)
+        assert np.isclose(power[0, 0], expected)
 
     def test_validation(self):
+        # sir checks the power matrices it scores.
         with pytest.raises(ValueError):
-            ImiMatrix(np.ones((2, 3)), (0, 1))
+            sir(np.ones((2, 3)), (0, 1))
         with pytest.raises(ValueError):
-            ImiMatrix(-np.ones((1, 1)), (0,))
+            sir(-np.ones((1, 1)), (0,))
+        with pytest.raises(ValueError):
+            sir(np.full((2, 2), np.nan), (0, 1))
 
 
 class TestSir:
     def test_arithmetic_example(self):
-        imi = ImiMatrix(np.array([[1.0, 0.01], [0.01, 1.0]]), (-1, 1))
-        per_mode, avg = sir(imi)
-        assert per_mode[-1] == pytest.approx(20.0)
+        per_mode, avg = sir(np.array([[1.0, 0.01], [0.01, 1.0]]), (-1, 1))
+        assert per_mode.shape == (2,)
+        assert per_mode[0] == pytest.approx(20.0)
         assert per_mode[1] == pytest.approx(20.0)
         assert avg == pytest.approx(20.0)
 
     def test_perfect_diagonal_capped(self):
-        imi = ImiMatrix(np.diag([1.0, 1.0]), (-1, 1))
-        per_mode, avg = sir(imi)
-        assert per_mode[-1] == SIR_CAP_DB
+        per_mode, avg = sir(np.diag([1.0, 1.0]), (-1, 1))
+        assert per_mode[0] == SIR_CAP_DB
         assert avg == SIR_CAP_DB
 
     def test_zero_signal(self):
-        imi = ImiMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]), (-1, 1))
-        with pytest.raises(ZeroSignalError):
-            sir(imi)
+        with pytest.raises(ZeroSignalError, match="for mode -1$"):
+            sir(np.array([[0.0, 1.0], [1.0, 1.0]]), (-1, 1))
 
     def test_interference_axes_differ_when_asymmetric(self):
         # Interference is the row sum, what the other transmitted modes leak
         # into decode slot l; the column sum would swap the two values.
         power = np.array([[1.0, 0.5], [0.01, 1.0]])
-        imi = ImiMatrix(power, (-1, 1))
-        row = sir(imi)[0]
-        assert row[-1] == pytest.approx(10 * np.log10(1 / 0.5))
+        row = sir(power, (-1, 1))[0]
+        assert row[0] == pytest.approx(10 * np.log10(1 / 0.5))
         assert row[1] == pytest.approx(10 * np.log10(1 / 0.01))
 
 
@@ -270,21 +289,21 @@ class TestSirGain:
         scen, pose = make_scenario(10.0, 180.0)
         modes = (-1, 1)
         fields = exact_received_signals(scen, pose, modes, [K_CARRIER])[:, :, 0]
-        no_mask = ImiMatrix(unmasked_power(fields, modes), modes)
+        no_mask = unmasked_power(fields, modes)
         [zero_phases] = pose_matrices(scen, pose, modes, [(0.0, 0.0)], "exact")
-        assert sir(zero_phases)[1] == pytest.approx(sir(no_mask)[1], abs=1e-9)
+        assert sir(zero_phases, modes)[1] == pytest.approx(sir(no_mask, modes)[1], abs=1e-9)
 
 
 class TestCapacity:
     def test_unit_sir(self):
-        imi = ImiMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]), (-1, 1))
-        assert sir_capacity(sir(imi)[0]) == pytest.approx(2.0)
+        per_mode = sir(np.array([[1.0, 1.0], [1.0, 1.0]]), (-1, 1))[0]
+        assert sir_capacity(per_mode) == pytest.approx(2.0)
 
     def test_capped_diagonal(self):
-        imi = ImiMatrix(np.diag([1.0, 1.0]), (-1, 1))
+        per_mode = sir(np.diag([1.0, 1.0]), (-1, 1))[0]
         expected = 2 * np.log2(1 + 10 ** (SIR_CAP_DB / 10))
-        assert sir_capacity(sir(imi)[0]) == pytest.approx(expected)
-        assert sir_capacity(sir(imi)[0]) == pytest.approx(132.877, abs=1e-3)
+        assert sir_capacity(per_mode) == pytest.approx(expected)
+        assert sir_capacity(per_mode) == pytest.approx(132.877, abs=1e-3)
 
 
 class TestCorrectionInvariants:
@@ -299,7 +318,7 @@ class TestCorrectionInvariants:
             mask = phase_mask(theta, phi, K_CARRIER, scen.rx)
             for l in (-1, 1):
                 s = farfield_antenna_vector(scen, pose, l, K_CARRIER)
-                corrected = s * np.exp(1j * mask.values)
+                corrected = s * np.exp(1j * mask)
                 # Remove the helical term and the common offset.
                 flat = corrected * np.exp(1j * l * scen.rx.element_azimuths)
                 flat = flat * np.exp(-1j * np.angle(np.sum(flat)))
@@ -312,7 +331,7 @@ class TestCorrectionInvariants:
             theta, phi = misalignment_angles(pose)
             before, after = pose_matrices(
                 scen, pose, modes, [(0.0, 0.0), (theta, phi)], "farfield")
-            assert sir(after)[1] >= sir(before)[1]
+            assert sir(after, modes)[1] >= sir(before, modes)[1]
 
     def test_estimation_error_costs_under_3db(self):
         # Gains with angle errors at the reference accuracy stay within
@@ -324,6 +343,6 @@ class TestCorrectionInvariants:
             off = (theta + np.deg2rad(2.4), phi + np.deg2rad(0.65))
             before, true_fix, off_fix = pose_matrices(
                 scen, pose, modes, [(0.0, 0.0), (theta, phi), off], "farfield")
-            gain_true = sir(true_fix)[1] - sir(before)[1]
-            gain_off = sir(off_fix)[1] - sir(before)[1]
+            gain_true = sir(true_fix, modes)[1] - sir(before, modes)[1]
+            gain_off = sir(off_fix, modes)[1] - sir(before, modes)[1]
             assert gain_true - gain_off < 3.0

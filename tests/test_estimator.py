@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from vortex_align.channel import (
-    NoiseSpec,
     SampleTensor,
     _bessel,
     delta,
@@ -72,9 +71,8 @@ def make_setup(theta_deg, phi_deg, distance=0.4, subcarriers=(F_CARRIER,),
     pose = RxPose.from_tilt(distance, ry, rx_tilt)
     scen = Scenario(UcaGeometry(160, 0.03), UcaGeometry(rx_n, 0.008), pose,
                     F_CARRIER, SUBS)
-    noise = NoiseSpec(snr_db=snr_db, seed=seed)
     tensor = simulate_measurement(scen, pose, modes, np.asarray(subcarriers),
-                                  noise, model)
+                                  snr_db, seed, model)
     config = EstimationConfig(modes=modes, antennas=tuple(select_antennas(rx_n, q)))
     return scen, pose, tensor, config
 
@@ -153,9 +151,8 @@ class TestCrossModalPhase:
                         F_CARRIER, SUBS)
         config = EstimationConfig(modes=(-1, 1), antennas=(0,))
         for trial in range(300):
-            tensor = simulate_measurement(
-                scen, pose, (-1, 1), SUBS[:32],
-                NoiseSpec(snr_db=10.0, seed=int(rng.integers(2**32))))
+            tensor = simulate_measurement(scen, pose, (-1, 1), SUBS[:32], snr_db=10.0,
+                                          seed=int(rng.integers(2**32)))
             single = SampleTensor(tensor.values[:, :, :1], tensor.antennas,
                                   tensor.modes, tensor.subcarriers_hz[:1])
             singles.append(cross_modal_phase_set(single, config, 20).target[0, 0])
@@ -1204,3 +1201,10 @@ class TestEstimationConfig:
     def test_rejects_duplicate_modes(self):
         with pytest.raises(ValueError):
             EstimationConfig(modes=(1, 1), antennas=(0, 1, 2))
+
+    def test_rejects_repeated_antennas(self):
+        # A repeated label fits one antenna's phases twice: on a (22.27, -152.73)
+        # deg pose, (0, 0, 0, 0) fits theta 1.5 deg at a residual near 0.
+        for antennas in ((0, 0, 0, 0), (0, 0, 7)):
+            with pytest.raises(ValueError, match="^antennas must be distinct$"):
+                EstimationConfig(modes=(-1, 1), antennas=antennas)

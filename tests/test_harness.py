@@ -362,7 +362,7 @@ class TestRunners:
         tilted = RxPose.from_tilt(spec.scenario.pose.distance_m,
                                   np.deg2rad(spec.demo_tilt_deg), 0.0)
         expected = imi_matrices(spec.scenario, [tilted], [pose_angles(tilted)],
-                                spec.demo_modes, [[(0.0, 0.0)]], spec.model).power[0, 0]
+                                spec.demo_modes, [[(0.0, 0.0)]], spec.model)[0, 0]
         with open(tmp_path / "imi" / "imi_misaligned.csv", newline="") as fh:
             rows = list(csv.reader(fh))[2:]
         assert [int(row[0]) for row in rows] == list(spec.demo_modes)
@@ -957,9 +957,9 @@ class TestBatchScoring:
         real_imi_matrices = harness.imi_matrices
 
         def silence_second(*args):
-            imi = real_imi_matrices(*args)
-            imi.power[1, 1, 0, 0] = 0.0  # trial 1, the estimate's mask, mode slot 0
-            return imi
+            power = real_imi_matrices(*args)
+            power[1, 1, 0, 0] = 0.0  # trial 1, the estimate's mask, mode slot 0
+            return power
 
         monkeypatch.setattr(harness, "imi_matrices", silence_second)
         forced = load_spec("ccdf", config_path=path, out_dir=str(tmp_path / "forced"))
