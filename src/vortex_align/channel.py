@@ -116,10 +116,13 @@ def exact_received_signals(scenario: Scenario, pose: RxPose, modes, ks) -> np.nd
     tx_phases = [np.exp(1j * l * scenario.tx.element_azimuths) for l in modes]
     gaps, gap_of = np.unique(np.diff(ks), return_inverse=True)
     steps = np.exp(-1j * gaps[:, None, None] * dist)
+    wave = np.exp(-1j * ks[0] * dist)
+    # wave * inv is wave / dist bit for bit: numpy divides complex by real so.
+    inv = np.divide(1.0, dist, out=dist)  # dist is read no more
     out = np.empty((len(rx_pos), len(tx_phases), len(ks)), dtype=complex)
     for ki, k in enumerate(ks):
-        wave = wave * steps[gap_of[ki - 1]] if ki else np.exp(-1j * k * dist)
-        prop = (1.0 / k) * (wave / dist)
+        wave = wave * steps[gap_of[ki - 1]] if ki else wave
+        prop = (1.0 / k) * (wave * inv)
         # One product per mode: a single product over all modes rounds differently.
         for li, tx_phase in enumerate(tx_phases):
             out[:, li, ki] = prop @ tx_phase

@@ -298,11 +298,16 @@ def _diametric_pair(labels, n_rx: int) -> tuple[int, int] | None:
     return None
 
 
-def _validate_config(config: EstimationConfig, n_rx: int) -> None:
+def _validate_config(config: EstimationConfig, n_rx: int, labels=()) -> None:
     if len(config.antennas) < 3:
         raise DegenerateGeometryError("at least 3 antennas are required")
     if len(config.modes) < 2:
         raise DegenerateGeometryError("at least 2 modes are required")
+    for name, given in [("antenna", config.antennas), ("tensor antenna label", labels)]:
+        off = [m for m in given if not 0 <= m < n_rx]
+        if off:
+            raise DegenerateGeometryError(
+                f"{name} {off[0]} is not on the {n_rx}-element ring (labels 0..{n_rx - 1})")
     # A diametric pair collapses the minimal Q=3 system to dependent
     # equations; with more antennas the redundancy absorbs it.
     pair = _diametric_pair(config.antennas, n_rx) if len(config.antennas) == 3 else None
@@ -498,12 +503,16 @@ def _residuals(x: np.ndarray, terms, gamma=None) -> tuple[np.ndarray, ...]:
         spin = np.exp(-2j * terms.dl * d)
         gamma = _peak(spin * terms.coef, terms, _GAMMA_NEWTON_STEPS)[0]
     den = sin_u**2 + (cos_t * cos_u) ** 2
-    d_delta = np.stack([np.sin(x[:, 0:1]) * cos_u * sin_u / den, cos_t / den,
-                        np.ones_like(den)], axis=-1)
+    d_theta, d_phi = np.sin(x[:, 0:1]) * cos_u * sin_u / den, cos_t / den
     model = _model(np.column_stack([x, gamma]), terms, d)
     res = terms.sqrt_w * (terms.target - model)
-    jac = (-2j * terms.dl * terms.sqrt_w * model)[..., None] * d_delta
-    return gamma, np.hstack([res.real, res.imag]), np.hstack([jac.real, jac.imag])
+    slope = -2j * terms.dl * terms.sqrt_w * model  # dr/d(delta + gamma)
+    r, jac = np.empty((len(x), 2, res.shape[1])), np.empty((len(x), 2, res.shape[1], 3))
+    r[:, 0], r[:, 1] = res.real, res.imag
+    # A real factor scales each part alone: the same bits as the complex product.
+    for part, s in enumerate((slope.real, slope.imag)):
+        jac[:, part, :, 0], jac[:, part, :, 1], jac[:, part, :, 2] = s * d_theta, s * d_phi, s
+    return gamma, r.reshape(len(x), -1), jac.reshape(len(x), -1, 3)
 
 
 def _profiled(x: np.ndarray, terms: CrossModalPhaseSet) -> tuple[np.ndarray, ...]:
@@ -549,33 +558,35 @@ def _refine_cells(cells: list, terms: CrossModalPhaseSet) -> tuple[np.ndarray, .
     cost = np.sum(res**2, axis=1)
     # J_g . J_g, the curvature along gamma, is the same at every point of a cell.
     scale_floor = _LM_SCALE_FLOOR * 4.0 * np.sum(terms.dl**2 * terms.weight, axis=1)
-    damping = np.full(len(x), _LM_DAMPING)
     iterations = np.zeros(len(x), dtype=int)
-    act = np.arange(len(x))
+    # The active cells' state: updated in place, gathered again when a cell stops.
+    act, rows, eye = np.arange(len(x)), terms, np.eye(2)
+    held = [a.copy() for a in (x, gamma, cost, iterations, res, jac, lower, upper, scale_floor,
+                               np.full(len(x), _LM_DAMPING))]
     while act.size:
-        xa, ra, ja, lo, hi = x[act], res[act], jac[act], lower[act], upper[act]
+        xa, ga, ca, ita, ra, ja, lo, hi, floor, da = held
         grad = np.einsum("ntk,nt->nk", ja, ra)
         curv = np.einsum("ntk,ntk->nk", ja, ja)
         free = ~(((xa <= lo) & (grad > 0)) | ((xa >= hi) & (grad < 0)))
         jf = ja * free[:, None, :]
-        scale = damping[act][:, None] * np.maximum(curv, scale_floor[act, None])
-        lhs = np.einsum("ntj,ntk->njk", jf, jf) + scale[:, :, None] * np.eye(2)
+        scale = da[:, None] * np.maximum(curv, floor[:, None])
+        lhs = np.einsum("ntj,ntk->njk", jf, jf) + scale[:, :, None] * eye
         step = np.linalg.solve(lhs, -(grad * free)[..., None])[..., 0]
         trial = np.minimum(np.maximum(xa + step, lo), hi)
-        gamma_t, res_t, jac_t = _profiled(trial, terms.rows(act))
+        gamma_t, res_t, jac_t = _profiled(trial, rows)
         cost_t = np.sum(res_t**2, axis=1)
-        iterations[act] += 1
-        cost_a = cost[act]
-        accept = cost_t < cost_a
-        done = (np.abs(trial - xa).max(axis=1) < _LM_MIN_MOVE) | (
-            accept & (cost_a - cost_t <= _LM_TOL * cost_a)
-        ) | (iterations[act] >= _LM_MAX_ITER)
-        for held, new in zip((x, gamma, res, jac, cost),
-                             (trial, gamma_t, res_t, jac_t, cost_t)):
-            held[act[accept]] = new[accept]
-        factor = np.where(accept, _LM_SHRINK, _LM_GROW)
-        damping[act] = np.maximum(damping[act] * factor, _LM_MIN_DAMPING)
-        act = act[~done]
+        ita += 1
+        accept = cost_t < ca
+        done = (np.abs(trial - xa).max(axis=1) < _LM_MIN_MOVE) | (ita >= _LM_MAX_ITER) | (
+            accept & (ca - cost_t <= _LM_TOL * ca))
+        for old, new in zip((xa, ga, ca, ra, ja), (trial, gamma_t, cost_t, res_t, jac_t)):
+            np.copyto(old, new, where=accept.reshape(-1, *[1] * (new.ndim - 1)))
+        np.maximum(da * np.where(accept, _LM_SHRINK, _LM_GROW), _LM_MIN_DAMPING, out=da)
+        if done.any():
+            for out, new in zip((x, gamma, cost, iterations), held):
+                out[act[done]] = new[done]
+            act, held = act[~done], [a[~done] for a in held]
+            rows = terms.rows(act)
     return x, gamma, cost, iterations
 
 
@@ -605,7 +616,7 @@ def estimate_trials(
     one set of antenna and mode labels is read by one lookup.  A noise
     failure ends only its own trial and is returned in its place.
     """
-    _validate_config(config, scenario.rx.n_elements)
+    _validate_config(config, scenario.rx.n_elements, tensor.antennas.tolist())
     values = tensor.values
     if values.ndim != 4:
         raise ValueError(f"estimate_trials takes a batch tensor (T, antennas, modes, p), got "

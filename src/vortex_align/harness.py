@@ -383,12 +383,6 @@ def trial_seed(master_seed: int, *indices: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _circular_err_deg(a_deg: float, b_deg: float) -> float:
-    return abs(
-        float(np.rad2deg(np.angle(np.exp(1j * np.deg2rad(a_deg - b_deg)))))
-    )
-
-
 def _score_trials(spec: ExperimentSpec, batch: list, truths: list, results: list) -> list:
     """The ``results.csv`` row of each trial of ``batch``, (point index, trial
     index, seed), of pose and ``pose_angles`` ``truths`` and estimate ``results``:
@@ -428,7 +422,8 @@ def _score_trials(spec: ExperimentSpec, batch: list, truths: list, results: list
             "theta_est_deg": float(np.rad2deg(est.theta)),
             "phi_est_deg": phi_est,
             "theta_err_deg": abs(float(np.rad2deg(est.theta - theta_t))),
-            "phi_err_deg": _circular_err_deg(phi_est, phi_true),
+            "phi_err_deg": abs(float(np.rad2deg(np.angle(np.exp(1j * np.deg2rad(
+                phi_est - phi_true)))))),
             "residual": est.residual,
             "sir_before_db": sir_before,
             "sir_after_db": sir_after,
@@ -741,10 +736,8 @@ RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="vortex-align",
-        description="Misaligned OAM link simulator and alignment experiments",
-    )
+    parser = argparse.ArgumentParser(prog="vortex-align", description="Misaligned OAM link "
+                                     "simulator and alignment experiments")
     parser.add_argument("kind", choices=RUNNERS, help="experiment to run")
     parser.add_argument("--config", help="JSON config file (defaults used if omitted)")
     parser.add_argument("--seed", type=int, help="master seed")
@@ -755,15 +748,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        spec = load_spec(
-            args.kind,
-            config_path=args.config,
-            out_dir=args.out,
-            seed=args.seed,
-            trials=args.trials,
-            snr_db=args.snr_db,
-            model=args.model,
-        )
+        spec = load_spec(args.kind, config_path=args.config, out_dir=args.out, seed=args.seed,
+                         trials=args.trials, snr_db=args.snr_db, model=args.model)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -267,6 +267,25 @@ class TestExactOracle:
             assert_matches_per_tone_formula(got[:, :, checked], scen, pose, modes,
                                             ks[checked])
 
+    @pytest.mark.parametrize("rx_n, rx_r", [(20, 0.008), (200, 0.04)])
+    def test_complex_by_real_division_is_a_reciprocal_multiply(self, rx_n, rx_r):
+        # The oracle forms each tone as wave * (1 / dist), which is its
+        # formula's wave / dist bit for bit only while numpy divides a complex
+        # array by a real one as a multiply by the reciprocal.  Checked on the
+        # oracle's distances, formed as it forms them, for the default
+        # 20-element link and the largest validate-model ring, at every tone.
+        scen, pose = make_scenario(rx_n=rx_n, rx_r=rx_r, distance=0.4, theta_deg=23.0,
+                                   phi_deg=-131.0)
+        rx_pos, tx_pos = element_positions_rx(scen.rx, pose), element_positions_tx(scen.tx)
+        sq = (rx_pos[:, None, :] - tx_pos[None, :, :]) ** 2
+        dist = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+        inv = 1.0 / dist
+        for k in wavenumber(GRID_HZ):
+            wave = np.exp(-1j * k * dist)
+            assert np.array_equal((wave / dist).view(np.int64), (wave * inv).view(np.int64)), (
+                f"at k={k}, numpy's complex / real division no longer equals a multiply "
+                "by the reciprocal: exact_received_signals must divide by dist again")
+
     def test_rejects_empty_wavenumbers(self):
         scen, pose = make_scenario()
         with pytest.raises(ValueError, match="^no wavenumber given$"):

@@ -425,6 +425,33 @@ class TestEstimate:
         with pytest.raises(DegenerateGeometryError):
             estimate(tensor, scen, config)
 
+    @pytest.mark.parametrize("labels", [(0, 5, 25), (0, 7, 13, 20), (-1, 4, 9, 13)])
+    def test_rejects_configured_antenna_off_the_ring(self, labels):
+        # The tensor holds the samples of elements label % 20 under these
+        # labels: 25 and 20 failed on a bare IndexError, and -1 ran silently
+        # as element 19.
+        scen, _pose, full, _ = make_setup(30.0, -120.0)
+        tensor = SampleTensor(full.values[[m % 20 for m in labels]], labels, full.modes,
+                              full.subcarriers_hz)
+        config = EstimationConfig(modes=(-1, 1), antennas=labels)
+        bad = next(m for m in labels if not 0 <= m < 20)
+        with pytest.raises(DegenerateGeometryError,
+                           match=rf"^antenna {bad} is not on the 20-element ring \(labels 0..19\)$"):
+            estimate(tensor, scen, config)
+
+    @pytest.mark.parametrize("extra", [25, -1])
+    def test_rejects_tensor_label_off_the_ring(self, extra):
+        # The fitted antennas are on the ring, but the arbitration probes
+        # every tensor row: label 25 failed on a bare IndexError, and -1 was
+        # probed silently as element 19.
+        scen, _pose, full, config = make_setup(30.0, -120.0)
+        labels = [*config.antennas, extra]
+        tensor = SampleTensor(full.values[[m % 20 for m in labels]], labels, full.modes,
+                              full.subcarriers_hz)
+        with pytest.raises(ValueError, match=rf"^tensor antenna label {extra} is not on the "
+                                             r"20-element ring \(labels 0..19\)$"):
+            estimate_trials(batch_of([tensor]), scen, config)
+
     def test_rejects_single_mode(self):
         scen, _pose, tensor, _ = make_setup(30.0, -120.0, modes=(-1, 1))
         config = EstimationConfig(
